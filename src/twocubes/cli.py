@@ -19,11 +19,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import identities
 from .elliptic import (
@@ -63,14 +63,6 @@ class RunReport:
             "status": self.status,
             "timing_seconds": round(self.timing, 3),
         }
-
-
-def _max_workers(requested: int | None) -> int:
-    cap = os.environ.get("TWOCUBES_MAX_WORKERS")
-    w = requested if requested is not None else 1
-    if cap:
-        w = max(1, min(w, int(cap)))
-    return w
 
 
 def _parse_poly(text: str) -> Polynomial:
@@ -146,8 +138,7 @@ def _run_ec_count(args) -> dict:
         A = field.element(tuple(int(c) for c in args.a.split(",")))
     else:
         A = field.element(int(args.a))
-    workers = _max_workers(args.workers)
-    n_points = count_points(field, A, workers=workers)
+    n_points = count_points(field, A)
     return {
         "p": args.p,
         "n": args.n,
@@ -252,10 +243,13 @@ def _run_twists_table(args) -> dict:
     table = twist_table(args.t_from, args.t_to, certify=args.certify, prime_budget=args.budget)
     payload = table.to_json()
     if args.certify:
-        exhausted = [
-            r for r in table.records if r.d > 2 and r.certificate is None
-        ]
+        exhausted = [r for r in table.records if r.outcome and r.outcome.exhausted]
         payload["summary"]["uncertified"] = len(exhausted)
+        payload["summary"]["exhausted"] = [
+            {"t": str(r.t), "d": str(r.d), "reason": r.outcome.reason,
+             "primes_tried": r.outcome.primes_tried}
+            for r in exhausted
+        ]
     return payload
 
 
@@ -273,7 +267,9 @@ def _twists_csv(results: dict) -> str:
 # -- parser / dispatch ------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process (parsing does not mutate it)."""
     parser = argparse.ArgumentParser(
         prog="twocubes", description="Exact computations around sums of two cubes."
     )
@@ -295,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     ecc.add_argument("--p", type=int, required=True)
     ecc.add_argument("--n", type=int, default=1)
     ecc.add_argument("--a", type=str, required=True, help="integer, or comma digits low-to-high")
-    ecc.add_argument("--workers", type=int, default=None)
     ecm = ec_sub.add_parser("map", help="map a Hesse point to the Weierstrass model")
     ecm.add_argument("--d", type=str, required=True)
     ecm.add_argument("--x", type=str, required=True)
@@ -342,8 +337,7 @@ _HANDLERS = {
 
 def dispatch(argv: list[str]) -> tuple[RunReport, str | None]:
     """Run one subcommand; returns the report and an optional CSV body."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = _HANDLERS[(args.group, args.command)]
     params = {
         k: v for k, v in vars(args).items() if k not in ("group", "command") and v is not None

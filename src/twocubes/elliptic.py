@@ -4,20 +4,22 @@ Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
 short Weierstrass form v^2 = u^3 - 432 d^2, with the explicit point map
 between them.  The chord-tangent group law is generic over any field of
 characteristic != 2, 3 (rationals, finite fields, rational function
-fields).  Counting over F_q is direct enumeration in u with a quadratic
-character lookup; the sextic trace table exploits that the trace of
-v^2 = u^3 + A depends only on the sextic residue class of A.
+fields); over a prime field the certificate search runs it on plain int
+pairs instead.  Counting over F_q is closed-form: the trace of
+v^2 = u^3 + A is Gauss's sextic-character formula, lifted from F_p to F_q by
+Hasse-Davenport, so it costs one sextic residue symbol.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
-from .exact import FiniteField, primes
+from .exact import OMEGA, Eisenstein, FiniteField, primes
+from .exact.eisenstein import primary_prime
 from .exact.numbers import factorize
 
 
@@ -147,23 +149,40 @@ def hesse_to_weierstrass(curve: CubicTwistCurve) -> HesseWeierstrassMap:
 # -- point counting over finite fields ----------------------------------------
 
 
-def _count_chunk(args) -> int:
-    p, n, modulus, a_coeffs, start, end = args
-    field = FiniteField(p, n, modulus)
-    A = field.element(a_coeffs)
-    chi = 0
-    for k in range(start, end):
-        u = field.from_index(k)
-        chi += field.quadratic_character(u * u * u + A)
-    return chi
+@lru_cache(maxsize=256)
+def _sextic_traces(field: FiniteField) -> dict[tuple[int, ...], int]:
+    """Trace of v^2 = u^3 + A over F_q, q = 1 mod 6, keyed by s = (4A)^((q-1)/6).
+
+    Gauss (Ireland & Rosen ch. 18 §3) lifted to F_q by Hasse-Davenport:
+    a = -2 Re(chi-bar(4A) pi_q), pi_q = -(-pi)^n, and s = zeta^k gives
+    chi-bar(4A) = (-omega)^k with zeta = -w^2, w = -a/b mod p the image of
+    omega that kills the primary pi = a + b*omega.  For p = 2 mod 3, pi_q =
+    -(-p)^(n/2) is rational, so either primitive sixth root serves as zeta.
+    """
+    p, n = field.p, field.n
+    if p % 3 == 1:
+        pi = primary_prime(p)
+        pi_q = -((-pi) ** n)
+        w = -int(pi.a) * pow(int(pi.b), -1, p)
+        zeta = field(-w * w)
+    else:
+        pi_q = Eisenstein(-((-p) ** (n // 2)))
+        roots = (field.from_index(i) ** ((field.q - 1) // 6) for i in range(p, field.q))
+        zeta = next(z for z in roots if z**2 != 1 and z**3 != 1)
+    traces = {}
+    for k in range(6):
+        x = (-OMEGA) ** k * pi_q
+        traces[(zeta**k).coeffs] = int(x.b - 2 * x.a)  # -2 Re(x + y*omega) = y - 2x
+    return traces
 
 
-def count_points(field: FiniteField, A, workers: int = 1) -> int:
-    """#{(u,v): v^2 = u^3 + A} + 1 over F_q, by enumeration of u.
+def count_points(field: FiniteField, A) -> int:
+    """#{(u,v): v^2 = u^3 + A} + 1 over F_q, in closed form.
 
     Needs characteristic >= 5 and A != 0 (additive fibers are the caller's
-    business).  With workers > 1 the u-range is partitioned; the additive
-    reduction makes the result independent of the split.
+    business).  For q = 2 mod 3 the curve is supersingular and the count is
+    q + 1; otherwise the trace depends only on the sextic residue symbol of
+    4A (see _sextic_traces), so a count costs one exponentiation.
     """
     if field.p < 5:
         raise ValueError("need characteristic >= 5")
@@ -171,60 +190,16 @@ def count_points(field: FiniteField, A, workers: int = 1) -> int:
     if A.is_zero():
         raise ValueError("singular curve (A = 0)")
     q = field.q
-    if workers > 1 and q >= 1 << 10:
-        cap = os.environ.get("TWOCUBES_MAX_WORKERS")
-        if cap:
-            workers = max(1, min(workers, int(cap)))
-        bounds = [q * i // workers for i in range(workers + 1)]
-        jobs = [
-            (field.p, field.n, field.modulus, A.coeffs, bounds[i], bounds[i + 1])
-            for i in range(workers)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chi = sum(pool.map(_count_chunk, jobs))
-    else:
-        chi = _count_chunk((field.p, field.n, field.modulus, A.coeffs, 0, q))
-    count = q + 1 + chi
-    a = q + 1 - count
+    a = 0
+    if q % 3 == 1:
+        a = _sextic_traces(field)[field.sextic_residue_symbol(4 * A).coeffs]
     if a * a > 4 * q:
         raise ArithmeticError("Hasse bound violated")
-    return count
+    return q + 1 - a
 
 
-def trace(field: FiniteField, A, workers: int = 1) -> int:
-    return field.q + 1 - count_points(field, A, workers)
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    """Traces of v^2 = u^3 + A over F_q keyed by the sextic class of A.
-
-    Built from six counts (one per class of the fixed generator); lookups
-    cost one sextic residue symbol.
-    """
-
-    field: FiniteField
-    entries: dict  # sextic symbol element -> trace
-
-    def trace(self, A) -> int:
-        A = self.field.element(A)
-        return self.entries[self.field.sextic_residue_symbol(A)]
-
-    def count(self, A) -> int:
-        return self.field.q + 1 - self.trace(A)
-
-
-def build_trace_table(field: FiniteField) -> TraceTable:
-    if field.q % 6 != 1:
-        raise ValueError("trace table needs q = 1 mod 6")
-    g = field.generator()
-    zeta = g ** ((field.q - 1) // 6)
-    entries = {}
-    rep = field.one()
-    for j in range(6):
-        entries[zeta**j] = trace(field, rep)
-        rep = rep * g
-    return TraceTable(field, entries)
+def trace(field: FiniteField, A) -> int:
+    return field.q + 1 - count_points(field, A)
 
 
 # -- torsion bound over Q ------------------------------------------------------
@@ -268,7 +243,7 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
             continue
         field = FiniteField(p)
         g_new = count_points(field, field.element(A_int % p))
-        g = g_new if g == 0 else _gcd(g, g_new)
+        g = math.gcd(g, g_new)
         used += 1
         if g == 1 or used >= prime_count:
             break
@@ -279,58 +254,80 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
     return g
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+# -- the group law over F_p on plain ints ---------------------------------------
+# Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
+# certificate search runs here; add_points/scalar_mul serve Q and Q(T).
 
 
-def point_order(curve: WeierstrassCurve, P: Point, group_order: int) -> int:
-    """Exact order of P given a multiple of it (the group order)."""
-    if P.at_infinity:
+def add_mod_p(p: int, A: int, P, Q):
+    """Chord-tangent addition on v^2 = u^3 + A over F_p; off-curve inputs are rejected."""
+    for X in (P, Q):
+        if X is not None and not (0 <= X[0] < p and 0 <= X[1] < p):
+            raise ValueError("point not reduced mod p")
+        if X is not None and (X[1] * X[1] - X[0] ** 3 - A) % p:
+            raise ValueError("point not on curve")
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, p)
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def mul_mod_p(p: int, A: int, k: int, P):
+    """k * P over F_p for k >= 0, by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = add_mod_p(p, A, R, P)
+        P = add_mod_p(p, A, P, P)
+        k >>= 1
+    return R
+
+
+def point_order(p: int, A: int, P, group_order: int) -> int:
+    """Exact order of P in E(F_p) given a multiple of it (the group order)."""
+    if P is None:
         return 1
-    if not scalar_mul(curve, group_order, P).at_infinity:
+    if mul_mod_p(p, A, group_order, P) is not None:
         raise ValueError("group_order is not a multiple of the point order")
     o = group_order
     for ell in factorize(group_order):
-        while o % ell == 0 and scalar_mul(curve, o // ell, P).at_infinity:
+        while o % ell == 0 and mul_mod_p(p, A, o // ell, P) is None:
             o //= ell
     return o
 
 
-def subgroup_is_cyclic(curve: WeierstrassCurve, P: Point, Q: Point, group_order: int) -> bool:
-    """Whether <P, Q> is cyclic, one prime at a time.
+def subgroup_is_cyclic(p: int, A: int, P, Q, group_order: int) -> bool:
+    """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
 
     For each prime ell dividing both orders, reduce to the ell-primary parts
     P', Q' with ord(P') >= ord(Q'); the span is cyclic at ell iff Q' lies in
     <P'>, tested by direct enumeration of the (small) cyclic group.
     """
-    oP = point_order(curve, P, group_order)
-    oQ = point_order(curve, Q, group_order)
-    common = _gcd(oP, oQ)
-    for ell in factorize(common) if common > 1 else ():
-        a = _val(oP, ell)
-        b = _val(oQ, ell)
-        Pp = scalar_mul(curve, oP // ell**a, P)
-        Qp = scalar_mul(curve, oQ // ell**b, Q)
+    oP = point_order(p, A, P, group_order)
+    oQ = point_order(p, A, Q, group_order)
+    fP, fQ = factorize(oP), factorize(oQ)
+    for ell in sorted(fP.keys() & fQ.keys()):
+        a, b = fP[ell], fQ[ell]
+        Pp = mul_mod_p(p, A, oP // ell**a, P)
+        Qp = mul_mod_p(p, A, oQ // ell**b, Q)
         if a < b:
             Pp, Qp = Qp, Pp
             a, b = b, a
-        R = INFINITY
-        member = False
+        R = None
         for _ in range(ell**a):
             if R == Qp:
-                member = True
                 break
-            R = add_points(curve, R, Pp)
-        if not member:
+            R = add_mod_p(p, A, R, Pp)
+        else:
             return False
     return True
 
-
-def _val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

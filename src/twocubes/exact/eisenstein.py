@@ -6,6 +6,7 @@ sqrt(-3) = 1 + 2*omega.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -98,3 +99,32 @@ class Eisenstein:
 
 
 OMEGA = Eisenstein(0, 1)
+
+
+def primary_prime(p: int) -> Eisenstein:
+    """The primary (a = 2, b = 0 mod 3) pi = a + b*omega of norm p = 1 mod 3.
+
+    Cornacchia (Cohen, Algorithm 1.5.2) writes p = x^2 + 3y^2 from
+    sqrt(-3) = 1 + 2w, w a cube root of unity != 1 mod p; one of the six
+    associates of (x + y) + 2y*omega = x + y*sqrt(-3) is primary.
+    """
+    if p % 3 != 1:
+        raise ValueError(f"{p} is not 1 mod 3")
+    c = 2
+    while pow(c, (p - 1) // 3, p) == 1:
+        c += 1
+    r = (1 + 2 * pow(c, (p - 1) // 3, p)) % p
+    a, x = p, max(r, p - r)
+    while x * x > p:
+        a, x = x, a % x
+    y = math.isqrt((p - x * x) // 3)
+    pi = Eisenstein(x + y, 2 * y)
+    if pi.norm() != p:
+        raise ArithmeticError(f"Cornacchia found no x^2 + 3y^2 = {p}")
+    unit = Eisenstein(1)
+    for _ in range(6):
+        cand = unit * pi
+        if cand.a % 3 == 2 and cand.b % 3 == 0:
+            return cand
+        unit = unit * -OMEGA
+    raise ArithmeticError(f"no primary associate of norm {p}")  # unreachable

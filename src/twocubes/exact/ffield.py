@@ -93,9 +93,8 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p."""
     if n == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=n):
-        if tail[0] == 0:
-            continue
+    # a zero constant term makes x a factor, so candidates start at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         f = list(tail) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
@@ -135,7 +134,6 @@ class FiniteField:
                         (c + top * r) % p
                         for c, r in itertools.zip_longest(cur, self._xpow[0], fillvalue=0)
                     ]
-        self._squares = None
         self._generator = None
 
     # -- element construction ---------------------------------------------
@@ -199,19 +197,6 @@ class FiniteField:
         if a.is_zero():
             raise ValueError("sextic symbol of zero")
         return a ** ((self.q - 1) // 6)
-
-    def quadratic_character(self, a: "FFElement") -> int:
-        """+1 for nonzero squares, -1 for nonsquares, 0 for zero."""
-        a = self.element(a)
-        if a.is_zero():
-            return 0
-        if self.q <= 1 << 20:
-            if self._squares is None:
-                self._squares = frozenset(
-                    (e * e).coeffs for e in self.elements() if not e.is_zero()
-                )
-            return 1 if a.coeffs in self._squares else -1
-        return 1 if a ** ((self.q - 1) // 2) == self.one() else -1
 
     def embed_fraction(self, fr) -> "FFElement":
         """Reduce a rational number mod p; raises if p divides the denominator."""
@@ -334,6 +319,8 @@ class FFElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
+        if self.field.n == 1:
+            return FFElement(self.field, (pow(self.coeffs[0], e, self.field.p),))
         result = self.field.one()
         base = self
         while e:

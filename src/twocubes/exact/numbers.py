@@ -8,6 +8,7 @@ extraction, and a seeded Brent-rho splitter for stubborn composites.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -153,16 +154,20 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def cubefree_part(n: int) -> tuple[int, int]:
+def cubefree_part(*factors: int) -> tuple[int, int]:
     """Write n = d * c**3 with c >= 1 and d cube-free; d keeps the sign of n.
 
-    Raises ValueError on n == 0.
+    n is the product of the arguments, each factored on its own, so a
+    caller who knows a factorization of n into small parts never factors
+    the (much larger) product.  Raises ValueError when n == 0.
     """
-    if n == 0:
+    if 0 in factors:
         raise ValueError("0 has no cube-free decomposition")
-    sign = -1 if n < 0 else 1
-    d, c = 1, 1
-    for p, e in factorize(abs(n)).items():
+    exponents: Counter[int] = Counter()
+    for n in factors:
+        exponents.update(factorize(abs(n)))
+    d, c = (-1) ** sum(n < 0 for n in factors), 1
+    for p, e in exponents.items():
         c *= p ** (e // 3)
         d *= p ** (e % 3)
-    return sign * d, c
+    return d, c

@@ -1,9 +1,8 @@
-"""Vectorized discrete-log tables for bulk point counting over F_q.
+"""Vectorized discrete-log tables for the fiber sweeps over F_q.
 
-For the curve-counting workloads, every quantity we need per fiber reduces
-to discrete logarithms: the quadratic character of z is the parity of
-log z, and the sextic/cubic class of z is log z mod 6 or mod 3.  Addition
-in log coordinates is a Zech-logarithm table lookup:
+Every quantity a sweep needs per fiber reduces to discrete logarithms:
+the sextic/cubic class of z is log z mod 6 or mod 3.  Addition in log
+coordinates is a Zech-logarithm table lookup:
 
     g^Z(k) = 1 + g^k         (Z(k) = -1 when 1 + g^k = 0).
 
@@ -105,33 +104,6 @@ class ZechLog:
         return self.pow_g(l // 2)
 
     # -- bulk sweeps ----------------------------------------------------------
-
-    def sextic_traces(self) -> list[int]:
-        """Traces of v^2 = u^3 + g^j over F_q for j = 0..5 (q = 1 mod 6).
-
-        trace[j] = q + 1 - #E, computed from the quadratic-character sum
-        over u in F_q done entirely in log coordinates.
-        """
-        if self.q % 6 != 1:
-            raise ValueError("sextic trace table needs q = 1 mod 6")
-        q = self.q
-        traces = []
-        for j in range(6):
-            chi_sum = 1 if j % 2 == 0 else -1  # the u = 0 term: chi(g^j)
-            for start in range(0, q - 1, _CHUNK):
-                end = min(start + _CHUNK, q - 1)
-                e = np.arange(start, end, dtype=np.int64)
-                idx = (3 * e - j) % (q - 1)
-                w = self.zech[idx]
-                valid = w >= 0
-                odd = ((w + j) & 1).astype(bool)
-                chi_sum += int(np.count_nonzero(valid & ~odd))
-                chi_sum -= int(np.count_nonzero(valid & odd))
-            trace = -chi_sum  # a = q + 1 - (q + 1 + chi_sum)
-            if trace * trace > 4 * q:
-                raise ArithmeticError(f"Hasse bound violated at class {j}")
-            traces.append(trace)
-        return traces
 
     def cube_class_counts(self, unit: FFElement, roots: list[FFElement]) -> tuple[list[int], int]:
         """Histogram of log(f(t)) mod 3 over t in F_q* for f = unit * prod (t - root).

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul
+from .elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul, trace
 from .exact import (
     OMEGA,
     Eisenstein,
@@ -83,11 +83,13 @@ class FunctionFieldCurve:
         return -432 * self.k * self.k
 
 
+@lru_cache(maxsize=None)
 def build_family() -> FunctionFieldCurve:
     """Construct k(T) = 63(3T^2-3T+1)(T^2+T+1)(T^2-3T+3) and both sections.
 
     Both on-curve identities are verified as exact polynomial identities;
-    a transcription slip fails loudly here.
+    a transcription slip fails loudly here.  The family is a constant, so
+    it is built and checked once per process.
     """
     quads = ((3, -3, 1), (1, 1, 1), (1, -3, 3))
     k = rational_poly(63)
@@ -295,7 +297,8 @@ class LPolynomial:
             for j in range(1, n):
                 acc -= cs[j - 1] * b[n - j]
             cs.append(acc)
-        assert all(c.denominator == 1 for c in cs)
+        if any(c.denominator != 1 for c in cs):
+            raise LFunctionError("power sums of L are not integral")
         return [int(c) for c in cs]
 
     def as_poly(self) -> Polynomial:
@@ -344,10 +347,11 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
 
     Over fields with q = 2 mod 3 cubing is a bijection, every good fiber is
     supersingular, and the sum is 0 without any counting.  Otherwise the
-    sextic trace table (six counts) plus one cubic-class sweep of k(t) in
-    log coordinates covers all of F_q, the t = 0 fiber is patched in
-    directly, and the fiber at infinity comes from the reversed model
-    (v^2 = u^3 - 432 lc(k)^2, good reduction here).
+    fiber over t has trace traces[log(-432 k(t)^2) mod 6], traces[j] =
+    trace(field, g^j) in closed form, and one cubic-class sweep of k(t) in
+    log coordinates counts the fibers of each class over F_q*; the t = 0
+    fiber is patched in directly, and the fiber at infinity comes from the
+    reversed model (v^2 = u^3 - 432 lc(k)^2, good reduction here).
     """
     q = p**n
     if q % 3 == 2:
@@ -356,7 +360,7 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
         raise LFunctionError(f"counting over q = {p}^{n} exceeds the table budget")
     engine = _engine(p, n)
     field = engine.field
-    traces = _engine_traces(p, n)
+    traces = [trace(field, engine.g**j) for j in range(6)]
     roots = []
     for (a, b, c) in curve.k_quadratics:
         disc = field((b * b - 4 * a * c) % p)
@@ -384,12 +388,6 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     return c_n
 
 
-@lru_cache(maxsize=16)
-def _engine_traces(p: int, n: int) -> tuple[int, ...]:
-    return tuple(_engine(p, n).sextic_traces())
-
-
-@lru_cache(maxsize=8)
 def lfunction(p: int, direct: bool = False) -> LPolynomial:
     """The degree-8 L-polynomial of the family curve reduced mod p.
 
@@ -398,7 +396,13 @@ def lfunction(p: int, direct: bool = False) -> LPolynomial:
     re-verify against independently counted c_5 and c_6.  A sign ambiguity
     that c_5/c_6 cannot settle is an error, never a guess.  With
     direct=True all of c_1..c_8 are counted instead (small p only).
+    Results are cached on (p, bool(direct)), however the call spells them.
     """
+    return _lfunction(p, bool(direct))
+
+
+@lru_cache(maxsize=8)
+def _lfunction(p: int, direct: bool) -> LPolynomial:
     curve = build_family()
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .elliptic import (
     CubicTwistCurve,
     Point,
-    WeierstrassCurve,
     count_points,
     hesse_to_weierstrass,
     point_order,
@@ -47,6 +46,17 @@ class RankCertificate:
         }
 
 
+@dataclass(frozen=True)
+class CertificateOutcome:
+    certificate: RankCertificate | None
+    primes_tried: int
+    reason: str
+
+    @property
+    def exhausted(self) -> bool:
+        return self.certificate is None
+
+
 @dataclass
 class TwistRecord:
     t: Fraction
@@ -54,7 +64,11 @@ class TwistRecord:
     d: int
     p1: Point
     p2: Point
-    certificate: RankCertificate | None = None
+    outcome: CertificateOutcome | None = None  # set by rank2_certificate
+
+    @property
+    def certificate(self) -> RankCertificate | None:
+        return self.outcome.certificate if self.outcome else None
 
     def curve(self) -> CubicTwistCurve:
         return CubicTwistCurve(Fraction(self.d))
@@ -70,6 +84,8 @@ class TwistRecord:
             "y2": str(self.p2.y),
         }
         out["cert_prime"] = self.certificate.prime if self.certificate else None
+        out["cert_reason"] = self.outcome.reason if self.outcome else None
+        out["primes_tried"] = self.outcome.primes_tried if self.outcome else None
         return out
 
 
@@ -80,19 +96,23 @@ class SpecializationError(Exception):
 def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     """Evaluate the family at T = t and normalize to the cube-free twist.
 
-    Rational t is cleared by b^6 (b the denominator): points scale by b^2,
-    then both coordinates are divided by the cube factor c of k(t) b^6, so
-    the record's points sit exactly on X^3 + Y^3 = d with d cube-free.
+    Rational t = a/b is cleared by b^6: points scale by b^2, then both
+    coordinates are divided by the cube factor c of k(t) b^6, so the
+    record's points sit exactly on X^3 + Y^3 = d with d cube-free.  The
+    decomposition factors the unit and the homogenized quadratic values
+    q_i(a, b) one by one, never their product.
     """
     fam = family or build_family()
     t = Fraction(t)
     k_t = fam.k(t)
     if k_t == 0:
         raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
-    b = t.denominator
-    k_int = k_t * b**6
-    assert k_int.denominator == 1
-    d, c = cubefree_part(int(k_int))
+    a, b = t.numerator, t.denominator
+    parts = [fam.k_unit]
+    parts += [qa * a * a + qb * a * b + qc * b * b for qa, qb, qc in fam.k_quadratics]
+    d, c = cubefree_part(*parts) if 0 not in parts else (0, 1)
+    if d * c**3 != k_t * b**6:
+        raise SpecializationError(f"k({t}) b^6 is not the product of the family's factors")
     scale = Fraction(b * b, c)
     pts = []
     for sec in (fam.p1, fam.p2):
@@ -104,23 +124,12 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     return TwistRecord(t, k_t, d, pts[0], pts[1])
 
 
-@dataclass(frozen=True)
-class CertificateOutcome:
-    certificate: RankCertificate | None
-    primes_tried: int
-    reason: str
-
-    @property
-    def exhausted(self) -> bool:
-        return self.certificate is None
-
-
 def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> CertificateOutcome:
     """Search good primes for a non-cyclic reduction image of (P1, P2).
 
     Requires d > 2 (so the curve is torsion-free once the computed torsion
     bound is 1).  Exhausting the budget is a no-certificate outcome, not a
-    disproof.
+    disproof.  The outcome is also stored on the record.
     """
     if record.d <= 2:
         raise ValueError("d <= 2: torsion-freeness hypothesis unavailable")
@@ -128,7 +137,8 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         raise ValueError("certificate needs two affine points")
     tb = torsion_order_bound(record.d)
     if tb != 1:
-        return CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
+        record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
+        return record.outcome
     m = hesse_to_weierstrass(record.curve())
     w1 = m.to_weierstrass(record.p1)
     w2 = m.to_weierstrass(record.p2)
@@ -144,25 +154,18 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         if p < 5 or (6 * record.d) % p == 0 or denominators % p == 0:
             continue
         tried += 1
-        field = FiniteField(p)
-        A = field.element((-432 * record.d * record.d) % p)
-        curve_p = WeierstrassCurve(A)
-        r1 = Point(field.embed_fraction(w1.x), field.embed_fraction(w1.y))
-        r2 = Point(field.embed_fraction(w2.x), field.embed_fraction(w2.y))
-        if r1.at_infinity or r2.at_infinity:
-            continue
-        order = count_points(field, A)
-        if not subgroup_is_cyclic(curve_p, r1, r2, order):
+        A = (-432 * record.d * record.d) % p
+        r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (P.x, P.y))
+                  for P in (w1, w2)]
+        order = count_points(FiniteField(p), A)
+        if not subgroup_is_cyclic(p, A, r1, r2, order):
             cert = RankCertificate(
-                p,
-                order,
-                point_order(curve_p, r1, order),
-                point_order(curve_p, r2, order),
-                tb,
+                p, order, point_order(p, A, r1, order), point_order(p, A, r2, order), tb
             )
-            record.certificate = cert
-            return CertificateOutcome(cert, tried, "non-cyclic image")
-    return CertificateOutcome(None, tried, "budget exhausted")
+            record.outcome = CertificateOutcome(cert, tried, "non-cyclic image")
+            return record.outcome
+    record.outcome = CertificateOutcome(None, tried, "budget exhausted")
+    return record.outcome
 
 
 @dataclass

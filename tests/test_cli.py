@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from enumeration import count_by_enumeration
 from twocubes.cli import main
+from twocubes.exact import FiniteField
 
 
 def run_json(capsys, *argv) -> dict:
@@ -47,6 +49,18 @@ def test_ec_count_cli(capsys):
     assert doc["results"]["trace"] == "-4"
     doc = run_json(capsys, "ec", "count", "--p", "17", "--n", "2", "--a", "3,1")
     assert int(doc["results"]["count"]) > 0
+
+
+def test_ec_count_cli_large_fields(capsys):
+    # q = 10007^3 = 2 mod 3: supersingular, q + 1 at once (no enumeration, no hang)
+    doc = run_json(capsys, "ec", "count", "--p", "10007", "--n", "3", "--a", "1")
+    assert doc["results"]["count"] == str(10007**3 + 1)
+    # q = 10009^3 = 1 mod 6: for A in F_p, a_{p^3} = a_p^3 - 3 p a_p with a_p enumerated
+    p = 10009
+    a_p = p + 1 - count_by_enumeration(FiniteField(p), 1)
+    doc = run_json(capsys, "ec", "count", "--p", str(p), "--n", "3", "--a", "1")
+    assert doc["results"]["trace"] == str(a_p**3 - 3 * p * a_p)
+    assert a_p != 0
 
 
 def test_ec_map_cli(capsys):
@@ -124,6 +138,21 @@ def test_twists_table_cli_json(capsys):
     t3 = recs[-1]
     assert (t3["x1"], t3["y1"], t3["x2"], t3["y2"]) == ("46/3", "-37/3", "10", "9")
     assert doc["results"]["summary"]["distinct_d"] == 3
+
+
+def test_twists_table_cli_reports_exhausted(capsys):
+    doc = run_json(capsys, "twists", "table", "--from", "0", "--to", "3", "--certify")
+    assert doc["status"] == "exhausted"
+    summary = doc["results"]["summary"]
+    assert summary["uncertified"] == 3
+    assert summary["exhausted"] == [
+        {"t": str(t), "d": d, "reason": "budget exhausted", "primes_tried": 50}
+        for t, d in ((0, "7"), (1, "7"), (2, "9"))
+    ]
+    recs = doc["results"]["records"]
+    assert [(r["cert_reason"], r["primes_tried"]) for r in recs] == [
+        ("budget exhausted", 50)
+    ] * 3 + [("non-cyclic image", 7)]
 
 
 def test_twists_table_cli_csv(capsys):

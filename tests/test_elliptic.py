@@ -1,19 +1,21 @@
-"""Tests for curve models, the group law, counting, and trace tables."""
+"""Tests for curve models, the group law, closed-form counting, and traces."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from enumeration import count_by_enumeration
 from twocubes.elliptic import (
     INFINITY,
     CubicTwistCurve,
     Point,
     WeierstrassCurve,
+    add_mod_p,
     add_points,
-    build_trace_table,
     count_points,
     hesse_to_weierstrass,
+    mul_mod_p,
     neg_point,
     point_order,
     scalar_mul,
@@ -21,7 +23,7 @@ from twocubes.elliptic import (
     torsion_order_bound,
     trace,
 )
-from twocubes.exact import FiniteField
+from twocubes.exact import FiniteField, is_probable_prime
 
 
 # -- model conversion -----------------------------------------------------------
@@ -184,21 +186,9 @@ def test_add_points_rejects_off_curve():
 # -- point counting ----------------------------------------------------------------
 
 
-def _count_bruteforce(F, A):
-    A = F.element(A)
-    total = 1
-    for i in range(F.q):
-        u = F.from_index(i)
-        for j in range(F.q):
-            v = F.from_index(j)
-            if v * v == u * u * u + A:
-                total += 1
-    return total
-
-
 def test_count_examples():
     F7 = FiniteField(7)
-    assert _count_bruteforce(F7, 1) == 12  # oracle for the frozen value
+    assert count_by_enumeration(F7, 1) == 12  # oracle for the frozen value
     assert count_points(F7, 1) == 12
     assert trace(F7, 1) == -4
     F5 = FiniteField(5)
@@ -208,7 +198,7 @@ def test_count_examples():
     A = (-432 * 189 * 189) % 17
     n = count_points(F17, A)
     assert (17 + 1 - n) ** 2 <= 4 * 17
-    assert n == _count_bruteforce(F17, A)
+    assert n == count_by_enumeration(F17, A)
 
 
 def test_count_rejects_singular_and_small_char():
@@ -227,6 +217,7 @@ def test_supersingular_law():
         for _ in range(6):
             A = F.from_index(rng.randrange(1, F.q))
             assert count_points(F, A) == F.q + 1
+            assert count_by_enumeration(F, A) == F.q + 1
 
 
 def test_hasse_bound_over_extension():
@@ -238,44 +229,75 @@ def test_hasse_bound_over_extension():
         assert a * a <= 4 * F.q
 
 
-def test_count_workers_agree():
-    F = FiniteField(7, 2)
-    seq = count_points(F, 3)
-    par = count_points(F, 3, workers=2)
-    assert seq == par
+def test_closed_form_every_sextic_class_prime_fields():
+    """Every sextic class of A on every prime p = 1 mod 6 below 2000."""
+    checked = 0
+    for p in range(7, 2000, 6):
+        if not is_probable_prime(p):
+            continue
+        F = FiniteField(p)
+        classes = set()
+        A = 1
+        while len(classes) < 6:
+            s = pow(A, (p - 1) // 6, p)
+            if s not in classes:
+                classes.add(s)
+                assert count_points(F, A) == count_by_enumeration(F, A), (p, A)
+                checked += 1
+            A += 1
+    assert checked == 6 * 148
 
 
-# -- trace tables -------------------------------------------------------------------
+@pytest.mark.parametrize("p,n", [(7, 2), (7, 3), (11, 2), (13, 2)])
+def test_closed_form_all_a_extension_fields(p, n):
+    F = FiniteField(p, n)
+    for i in range(1, F.q):
+        A = F.from_index(i)
+        assert count_points(F, A) == count_by_enumeration(F, A), A
+
+
+@pytest.mark.parametrize("p,n", [(5, 4), (17, 2), (17, 4)])
+def test_closed_form_generator_classes(p, n):
+    F = FiniteField(p, n)
+    g = F.generator()
+    for j in range(6):
+        assert count_points(F, g**j) == count_by_enumeration(F, g**j), j
+
+
+# -- traces by sextic class ----------------------------------------------------------
+# The trace of v^2 = u^3 + A depends only on the sextic class of A; these
+# pin that down against the enumeration oracle.
 
 
 def test_trace_table_f7():
     F = FiniteField(7)
-    tt = build_trace_table(F)
-    assert all(a * a <= 4 * 7 for a in tt.entries.values())
-    assert tt.trace(1) == -4
+    assert all(trace(F, a) ** 2 <= 4 * 7 for a in range(1, 7))
+    assert trace(F, 1) == -4
 
 
 def test_trace_table_f13_exhaustive():
     F = FiniteField(13)
-    tt = build_trace_table(F)
     for a in range(1, 13):
-        assert tt.trace(a) == trace(F, a)
-        assert tt.count(a) == count_points(F, a)
+        assert trace(F, a) == F.q + 1 - count_by_enumeration(F, a)
+        assert count_points(F, a) == count_by_enumeration(F, a)
 
 
 def test_trace_table_f289_random():
     F = FiniteField(17, 2)
-    tt = build_trace_table(F)
-    assert len(tt.entries) == 6
+    by_class = {}
     rng = random.Random(59)
     for _ in range(288):
         A = F.from_index(rng.randrange(1, F.q))
-        assert tt.trace(A) == trace(F, A)
+        a = trace(F, A)
+        assert a == F.q + 1 - count_by_enumeration(F, A)
+        assert by_class.setdefault(F.sextic_residue_symbol(A), a) == a
+    assert len(by_class) == 6
 
 
 def test_trace_table_rejects_wrong_q():
     with pytest.raises(ValueError):
-        build_trace_table(FiniteField(5))
+        FiniteField(5).sextic_residue_symbol(1)
+    assert count_points(FiniteField(5), 1) == 6  # q = 2 mod 3 needs no symbol
 
 
 # -- torsion bound -------------------------------------------------------------------
@@ -291,7 +313,41 @@ def test_torsion_bound_detects_2_torsion():
     assert torsion_order_bound(2) % 2 == 0
 
 
-# -- subgroup structure ---------------------------------------------------------------
+# -- the group law over F_p on ints ---------------------------------------------------
+
+
+def _points_mod_p(p, a):
+    return [(u, v) for u in range(p) for v in range(p) if (v * v - u**3 - a) % p == 0]
+
+
+def _as_ff(F, P):
+    return INFINITY if P is None else Point(F(P[0]), F(P[1]))
+
+
+def test_int_group_law_matches_generic():
+    rng = random.Random(67)
+    for p in (5, 7, 13, 31, 101, 211):
+        F = FiniteField(p)
+        for _ in range(3):
+            a = rng.randrange(1, p)
+            curve = WeierstrassCurve(F(a))
+            pts = [None] + _points_mod_p(p, a)
+            for _ in range(30):
+                P, Q = rng.choice(pts), rng.choice(pts)
+                assert _as_ff(F, add_mod_p(p, a, P, Q)) == add_points(
+                    curve, _as_ff(F, P), _as_ff(F, Q)
+                )
+                k = rng.randrange(0, 3 * p)
+                assert _as_ff(F, mul_mod_p(p, a, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
+
+
+def test_int_group_law_rejects_off_curve():
+    with pytest.raises(ValueError):
+        add_mod_p(7, 1, (1, 1), None)
+    with pytest.raises(ValueError):
+        add_mod_p(7, 1, None, (0, 8))  # on the curve only before reduction
+    with pytest.raises(ValueError):
+        point_order(7, 1, (1, 1), 12)
 
 
 def _subgroup_bruteforce(curve, gens):
@@ -310,38 +366,24 @@ def _subgroup_bruteforce(curve, gens):
 
 
 def test_subgroup_cyclicity_vs_enumeration():
+    """The int path against subgroups enumerated with the generic group law."""
     rng = random.Random(61)
     checked_noncyclic = 0
     for p in (7, 13, 31, 43, 61, 103, 151, 199):
         F = FiniteField(p)
         for a in (1, 2, 5):
-            A = F(a)
-            if A.is_zero():
-                continue
-            curve = WeierstrassCurve(A)
-            pts = []
-            for i in range(p):
-                u = F.from_index(i)
-                rhs = u * u * u + A
-                chi = F.quadratic_character(rhs)
-                if chi == 0:
-                    pts.append(Point(u, F(0)))
-                elif chi == 1:
-                    for j in range(p):
-                        v = F.from_index(j)
-                        if v * v == rhs:
-                            pts.append(Point(u, v))
-            order = count_points(F, A)
+            curve = WeierstrassCurve(F(a))
+            pts = _points_mod_p(p, a)
+            order = count_points(F, a)
             assert order == len(pts) + 1
             for _ in range(4):
                 P, Q = rng.choice(pts), rng.choice(pts)
-                H = _subgroup_bruteforce(curve, [P, Q])
-                oP = point_order(curve, P, order)
-                oQ = point_order(curve, Q, order)
-                brute_cyclic = any(
-                    point_order(curve, X, order) == len(H) for X in H
-                )
-                got = subgroup_is_cyclic(curve, P, Q, order)
+                H = _subgroup_bruteforce(curve, [_as_ff(F, P), _as_ff(F, Q)])
+                oP = point_order(p, a, P, order)
+                oQ = point_order(p, a, Q, order)
+                ints = [None if X.at_infinity else (X.x.coeffs[0], X.y.coeffs[0]) for X in H]
+                brute_cyclic = any(point_order(p, a, X, order) == len(H) for X in ints)
+                got = subgroup_is_cyclic(p, a, P, Q, order)
                 assert got == brute_cyclic, (p, a, P, Q)
                 assert len(H) % oP == 0 and len(H) % oQ == 0
                 if not got:
@@ -350,18 +392,10 @@ def test_subgroup_cyclicity_vs_enumeration():
 
 
 def test_scalar_mul_orders():
-    F = FiniteField(13)
-    A = F(5)
-    curve = WeierstrassCurve(A)
-    order = count_points(F, A)
-    for i in range(F.q):
-        u = F.from_index(i)
-        rhs = u**3 + A
-        if F.quadratic_character(rhs) >= 0:
-            for j in range(F.q):
-                v = F.from_index(j)
-                if v * v == rhs:
-                    P = Point(u, v)
-                    assert scalar_mul(curve, order, P).at_infinity
-                    assert scalar_mul(curve, point_order(curve, P, order), P).at_infinity
-            break
+    p, a = 13, 5
+    order = count_points(FiniteField(p), a)
+    for P in _points_mod_p(p, a):
+        assert mul_mod_p(p, a, order, P) is None
+        o = point_order(p, a, P, order)
+        assert mul_mod_p(p, a, o, P) is None
+        assert all(mul_mod_p(p, a, k, P) is not None for k in range(1, o))

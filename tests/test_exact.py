@@ -27,6 +27,7 @@ from twocubes.exact import (
     series_expand,
     smallest_irreducible,
 )
+from twocubes.exact.eisenstein import primary_prime
 
 
 # -- cubefree decomposition ----------------------------------------------------
@@ -63,6 +64,28 @@ def test_cubefree_random_reconstruction():
         d, c = cubefree_part(n)
         assert d * c**3 == n
         assert all(e < 3 for e in sympy.factorint(d).values())
+
+
+def test_cubefree_of_a_product_matches_whole():
+    rng = random.Random(71)
+    for _ in range(100):
+        parts = [rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in range(rng.randint(1, 4))]
+        n = 1
+        for x in parts:
+            n *= x
+        assert cubefree_part(*parts) == _cubefree_oracle(n)
+    with pytest.raises(ValueError):
+        cubefree_part(3, 0)
+
+
+def test_primary_prime():
+    for p in sympy.primerange(5, 3000):
+        if p % 3 == 1:
+            pi = primary_prime(p)
+            assert pi.norm() == p and pi.a % 3 == 2 and pi.b % 3 == 0
+        else:
+            with pytest.raises(ValueError):
+                primary_prime(p)
 
 
 def test_cubefree_large_rough_inputs():
@@ -255,6 +278,9 @@ def test_deterministic_moduli():
     assert smallest_irreducible(2, 3) == (1, 0, 1, 1)  # x^3 + x + 1
     assert smallest_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
     assert smallest_irreducible(17, 2) == (1, 1, 1)
+    # the moduli behind the golden values of the L-function stay fixed
+    assert smallest_irreducible(17, 6) == (1, 0, 0, 0, 0, 5, 1)
+    assert smallest_irreducible(5, 4) == (1, 0, 1, 1, 1)
 
 
 def test_f7_ops():
@@ -334,14 +360,16 @@ def test_zechlog_matches_exact_powers():
 
 
 def test_zechlog_traces_vs_direct_counts():
-    from twocubes.elliptic import count_points
+    """The per-class traces that fiber_trace_sum reads, against enumeration."""
+    from enumeration import count_by_enumeration
+    from twocubes.elliptic import count_points, trace
 
     F = FiniteField(17, 2)
     z = ZechLog(F)
-    traces = z.sextic_traces()
     for j in range(6):
         A = z.g**j
-        assert F.q + 1 - count_points(F, A) == traces[j]
+        assert trace(F, A) == F.q + 1 - count_by_enumeration(F, A)
+        assert count_points(F, A) == count_by_enumeration(F, A)
 
 
 def test_zechlog_cube_classes_vs_direct():

@@ -1,11 +1,15 @@
 """Tests for the Q(T) curve, differentials, and the L-function machinery."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from twocubes.elliptic import count_points
+from enumeration import count_by_enumeration
 from twocubes.exact import FiniteField, OMEGA, RationalFunction, rational_poly
 from twocubes.function_field import (
     HolDifferential,
@@ -167,7 +171,7 @@ def test_fiber_trace_sum_supersingular_zero(family):
 
 def test_c2_against_per_fiber_enumeration(family):
     """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time,
-    each by full-enumeration count_points (no log tables anywhere)."""
+    each counted by enumeration (no log tables or closed forms anywhere)."""
     F = FiniteField(17, 2)
     total = 0
     for idx in range(F.q):
@@ -178,10 +182,10 @@ def test_c2_against_per_fiber_enumeration(family):
         if kt.is_zero():
             continue
         A = F.element(-432 % 17) * kt * kt
-        total += F.q + 1 - count_points(F, A)
+        total += F.q + 1 - count_by_enumeration(F, A)
     # fiber at infinity: reversed model has A = -432 * lc(k)^2
     Ainf = F.element(-432 % 17) * F.element(189 % 17) ** 2
-    total += F.q + 1 - count_points(F, Ainf)
+    total += F.q + 1 - count_by_enumeration(F, Ainf)
     assert total == -1088
     assert fiber_trace_sum(family, 17, 2) == total
 
@@ -198,6 +202,34 @@ def test_lfunction_17_matches_printed_factorization():
 
 def test_lfunction_5_direct_agrees_with_functional_equation_path():
     assert lfunction(5).coeffs == lfunction(5, direct=True).coeffs
+
+
+def test_lfunction_cache_ignores_spelling():
+    assert lfunction(17) is lfunction(17, direct=False)
+    assert lfunction(5, direct=0) is lfunction(5)
+
+
+def test_typed_checks_survive_python_O():
+    """Both exactness checks raise their typed errors with asserts stripped."""
+    script = """
+from twocubes.function_field import FunctionFieldCurve, LFunctionError, LPolynomial, build_family
+from twocubes.twists import SpecializationError, specialize
+fam = build_family()
+try:
+    LPolynomial(5, (1, __import__("fractions").Fraction(1, 2)), ()).power_sum_coefficients(2)
+except LFunctionError:
+    print("LFunctionError")
+try:
+    specialize(3, FunctionFieldCurve(2 * fam.k, fam.k_quadratics, 63, fam.p1, fam.p2))
+except SpecializationError:
+    print("SpecializationError")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["LFunctionError", "SpecializationError"]
 
 
 def test_lfunction_rejects_bad_primes():

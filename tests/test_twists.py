@@ -1,5 +1,6 @@
 """Tests for specialization, twist tables, and rank certificates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,34 @@ def test_specialize_consistency_random(family):
         assert r.p1.x**3 + r.p1.y**3 == r.d
 
 
+def test_factor_split_matches_cubefree_part(family):
+    """(d, c) from the factored k(t) against cubefree_part of the whole k(t) b^6."""
+    ts = [Fraction(t) for t in range(-300, 301)]
+    ts += [Fraction(a, b) for b in range(2, 8) for a in range(-40, 41) if math.gcd(a, b) == 1]
+    for t in ts:
+        r = specialize(t, family)
+        b = t.denominator
+        d, c = cubefree_part(int(r.k_t * b**6))
+        assert r.d == d
+        assert r.p1.x == family.p1.x(t) * b * b / c
+        assert r.p2.y == family.p2.y(t) * b * b / c
+
+
+def test_specialize_rejects_inconsistent_factors(family):
+    # k no longer equals unit * product of the listed quadratics
+    from twocubes.exact import rational_poly
+    from twocubes.function_field import FunctionFieldCurve
+
+    fake = FunctionFieldCurve(2 * family.k, family.k_quadratics, 63, family.p1, family.p2)
+    with pytest.raises(SpecializationError, match="product"):
+        specialize(3, fake)
+    fake = FunctionFieldCurve(
+        rational_poly(1, 0, 1), ((1, 0, -1),), 1, family.p1, family.p2
+    )  # k = T^2 + 1, listed factor T^2 - 1 vanishes at t = 1
+    with pytest.raises(SpecializationError):
+        specialize(1, fake)
+
+
 def test_twist_table_0_to_3(family):
     table = twist_table(0, 3)
     assert [r.d for r in table.records] == [7, 7, 9, 1729]
@@ -98,6 +127,10 @@ def test_certificate_found_for_t3(family):
     assert out.certificate is not None
     cert = out.certificate
     assert rec.certificate is cert
+    assert (out.reason, rec.outcome) == ("non-cyclic image", out)
+    doc = rec.to_json()
+    assert (doc["cert_prime"], doc["cert_reason"]) == (cert.prime, "non-cyclic image")
+    assert doc["primes_tried"] == out.primes_tried
     # independently re-verify the witness: reduce and brute-force the subgroup
     p = cert.prime
     F = FiniteField(p)
