@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .elliptic import (
     count_points,
     hesse_to_weierstrass,
 )
-from .exact import FiniteField, Polynomial
+from .exact import FiniteField, Polynomial, rational_poly
 from .function_field import (
     build_family,
     cm_twist,
@@ -65,18 +66,122 @@ class RunReport:
         }
 
 
-def _parse_poly(text: str) -> Polynomial:
-    """Accept either a comma-separated low-to-high coefficient list or an
-    expression in T (parsed by sympy)."""
-    if "," in text and "T" not in text and "t" not in text:
-        return Polynomial(tuple(Fraction(c.strip()) for c in text.split(",")))
-    import sympy
+MAX_PARSED_DEGREE = 64  # bounds the work a --k polynomial can ask for
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()T]))")
+_COEFF = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 
-    T = sympy.Symbol("T")
-    expr = sympy.sympify(text.replace("^", "**"), locals={"T": T})
-    p = sympy.Poly(expr, T)
-    coeffs = [Fraction(str(c)) for c in reversed(p.all_coeffs())]
-    return Polynomial(tuple(coeffs))
+
+class PolynomialSyntaxError(ValueError):
+    pass
+
+
+def _parse_poly(text: str) -> Polynomial:
+    """A polynomial in T over Q, from either a comma-separated low-to-high
+    coefficient list (integers or a/b) or an expression over integers, T,
+    + - * / ^ ** and parentheses.  The text is parsed, never evaluated."""
+    if "," in text:
+        coeffs = text.split(",")
+        if not all(_COEFF.fullmatch(c) for c in coeffs):
+            raise PolynomialSyntaxError(f"coefficients must be integers or a/b: {text!r}")
+        try:
+            return rational_poly(*(c.strip() for c in coeffs))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolynomialSyntaxError(f"bad coefficient in {text!r}: {exc}") from None
+    return _ExprParser(text).parse()
+
+
+class _ExprParser:
+    """Recursive descent over
+
+        expr  := term (('+' | '-') term)*
+        term  := unary (('*' | '/') unary)*
+        unary := ('+' | '-') unary | power
+        power := atom (('^' | '**') integer)?
+        atom  := integer | 'T' | '(' expr ')'
+
+    where a divisor must be a nonzero constant and degrees stay within
+    MAX_PARSED_DEGREE."""
+
+    def __init__(self, text: str):
+        self.tokens = []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise PolynomialSyntaxError(f"unexpected {text[pos:].lstrip()[:1]!r} in {text!r}")
+            self.tokens.append(m.group(1) or m.group(2))
+            pos = m.end()
+        self.pos = 0
+
+    def parse(self) -> Polynomial:
+        f = self._expr()
+        if self.pos < len(self.tokens):
+            raise PolynomialSyntaxError(f"unexpected {self.tokens[self.pos]!r}")
+        return f
+
+    def _peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _take(self) -> str:
+        tok = self._peek()
+        if tok is None:
+            raise PolynomialSyntaxError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def _expr(self) -> Polynomial:
+        f = self._term()
+        while self._peek() in ("+", "-"):
+            f = f + self._term() if self._take() == "+" else f - self._term()
+        return f
+
+    def _term(self) -> Polynomial:
+        f = self._unary()
+        while self._peek() in ("*", "/"):
+            op, g = self._take(), self._unary()
+            if op == "/":
+                if g.degree != 0:
+                    raise PolynomialSyntaxError("divisors must be nonzero constants")
+                f = f * (1 / g.coeffs[0])
+            else:
+                f = self._bounded(f * g)
+        return f
+
+    def _unary(self) -> Polynomial:
+        if self._peek() in ("+", "-"):
+            return self._unary() if self._take() == "+" else -self._unary()
+        return self._power()
+
+    def _power(self) -> Polynomial:
+        f = self._atom()
+        if self._peek() in ("^", "**"):
+            self._take()
+            e = self._take()
+            if not e.isdigit() or int(e) > MAX_PARSED_DEGREE:
+                raise PolynomialSyntaxError(
+                    f"exponents must be integers in [0, {MAX_PARSED_DEGREE}], not {e!r}"
+                )
+            f = self._bounded(f ** int(e))
+        return f
+
+    def _atom(self) -> Polynomial:
+        tok = self._take()
+        if tok.isdigit():
+            return rational_poly(tok)
+        if tok == "T":
+            return rational_poly(0, 1)
+        if tok == "(":
+            f = self._expr()
+            if self._take() != ")":
+                raise PolynomialSyntaxError("missing ')'")
+            return f
+        raise PolynomialSyntaxError(f"unexpected {tok!r}")
+
+    @staticmethod
+    def _bounded(f: Polynomial) -> Polynomial:
+        if (f.degree or 0) > MAX_PARSED_DEGREE:
+            raise PolynomialSyntaxError(f"degree above {MAX_PARSED_DEGREE}")
+        return f
 
 
 # -- subcommand handlers --------------------------------------------------------

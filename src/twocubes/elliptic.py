@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .exact import OMEGA, Eisenstein, FiniteField, primes
+from .exact import OMEGA, Eisenstein, FiniteField, prime_field, primes
 from .exact.eisenstein import primary_prime
 from .exact.numbers import factorize
 
@@ -241,7 +241,7 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
     for p in primes():
         if p < 5 or (6 * d) % p == 0:
             continue
-        field = FiniteField(p)
+        field = prime_field(p)
         g_new = count_points(field, field.element(A_int % p))
         g = math.gcd(g, g_new)
         used += 1

@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: integers, rationals, Q(omega), polynomials,
-rational functions, finite fields, and the vectorized log-table kernel."""
+rational functions and finite fields.  The numpy class-table kernel,
+`exact.zechlog`, is imported by its callers when they sweep."""
 
 from .eisenstein import OMEGA, Eisenstein
-from .ffield import FFElement, FiniteField, smallest_irreducible
+from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes
 from .poly import (
     Polynomial,
@@ -13,7 +14,6 @@ from .poly import (
     resultant,
 )
 from .ratfunc import RationalFunction, series_expand
-from .zechlog import ZechLog
 
 __all__ = [
     "OMEGA",
@@ -22,7 +22,6 @@ __all__ = [
     "FiniteField",
     "Polynomial",
     "RationalFunction",
-    "ZechLog",
     "cubefree_part",
     "cyclotomic",
     "factorize",
@@ -30,6 +29,7 @@ __all__ = [
     "is_probable_prime",
     "poly_discriminant",
     "poly_gcd",
+    "prime_field",
     "primes",
     "rational_poly",
     "resultant",

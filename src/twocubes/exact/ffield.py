@@ -198,6 +198,34 @@ class FiniteField:
             raise ValueError("sextic symbol of zero")
         return a ** ((self.q - 1) // 6)
 
+    def sqrt(self, a) -> "FFElement":
+        """A square root of a, by Tonelli-Shanks; ValueError for a non-square.
+
+        The generator is a non-residue and supplies the 2-power roots of
+        unity; the result is checked by squaring it.
+        """
+        a = self.element(a)
+        if a.is_zero():
+            return a
+        if self.p == 2:
+            root = a ** (self.q // 2)
+        else:
+            if a ** ((self.q - 1) // 2) != 1:
+                raise ValueError(f"{a!r} is not a square")
+            s, odd = 0, self.q - 1
+            while odd % 2 == 0:
+                s, odd = s + 1, odd // 2
+            c, t, root = self.generator() ** odd, a**odd, a ** ((odd + 1) // 2)
+            while t != 1:  # t has order 2^i < 2^s; c has order 2^s
+                i, t2 = 0, t
+                while t2 != 1:
+                    i, t2 = i + 1, t2 * t2
+                b = c ** (1 << (s - i - 1))
+                s, c, t, root = i, b * b, t * b * b, root * b
+        if root * root != a:
+            raise ArithmeticError("square root check failed")
+        return root
+
     def embed_fraction(self, fr) -> "FFElement":
         """Reduce a rational number mod p; raises if p divides the denominator."""
         den = fr.denominator
@@ -216,6 +244,12 @@ class FiniteField:
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.n})" if self.n > 1 else f"FiniteField({self.p})"
+
+
+@lru_cache(maxsize=512)
+def prime_field(p: int) -> FiniteField:
+    """F_p, built once per process for the callers that count over many primes."""
+    return FiniteField(p)
 
 
 class FFElement:

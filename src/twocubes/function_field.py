@@ -24,14 +24,11 @@ from .exact import (
     FiniteField,
     Polynomial,
     RationalFunction,
-    ZechLog,
     cyclotomic,
     poly_discriminant,
     poly_gcd,
     rational_poly,
 )
-
-MAX_COUNTING_FIELD = 300_000_000  # table-memory guard for the c_n sweeps
 
 
 class FamilyError(Exception):
@@ -324,11 +321,6 @@ def _exp_series(cn: dict[int, int], upto: int) -> list[Fraction]:
     return b
 
 
-@lru_cache(maxsize=8)
-def _engine(p: int, n: int) -> ZechLog:
-    return ZechLog(FiniteField(p, n))
-
-
 def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     from .exact import is_probable_prime
 
@@ -348,23 +340,25 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     Over fields with q = 2 mod 3 cubing is a bijection, every good fiber is
     supersingular, and the sum is 0 without any counting.  Otherwise the
     fiber over t has trace traces[log(-432 k(t)^2) mod 6], traces[j] =
-    trace(field, g^j) in closed form, and one cubic-class sweep of k(t) in
-    log coordinates counts the fibers of each class over F_q*; the t = 0
-    fiber is patched in directly, and the fiber at infinity comes from the
-    reversed model (v^2 = u^3 - 432 lc(k)^2, good reduction here).
+    trace(field, g^j) in closed form, and one cubic-class sweep of k(t)
+    over all of F_q counts the fibers of each class; the fiber at infinity
+    comes from the reversed model (v^2 = u^3 - 432 lc(k)^2, good reduction
+    here).  The class table costs q bytes, and fields above its budget are
+    refused.
     """
     q = p**n
     if q % 3 == 2:
         return 0
-    if q > MAX_COUNTING_FIELD:
-        raise LFunctionError(f"counting over q = {p}^{n} exceeds the table budget")
-    engine = _engine(p, n)
-    field = engine.field
+    from .exact import zechlog  # numpy is imported only by the sweeps
+
+    if q > zechlog.MAX_COUNTING_FIELD:
+        raise LFunctionError(f"counting over q = {p}^{n} exceeds the class-table budget")
+    field = FiniteField(p, n)
+    engine = zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
     roots = []
     for (a, b, c) in curve.k_quadratics:
-        disc = field((b * b - 4 * a * c) % p)
-        s = engine.sqrt(disc)
+        s = field.sqrt(field((b * b - 4 * a * c) % p))
         inv2a = field(2 * a).inverse()
         mb = field(-b % p)
         roots.append((mb + s) * inv2a)
@@ -376,15 +370,12 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     counts, n_bad = engine.cube_class_counts(unit, roots)
     if n_bad != len(roots):
         raise LFunctionError("repeated roots of k in the counting field")
-    k0 = field(int(curve.k.coeff(0)) % p)
-    if not k0.is_zero():
-        counts[engine.log(k0) % 3] += 1
-    l432 = engine.log(field(-432 % p))
+    l432 = engine.sextic_class(field(-432 % p))
     c_n = 0
     for j in range(3):
         c_n += counts[j] * traces[(l432 + 2 * j) % 6]
     a_inf = field(-432 % p) * unit * unit
-    c_n += traces[engine.log(a_inf) % 6]
+    c_n += traces[engine.sextic_class(a_inf)]
     return c_n
 
 

@@ -22,7 +22,7 @@ from .elliptic import (
     subgroup_is_cyclic,
     torsion_order_bound,
 )
-from .exact import FiniteField, cubefree_part, primes
+from .exact import cubefree_part, prime_field, primes
 from .function_field import FunctionFieldCurve, build_family
 
 
@@ -157,7 +157,7 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         A = (-432 * record.d * record.d) % p
         r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (P.x, P.y))
                   for P in (w1, w2)]
-        order = count_points(FiniteField(p), A)
+        order = count_points(prime_field(p), A)
         if not subgroup_is_cyclic(p, A, r1, r2, order):
             cert = RankCertificate(
                 p, order, point_order(p, A, r1, order), point_order(p, A, r2, order), tb

@@ -1,12 +1,20 @@
 """CLI tests: JSON schema, determinism, round-trips, CSV, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from enumeration import count_by_enumeration
-from twocubes.cli import main
-from twocubes.exact import FiniteField
+from twocubes.cli import PolynomialSyntaxError, _parse_poly, main
+from twocubes.exact import FiniteField, rational_poly
+from twocubes.function_field import build_family
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_json(capsys, *argv) -> dict:
@@ -129,6 +137,59 @@ def test_surface_analyze_custom_k(capsys):
     doc = run_json(capsys, "surface", "analyze", "--k=-2,0,0,1")
     assert doc["results"]["euler_number"] == 12
     assert not doc["results"]["is_k3"]
+
+
+def test_parse_poly_family_k_as_expression():
+    text = "63*(3*T^2 - 3*T + 1)*(T^2 + T + 1)*(T**2 - 3*T + 3)"
+    assert _parse_poly(text) == build_family().k
+    assert _parse_poly("189, -567, 630, -315, 630, -567, 189") == build_family().k
+
+
+@pytest.mark.parametrize(
+    "text,coeffs",
+    [
+        ("T^6 - 1", (-1, 0, 0, 0, 0, 0, 1)),
+        ("-T^2", (0, 0, -1)),
+        ("-2^2", (-4,)),
+        ("(T + 1)/2", (Fraction(1, 2), Fraction(1, 2))),
+        ("3/4*T - -1", (1, Fraction(3, 4))),
+        ("2 * (T - 1) ** 2", (2, -4, 2)),
+        ("1/2, 3", (Fraction(1, 2), 3)),
+        ("-2,0,0,1", (-2, 0, 0, 1)),
+    ],
+)
+def test_parse_poly_accepts(text, coeffs):
+    assert _parse_poly(text) == rational_poly(*coeffs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "T +", "(T", "T)", "t^2", "T^2^3", "T^-1", "T/(T + 1)", "1/0", "T^65",
+     "2^99999", "(T^8)^9", "1.5*T", "1e9, 2", "x, 1", "T + len('a')"],
+)
+def test_parse_poly_rejects(text):
+    with pytest.raises(PolynomialSyntaxError):
+        _parse_poly(text)
+
+
+def test_surface_analyze_k_never_runs_code(capsys, tmp_path):
+    marker = tmp_path / "ran"
+    for payload in (
+        "T**2 + 1 + 0*len(__import__('os').getcwd())",
+        f"T**2 + 1 + 0*len(open({str(marker)!r}, 'w').name)",
+    ):
+        doc = run_json(capsys, "surface", "analyze", "--k", payload)
+        assert doc["status"] == "failed"
+        assert doc["results"]["error"].startswith("PolynomialSyntaxError: ")
+    assert not marker.exists()
+
+
+def test_cli_import_leaves_numpy_out():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, twocubes.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_twists_table_cli_json(capsys):

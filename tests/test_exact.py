@@ -17,17 +17,18 @@ from twocubes.exact import (
     FiniteField,
     Polynomial,
     RationalFunction,
-    ZechLog,
     cubefree_part,
     cyclotomic,
     factorize,
     poly_discriminant,
     poly_gcd,
+    prime_field,
     rational_poly,
     series_expand,
     smallest_irreducible,
 )
 from twocubes.exact.eisenstein import primary_prime
+from twocubes.exact.zechlog import ZERO, ZechLog
 
 
 # -- cubefree decomposition ----------------------------------------------------
@@ -337,56 +338,77 @@ def test_embed_fraction():
         F.embed_fraction(Fraction(3, 11))
 
 
-# -- Zech-log engine ---------------------------------------------------------------
+def test_sqrt_every_element():
+    for p, n in ((13, 1), (17, 1), (7, 2), (5, 3), (2, 3)):
+        F = FiniteField(p, n)
+        squares = {(x * x).coeffs for x in F.elements()}
+        for a in F.elements():
+            if a.coeffs in squares:
+                r = F.sqrt(a)
+                assert r * r == a
+            else:
+                with pytest.raises(ValueError):
+                    F.sqrt(a)
+        assert len(squares) == (F.q if p == 2 else (F.q + 1) // 2)
 
 
-def test_zechlog_matches_exact_powers():
-    rng = random.Random(37)
-    F = FiniteField(17, 2)
+def test_prime_field_is_built_once():
+    assert prime_field(101) is prime_field(101)
+    assert prime_field(101) == FiniteField(101)
+
+
+# -- the class table and the cube-class sweep -------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(13, 2), (5, 4), (7, 3), (19, 3)])
+def test_class_table_matches_sextic_symbol(p, n):
+    """cls[x] = log_g(x) mod 6: x^((q-1)/6) = zeta^cls[x], zeta = g^((q-1)/6)."""
+    F = FiniteField(p, n)
     z = ZechLog(F)
-    for _ in range(40):
-        e = rng.randrange(F.q - 1)
-        elem = z.g**e
-        assert z.log(elem) == e
-    # Zech identity on sampled indices
-    for _ in range(40):
-        k = rng.randrange(F.q - 1)
-        zk = int(z.zech[k])
-        lhs = F.one() + z.g**k
-        if zk < 0:
-            assert lhs.is_zero()
+    zeta = z.g ** ((F.q - 1) // 6)
+    power_of = {(zeta**k).coeffs: k for k in range(6)}
+    assert len(power_of) == 6
+    assert z.cls.nbytes == F.q and z.cls[0] == ZERO
+    for idx in range(1, F.q):
+        x = F.from_index(idx)
+        assert z.cls[idx] == power_of[F.sextic_residue_symbol(x).coeffs], idx
+        assert z.sextic_class(x) == z.cls[idx]
+    with pytest.raises(ValueError):
+        z.sextic_class(F.zero())
+
+
+def test_class_table_rejects_unsuitable_fields():
+    with pytest.raises(ValueError):
+        ZechLog(FiniteField(17))  # 17 = 5 mod 6
+
+
+@pytest.mark.parametrize("p,n,with_zero", [(13, 3, True), (13, 3, False), (5, 4, True)])
+def test_cube_class_counts_vs_per_t_evaluation(p, n, with_zero):
+    """The sweep over all of F_q, t = 0 and t = root included, against
+    evaluating f(t) = unit * prod (t - r) one t at a time."""
+    F = FiniteField(p, n)
+    z = ZechLog(F)
+    rng = random.Random(p * 100 + n)
+    idx = rng.sample(range(1, F.q), 5 if with_zero else 6)
+    roots = [F.from_index(i) for i in idx] + ([F.zero()] if with_zero else [])
+    unit = F.from_index(rng.randrange(1, F.q))
+    omega = z.g ** ((F.q - 1) // 3)
+    power_of = {(omega**k).coeffs: k for k in range(3)}
+    direct, zeros = [0, 0, 0], 0
+    for t in F.elements():
+        v = unit
+        for r in roots:
+            v = v * (t - r)
+        if v.is_zero():
+            zeros += 1
         else:
-            assert z.g**zk == lhs
+            direct[power_of[(v ** ((F.q - 1) // 3)).coeffs]] += 1
+    assert z.cube_class_counts(unit, roots) == (direct, zeros)
+    assert zeros == 6
 
 
-def test_zechlog_traces_vs_direct_counts():
-    """The per-class traces that fiber_trace_sum reads, against enumeration."""
-    from enumeration import count_by_enumeration
-    from twocubes.elliptic import count_points, trace
-
-    F = FiniteField(17, 2)
-    z = ZechLog(F)
-    for j in range(6):
-        A = z.g**j
-        assert trace(F, A) == F.q + 1 - count_by_enumeration(F, A)
-        assert count_points(F, A) == count_by_enumeration(F, A)
-
-
-def test_zechlog_cube_classes_vs_direct():
+def test_cube_class_counts_repeated_root_shows_in_zero_count():
     F = FiniteField(13)
     z = ZechLog(F)
-    # f(t) = 2(t - 3)(t - 5)
-    roots = [F(3), F(5)]
-    unit = F(2)
-    counts, n_bad = z.cube_class_counts(unit, roots)
-    direct = [0, 0, 0]
-    bad = 0
-    for idx in range(1, 13):
-        t = F.from_index(idx)
-        v = unit * (t - F(3)) * (t - F(5))
-        if v.is_zero():
-            bad += 1
-            continue
-        direct[z.log(v) % 3] += 1
-    assert counts == direct
-    assert n_bad == bad == 2
+    counts, zeros = z.cube_class_counts(F(2), [F(3), F(3), F(5)])
+    assert zeros == 2 and sum(counts) == 11

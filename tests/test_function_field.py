@@ -169,6 +169,49 @@ def test_fiber_trace_sum_supersingular_zero(family):
         assert fiber_trace_sum(family, 17, n) == 0
 
 
+# c_n as counted by the int32 log/Zech-table sweep that the class table replaced
+GOLDEN_CN = {
+    13: {1: -38, 2: -170, 3: -13688, 4: -142130, 5: -971918},
+    5: {2: -200, 4: -5000, 6: -125000, 8: -3125000},
+    11: {2: -968, 4: -117128},
+    17: {2: -1088, 4: -2312},
+    19: {1: -68, 2: -482, 3: -30572},
+    23: {2: -4232, 4: -2238728},
+}
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_CN))
+def test_fiber_trace_sum_goldens(family, p):
+    assert {n: fiber_trace_sum(family, p, n) for n in GOLDEN_CN[p]} == GOLDEN_CN[p]
+
+
+def test_fiber_trace_sum_refuses_fields_above_the_table_budget(family):
+    from twocubes.exact.zechlog import MAX_COUNTING_FIELD
+
+    assert 23**6 <= MAX_COUNTING_FIELD < 29**6
+    with pytest.raises(LFunctionError, match="budget"):
+        fiber_trace_sum(family, 29, 6)
+
+
+def test_class_table_memory_is_q_bytes_plus_one_block():
+    """The budget behind MAX_COUNTING_FIELD: table q bytes, temporaries one
+    block.  With n = 1 and int64 digits every block array is full size."""
+    import tracemalloc
+
+    from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
+
+    F = FiniteField(1_000_003)
+    F.generator()  # its factorization caches a prime sieve, which is not the table's
+    tracemalloc.start()
+    try:
+        z = ZechLog(F)
+        z.cube_class_counts(F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.q < peak <= F.q + BLOCK_BYTES
+
+
 def test_c2_against_per_fiber_enumeration(family):
     """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time,
     each counted by enumeration (no log tables or closed forms anywhere)."""
