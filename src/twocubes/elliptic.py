@@ -256,7 +256,8 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
 
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
-# certificate search runs here; add_points/scalar_mul serve Q and Q(T).
+# certificate search runs here.  The generic add_points/scalar_mul serve Q and
+# are the test reference for the Jacobian law on sections over Q(T).
 
 
 def add_mod_p(p: int, A: int, P, Q):

@@ -195,30 +195,104 @@ def _is_rational_poly(f: Polynomial) -> bool:
     return all(isinstance(c, (Fraction, int)) for c in f.coeffs)
 
 
-def _to_int_coeffs(f: Polynomial) -> list[int]:
-    """Clear denominators and content; primitive integer coefficients."""
-    from math import gcd, lcm
+# -- the integer kernel: polynomials over Z as int lists, low degree first, ----
+# -- with no trailing zeros ----------------------------------------------------
 
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints] if g else ints
+
+def _cleared(*polys: Polynomial) -> list[list[int]]:
+    """Integer coefficient lists of rational polys times the lcm of all their denominators."""
+    from math import lcm
+
+    den = lcm(*(c.denominator for f in polys for c in f.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in f.coeffs] for f in polys]
+
+
+def _int_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
+    """a + sign*b."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x + sign * y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# Shorter factor length from which one packed big-int product beats schoolbook.
+_KRONECKER_MIN = 10
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product over Z; long factors by Kronecker substitution.
+
+    Each factor is packed as its value at 2^w, with w wide enough that every
+    product coefficient c has |c| < 2^(w-1); one big-int multiply then
+    carries the whole convolution, and the product is read back as signed
+    base-2^w digits.
+    """
+    if not a or not b:
+        return []
+    if min(len(a), len(b)) < _KRONECKER_MIN:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1  # bytes per digit
+    n = len(a) + len(b) - 1
+    # Adding 2^(w-1) to every digit makes all digits nonnegative: no carries.
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (_pack(a, width) * _pack(b, width) + offset).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _pack(a: list[int], width: int) -> int:
+    """a evaluated at 2^(8 width)."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << 8 * width) + c
+    return acc
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b over Z (b nonzero); ArithmeticError unless the quotient is in Z[x]."""
+    db, lb = len(b) - 1, b[-1]
+    a = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for s in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[s + db], lb)
+        if r:
+            raise ArithmeticError("polynomial division over Z is not exact")
+        q[s] = c
+        if c:
+            for i in range(db):
+                a[s + i] -= c * b[i]
+    if any(a[:db]):
+        raise ArithmeticError("polynomial division over Z is not exact")
+    return q
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b)."""
+    """A nonzero integer multiple of the remainder of a by b over Q (b nonzero).
+
+    Each step is a*(lb/g) - (c/g)*x^s*b with g = gcd(c, lb), a scaled-down
+    pseudo-remainder step.
+    """
+    from math import gcd
+
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
     while len(a) - 1 >= db and a:
         c = a[-1]
         if c:
+            g = gcd(c, lb)
+            m, c = lb // g, c // g
             shift = len(a) - 1 - db
-            a = [x * lb for x in a]
+            if m != 1:
+                a = [x * m for x in a]
             for i in range(db + 1):
                 a[shift + i] -= c * b[i]
         a.pop()
@@ -230,31 +304,36 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 def _primitive(a: list[int]) -> list[int]:
     from math import gcd
 
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return [c // g for c in a] if g else a
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z of two nonzero polynomials, leading coefficient > 0.
+
+    A primitive pseudo-remainder sequence: the content is stripped at every
+    step, which keeps coefficient growth tame.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_int_prem(a, b))
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over a coefficient field.
 
-    Rational-coefficient inputs run a primitive pseudo-remainder sequence
-    over Z (denominators cleared, content stripped per step), which keeps
-    coefficient growth tame; other coefficient fields use plain Euclid.
+    Rational-coefficient inputs run the primitive gcd over Z (denominators
+    cleared); other coefficient fields use plain Euclid.
     """
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
     if _is_rational_poly(f) and _is_rational_poly(g):
-        a, b = _to_int_coeffs(f), _to_int_coeffs(g)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _primitive(_int_prem(a, b))
-            a, b = b, r
-        return Polynomial(tuple(Fraction(c) for c in a)).monic()
+        return Polynomial(tuple(Fraction(c) for c in _int_gcd(*_cleared(f, g)))).monic()
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b

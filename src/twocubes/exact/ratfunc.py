@@ -1,14 +1,17 @@
 """Rational functions num/den over a coefficient field, in lowest terms.
 
-The denominator is kept monic and coprime to the numerator.  Taylor
-expansion at 0 runs the linear recurrence induced by the denominator.
+The denominator is kept monic and coprime to the numerator.  Over Q the
+normal form is reached fraction-free: denominators are cleared once, one
+primitive gcd over Z[T] is divided out exactly, and only the final division
+by the denominator's leading coefficient makes Fractions.  Taylor expansion
+at 0 runs the linear recurrence induced by the denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial, _cleared, _int_exact_div, _int_gcd, _is_rational_poly, poly_gcd
 
 
 class RationalFunction:
@@ -26,6 +29,14 @@ class RationalFunction:
         if num.is_zero():
             self.num = num
             self.den = Polynomial((1,))
+            return
+        if _is_rational_poly(num) and _is_rational_poly(den):
+            a, b = _cleared(num, den)
+            g = _int_gcd(a, b)
+            if len(g) > 1:
+                a, b = _int_exact_div(a, g), _int_exact_div(b, g)
+            self.num = Polynomial(tuple(Fraction(c, b[-1]) for c in a))
+            self.den = Polynomial(tuple(Fraction(c, b[-1]) for c in b))
             return
         g = poly_gcd(num, den)
         if g.degree and g.degree > 0:

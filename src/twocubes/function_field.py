@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul, trace
+from .elliptic import trace
 from .exact import (
     OMEGA,
     Eisenstein,
@@ -29,6 +29,7 @@ from .exact import (
     poly_gcd,
     rational_poly,
 )
+from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
 
 
 class FamilyError(Exception):
@@ -112,8 +113,29 @@ def pullback_differential(P: SectionPoint) -> HolDifferential:
     Pulling the invariant differential back through (x/S, y/S) and reducing
     with S^3 = k, x^3 + y^3 = k leaves exactly the Wronskian coefficient;
     for quadratic polynomial sections its degree is <= 2 (holomorphy).
+    Over Q, with x = a/b and y = c/e over Z[T], it is formed fraction-free
+    as ((a'b - ab')ce - ab(c'e - ce')) / (b^2 e^2) and normalized once.
     """
-    return HolDifferential(P.x.derivative() * P.y - P.x * P.y.derivative())
+    if not all(_is_rational_poly(f) for f in (P.x.num, P.x.den, P.y.num, P.y.den)):
+        # Q(omega) coefficients, as cm_twist makes them: the generic chain
+        return HolDifferential(P.x.derivative() * P.y - P.x * P.y.derivative())
+    (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
+    wx = _int_add(_int_mul(_deriv(a), b), _int_mul(a, _deriv(b)), -1)
+    wy = _int_add(_int_mul(_deriv(c), e), _int_mul(c, _deriv(e)), -1)
+    num = _int_add(_int_mul(wx, _int_mul(c, e)), _int_mul(_int_mul(a, b), wy), -1)
+    be = _int_mul(b, e)
+    return HolDifferential(RationalFunction(Polynomial(num), Polynomial(_int_mul(be, be))))
+
+
+def _deriv(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_pair(f: RationalFunction) -> list[list[int]]:
+    """f = a/b with a, b over Z[T]; TypeError unless f has rational coefficients."""
+    if not (_is_rational_poly(f.num) and _is_rational_poly(f.den)):
+        raise TypeError("section arithmetic needs rational coefficients")
+    return _cleared(f.num, f.den)
 
 
 def cm_twist(P: SectionPoint) -> SectionPoint:
@@ -187,46 +209,112 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-# -- group law on sections, through the Weierstrass model ----------------------
+# -- group law on sections: Jacobian coordinates over Z[T] --------------------
 
 
-def section_to_weierstrass(curve: FunctionFieldCurve, P: SectionPoint) -> Point:
-    k = RationalFunction(curve.k)
-    s = P.x + P.y
-    if s == 0:
-        return INFINITY
-    return Point(12 * k / s, 36 * k * (P.x - P.y) / s)
+class _JacobianModel:
+    """v^2 = u^3 - 432k^2 with points (X : Y : Z) over Z[T], u = X/Z^2, v = Y/Z^3.
 
+    A section (x, y) maps to u = 12k/(x+y), v = 36k(x-y)/(x+y), and back by
+    x = (36k + v)/(6u), y = (36k - v)/(6u).  The chord-tangent law needs no
+    division in these coordinates, so only the final point is put in lowest
+    terms.  k must lie in Z[T]; every input of every step is checked
+    against Y^2 = X^3 + A Z^6.  None is the identity.
+    """
 
-def weierstrass_to_section(curve: FunctionFieldCurve, W: Point) -> SectionPoint | None:
-    if W.at_infinity:
-        return None
-    k = RationalFunction(curve.k)
-    return SectionPoint((36 * k + W.y) / (6 * W.x), (36 * k - W.y) / (6 * W.x))
+    def __init__(self, curve: FunctionFieldCurve):
+        if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
+            raise ValueError("section arithmetic needs k(T) in Z[T]")
+        self.K = [int(c) for c in curve.k.coeffs]
+        self.A = [-432 * c for c in _int_mul(self.K, self.K)]
 
+    def check(self, *points):
+        for P in points:
+            if P is not None:
+                X, Y, Z = P
+                Z3 = _int_mul(_int_mul(Z, Z), Z)
+                rhs = _int_add(_int_mul(_int_mul(X, X), X), _int_mul(self.A, _int_mul(Z3, Z3)))
+                if _int_mul(Y, Y) != rhs:
+                    raise ValueError("point not on curve")
 
-def _weierstrass_over_qt(curve: FunctionFieldCurve, eisenstein: bool = False) -> WeierstrassCurve:
-    A = RationalFunction(-432 * curve.k * curve.k)
-    if eisenstein:
-        A = _to_eisenstein_rf(A)
-    return WeierstrassCurve(A)
+    def from_section(self, P: SectionPoint | None):
+        if P is None:
+            return None
+        (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
+        ae, cb = _int_mul(a, e), _int_mul(c, b)
+        s = _int_add(ae, cb)
+        if not s:
+            return None  # x + y = 0: the flex, identity of the group
+        Ks = _int_mul(self.K, s)
+        X = [12 * c for c in _int_mul(_int_mul(b, e), Ks)]
+        Y = [36 * c for c in _int_mul(_int_mul(_int_add(ae, cb, -1), s), Ks)]
+        return X, Y, s
+
+    def to_section(self, P) -> SectionPoint | None:
+        if P is None:
+            return None
+        X, Y, Z = P
+        kZ3 = [36 * c for c in _int_mul(self.K, _int_mul(_int_mul(Z, Z), Z))]
+        den = Polynomial([6 * c for c in _int_mul(X, Z)])
+        return SectionPoint(RationalFunction(Polynomial(_int_add(kZ3, Y)), den),
+                            RationalFunction(Polynomial(_int_add(kZ3, Y, -1)), den))
+
+    def double(self, P):
+        self.check(P)
+        if P is None or not P[1]:
+            return None  # 2-torsion doubles to the identity
+        X, Y, Z = P
+        YY = _int_mul(Y, Y)
+        S = [4 * c for c in _int_mul(X, YY)]
+        M = [3 * c for c in _int_mul(X, X)]
+        X3 = _int_add(_int_mul(M, M), S, -2)
+        Y3 = _int_add(_int_mul(M, _int_add(S, X3, -1)), _int_mul(YY, YY), -8)
+        return X3, Y3, [2 * c for c in _int_mul(Y, Z)]
+
+    def add(self, P, Q):
+        self.check(P, Q)
+        if P is None or Q is None:
+            return Q if P is None else P
+        (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
+        Z1Z1, Z2Z2 = _int_mul(Z1, Z1), _int_mul(Z2, Z2)
+        U1, U2 = _int_mul(X1, Z2Z2), _int_mul(X2, Z1Z1)
+        S1, S2 = _int_mul(Y1, _int_mul(Z2, Z2Z2)), _int_mul(Y2, _int_mul(Z1, Z1Z1))
+        H, R = _int_add(U2, U1, -1), _int_add(S2, S1, -1)
+        if not H:
+            return self.double(P) if not R else None
+        HH = _int_mul(H, H)
+        HHH, V = _int_mul(H, HH), _int_mul(U1, HH)
+        X3 = _int_add(_int_add(_int_mul(R, R), HHH, -1), V, -2)
+        Y3 = _int_add(_int_mul(R, _int_add(V, X3, -1)), _int_mul(S1, HHH), -1)
+        return X3, Y3, _int_mul(_int_mul(Z1, Z2), H)
 
 
 def section_add(
     curve: FunctionFieldCurve, P: SectionPoint | None, Q: SectionPoint | None
 ) -> SectionPoint | None:
-    """P + Q in the Mordell-Weil group; None is the identity."""
-    eis = any(_uses_eisenstein(s.x) for s in (P, Q) if s is not None)
-    w_curve = _weierstrass_over_qt(curve, eis)
-    wp = INFINITY if P is None else section_to_weierstrass(curve, P)
-    wq = INFINITY if Q is None else section_to_weierstrass(curve, Q)
-    return weierstrass_to_section(curve, add_points(w_curve, wp, wq))
+    """P + Q in the Mordell-Weil group; None is the identity.
+
+    Raises ValueError for a section off the curve and TypeError for one
+    with coefficients outside Q.
+    """
+    J = _JacobianModel(curve)
+    return J.to_section(J.add(J.from_section(P), J.from_section(Q)))
 
 
-def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint) -> SectionPoint | None:
-    w_curve = _weierstrass_over_qt(curve)
-    W = scalar_mul(w_curve, n, section_to_weierstrass(curve, P))
-    return weierstrass_to_section(curve, W)
+def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint | None) -> SectionPoint | None:
+    """n * P by double-and-add in Jacobian coordinates, normalized once; raises as section_add."""
+    J = _JacobianModel(curve)
+    pt = J.from_section(P)
+    if n < 0 and pt is not None:
+        n, pt = -n, (pt[0], [-c for c in pt[1]], pt[2])
+    acc = None
+    while n:
+        if n & 1:
+            acc = J.add(acc, pt)
+        n >>= 1
+        if n:
+            pt = J.double(pt)
+    return J.to_section(acc)
 
 
 @dataclass
@@ -250,9 +338,9 @@ def lambda_homomorphism_check(
 ) -> LambdaReport:
     """Verify lambda(P + Q) = lambda(P) + lambda(Q) exactly.
 
-    The sum is computed by chord-tangent in the Weierstrass model over Q(T)
-    and mapped back.  A sum at the identity is the degenerate case
-    lambda(O) = 0.
+    The sum is computed by chord-tangent in the Weierstrass model, in
+    Jacobian coordinates over Z[T], and mapped back.  A sum at the identity
+    is the degenerate case lambda(O) = 0.
     """
     if P.x + P.y == 0 or Q.x + Q.y == 0:
         raise ValueError("sections at the flex are not supported here")

@@ -144,85 +144,28 @@ def verify_entry20() -> IdentityReport:
 # -- Euler-equivalent third-notebook family ----------------------------------
 
 
-class _MultiPoly:
-    """Sparse multivariate polynomial over Q, keyed by exponent tuples."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def var(cls, nvars: int, i: int) -> "_MultiPoly":
-        key = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {key: Fraction(1)})
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "_MultiPoly":
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out.get(k, Fraction(0)) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return _MultiPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            if not other:
-                return _MultiPoly(self.nvars)
-            return _MultiPoly(self.nvars, {k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                nv = out.get(k, Fraction(0)) + v1 * v2
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-        return _MultiPoly(self.nvars, out)
-
-    def __pow__(self, e: int):
-        result = _MultiPoly.const(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def euler_family_symbolic_check() -> bool:
+def euler_family_symbolic_check(d: int = 3) -> bool:
     """The lambda-eliminated form of the third-notebook family is the zero polynomial.
 
     With N = a^2 + ab + b^2 and D = 3c^2 (so lambda = N/D), clearing D^6 from
     (a + lambda^2 c)^3 + (lambda b + c)^3 - (lambda a + c)^3 - (b + lambda^2 c)^3
-    must leave the zero polynomial in a, b, c.
+    must leave the zero polynomial in a, b, c, expanded as a polynomial in a
+    over polynomials in b over polynomials in c.  D = d c^2 with d != 3 is a
+    perturbed family, for which the check must fail.
     """
-    a = _MultiPoly.var(3, 0)
-    b = _MultiPoly.var(3, 1)
-    c = _MultiPoly.var(3, 2)
+    one, c_ = Polynomial((1,)), Polynomial((0, 1))  # over Z: nothing is divided
+    a = _outer(Polynomial(), _outer(one))
+    b = _outer(_outer(Polynomial(), one))
+    c = _outer(_outer(c_))
+    D = _outer(_outer(Polynomial((0, 0, d))))
     N = a * a + a * b + b * b
-    D = c * c * Fraction(3)
-    t1 = a * D * D + N * N * c
+    DD, NNc = D * D, N * N * c
+    D3 = DD * D
+    t1 = a * DD + NNc
     t2 = N * b + D * c
     t3 = N * a + D * c
-    t4 = b * D * D + N * N * c
-    diff = t1**3 + (t2**3) * (D**3) - (t3**3) * (D**3) - t4**3
+    t4 = b * DD + NNc
+    diff = t1**3 + (t2**3 - t3**3) * D3 - t4**3
     return diff.is_zero()
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from enumeration import count_by_enumeration
+from twocubes.elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul
 from twocubes.exact import FiniteField, OMEGA, RationalFunction, rational_poly
 from twocubes.function_field import (
+    FunctionFieldCurve,
     HolDifferential,
     LFunctionError,
     LPolynomial,
@@ -21,6 +23,7 @@ from twocubes.function_field import (
     good_prime,
     lambda_homomorphism_check,
     lfunction,
+    SectionPoint,
     pullback_differential,
     rank_bounds,
     rank_report,
@@ -150,6 +153,86 @@ def test_section_arithmetic_stays_on_curve(family):
     assert S is not None and S.on_curve(family.k)
     D = section_mul(family, 2, family.p1)
     assert D is not None and D.on_curve(family.k)
+    assert section_add(family, family.p1, family.p1) == D  # doubling reached through addition
+    assert section_add(family, family.p1, SectionPoint(family.p1.y, family.p1.x)) is None
+
+
+# The affine chord-tangent law over Q(T), through the Hesse-Weierstrass map,
+# is the oracle for the Jacobian group law over Z[T].
+
+
+def _affine_point(curve, P):
+    k = RationalFunction(curve.k)
+    s = P.x + P.y
+    return INFINITY if s == 0 else Point(12 * k / s, 36 * k * (P.x - P.y) / s)
+
+
+def _affine_section(curve, W):
+    if W.at_infinity:
+        return None
+    k = RationalFunction(curve.k)
+    return SectionPoint((36 * k + W.y) / (6 * W.x), (36 * k - W.y) / (6 * W.x))
+
+
+def _affine_combination(curve, m, n):
+    E = WeierstrassCurve(RationalFunction(curve.weierstrass_A))
+    mP1 = scalar_mul(E, m, _affine_point(curve, curve.p1))
+    nP2 = scalar_mul(E, n, _affine_point(curve, curve.p2))
+    return _affine_section(curve, add_points(E, mP1, nP2))
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)] + [(2, 0), (0, 2)]
+)
+def test_jacobian_group_law_matches_affine_oracle(family, m, n):
+    S = section_add(family, section_mul(family, m, family.p1), section_mul(family, n, family.p2))
+    assert S == _affine_combination(family, m, n)
+    assert (S is None) if (m, n) == (0, 0) else S.on_curve(family.k)
+
+
+def test_section_arithmetic_needs_integral_k(family):
+    curve = FunctionFieldCurve(
+        family.k * Fraction(1, 8), family.k_quadratics, family.k_unit, family.p1, family.p2
+    )
+    with pytest.raises(ValueError):
+        section_add(curve, curve.p1, curve.p2)
+
+
+def test_off_curve_sections_raise_value_error_under_python_O():
+    script = """
+from twocubes.function_field import SectionPoint, build_family, section_add, section_mul
+fam = build_family()
+bad = SectionPoint(fam.p1.x + 1, fam.p1.y)
+for call in (lambda: section_add(fam, bad, fam.p2), lambda: section_add(fam, fam.p2, bad),
+             lambda: section_mul(fam, 1, bad), lambda: section_mul(fam, -2, bad)):
+    try:
+        call()
+        print("accepted")
+    except ValueError:
+        print("ValueError")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-c", script]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.split() == ["ValueError"] * 4, flags
+
+
+def test_section_arithmetic_rejects_non_rational_coefficients(family):
+    twisted = cm_twist(family.p1)  # coefficients in Q(omega)
+    with pytest.raises(TypeError):
+        section_add(family, twisted, family.p2)
+    with pytest.raises(TypeError):
+        section_mul(family, 2, twisted)
+
+
+def test_fraction_free_wronskian_matches_rational_function_chain(family):
+    S = section_add(family, section_mul(family, 2, family.p1), section_mul(family, -1, family.p2))
+    assert not S.x.is_polynomial()
+    for P in (family.p1, family.p2, S):
+        chain = P.x.derivative() * P.y - P.x * P.y.derivative()
+        assert pullback_differential(P).w == chain
 
 
 # -- the L-function ---------------------------------------------------------------------

@@ -49,6 +49,11 @@ def test_euler_family_symbolic():
     assert euler_family_symbolic_check()
 
 
+def test_euler_family_symbolic_rejects_perturbed_family():
+    # D = 2c^2 instead of 3c^2 breaks the identity; the check is not vacuous
+    assert not euler_family_symbolic_check(d=2)
+
+
 def test_euler_family_taxicab_point():
     q = verify_euler_family(3, 0, 1)
     assert (q.x, q.y, q.z, q.w) == (12, 1, 10, 9)
