@@ -66,6 +66,23 @@ class RunReport:
         }
 
 
+# Caps on the flags that set how much work a command does; a value above its
+# cap fails before any work.  Times at the caps are from a 2-vCPU host.
+MAX_TAXICAB_BOUND = 10**9  # about 1 s and 130 MB
+MAX_NEARMISS_COUNT = 2000  # about 1.2 s; term n has O(n) digits
+MAX_TWIST_RANGE = 10**4  # t values in one twists table
+MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
+
+
+class BudgetError(ValueError):
+    pass
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise BudgetError(f"{flag} {value} exceeds the cap {cap}")
+
+
 MAX_PARSED_DEGREE = 64  # bounds the work a --k polynomial can ask for
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()T]))")
 _COEFF = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
@@ -211,6 +228,7 @@ def _run_identities_verify(args) -> dict:
 
 
 def _run_identities_taxicab(args) -> dict:
+    _check_cap("--bound", args.bound, MAX_TAXICAB_BOUND)
     found = identities.taxicab_search(args.bound, args.reps)
     return {
         "bound": str(args.bound),
@@ -223,6 +241,7 @@ def _run_identities_taxicab(args) -> dict:
 
 
 def _run_identities_nearmiss(args) -> dict:
+    _check_cap("--count", args.count, MAX_NEARMISS_COUNT)
     families = identities.default_nearmiss_families()
     config = families[args.family]
     tuples = identities.nearmiss_stream(config, args.count)
@@ -345,6 +364,8 @@ def _run_surface_analyze(args) -> dict:
 
 
 def _run_twists_table(args) -> dict:
+    _check_cap("--from/--to width", args.t_to - args.t_from + 1, MAX_TWIST_RANGE)
+    _check_cap("--budget", args.budget, MAX_PRIME_BUDGET)
     table = twist_table(args.t_from, args.t_to, certify=args.certify, prime_budget=args.budget)
     payload = table.to_json()
     if args.certify:

@@ -106,8 +106,9 @@ def scalar_mul(curve: WeierstrassCurve, k: int, P: Point) -> Point:
     while k:
         if k & 1:
             R = add_points(curve, R, Q)
-        Q = add_points(curve, Q, Q)
         k >>= 1
+        if k:
+            Q = add_points(curve, Q, Q)
     return R
 
 

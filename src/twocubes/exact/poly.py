@@ -274,6 +274,19 @@ def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _int_divide_out(a: list[int], f: list[int]) -> tuple[list[int], int]:
+    """(a / f^k, k) for the largest k with f^k dividing a over Z."""
+    if not a:
+        raise ValueError("the zero polynomial has no finite multiplicity")
+    k = 0
+    while True:
+        try:
+            a = _int_exact_div(a, f)
+        except ArithmeticError:
+            return a, k
+        k += 1
+
+
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """A nonzero integer multiple of the remainder of a by b over Q (b nonzero).
 
@@ -373,12 +386,17 @@ def poly_discriminant(f: Polynomial):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(m: int) -> Polynomial:
-    """The m-th cyclotomic polynomial over Q."""
+def _int_cyclotomic(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m: x^m - 1 divided exactly over Z by Phi_d, d | m, d < m."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    num = Polynomial((Fraction(-1),) + (Fraction(0),) * (m - 1) + (Fraction(1),))
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = num // cyclotomic(d)
-    return num
+            num = _int_exact_div(num, _int_cyclotomic(d))
+    return tuple(num)
+
+
+def cyclotomic(m: int) -> Polynomial:
+    """The m-th cyclotomic polynomial over Q."""
+    return Polynomial(tuple(Fraction(c) for c in _int_cyclotomic(m)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .elliptic import trace
 from .exact import (
@@ -24,12 +25,12 @@ from .exact import (
     FiniteField,
     Polynomial,
     RationalFunction,
-    cyclotomic,
     poly_discriminant,
     poly_gcd,
     rational_poly,
 )
 from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
+from .exact.poly import _int_cyclotomic, _int_divide_out
 
 
 class FamilyError(Exception):
@@ -533,17 +534,11 @@ def _verify_weil(L: LPolynomial) -> None:
     """Inverse roots have |g| = p (checked numerically after exact factor removal)."""
     import numpy as np
 
-    coeffs = list(L.coeffs)
-    # strip exact unitary factors (1 -+ pu) first
-    rem = rational_poly(*coeffs)
-    for root_factor in (rational_poly(-1, L.p), rational_poly(1, L.p)):
-        while True:
-            q, r = divmod(rem, root_factor)
-            if r.is_zero() and not q.is_zero():
-                rem = q
-            else:
-                break
-    cs = [float(rem.coeff(i)) for i in range(0, (rem.degree or 0) + 1)]
+    rem = list(L.coeffs)
+    # strip the exact unitary factors (1 -+ pu) first
+    for root_factor in ([-1, L.p], [1, L.p]):
+        rem, _ = _int_divide_out(rem, root_factor)
+    cs = [float(c) for c in rem]
     if len(cs) > 1:
         inv_roots = np.roots(list(reversed(cs)))  # roots of sum c_i u^i
         for u in inv_roots:
@@ -552,39 +547,30 @@ def _verify_weil(L: LPolynomial) -> None:
                 raise LFunctionError(f"inverse root off the Weil circle: {gamma}")
 
 
-def rank_bounds(L: LPolynomial, unity_order_bound: int = 60) -> tuple[int, int]:
+def rank_bounds(L: LPolynomial) -> tuple[int, int]:
     """(arith, geom): multiplicity of (pu - 1), and of all inverse roots p*zeta.
 
-    Both are exact: the polynomial L(x/p) is divided by cyclotomic
-    polynomials Phi_m for m up to the given order bound.
+    Both are exact, for L of any degree.  An inverse root p*zeta with zeta of
+    order m is a root of Phi_m(pu) = sum c_j p^j u^j, where Phi_m = sum c_j x^j.
+    Its constant term is Phi_m(0) = +-1, so it is primitive, and by Gauss's
+    lemma it divides the integer polynomial L over Q exactly when the
+    division over Z leaves no remainder; each factor is stripped by exact
+    division over Z.  Only orders m with phi(m) = deg Phi_m at most the
+    degree left can divide, and phi(m) >= sqrt(m/2) bounds those m by twice
+    the degree squared.
     """
-    p = L.p
-    scaled = Polynomial(
-        tuple(Fraction(c, p**i) for i, c in enumerate(L.coeffs))
-    )  # L(x/p)
-    arith = 0
-    rem = scaled
-    phi1 = cyclotomic(1)
-    while True:
-        q, r = divmod(rem, phi1)
-        if not r.is_zero():
-            break
-        rem = q
-        arith += 1
-    geom = 0
-    rem = scaled
-    for m in range(1, unity_order_bound + 1):
-        phi = cyclotomic(m)
-        if phi.degree > (rem.degree or 0):
-            continue
-        while True:
-            q, r = divmod(rem, phi)
-            if not r.is_zero():
-                break
-            rem = q
-            geom += phi.degree
-        if rem.degree == 0:
-            break
+
+    def phi_pu(m):
+        return [c * L.p**j for j, c in enumerate(_int_cyclotomic(m))]
+
+    rem, arith = _int_divide_out(list(L.coeffs), phi_pu(1))
+    geom, m = arith, 2
+    while m <= 2 * (len(rem) - 1) ** 2:
+        totient = sum(gcd(k, m) == 1 for k in range(1, m + 1))
+        if totient < len(rem):
+            rem, k = _int_divide_out(rem, phi_pu(m))
+            geom += k * totient
+        m += 1
     return arith, geom
 
 

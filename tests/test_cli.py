@@ -250,3 +250,38 @@ def test_determinism(capsys):
     doc1 = run_json(capsys, "twists", "table", "--from", "0", "--to", "2")
     doc2 = run_json(capsys, "twists", "table", "--from", "0", "--to", "2")
     assert doc1["results"] == doc2["results"]
+
+
+def test_inputs_above_their_caps_fail_before_any_work(capsys, monkeypatch):
+    from twocubes import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capped command started work")
+
+    monkeypatch.setattr(cli.identities, "taxicab_search", no_work)
+    monkeypatch.setattr(cli.identities, "nearmiss_stream", no_work)
+    monkeypatch.setattr(cli, "twist_table", no_work)
+    cases = [
+        (["identities", "taxicab", "--bound", str(cli.MAX_TAXICAB_BOUND + 1)],
+         "--bound", cli.MAX_TAXICAB_BOUND),
+        (["identities", "nearmiss", "--count", str(cli.MAX_NEARMISS_COUNT + 1)],
+         "--count", cli.MAX_NEARMISS_COUNT),
+        (["twists", "table", "--from", "-5", "--to", str(cli.MAX_TWIST_RANGE - 5)],
+         "--from/--to width", cli.MAX_TWIST_RANGE),
+        (["twists", "table", "--from", "3", "--to", "3", "--certify",
+          "--budget", str(cli.MAX_PRIME_BUDGET + 1)],
+         "--budget", cli.MAX_PRIME_BUDGET),
+    ]
+    for argv, flag, cap in cases:
+        doc = run_json(capsys, *argv)
+        assert doc["status"] == "failed"
+        assert doc["results"]["error"] == f"BudgetError: {flag} {cap + 1} exceeds the cap {cap}"
+
+
+def test_benchmark_inputs_are_within_their_caps():
+    from twocubes import cli
+
+    assert cli.MAX_TAXICAB_BOUND >= 10**8
+    assert cli.MAX_NEARMISS_COUNT >= 1000
+    assert cli.MAX_TWIST_RANGE >= 1
+    assert cli.MAX_PRIME_BUDGET >= 50

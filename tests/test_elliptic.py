@@ -399,3 +399,32 @@ def test_scalar_mul_orders():
         o = point_order(p, a, P, order)
         assert mul_mod_p(p, a, o, P) is None
         assert all(mul_mod_p(p, a, k, P) is not None for k in range(1, o))
+
+
+def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
+    import twocubes.elliptic as elliptic
+
+    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(1729)))
+    c, P = m.weierstrass, m.to_weierstrass(Point(Fraction(9), Fraction(10)))
+    calls = []
+
+    def counted(curve, A, B):
+        calls.append(1)
+        return add_points(curve, A, B)
+
+    monkeypatch.setattr(elliptic, "add_points", counted)
+    # k: (add_points calls, kP as computed before doubling stopped at the last bit)
+    want = {
+        1: (1, ("1092", "-3276")),
+        2: (2, ("295932", "160985916")),
+        4: (3, ("178657031073612/2414837881", "2387973353618578205844/118667548310221")),
+        5: (4, ("415539191599757775732/356411219649455881",
+                "-3644589419973089076579319432476/212778160699182489295482779")),
+    }
+    for k, (n_calls, xy) in want.items():
+        calls.clear()
+        R = scalar_mul(c, k, P)
+        assert len(calls) == n_calls, k
+        assert R == Point(*map(Fraction, xy)), k
+    assert scalar_mul(c, -3, P) == Point(Fraction("2260441/2025"), Fraction("908918011/91125"))
+    assert scalar_mul(c, 0, P).at_infinity

@@ -1,0 +1,51 @@
+"""Field axioms of FFElement arithmetic over F_17, F_{13^2}, F_{7^3} and F_{5^4}.
+
+Ring laws and Fermat's little theorem on derandomized samples; inverses
+for every nonzero element.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twocubes.exact import FiniteField
+
+FIELDS = [FiniteField(17), FiniteField(13, 2), FiniteField(7, 3), FiniteField(5, 4)]
+FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def elements(draw, k):
+    """A field from FIELDS and k of its elements."""
+    F = draw(st.sampled_from(FIELDS))
+    return F, [F.from_index(draw(st.integers(0, F.q - 1))) for _ in range(k)]
+
+
+@FAST
+@given(elements(3))
+def test_ring_laws(case):
+    F, (a, b, c) = case
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a + F.zero() == a and a * F.one() == a and a - a == F.zero()
+
+
+@FAST
+@given(elements(1))
+def test_fermat(case):
+    F, (x,) = case
+    assert x**F.q == x
+    if not x.is_zero():
+        assert x ** (F.q - 1) == F.one()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"{F.p}^{F.n}")
+def test_every_nonzero_element_is_invertible(F):
+    one = F.one()
+    for i in range(1, F.q):
+        x = F.from_index(i)
+        assert x * x.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        F.zero().inverse()
