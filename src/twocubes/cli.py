@@ -36,12 +36,12 @@ from .elliptic import (
 from .exact import FiniteField, Polynomial, rational_poly
 from .function_field import (
     build_family,
-    cm_twist,
     lfunction,
     pullback_differential,
     rank_bounds,
     rank_report,
     z_rank,
+    z_rank_cm,
 )
 from .surface import analyze, classify_fibers, euler_and_k3
 from .twists import twist_table
@@ -329,8 +329,6 @@ def _run_ff_differentials(args) -> dict:
     fam = build_family()
     w1 = pullback_differential(fam.p1)
     w2 = pullback_differential(fam.p2)
-    cm1 = pullback_differential(cm_twist(fam.p1))
-    cm2 = pullback_differential(cm_twist(fam.p2))
     return {
         "k": [str(c) for c in fam.k.coeffs],
         "sections": {
@@ -342,7 +340,7 @@ def _run_ff_differentials(args) -> dict:
             "P2": w2.w.format(),
         },
         "z_rank_rational": z_rank([w1, w2]),
-        "z_rank_cm_extended": z_rank([w1, w2, cm1, cm2]),
+        "z_rank_cm_extended": z_rank_cm([w1, w2]),
     }
 
 

@@ -78,9 +78,6 @@ class Eisenstein:
             e >>= 1
         return result
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         if isinstance(other, Eisenstein):
             return self.a == other.a and self.b == other.b

@@ -5,7 +5,11 @@ sections.  Mapping a section P to the pullback of the invariant
 differential through (T, S) -> (x(T)/S, y(T)/S) on the cyclic cover
 S^3 = k(T) collapses, after reduction by S^3 = k and x^3 + y^3 = k, to the
 Wronskian x'y - xy' on the basis form dT/S^2; linear independence of the
-resulting vectors bounds the rank from below.  The upper bound comes from
+resulting vectors bounds the rank from below.  The CM map
+[omega](x, y) = (omega x, omega y) scales the Wronskian by
+omega^2 = -1 - omega, so lambda([omega]P) = omega^2 lambda(P): the
+CM-extended rank comes from rational rows alone, (w, 0) and (-w, -w) in the
+basis (1, omega).  The upper bound comes from
 the degree-8 L-polynomial of the reduction mod p, assembled from fiber
 trace sums c_n and the functional-equation closure of its inverse roots
 under g -> p^2/g, then re-verified against independently counted c_n.
@@ -19,16 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .elliptic import trace
-from .exact import (
-    OMEGA,
-    Eisenstein,
-    FiniteField,
-    Polynomial,
-    RationalFunction,
-    poly_discriminant,
-    poly_gcd,
-    rational_poly,
-)
+from .exact import FiniteField, Polynomial, RationalFunction, poly_discriminant, rational_poly
 from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
 from .exact.poly import _int_cyclotomic, _int_divide_out
 
@@ -56,15 +51,6 @@ class HolDifferential:
 
     def as_polynomial(self) -> Polynomial:
         return self.w.as_polynomial()
-
-    def __add__(self, other: "HolDifferential") -> "HolDifferential":
-        return HolDifferential(self.w + other.w)
-
-    def __eq__(self, other):
-        return isinstance(other, HolDifferential) and self.w == other.w
-
-    def __hash__(self):
-        return hash(self.w)
 
 
 @dataclass(frozen=True)
@@ -116,10 +102,8 @@ def pullback_differential(P: SectionPoint) -> HolDifferential:
     for quadratic polynomial sections its degree is <= 2 (holomorphy).
     Over Q, with x = a/b and y = c/e over Z[T], it is formed fraction-free
     as ((a'b - ab')ce - ab(c'e - ce')) / (b^2 e^2) and normalized once.
+    Raises TypeError for a section with coefficients outside Q.
     """
-    if not all(_is_rational_poly(f) for f in (P.x.num, P.x.den, P.y.num, P.y.den)):
-        # Q(omega) coefficients, as cm_twist makes them: the generic chain
-        return HolDifferential(P.x.derivative() * P.y - P.x * P.y.derivative())
     (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
     wx = _int_add(_int_mul(_deriv(a), b), _int_mul(a, _deriv(b)), -1)
     wy = _int_add(_int_mul(_deriv(c), e), _int_mul(c, _deriv(e)), -1)
@@ -139,61 +123,45 @@ def _int_pair(f: RationalFunction) -> list[list[int]]:
     return _cleared(f.num, f.den)
 
 
-def cm_twist(P: SectionPoint) -> SectionPoint:
-    """(x, y) -> (omega x, omega y), the extra endomorphism over Q(omega)."""
-    return SectionPoint(_to_eisenstein_rf(P.x) * OMEGA, _to_eisenstein_rf(P.y) * OMEGA)
+def _int_rows(diffs: list[HolDifferential]) -> list[list[int]]:
+    """Coefficient rows over Z of the w times one common denominator, padded to one width.
 
-
-def _to_eisenstein_poly(f: Polynomial) -> Polynomial:
-    return Polynomial(tuple(c if isinstance(c, Eisenstein) else Eisenstein(c) for c in f.coeffs))
-
-
-def _to_eisenstein_rf(f: RationalFunction) -> RationalFunction:
-    return RationalFunction(_to_eisenstein_poly(f.num), _to_eisenstein_poly(f.den))
-
-
-def _uses_eisenstein(w: RationalFunction) -> bool:
-    return any(
-        isinstance(c, Eisenstein) for c in (*w.num.coeffs, *w.den.coeffs)
-    )
+    The product of all denominators is a common multiple, which keeps every
+    linear relation among the w.  TypeError unless every w lies in Q(T).
+    """
+    pairs = [_int_pair(d.w) for d in diffs]
+    rows = []
+    for i, (a, _) in enumerate(pairs):
+        for j, (_, b) in enumerate(pairs):
+            if j != i:
+                a = _int_mul(a, b)
+        rows.append(a)
+    width = max(map(len, rows), default=0)
+    return [r + [0] * (width - len(r)) for r in rows]
 
 
 def z_rank(diffs: list[HolDifferential]) -> int:
-    """Rank over Q of the span of the differentials' coefficient vectors.
+    """Rank over Q of the span of the differentials' coefficient vectors."""
+    return _rank(_int_rows(diffs))
 
-    Q(omega) coefficients are flattened to pairs of rationals, so the result
-    equals the rank of the generated Z-module.
+
+def z_rank_cm(diffs: list[HolDifferential]) -> int:
+    """Rank over Q of the given w = lambda(P) together with their CM images lambda([omega]P).
+
+    lambda([omega]P) = omega^2 w = -w - omega w, so flattened in the basis
+    (1, omega) each w gives the rows (w, 0) and (-w, -w).
     """
-    if not diffs:
-        return 0
-    ws = [d.w for d in diffs]
-    if any(_uses_eisenstein(w) for w in ws):
-        ws = [w if _uses_eisenstein(w) else _to_eisenstein_rf(w) for w in ws]
-    den = ws[0].den
-    for w in ws[1:]:
-        g = poly_gcd(den, w.den)
-        den = den * (w.den // g)
-    numerators = [(w * RationalFunction(den)).as_polynomial() for w in ws]
-    width = max((n.degree + 1 if not n.is_zero() else 1) for n in numerators)
     rows = []
-    for n in numerators:
-        row: list[Fraction] = []
-        for i in range(width):
-            c = n.coeff(i)
-            if isinstance(c, Eisenstein):
-                row.extend((c.a, c.b))
-            else:
-                row.extend((Fraction(c), Fraction(0)))
-        rows.append(row)
+    for r in _int_rows(diffs):
+        rows += [r + [0] * len(r), [-c for c in r] * 2]
     return _rank(rows)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list[int | Fraction]]) -> int:
+    """Rank over Q by Gauss-Jordan elimination in exact Fractions."""
     rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
     r = 0
-    for c in range(cols):
+    for c in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -201,13 +169,12 @@ def _rank(rows: list[list[Fraction]]) -> int:
         inv = rows[r][c]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                factor = rows[i][c] / inv
+                factor = Fraction(rows[i][c], inv)
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
         if r == len(rows):
             break
-    return rank
+    return r
 
 
 # -- group law on sections: Jacobian coordinates over Z[T] --------------------
@@ -387,9 +354,6 @@ class LPolynomial:
             raise LFunctionError("power sums of L are not integral")
         return [int(c) for c in cs]
 
-    def as_poly(self) -> Polynomial:
-        return rational_poly(*self.coeffs)
-
     def functional_equation_sign(self) -> int:
         b = self.coeffs
         p = self.p
@@ -440,8 +404,7 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
         return 0
     from .exact import zechlog  # numpy is imported only by the sweeps
 
-    if q > zechlog.MAX_COUNTING_FIELD:
-        raise LFunctionError(f"counting over q = {p}^{n} exceeds the class-table budget")
+    _check_counting_budget(p, n)
     field = FiniteField(p, n)
     engine = zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
@@ -468,6 +431,13 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     return c_n
 
 
+def _check_counting_budget(p: int, n: int) -> None:
+    from .exact.zechlog import MAX_COUNTING_FIELD
+
+    if p**n > MAX_COUNTING_FIELD:
+        raise LFunctionError(f"counting over q = {p}^{n} exceeds the class-table budget")
+
+
 def lfunction(p: int, direct: bool = False) -> LPolynomial:
     """The degree-8 L-polynomial of the family curve reduced mod p.
 
@@ -486,6 +456,7 @@ def _lfunction(p: int, direct: bool) -> LPolynomial:
     curve = build_family()
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
+    _check_counting_budget(p, 8 if direct else 6)  # the largest field either path counts
     if direct:
         cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, 9)}
         b = _exp_series(cn, 8)
@@ -608,11 +579,8 @@ class RankReport:
 def rank_report(p: int = 17) -> RankReport:
     """Lower bounds from differentials, upper bounds from the mod-p L-function."""
     curve = build_family()
-    w1 = pullback_differential(curve.p1)
-    w2 = pullback_differential(curve.p2)
-    zr = z_rank([w1, w2])
-    cm = [w1, w2, pullback_differential(cm_twist(curve.p1)), pullback_differential(cm_twist(curve.p2))]
-    zr_cm = z_rank(cm)
+    diffs = [pullback_differential(curve.p1), pullback_differential(curve.p2)]
+    zr, zr_cm = z_rank(diffs), z_rank_cm(diffs)
     L = lfunction(p)
     arith, geom = rank_bounds(L)
     return RankReport(zr, zr_cm, arith, geom, p)

@@ -15,11 +15,10 @@ from fractions import Fraction
 from .exact import Polynomial, poly_discriminant, poly_gcd
 from .function_field import (
     build_family,
-    cm_twist,
     lfunction,
     pullback_differential,
     rank_bounds,
-    z_rank,
+    z_rank_cm,
 )
 
 # vA mod 6 -> (Kodaira symbol, components m, Euler number e, conductor exponent f)
@@ -162,17 +161,14 @@ def shioda_tate(r: int, fibers: list[KodairaFiber]) -> int:
 def analyze(lpoly=None) -> SurfaceReport:
     """Full pipeline on the family surface.
 
-    Geometric rank 4 from the CM-extended differentials, confirmed against
-    the mod-17 L-function bound; six type-IV geometric fibers; e = 24 so
-    the surface is K3; Shioda-Tate gives Picard number 18 <= 20.  Any stage
-    that disagrees aborts with the stage name.
+    Geometric rank 4 from the differentials of P1, P2 and their CM images
+    (lambda([omega]P) = omega^2 lambda(P)), confirmed against the mod-17
+    L-function bound; six type-IV geometric fibers; e = 24 so the surface is
+    K3; Shioda-Tate gives Picard number 18 <= 20.  Any stage that disagrees
+    aborts with the stage name.
     """
     curve = build_family()
-    w1 = pullback_differential(curve.p1)
-    w2 = pullback_differential(curve.p2)
-    r_geom = z_rank(
-        [w1, w2, pullback_differential(cm_twist(curve.p1)), pullback_differential(cm_twist(curve.p2))]
-    )
+    r_geom = z_rank_cm([pullback_differential(curve.p1), pullback_differential(curve.p2)])
     if r_geom != 4:
         raise SurfaceError("differentials", f"CM-extended rank is {r_geom}, expected 4")
     L = lpoly if lpoly is not None else lfunction(17)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +113,16 @@ def test_ff_lfunction_cli_p17(capsys):
     assert factors[("1", "17")] == 2
     assert factors[("1", "0", "34", "0", "83521")] == 1
     assert res["arith_bound"] == 2 and res["geom_bound"] == 4
+
+
+def test_ff_lfunction_cli_refuses_oversized_field_at_once(capsys):
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "ff", "lfunction", "--p", "101")
+    assert time.perf_counter() - t0 < 1.0
+    assert doc["status"] == "failed"
+    assert doc["results"]["error"] == (
+        "LFunctionError: counting over q = 101^6 exceeds the class-table budget"
+    )
 
 
 def test_ff_rank_cli(capsys):

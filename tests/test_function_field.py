@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cm_oracle import chain_differential, cm_twist, flat_rank
 from enumeration import count_by_enumeration
 from twocubes.elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul
 from twocubes.exact import FiniteField, OMEGA, RationalFunction, rational_poly
@@ -17,8 +19,8 @@ from twocubes.function_field import (
     HolDifferential,
     LFunctionError,
     LPolynomial,
+    _rank,
     build_family,
-    cm_twist,
     fiber_trace_sum,
     good_prime,
     lambda_homomorphism_check,
@@ -30,6 +32,7 @@ from twocubes.function_field import (
     section_add,
     section_mul,
     z_rank,
+    z_rank_cm,
 )
 
 PAPER_L17 = (1, 0, -544, 0, 147390, 0, -45435424, 0, 6975757441)
@@ -94,7 +97,7 @@ def test_wronskian_degree_bound(family):
 
 def test_cm_twist_scales_by_cube_root(family):
     w1 = pullback_differential(family.p1)
-    tw = pullback_differential(cm_twist(family.p1))
+    tw = chain_differential(cm_twist(family.p1))
     # (wx)'(wy) - (wx)(wy)' = w^2 (x'y - xy')
     expected = w1.w * RationalFunction(rational_poly(1)) * (OMEGA * OMEGA)
     assert tw.w == w1.w * (OMEGA * OMEGA)
@@ -105,10 +108,45 @@ def test_z_rank_examples(family):
     w1 = pullback_differential(family.p1)
     w2 = pullback_differential(family.p2)
     assert z_rank([w1, w2]) == 2
-    cm = [w1, w2, pullback_differential(cm_twist(family.p1)), pullback_differential(cm_twist(family.p2))]
-    assert z_rank(cm) == 4
+    cm = [w1, w2, chain_differential(cm_twist(family.p1)), chain_differential(cm_twist(family.p2))]
+    assert flat_rank(cm) == 4 == z_rank_cm([w1, w2])
     assert z_rank([w1, HolDifferential(-w1.w)]) == 1
     assert z_rank([]) == 0
+
+
+def _section_set(family, name):
+    P1, P2 = family.p1, family.p2
+    return {
+        "P1": [P1],
+        "P1,2P1": [P1, section_mul(family, 2, P1)],
+        "P1,P2": [P1, P2],
+        "P1,P2,P1+P2": [P1, P2, section_add(family, P1, P2)],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, rank", [("P1", 2), ("P1,2P1", 2), ("P1,P2", 4), ("P1,P2,P1+P2", 4)]
+)
+def test_z_rank_cm_matches_the_q_omega_chain(family, name, rank):
+    sections = _section_set(family, name)
+    diffs = [pullback_differential(P) for P in sections]
+    twisted = [chain_differential(cm_twist(P)) for P in sections]
+    omega2 = OMEGA * OMEGA
+    for d, t in zip(diffs, twisted):
+        assert t.w == d.w * omega2  # lambda([omega]P) = omega^2 lambda(P)
+    assert z_rank_cm(diffs) == flat_rank(diffs + twisted) == rank
+
+
+def test_q_omega_sections_are_rejected(family):
+    with pytest.raises(TypeError):
+        pullback_differential(cm_twist(family.p1))
+    with pytest.raises(TypeError):
+        z_rank([chain_differential(cm_twist(family.p1))])
+
+
+def test_rank_is_exact_on_large_integers():
+    # determinant -1; float elimination loses the second pivot
+    assert _rank([[2**60 + 1, 2**60], [2**60, 2**60 - 1]]) == 2
 
 
 # -- the lambda homomorphism -----------------------------------------------------------
@@ -274,6 +312,14 @@ def test_fiber_trace_sum_refuses_fields_above_the_table_budget(family):
     assert 23**6 <= MAX_COUNTING_FIELD < 29**6
     with pytest.raises(LFunctionError, match="budget"):
         fiber_trace_sum(family, 29, 6)
+
+
+@pytest.mark.parametrize("p, direct, n", [(101, False, 6), (13, True, 8)])
+def test_lfunction_refuses_oversized_fields_before_counting(p, direct, n):
+    t0 = time.perf_counter()
+    with pytest.raises(LFunctionError, match=f"q = {p}\\^{n} exceeds the class-table budget"):
+        lfunction(p, direct=direct)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_class_table_memory_is_q_bytes_plus_one_block():
