@@ -13,6 +13,14 @@ from functools import lru_cache
 
 from .numbers import factorize, is_probable_prime
 
+# The counting sweeps (exact.zechlog) hold one q-byte class table plus at most
+# five int64 block arrays; the bound lives here, beside the fields it limits,
+# so a caller can refuse an oversized field without importing numpy.
+BLOCK = 1 << 18  # int64 words in one block array of the build or the sweep
+BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
+MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
+MAX_COUNTING_FIELD = MEMORY_BUDGET - BLOCK_BYTES
+
 # -- bare int-list polynomial arithmetic mod p (used below the class layer) --
 
 

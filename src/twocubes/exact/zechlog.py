@@ -7,26 +7,52 @@ unit's.  So one table, cls[packed(x)] = log_g(x) mod 6 with packed(x) the
 base-p digit index of x and ZERO marking x = 0, holds everything: q bytes
 per field, where full log tables took four times that.
 
-The table is built block by block.  The base-p digits of g^0..g^(B-1) are
-computed once; block s holds g^(s+i) = g^s g^i, and multiplication by g^s
-is an F_p-linear map of the digits, so each block costs one small integer
-matrix product, a reduction mod p and a scatter.  The sweep covers all t
-in F_q through a low/high digit split: packed(t - r) = hi_r[h] + lo_r[l],
-so each block of t is a broadcast add, a gather and a uint8 add per root.
+The table is a homomorphism, cls(d u) = cls(d) + cls(u) mod 6, and it is
+built by folding F_q^* over F_p^* = <g^e>, e = (q - 1)/(p - 1):
+
+1. The classes of F_p^*: cls(g^(e k)) = e k mod 6 for the p - 1 powers of
+   g^e.  For n = 1 this is the whole table.
+2. The coset walk: g^0..g^(e-1) meet every coset of F_p^* once.  Dividing
+   g^i by its top nonzero digit d, a digit-wise scaling by d^-1, lands it in
+   the slab [p^j, 2 p^j) of the elements whose top digit is a 1 at
+   position j, with class i - cls(d).  These slabs hold exactly e slots,
+   and they are filled in place.
+3. The other slabs: x in [d p^j, (d + 1) p^j) is d times the normalized
+   element p^j + s(y), s the digit-wise scaling of the low digits y by
+   d^-1, so cls[x] = cls[d] + cls[p^j + s(y)] mod 6.  s permutes the high
+   and the low digits of y independently, so each chunk of a slab is a
+   row gather and a column gather within one normalized slab, written
+   sequentially.
+
+Steps 1 and 2 walk powers block by block.  The base-p digits of h^0..h^(B-1)
+are computed once; block s holds h^(s+i) = h^s h^i, and multiplication by
+h^s is an F_p-linear map of the digits, so each block costs one small
+integer matrix product, a reduction mod p and a scatter.  g generates F_q^*
+exactly when the powers of g^e fill the p - 1 slots of F_p^* (so g^e lies
+in F_p and generates F_p^*) and the coset walk sets every slot of the
+normalized slabs; otherwise the build raises ArithmeticError.
+
+The sweep covers all t in F_q through a low/high digit split:
+packed(t - r) = hi_r[h] + lo_r[l], so each block of t is a broadcast add,
+a gather and a uint8 add per root.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ffield import FFElement, FiniteField
+from .ffield import BLOCK, BLOCK_BYTES, MAX_COUNTING_FIELD, FFElement, FiniteField
+
+__all__ = ["BLOCK", "BLOCK_BYTES", "MAX_COUNTING_FIELD", "ZERO", "ZechLog"]
 
 ZERO = 64  # class of 0: any class sum >= ZERO has a zero factor
 MAX_ROOTS = 12  # 12 * 5 < ZERO: a sum with no zero factor stays below ZERO
-BLOCK = 1 << 18  # int64 words in one block array of the build or the sweep
-BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
-MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
-MAX_COUNTING_FIELD = MEMORY_BUDGET - BLOCK_BYTES
+UNSET = 255  # a slot the build has not written
+
+
+def _wrap6(x: np.ndarray) -> np.ndarray:
+    """x mod 6 in place for uint8 x < 12: x - 6 wraps around to >= 250 for x < 6."""
+    return np.minimum(x, x - 6, out=x)
 
 
 class ZechLog:
@@ -56,36 +82,103 @@ class ZechLog:
             acc = cols[0] * rows[0][j]
             for i in range(1, self.n):
                 acc += cols[i] * rows[i][j]
-            np.remainder(acc, self.p, out=out[j])
+            # acc mod p as acc - (acc // p) p: numpy vectorizes a floor division
+            # by a constant, several times faster than np.remainder
+            np.floor_divide(acc, self.p, out=out[j])
+            out[j] *= self.p
+            np.subtract(acc, out[j], out=out[j])
         return out
 
-    def _build(self) -> np.ndarray:
-        p, n, q = self.p, self.n, self.q
-        dtype = np.int32 if n * (p - 1) ** 2 < 1 << 31 else np.int64
-        span = min(BLOCK // n // 6 * 6, q - 1)  # a multiple of 6 unless it is q - 1
-        digits = np.zeros((n, span), dtype=dtype)  # digit columns of g^0..g^(span-1)
+    def _powers(self, h: FFElement, count: int, mult: int):
+        """Yield (digit columns, classes) of h^0..h^(count-1) a block at a
+        time, the classes being mult * k mod 6 for the power h^k."""
+        n = self.n
+        bound = n * (self.p - 1) ** 2  # of a digit-matrix product before reduction
+        dtype = np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.int64
+        span = min(BLOCK // n // 6 * 6, count)  # a multiple of 6 unless it is count
+        digits = np.zeros((n, span), dtype=dtype)  # digit columns of h^0..h^(span-1)
         digits[0, 0] = 1
         size = 1
         while size < span:
             m = min(size, span - size)
-            digits[:, size : size + m] = self._times(self.g**size, digits[:, :m])
+            digits[:, size : size + m] = self._times(h**size, digits[:, :m])
             size += m
-        classes = (np.arange(span) % 6).astype(np.uint8)
-        cls = np.full(q, 255, dtype=np.uint8)
-        step, h = self.g**span, self.field.one()
-        for start in range(0, q - 1, span):
-            m = min(span, q - 1 - start)
-            cols = self._times(h, digits[:, :m])
-            packed = cols[n - 1]
-            for j in range(n - 2, -1, -1):
-                packed *= p
-                packed += cols[j]
-            cls[packed] = classes[:m]
-            h = h * step
-        if cls[0] != 255 or int(np.count_nonzero(cls == 255)) != 1:
-            raise ArithmeticError("generator does not enumerate the whole group")
+        classes = (np.arange(span) * (mult % 6) % 6).astype(np.uint8)
+        step, cur = h**span, self.field.one()
+        for start in range(0, count, span):
+            m = min(span, count - start)
+            yield self._times(cur, digits[:, :m]), classes[:m]
+            cur = cur * step
+
+    def _build(self) -> np.ndarray:
+        p, n, q = self.p, self.n, self.q
+        e = (q - 1) // (p - 1)
+        cls = np.full(q, UNSET, dtype=np.uint8)
+        for cols, classes in self._powers(self.g**e, p - 1, e):
+            cls[self._pack(cols)] = classes
+        if cls[0] != UNSET or UNSET in cls[1:p]:
+            raise ArithmeticError("g^((q-1)/(p-1)) does not enumerate F_p^*")
+        if n > 1:
+            inv = np.zeros(p, dtype=np.int64)
+            inv[1:] = [pow(d, -1, p) for d in range(1, p)]
+            self._walk_cosets(cls, inv, e)
+            if any(UNSET in cls[p**j : 2 * p**j] for j in range(1, n)):
+                raise ArithmeticError("g^0..g^((q-1)/(p-1)-1) miss a coset of F_p^*")
+            for j in range(1, n):
+                self._fill_slabs(cls, inv, j)
         cls[0] = ZERO
         return cls
+
+    def _pack(self, cols: np.ndarray) -> np.ndarray:
+        """Base-p indices of the elements with digit columns cols."""
+        packed = cols[-1].astype(np.intp, copy=False)
+        for j in range(self.n - 2, -1, -1):
+            packed = packed * self.p  # a new array, so cols is left intact
+            packed += cols[j]
+        return packed
+
+    def _walk_cosets(self, cls: np.ndarray, inv: np.ndarray, e: int) -> None:
+        """Step 2: cls[packed(g^i / d)] = i - cls[d] for i < e, d the top
+        nonzero digit of g^i."""
+        p, n = self.p, self.n
+        for cols, classes in self._powers(self.g, e, 1):
+            top = cols[n - 1].copy()
+            for j in range(n - 2, -1, -1):
+                np.copyto(top, cols[j], where=top == 0)
+            cols *= inv[top].astype(cols.dtype)
+            cols -= cols // p * p
+            packed = self._pack(cols)
+            diff = cls[top]
+            np.subtract(classes + 6, diff, out=diff)
+            cls[packed] = _wrap6(diff)
+
+    def _fill_slabs(self, cls: np.ndarray, inv: np.ndarray, j: int) -> None:
+        """Step 3: cls[d p^j + y] = cls[d] + cls[p^j + s(y)] for 2 <= d < p,
+        s the digit-wise scaling by d^-1; s maps the high and the low digits
+        of y separately, so a chunk is a row gather and a column gather."""
+        p, size = self.p, self.p**j
+        lo = p ** ((j + 1) // 2)
+        norm = cls[size : 2 * size].reshape(-1, lo)
+        rows = max(1, BLOCK // lo)  # uint8 chunks of at most one block
+        for d in range(2, p):
+            c = int(inv[d])
+            lo_map, hi_map = self._scaled(lo, c), self._scaled(size // lo, c)
+            out = cls[d * size : (d + 1) * size].reshape(-1, lo)
+            for r in range(0, len(hi_map), rows):
+                chunk = norm[hi_map[r : r + rows]]
+                chunk += cls[d]
+                np.take(_wrap6(chunk), lo_map, axis=1, out=out[r : r + rows], mode="clip")
+
+    def _scaled(self, count: int, c: int) -> np.ndarray:
+        """packed(c * t) for the count = p^k elements t of index < count."""
+        p = self.p
+        t = np.arange(count)
+        out = np.zeros(count, dtype=np.int64)
+        w = 1
+        while w < count:
+            out += t // w % p * c % p * w
+            w *= p
+        return out
 
     def sextic_class(self, a: FFElement) -> int:
         """log_g(a) mod 6 for nonzero a."""

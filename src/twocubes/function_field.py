@@ -24,6 +24,7 @@ from math import gcd
 
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, poly_discriminant, rational_poly
+from .exact.ffield import MAX_COUNTING_FIELD
 from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
 from .exact.poly import _int_cyclotomic, _int_divide_out
 
@@ -402,9 +403,9 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     q = p**n
     if q % 3 == 2:
         return 0
+    _check_counting_budget(p, n)
     from .exact import zechlog  # numpy is imported only by the sweeps
 
-    _check_counting_budget(p, n)
     field = FiniteField(p, n)
     engine = zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
@@ -432,8 +433,6 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
 
 
 def _check_counting_budget(p: int, n: int) -> None:
-    from .exact.zechlog import MAX_COUNTING_FIELD
-
     if p**n > MAX_COUNTING_FIELD:
         raise LFunctionError(f"counting over q = {p}^{n} exceeds the class-table budget")
 

@@ -203,6 +203,23 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_refused_lfunction_leaves_numpy_out():
+    """The class-table budget is checked without importing the sweeps."""
+    script = (
+        "import json, sys\n"
+        "from twocubes.cli import dispatch\n"
+        "report, _ = dispatch(['ff', 'lfunction', '--p', '101'])\n"
+        "print(json.dumps([report.status, report.results['error'], 'numpy' in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True,
+    )
+    status, error, numpy_loaded = json.loads(out.stdout)
+    assert status == "failed" and "exceeds the class-table budget" in error
+    assert not numpy_loaded
+
+
 def test_twists_table_cli_json(capsys):
     doc = run_json(capsys, "twists", "table", "--from", "0", "--to", "3")
     recs = doc["results"]["records"]

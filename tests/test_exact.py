@@ -5,12 +5,18 @@ factorization/discriminants, hand recurrences, direct enumeration) rather
 than trusted from the implementation under test.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
+from class_oracle import power_walk_classes
 from twocubes.exact import (
     OMEGA,
     Eisenstein,
@@ -380,6 +386,49 @@ def test_class_table_matches_sextic_symbol(p, n):
 def test_class_table_rejects_unsuitable_fields():
     with pytest.raises(ValueError):
         ZechLog(FiniteField(17))  # 17 = 5 mod 6
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(7, 1), (13, 1), (10009, 1)]  # n = 1: the F_p^* walk is the whole build
+    + [(5, 2), (17, 2), (5, 4), (11, 4), (5, 8)]  # p = 5 mod 6
+    + [(13, 2), (7, 3), (19, 3)]  # p = 1 mod 6
+    + [(13, 6)],  # p^(n-1) = 371293 exceeds a block: the slab fill is chunked
+)
+def test_class_table_equals_the_power_walk(p, n):
+    """The build folded over F_p^* against a walk over every power of g."""
+    F = FiniteField(p, n)
+    assert np.array_equal(ZechLog(F).cls, power_walk_classes(F))
+
+
+PLANTED_GENERATORS = """
+from twocubes.exact import FiniteField
+from twocubes.exact.zechlog import ZechLog
+for k in (2, 3):
+    F = FiniteField(17, 2)
+    F._generator = F.generator() ** k
+    try:
+        ZechLog(F)
+        print(k, "built")
+    except ArithmeticError as exc:
+        print(k, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_class_table_rejects_planted_generators(flags):
+    """Over F_{17^2}, e = 288/16 = 18.  g^2 fails on F_p^*: (g^2)^18 has
+    order 8.  g^3 passes there, (g^3)^18 has order 16, but g^(3i), i < 18,
+    meet only 6 of the 18 cosets of F_p^*.  Both raise, also under -O."""
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", PLANTED_GENERATORS],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert out.stdout.splitlines() == [
+        "2 g^((q-1)/(p-1)) does not enumerate F_p^*",
+        "3 g^0..g^((q-1)/(p-1)-1) miss a coset of F_p^*",
+    ]
 
 
 @pytest.mark.parametrize("p,n,with_zero", [(13, 3, True), (13, 3, False), (5, 4, True)])

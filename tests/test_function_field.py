@@ -341,6 +341,26 @@ def test_class_table_memory_is_q_bytes_plus_one_block():
     assert F.q < peak <= F.q + BLOCK_BYTES
 
 
+def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
+    """The same budget for the build folded over F_p^*: over F_{13^6} the
+    coset walk takes several blocks and a slab, p^5 = 371293, is filled in
+    chunks, with the normalized slab written in place in the table."""
+    import tracemalloc
+
+    from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
+
+    F = FiniteField(13, 6)
+    F.generator()
+    tracemalloc.start()
+    try:
+        z = ZechLog(F)
+        z.cube_class_counts(F(7), [F.from_index(i) for i in (1, 2, 3, 5, 8, 13)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.q < peak <= F.q + BLOCK_BYTES
+
+
 def test_c2_against_per_fiber_enumeration(family):
     """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time,
     each counted by enumeration (no log tables or closed forms anywhere)."""
