@@ -258,7 +258,8 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
 # certificate search runs here.  The generic add_points/scalar_mul serve Q and
-# are the test reference for the Jacobian law on sections over Q(T).
+# Q(T); through the Hesse-Weierstrass map they are the test reference for the
+# Hessian law on sections over Z[T].
 
 
 def add_mod_p(p: int, A: int, P, Q):
@@ -289,8 +290,9 @@ def mul_mod_p(p: int, A: int, k: int, P):
     while k:
         if k & 1:
             R = add_mod_p(p, A, R, P)
-        P = add_mod_p(p, A, P, P)
         k >>= 1
+        if k:
+            P = add_mod_p(p, A, P, P)
     return R
 
 

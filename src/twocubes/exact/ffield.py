@@ -316,41 +316,10 @@ class FFElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElement":
+        """self^(q-2), by Fermat; n = 1 takes the int pow fast path of __pow__."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        p = f.p
-        if f.n == 1:
-            return FFElement(f, (pow(self.coeffs[0], p - 2, p),))
-        # extended Euclid with the modulus
-        r0, r1 = list(f.modulus), _ptrim(list(self.coeffs))
-        t0, t1 = [], [1]
-        while r1:
-            inv = pow(r1[-1], p - 2, p)
-            r1m = [c * inv % p for c in r1]
-            q = []
-            rem = list(r0)
-            dm = len(r1m) - 1
-            while rem and len(rem) - 1 >= dm:
-                c = rem[-1]
-                shift = len(rem) - 1 - dm
-                if c:
-                    while len(q) < shift + 1:
-                        q.append(0)
-                    q[shift] = (q[shift] + c * inv) % p
-                    for i, cm in enumerate(r1m):
-                        rem[shift + i] = (rem[shift + i] - c * cm) % p
-                rem.pop()
-            rem = _ptrim(rem)
-            r0, r1 = r1, rem
-            qt1 = _pmul(q, t1, p)
-            t0, t1 = t1, _ptrim(
-                [(a - b) % p for a, b in itertools.zip_longest(t0, qt1, fillvalue=0)]
-            )
-        # r0 is now a nonzero constant times gcd = constant
-        c_inv = pow(r0[0], p - 2, p)
-        t0 = [c * c_inv % p for c in t0]
-        return f.element(t0)
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -368,8 +337,9 @@ class FFElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:

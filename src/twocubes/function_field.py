@@ -178,84 +178,64 @@ def _rank(rows: list[list[int | Fraction]]) -> int:
     return r
 
 
-# -- group law on sections: Jacobian coordinates over Z[T] --------------------
+# -- group law on sections: Hesse coordinates over Z[T] ------------------------
 
 
-class _JacobianModel:
-    """v^2 = u^3 - 432k^2 with points (X : Y : Z) over Z[T], u = X/Z^2, v = Y/Z^3.
+class _HesseModel:
+    """X^3 + Y^3 = kZ^3 with points (X : Y : Z) over Z[T] and identity O = (1 : -1 : 0).
 
-    A section (x, y) maps to u = 12k/(x+y), v = 36k(x-y)/(x+y), and back by
-    x = (36k + v)/(6u), y = (36k - v)/(6u).  The chord-tangent law needs no
-    division in these coordinates, so only the final point is put in lowest
-    terms.  k must lie in Z[T]; every input of every step is checked
-    against Y^2 = X^3 + A Z^6.  None is the identity.
+    A section (a/b, c/e) is (ae : cb : be), and -(X : Y : Z) = (Y : X : Z).
+    The standard Hessian addition law does not involve k and needs no
+    division, so only the final point is put in lowest terms; it returns
+    (0 : 0 : 0) exactly when P - Q is a 3-torsion point at Z = 0, which over
+    Q(T) means P = Q, and then the rotated law applies (Bernstein, Kohel and
+    Lange, "Twisted Hessian curves").  k must lie in Z[T]; every input of
+    every step is checked against X^3 + Y^3 = kZ^3.
     """
+
+    O = ([1], [-1], [])
 
     def __init__(self, curve: FunctionFieldCurve):
         if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
             raise ValueError("section arithmetic needs k(T) in Z[T]")
         self.K = [int(c) for c in curve.k.coeffs]
-        self.A = [-432 * c for c in _int_mul(self.K, self.K)]
 
     def check(self, *points):
-        for P in points:
-            if P is not None:
-                X, Y, Z = P
-                Z3 = _int_mul(_int_mul(Z, Z), Z)
-                rhs = _int_add(_int_mul(_int_mul(X, X), X), _int_mul(self.A, _int_mul(Z3, Z3)))
-                if _int_mul(Y, Y) != rhs:
-                    raise ValueError("point not on curve")
+        for X, Y, Z in points:
+            cubes = _int_add(_int_mul(_int_mul(X, X), X), _int_mul(_int_mul(Y, Y), Y))
+            if cubes != _int_mul(self.K, _int_mul(_int_mul(Z, Z), Z)):
+                raise ValueError("point not on curve")
 
     def from_section(self, P: SectionPoint | None):
         if P is None:
-            return None
+            return self.O
         (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
-        ae, cb = _int_mul(a, e), _int_mul(c, b)
-        s = _int_add(ae, cb)
-        if not s:
-            return None  # x + y = 0: the flex, identity of the group
-        Ks = _int_mul(self.K, s)
-        X = [12 * c for c in _int_mul(_int_mul(b, e), Ks)]
-        Y = [36 * c for c in _int_mul(_int_mul(_int_add(ae, cb, -1), s), Ks)]
-        return X, Y, s
+        return _int_mul(a, e), _int_mul(c, b), _int_mul(b, e)
 
-    def to_section(self, P) -> SectionPoint | None:
-        if P is None:
+    @staticmethod
+    def to_section(P) -> SectionPoint | None:
+        X, Y, Z = P
+        if not Z:
             return None
-        X, Y, Z = P
-        kZ3 = [36 * c for c in _int_mul(self.K, _int_mul(_int_mul(Z, Z), Z))]
-        den = Polynomial([6 * c for c in _int_mul(X, Z)])
-        return SectionPoint(RationalFunction(Polynomial(_int_add(kZ3, Y)), den),
-                            RationalFunction(Polynomial(_int_add(kZ3, Y, -1)), den))
-
-    def double(self, P):
-        self.check(P)
-        if P is None or not P[1]:
-            return None  # 2-torsion doubles to the identity
-        X, Y, Z = P
-        YY = _int_mul(Y, Y)
-        S = [4 * c for c in _int_mul(X, YY)]
-        M = [3 * c for c in _int_mul(X, X)]
-        X3 = _int_add(_int_mul(M, M), S, -2)
-        Y3 = _int_add(_int_mul(M, _int_add(S, X3, -1)), _int_mul(YY, YY), -8)
-        return X3, Y3, [2 * c for c in _int_mul(Y, Z)]
+        den = Polynomial(Z)
+        return SectionPoint(RationalFunction(Polynomial(X), den),
+                            RationalFunction(Polynomial(Y), den))
 
     def add(self, P, Q):
         self.check(P, Q)
-        if P is None or Q is None:
-            return Q if P is None else P
         (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
-        Z1Z1, Z2Z2 = _int_mul(Z1, Z1), _int_mul(Z2, Z2)
-        U1, U2 = _int_mul(X1, Z2Z2), _int_mul(X2, Z1Z1)
-        S1, S2 = _int_mul(Y1, _int_mul(Z2, Z2Z2)), _int_mul(Y2, _int_mul(Z1, Z1Z1))
-        H, R = _int_add(U2, U1, -1), _int_add(S2, S1, -1)
-        if not H:
-            return self.double(P) if not R else None
-        HH = _int_mul(H, H)
-        HHH, V = _int_mul(H, HH), _int_mul(U1, HH)
-        X3 = _int_add(_int_add(_int_mul(R, R), HHH, -1), V, -2)
-        Y3 = _int_add(_int_mul(R, _int_add(V, X3, -1)), _int_mul(S1, HHH), -1)
-        return X3, Y3, _int_mul(_int_mul(Z1, Z2), H)
+
+        def t(a, b, c):  # a^2 b c
+            return _int_mul(_int_mul(a, a), _int_mul(b, c))
+
+        X3 = _int_add(t(Y1, X2, Z2), t(Y2, X1, Z1), -1)
+        Y3 = _int_add(t(X1, Y2, Z2), t(X2, Y1, Z1), -1)
+        Z3 = _int_add(t(Z1, X2, Y2), t(Z2, X1, Y1), -1)
+        if X3 or Y3 or Z3:
+            return X3, Y3, Z3
+        X3 = _int_add(t(X2, X1, Y1), _int_mul(self.K, t(Z1, Y2, Z2)))
+        Y3 = _int_add(t(Y1, X2, Y2), _int_mul(self.K, t(Z2, X1, Z1)))
+        return X3, [-c for c in Y3], _int_add(t(Y2, Y1, Z1), t(X1, X2, Z2), -1)
 
 
 def section_add(
@@ -266,24 +246,25 @@ def section_add(
     Raises ValueError for a section off the curve and TypeError for one
     with coefficients outside Q.
     """
-    J = _JacobianModel(curve)
-    return J.to_section(J.add(J.from_section(P), J.from_section(Q)))
+    H = _HesseModel(curve)
+    return H.to_section(H.add(H.from_section(P), H.from_section(Q)))
 
 
 def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint | None) -> SectionPoint | None:
-    """n * P by double-and-add in Jacobian coordinates, normalized once; raises as section_add."""
-    J = _JacobianModel(curve)
-    pt = J.from_section(P)
-    if n < 0 and pt is not None:
-        n, pt = -n, (pt[0], [-c for c in pt[1]], pt[2])
-    acc = None
+    """n * P by double-and-add in Hesse coordinates, normalized once; raises as section_add."""
+    H = _HesseModel(curve)
+    pt = H.from_section(P)
+    H.check(pt)
+    if n < 0:
+        n, pt = -n, (pt[1], pt[0], pt[2])
+    acc = H.O
     while n:
         if n & 1:
-            acc = J.add(acc, pt)
+            acc = H.add(acc, pt)
         n >>= 1
         if n:
-            pt = J.double(pt)
-    return J.to_section(acc)
+            pt = H.add(pt, pt)
+    return H.to_section(acc)
 
 
 @dataclass
@@ -307,12 +288,11 @@ def lambda_homomorphism_check(
 ) -> LambdaReport:
     """Verify lambda(P + Q) = lambda(P) + lambda(Q) exactly.
 
-    The sum is computed by chord-tangent in the Weierstrass model, in
-    Jacobian coordinates over Z[T], and mapped back.  A sum at the identity
-    is the degenerate case lambda(O) = 0.
+    The sum is computed by the Hessian addition law on X^3 + Y^3 = kZ^3
+    itself, over Z[T].  A sum at the identity is the degenerate case
+    lambda(O) = 0.  Raises as section_add; no section with x + y = 0 lies on
+    the curve, because k != 0.
     """
-    if P.x + P.y == 0 or Q.x + Q.y == 0:
-        raise ValueError("sections at the flex are not supported here")
     w_sum = pullback_differential(P).w + pullback_differential(Q).w
     S = section_add(curve, P, Q)
     if S is None:
@@ -440,12 +420,13 @@ def _check_counting_budget(p: int, n: int) -> None:
 def lfunction(p: int, direct: bool = False) -> LPolynomial:
     """The degree-8 L-polynomial of the family curve reduced mod p.
 
-    Default path: count c_1..c_4, complete the coefficients through the
-    functional equation (closure of inverse roots under g -> p^2/g), then
-    re-verify against independently counted c_5 and c_6.  A sign ambiguity
-    that c_5/c_6 cannot settle is an error, never a guess.  With
-    direct=True all of c_1..c_8 are counted instead (small p only).
-    Results are cached on (p, bool(direct)), however the call spells them.
+    Counts c_1..c_N, N = 6 (N = 8 with direct=True, small p only), completes
+    the coefficients from c_1..c_4 through the functional equation (closure
+    of inverse roots under g -> p^2/g), and keeps the sign whose L
+    reproduces every counted c_n with n >= 5.  A sign ambiguity those cannot
+    settle is an error, never a guess; c_1..c_8 determine L, so direct=True
+    checks the completion against all of it.  Results are cached on
+    (p, bool(direct)), however the call spells them.
     """
     return _lfunction(p, bool(direct))
 
@@ -455,49 +436,27 @@ def _lfunction(p: int, direct: bool) -> LPolynomial:
     curve = build_family()
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
-    _check_counting_budget(p, 8 if direct else 6)  # the largest field either path counts
-    if direct:
-        cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, 9)}
-        b = _exp_series(cn, 8)
-        if any(x.denominator != 1 for x in b):
-            raise LFunctionError("direct expansion is not integral")
-        coeffs = tuple(int(x) for x in b)
-        L = LPolynomial(p, coeffs, tuple(sorted(cn.items())))
-        L.functional_equation_sign()  # closure must hold
-        _verify_weil(L)
-        return L
-
-    cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, 5)}
+    N = 8 if direct else 6
+    _check_counting_budget(p, N)
+    cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, N + 1)}
     b4 = _exp_series(cn, 4)
     if any(x.denominator != 1 for x in b4):
         raise LFunctionError("counted coefficients are not integral")
     b4 = [int(x) for x in b4]
-    candidates = []
+    survivors = []
     for sign in (1, -1):
         if sign == -1 and b4[4] != 0:
             continue  # b4 = sign * b4 forces b4 = 0 for the minus sign
         coeffs = tuple(b4 + [sign * p ** (8 - 2 * i) * b4[i] for i in (3, 2, 1, 0)])
-        candidates.append(LPolynomial(p, coeffs, tuple(sorted(cn.items()))))
-    c5 = fiber_trace_sum(curve, p, 5)
-    c6 = fiber_trace_sum(curve, p, 6)
-    survivors = [
-        L
-        for L in candidates
-        if L.power_sum_coefficients(6)[4] == c5 and L.power_sum_coefficients(6)[5] == c6
-    ]
+        L = LPolynomial(p, coeffs, tuple(sorted(cn.items())))
+        if L.power_sum_coefficients(N)[4:] == [cn[n] for n in range(5, N + 1)]:
+            survivors.append(L)
     if len(survivors) > 1:
-        raise LFunctionError("functional-equation sign ambiguous after c_5, c_6")
+        raise LFunctionError(f"functional-equation sign ambiguous after c_5..c_{N}")
     if not survivors:
-        raise LFunctionError(
-            "functional-equation completion contradicts counted c_5/c_6"
-        )
-    L = survivors[0]
-    counted = dict(L.counted)
-    counted[5] = c5
-    counted[6] = c6
-    L = LPolynomial(p, L.coeffs, tuple(sorted(counted.items())))
-    _verify_weil(L)
-    return L
+        raise LFunctionError(f"functional-equation completion contradicts counted c_5..c_{N}")
+    _verify_weil(survivors[0])
+    return survivors[0]
 
 
 def _verify_weil(L: LPolynomial) -> None:

@@ -428,3 +428,24 @@ def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
         assert R == Point(*map(Fraction, xy)), k
     assert scalar_mul(c, -3, P) == Point(Fraction("2260441/2025"), Fraction("908918011/91125"))
     assert scalar_mul(c, 0, P).at_infinity
+
+
+def test_mul_mod_p_doubles_only_while_bits_remain(monkeypatch):
+    import twocubes.elliptic as elliptic
+
+    p, A, P = 1009, 5, (1, 174)
+    calls = []
+
+    def counted(p_, A_, X, Y):
+        calls.append(1)
+        return add_mod_p(p_, A_, X, Y)
+
+    monkeypatch.setattr(elliptic, "add_mod_p", counted)
+    # k: (add_mod_p calls, kP as computed before doubling stopped at the last bit)
+    want = {1: (1, (1, 174)), 2: (2, (629, 760)), 4: (3, (256, 609)), 5: (4, (315, 240))}
+    for k, (n_calls, kP) in want.items():
+        calls.clear()
+        assert mul_mod_p(p, A, k, P) == kP, k
+        assert len(calls) == n_calls, k
+    assert mul_mod_p(p, A, 3, P) == (668, 595)
+    assert mul_mod_p(p, A, 0, P) is None

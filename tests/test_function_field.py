@@ -163,6 +163,12 @@ def test_lambda_additivity_examples(family):
     assert rep.degenerate and rep.additive
 
 
+def test_lambda_check_rejects_a_section_at_the_flex(family):
+    T = RationalFunction(rational_poly(0, 1))
+    with pytest.raises(ValueError):
+        lambda_homomorphism_check(family, SectionPoint(T, -T), family.p1)
+
+
 def test_lambda_additivity_random_combinations(family):
     rng = random.Random(71)
     w1 = pullback_differential(family.p1).w
@@ -195,8 +201,17 @@ def test_section_arithmetic_stays_on_curve(family):
     assert section_add(family, family.p1, SectionPoint(family.p1.y, family.p1.x)) is None
 
 
+def test_multiples_of_the_identity_are_the_identity(family):
+    # the identity is the point (1 : -1 : 0), so a negative n needs no branch for it
+    for n in (-3, -1, 0, 1, 2):
+        assert section_mul(family, n, None) is None
+    assert section_add(family, None, None) is None
+    assert section_add(family, None, family.p1) == family.p1
+
+
 # The affine chord-tangent law over Q(T), through the Hesse-Weierstrass map,
-# is the oracle for the Jacobian group law over Z[T].
+# is the oracle for the Hessian group law over Z[T] on X^3 + Y^3 = kZ^3.  The
+# test keeps its name from the Jacobian law that the Hessian law replaced.
 
 
 def _affine_point(curve, P):
@@ -219,9 +234,7 @@ def _affine_combination(curve, m, n):
     return _affine_section(curve, add_points(E, mP1, nP2))
 
 
-@pytest.mark.parametrize(
-    "m,n", [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)] + [(2, 0), (0, 2)]
-)
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(-2, 3) for n in range(-2, 3)])
 def test_jacobian_group_law_matches_affine_oracle(family, m, n):
     S = section_add(family, section_mul(family, m, family.p1), section_mul(family, n, family.p2))
     assert S == _affine_combination(family, m, n)
@@ -238,23 +251,26 @@ def test_section_arithmetic_needs_integral_k(family):
 
 def test_off_curve_sections_raise_value_error_under_python_O():
     script = """
+from twocubes.exact import RationalFunction, rational_poly
 from twocubes.function_field import SectionPoint, build_family, section_add, section_mul
 fam = build_family()
-bad = SectionPoint(fam.p1.x + 1, fam.p1.y)
-for call in (lambda: section_add(fam, bad, fam.p2), lambda: section_add(fam, fam.p2, bad),
-             lambda: section_mul(fam, 1, bad), lambda: section_mul(fam, -2, bad)):
-    try:
-        call()
-        print("accepted")
-    except ValueError:
-        print("ValueError")
+T = RationalFunction(rational_poly(0, 1))
+for bad in (SectionPoint(fam.p1.x + 1, fam.p1.y), SectionPoint(T, -T)):  # the second at the flex
+    for call in (lambda: section_add(fam, bad, fam.p2), lambda: section_add(fam, fam.p2, bad),
+                 lambda: section_mul(fam, 1, bad), lambda: section_mul(fam, -2, bad),
+                 lambda: section_mul(fam, 3, bad)):
+        try:
+            call()
+            print("accepted")
+        except ValueError:
+            print("ValueError")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     for flags in ([], ["-O"]):
         argv = [sys.executable, *flags, "-c", script]
-        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.split() == ["ValueError"] * 4, flags
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+        assert out.stdout.split() == ["ValueError"] * 10, flags
 
 
 def test_section_arithmetic_rejects_non_rational_coefficients(family):
@@ -342,23 +358,29 @@ def test_class_table_memory_is_q_bytes_plus_one_block():
 
 
 def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
-    """The same budget for the build folded over F_p^*: over F_{13^6} the
-    coset walk takes several blocks and a slab, p^5 = 371293, is filled in
-    chunks, with the normalized slab written in place in the table."""
+    """The same budget for the build folded over F_p^*: over F_{13^6} and the
+    published F_{17^6} the coset walk takes several blocks and a slab, p^5,
+    is filled in chunks, with the normalized slab written in place in the
+    table.  The temporaries measure 2.5-2.7 MB, so they are held to 4 MiB,
+    well inside the block of BLOCK_BYTES that the budget allows."""
     import tracemalloc
 
     from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
 
-    F = FiniteField(13, 6)
-    F.generator()
-    tracemalloc.start()
-    try:
-        z = ZechLog(F)
-        z.cube_class_counts(F(7), [F.from_index(i) for i in (1, 2, 3, 5, 8, 13)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert F.q < peak <= F.q + BLOCK_BYTES
+    temporaries = 4 * 2**20
+    assert temporaries <= BLOCK_BYTES
+    for p in (13, 17):
+        F = FiniteField(p, 6)
+        F.generator()
+        tracemalloc.start()
+        try:
+            z = ZechLog(F)
+            z.cube_class_counts(F(7), [F.from_index(i) for i in (1, 2, 3, 5, 8, 13)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del z
+        assert F.q < peak <= F.q + temporaries, p
 
 
 def test_c2_against_per_fiber_enumeration(family):
