@@ -223,11 +223,15 @@ def _has_rational_3_torsion(d: int) -> bool:
     return icbrt(m) ** 3 == m
 
 
-def torsion_order_bound(d: int, prime_count: int = 8) -> int:
+# good primes whose point counts torsion_order_bound takes the gcd of
+TORSION_PRIMES = 8
+
+
+def torsion_order_bound(d: int) -> int:
     """Upper bound for the torsion order of X^3 + Y^3 = d over Q.
 
     Torsion injects into E(F_p) for every good p >= 5, so the order divides
-    the gcd of #E(F_p) over the first `prime_count` good primes.  That gcd
+    the gcd of #E(F_p) over the first TORSION_PRIMES good primes.  That gcd
     always carries a factor 3 for this family (the flex 3-torsion becomes
     rational whenever p = 1 mod 3, and supersingular counts p + 1 are
     divisible by 3 when p = 2 mod 3), so primes ell in {2, 3} are removed
@@ -246,7 +250,7 @@ def torsion_order_bound(d: int, prime_count: int = 8) -> int:
         g_new = count_points(field, field.element(A_int % p))
         g = math.gcd(g, g_new)
         used += 1
-        if g == 1 or used >= prime_count:
+        if g == 1 or used >= TORSION_PRIMES:
             break
     for ell, present in ((2, _has_rational_2_torsion), (3, _has_rational_3_torsion)):
         if g % ell == 0 and not present(d):

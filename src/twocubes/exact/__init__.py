@@ -5,14 +5,7 @@ rational functions and finite fields.  The numpy class-table kernel,
 from .eisenstein import OMEGA, Eisenstein
 from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes
-from .poly import (
-    Polynomial,
-    cyclotomic,
-    poly_discriminant,
-    poly_gcd,
-    rational_poly,
-    resultant,
-)
+from .poly import Polynomial, cyclotomic, poly_gcd, rational_poly
 from .ratfunc import RationalFunction, series_expand
 
 __all__ = [
@@ -27,12 +20,10 @@ __all__ = [
     "factorize",
     "icbrt",
     "is_probable_prime",
-    "poly_discriminant",
     "poly_gcd",
     "prime_field",
     "primes",
     "rational_poly",
-    "resultant",
     "series_expand",
     "smallest_irreducible",
 ]

@@ -21,7 +21,8 @@ BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
 MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
 MAX_COUNTING_FIELD = MEMORY_BUDGET - BLOCK_BYTES
 
-# -- bare int-list polynomial arithmetic mod p (used below the class layer) --
+# -- bare int-list polynomial arithmetic mod p: the Rabin test, FFElement products --
+# -- and the rows of the class-table build ------------------------------------------
 
 
 def _ptrim(cs: list[int]) -> list[int]:
@@ -30,29 +31,40 @@ def _ptrim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _pmul(a, b, p: int) -> list[int]:
+    """a * b over Z for coefficients in [0, p), to be reduced by _pmod.
+
+    Kronecker substitution: each factor is packed as its value at 2^w, w
+    wide enough for every coefficient of the product, and one big-int
+    multiply carries the whole convolution.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
+    w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    x = y = 0
+    for c in reversed(a):
+        x = x << w | c
+    for c in reversed(b):
+        y = y << w | c
+    z, mask = x * y, (1 << w) - 1
+    return [z >> w * k & mask for k in range(len(a) + len(b) - 1)]
 
 
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
+def _pmod(a, m, p: int) -> list[int]:
+    """a mod the monic m over F_p, for any integer coefficients of a.
+
+    Only the nonzero lower coefficients of m are subtracted, and each
+    coefficient is reduced mod p once, at the end.
+    """
     a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] % p
+    low = [(i, c) for i, c in enumerate(m[:-1]) if c]
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] % p
         if c:
-            shift = len(a) - 1 - dm
-            for i, cm in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * cm) % p
-        a.pop()
-    return _ptrim(a)
+            for i, cm in low:
+                a[top - dm + i] -= c * cm
+    return _ptrim([c % p for c in a[:dm]])
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -110,9 +122,11 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """F_{p^n}; construct elements with field(value) or field.from_index(i)."""
+    """F_{p^n} = F_p[x]/(m) with m = smallest_irreducible(p, n), always; construct
+    elements with field(value) or field.from_index(i).  Products for n > 1 are
+    _pmul followed by _pmod, the kernel of the Rabin test."""
 
-    def __init__(self, p: int, n: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, n: int = 1):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
@@ -120,28 +134,7 @@ class FiniteField:
         self.p = p
         self.n = n
         self.q = p**n
-        if modulus is None:
-            modulus = smallest_irreducible(p, n)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
-            if not _is_irreducible(list(modulus), p):
-                raise ValueError("modulus is reducible")
-        self.modulus = modulus
-        # x^(n+i) mod modulus for i = 0..n-2, used in reduction
-        self._xpow = []
-        cur = [(-c) % p for c in modulus[:-1]]
-        for _ in range(max(n - 1, 0)):
-            self._xpow.append(tuple(cur) + (0,) * (n - len(cur)))
-            cur = [0] + cur
-            if len(cur) > n:
-                top = cur.pop()
-                if top:
-                    cur = [
-                        (c + top * r) % p
-                        for c, r in itertools.zip_longest(cur, self._xpow[0], fillvalue=0)
-                    ]
+        self.modulus = smallest_irreducible(p, n)
         self._generator = None
 
     # -- element construction ---------------------------------------------
@@ -242,13 +235,11 @@ class FiniteField:
         return self.element(fr.numerator) / self.element(den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
-        )
+        # the modulus is a function of (p, n)
+        return isinstance(other, FiniteField) and (self.p, self.n) == (other.p, other.n)
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return hash((self.p, self.n))
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.n})" if self.n > 1 else f"FiniteField({self.p})"
@@ -299,19 +290,8 @@ class FFElement:
         p, n = f.p, f.n
         if n == 1:
             return FFElement(f, (self.coeffs[0] * o.coeffs[0] % p,))
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        out = list(prod[:n])
-        for i in range(n, 2 * n - 1):
-            c = prod[i]
-            if c:
-                red = f._xpow[i - n]
-                for j in range(n):
-                    out[j] = (out[j] + c * red[j]) % p
-        return FFElement(f, tuple(out))
+        prod = _pmod(_pmul(self.coeffs, o.coeffs, p), f.modulus, p)
+        return FFElement(f, tuple(prod) + (0,) * (n - len(prod)))
 
     __rmul__ = __mul__
 

@@ -1,11 +1,16 @@
 """Dense univariate polynomials over an arbitrary commutative coefficient ring.
 
 Coefficients are stored lowest degree first.  Any coefficient type works as
-long as it supports +, -, * with itself and with small Python ints; divmod,
-gcd and resultants additionally need / (field coefficients).  Nesting is
-allowed: a Polynomial over Polynomial coefficients is a bivariate
-polynomial.  The zero polynomial has an empty coefficient tuple and degree
-``None`` (a real sentinel, never -1).
+long as it supports +, -, * with itself and with small Python ints; divmod
+and gcd additionally need / (field coefficients).  Nesting is allowed: a
+Polynomial over Polynomial coefficients is a bivariate polynomial.  The zero
+polynomial has an empty coefficient tuple and degree ``None`` (a real
+sentinel, never -1).
+
+Over Q the work is done by the integer kernel below, on int lists over
+Z[T]: products, exact division and the primitive gcd; squarefreeness of k
+is decided on it as gcd(k, k') = 1.  Polynomials over F_p are the plain int
+lists of ``exact.ffield``.
 """
 
 from __future__ import annotations
@@ -351,38 +356,6 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def resultant(f: Polynomial, g: Polynomial):
-    """Resultant of f and g over a coefficient field, by the Euclidean scheme."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    a, b = f, g
-    res = 1
-    sign = 1
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero():
-            return 0 * a.lc
-        if (a.degree * b.degree) % 2 == 1:
-            sign = -sign
-        res = res * b.lc ** (a.degree - r.degree)
-        a, b = b, r
-    # b is a nonzero constant
-    res = res * b.lc**a.degree
-    return sign * res
-
-
-def poly_discriminant(f: Polynomial):
-    """Discriminant via the resultant of f and f'; nonzero iff f is squarefree.
-
-    Rejects constants.
-    """
-    d = f.degree
-    if d is None or d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import BLOCK, BLOCK_BYTES, MAX_COUNTING_FIELD, FFElement, FiniteField
+from .ffield import BLOCK, BLOCK_BYTES, MAX_COUNTING_FIELD, FFElement, FiniteField, _pmod
 
 __all__ = ["BLOCK", "BLOCK_BYTES", "MAX_COUNTING_FIELD", "ZERO", "ZechLog"]
 
@@ -73,19 +73,18 @@ class ZechLog:
     def _times(self, h: FFElement, cols: np.ndarray) -> np.ndarray:
         """Digit columns of h * y for the elements y whose digit columns
         (cols[i] = digit i) are given: an F_p-linear map of the digits."""
-        rows, cur = [], h
-        for _ in range(self.n):
-            rows.append(cur.coeffs)  # h * x^i
-            cur = cur * self.field.x() if self.n > 1 else cur
+        n, p = self.n, self.p
+        rows = [_pmod([0] * i + list(h.coeffs), self.field.modulus, p) for i in range(n)]
+        rows = [r + [0] * (n - len(r)) for r in rows]  # h * x^i: a shift and a reduction
         out = np.empty_like(cols)
-        for j in range(self.n):
+        for j in range(n):
             acc = cols[0] * rows[0][j]
-            for i in range(1, self.n):
+            for i in range(1, n):
                 acc += cols[i] * rows[i][j]
             # acc mod p as acc - (acc // p) p: numpy vectorizes a floor division
             # by a constant, several times faster than np.remainder
-            np.floor_divide(acc, self.p, out=out[j])
-            out[j] *= self.p
+            np.floor_divide(acc, p, out=out[j])
+            out[j] *= p
             np.subtract(acc, out[j], out=out[j])
         return out
 

@@ -23,8 +23,8 @@ from functools import lru_cache
 from math import gcd
 
 from .elliptic import trace
-from .exact import FiniteField, Polynomial, RationalFunction, poly_discriminant, rational_poly
-from .exact.ffield import MAX_COUNTING_FIELD
+from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
+from .exact.ffield import MAX_COUNTING_FIELD, _pgcd, _ptrim
 from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
 from .exact.poly import _int_cyclotomic, _int_divide_out
 
@@ -41,7 +41,9 @@ class SectionPoint:
     y: RationalFunction
 
     def on_curve(self, k: Polynomial) -> bool:
-        return self.x**3 + self.y**3 == RationalFunction(k)
+        """x^3 + y^3 = k over Z[T]: (ae)^3 k_d + (cb)^3 k_d = k_n (be)^3 for
+        x = a/b, y = c/e and k = k_n/k_d.  TypeError outside Q."""
+        return _on_cubic(_HesseModel.from_section(self), *_int_pair(RationalFunction(k)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def build_family() -> FunctionFieldCurve:
     k = rational_poly(63)
     for (a, b, c) in quads:
         k = k * rational_poly(c, b, a)
-    if k.degree != 6 or poly_discriminant(k) == 0:
+    if k.degree != 6 or poly_gcd(k, k.derivative()).degree:
         raise FamilyError("twist polynomial is not squarefree of degree 6")
     p1 = SectionPoint(
         RationalFunction(rational_poly(4, -4, 6)), RationalFunction(rational_poly(5, -5, -3))
@@ -201,14 +203,14 @@ class _HesseModel:
         self.K = [int(c) for c in curve.k.coeffs]
 
     def check(self, *points):
-        for X, Y, Z in points:
-            cubes = _int_add(_int_mul(_int_mul(X, X), X), _int_mul(_int_mul(Y, Y), Y))
-            if cubes != _int_mul(self.K, _int_mul(_int_mul(Z, Z), Z)):
+        for P in points:
+            if not _on_cubic(P, self.K, [1]):
                 raise ValueError("point not on curve")
 
-    def from_section(self, P: SectionPoint | None):
+    @classmethod
+    def from_section(cls, P: SectionPoint | None):
         if P is None:
-            return self.O
+            return cls.O
         (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
         return _int_mul(a, e), _int_mul(c, b), _int_mul(b, e)
 
@@ -236,6 +238,13 @@ class _HesseModel:
         X3 = _int_add(t(X2, X1, Y1), _int_mul(self.K, t(Z1, Y2, Z2)))
         Y3 = _int_add(t(Y1, X2, Y2), _int_mul(self.K, t(Z2, X1, Z1)))
         return X3, [-c for c in Y3], _int_add(t(Y2, Y1, Z1), t(X1, X2, Z2), -1)
+
+
+def _on_cubic(P, kn: list[int], kd: list[int]) -> bool:
+    """(X : Y : Z) over Z[T] satisfies kd (X^3 + Y^3) = kn Z^3."""
+    X, Y, Z = P
+    cubes = _int_add(_int_mul(_int_mul(X, X), X), _int_mul(_int_mul(Y, Y), Y))
+    return _int_mul(kd, cubes) == _int_mul(kn, _int_mul(_int_mul(Z, Z), Z))
 
 
 def section_add(
@@ -356,16 +365,18 @@ def _exp_series(cn: dict[int, int], upto: int) -> list[Fraction]:
 
 
 def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
+    """p does not divide 6 lc(k) disc(k): p >= 5 is prime, p does not divide
+    lc(k), and gcd(k mod p, k' mod p) = 1.  LFunctionError unless k is in Z[T]."""
     from .exact import is_probable_prime
 
+    if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
+        raise LFunctionError("good_prime needs k(T) in Z[T]")
     if not is_probable_prime(p) or p in (2, 3):
         return False
-    if curve.k.lc.numerator % p == 0:
+    k = [int(c) % p for c in curve.k.coeffs]
+    if not k[-1]:
         return False
-    disc = poly_discriminant(curve.k)
-    if disc.denominator % p == 0:
-        raise LFunctionError("discriminant has p in its denominator")
-    return disc.numerator % p != 0
+    return len(_pgcd(k, _ptrim([c % p for c in _deriv(k)]), p)) == 1
 
 
 def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, poly_discriminant, poly_gcd
+from .exact import Polynomial, poly_gcd
 from .function_field import (
     build_family,
     lfunction,
@@ -112,25 +112,22 @@ def _factor_over_q(k: Polynomial) -> list[tuple[Polynomial, int]]:
 def classify_fibers(k: Polynomial) -> list[KodairaFiber]:
     """Kodaira fibers of v^2 = u^3 - 432 k^2 at every bad place.
 
-    k must be squarefree of degree 1..6.  Each irreducible factor gives
-    vA = 2, type IV; the place at infinity is read off the reversed model
-    with the minimal sextic twist, vA = 2(6 - deg k) mod 6.
+    k must be squarefree of degree 1..6, tested as gcd(k, k') = 1 over Z[T].
+    Each irreducible factor gives vA = 2, type IV; the place at infinity is
+    read off the reversed model with the minimal sextic twist,
+    vA = 2(6 - deg k) mod 6.
     """
     d = k.degree
     if d is None or d < 1 or d > 6:
         raise ValueError("need 1 <= deg k <= 6")
-    if poly_discriminant(k) == 0:
-        rep = poly_gcd(k, k.derivative())
+    rep = poly_gcd(k, k.derivative())
+    if rep.degree:
         raise ValueError(f"k is not squarefree; repeated factor {rep.format()}")
     fibers = []
-    for f, mult in _factor_over_q(k):
-        if f.degree == 0:
-            continue
-        if mult != 1:
-            raise ValueError(f"k is not squarefree; repeated factor {f.format()}")
-        vA = 2 * mult
-        sym, m, e, cond = KODAIRA_J0[vA]
-        fibers.append(KodairaFiber(Place(f), vA, sym, m, e, cond))
+    sym, m, e, cond = KODAIRA_J0[2]
+    for f, _ in _factor_over_q(k):  # every multiplicity is 1
+        if f.degree:
+            fibers.append(KodairaFiber(Place(f), 2, sym, m, e, cond))
     v_inf = (2 * (6 - d)) % 6
     if v_inf:
         sym, m, e, cond = KODAIRA_J0[v_inf]

@@ -1,10 +1,11 @@
 """Tests for the exact arithmetic substrate.
 
 Derived expected values are recomputed by independent oracles (sympy
-factorization/discriminants, hand recurrences, direct enumeration) rather
-than trusted from the implementation under test.
+factorization, hand recurrences, direct enumeration) rather than trusted
+from the implementation under test.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from class_oracle import power_walk_classes
 from twocubes.exact import (
@@ -26,7 +29,6 @@ from twocubes.exact import (
     cubefree_part,
     cyclotomic,
     factorize,
-    poly_discriminant,
     poly_gcd,
     prime_field,
     rational_poly,
@@ -85,6 +87,23 @@ def test_cubefree_of_a_product_matches_whole():
         cubefree_part(3, 0)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=1, max_size=4),
+    st.integers(-40, 40).filter(bool),
+)
+def test_cubefree_part_reconstructs_signed_products(parts, cube):
+    """n = d c^3 with c >= 1, no p^3 dividing d and d of the sign of n, for a
+    product of signed integers with a planted cube factor."""
+    parts = parts + [cube] * 3
+    n = math.prod(parts)
+    d, c = cubefree_part(*parts)
+    assert d * c**3 == n and c >= 1
+    assert (d < 0) == (n < 0)
+    primes_of_n = set().union(*(sympy.factorint(abs(x)) for x in parts))
+    assert all(d % p**3 for p in primes_of_n)
+
+
 def test_primary_prime():
     for p in sympy.primerange(5, 3000):
         if p % 3 == 1:
@@ -115,37 +134,6 @@ def test_factorize_matches_sympy():
 
 
 # -- polynomials ----------------------------------------------------------------
-
-
-def _sympy_disc(f: Polynomial):
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(f.coeffs))
-    return Fraction(str(sympy.discriminant(expr, x)))
-
-
-@pytest.mark.parametrize(
-    "coeffs,expected",
-    [((1, 1, 1), Fraction(-3)), ((3, -3, 1), Fraction(-3)), ((1, -2, 1), Fraction(0))],
-)
-def test_discriminant_examples(coeffs, expected):
-    f = rational_poly(*coeffs)
-    assert _sympy_disc(f) == expected
-    assert poly_discriminant(f) == expected
-
-
-def test_discriminant_random_vs_sympy():
-    rng = random.Random(11)
-    for _ in range(40):
-        deg = rng.randint(1, 5)
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)]
-        coeffs.append(Fraction(rng.randint(1, 9)))
-        f = Polynomial(tuple(coeffs))
-        assert poly_discriminant(f) == _sympy_disc(f)
-
-
-def test_discriminant_rejects_constants():
-    with pytest.raises(ValueError):
-        poly_discriminant(rational_poly(5))
 
 
 def test_polynomial_ring_laws():

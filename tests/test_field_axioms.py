@@ -1,13 +1,17 @@
 """Field axioms of FFElement arithmetic over F_17, F_{13^2}, F_{7^3} and F_{5^4}.
 
 Ring laws and Fermat's little theorem on derandomized samples; inverses
-for every nonzero element.
+for every nonzero element.  Products in every field the L-functions count
+over are checked against the plain-int reduction of tests/enumeration.py.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumeration import _mulmod, _reducer
 from twocubes.exact import FiniteField
 
 FIELDS = [FiniteField(17), FiniteField(13, 2), FiniteField(7, 3), FiniteField(5, 4)]
@@ -49,3 +53,20 @@ def test_every_nonzero_element_is_invertible(F):
         assert x * x.inverse() == one
     with pytest.raises(ZeroDivisionError):
         F.zero().inverse()
+
+
+# (p, n) of every field counted for L mod 5 (with --direct), 11, 13 and 17
+COUNTED = [(5, n) for n in range(1, 9)] + [(p, n) for p in (11, 13, 17) for n in range(1, 7)]
+
+
+def test_products_match_the_enumeration_oracle():
+    rng = random.Random(5)
+    for p, n in COUNTED:
+        F = FiniteField(p, n)
+        rows = _reducer(F.modulus, p)
+        extremes = [F.zero(), F.one(), F.from_index(F.q - 1)]  # the last has all digits p - 1
+        pairs = [(a, b) for a in extremes for b in extremes]
+        pairs += [(F.from_index(rng.randrange(F.q)), F.from_index(rng.randrange(F.q)))
+                  for _ in range(20)]
+        for a, b in pairs:
+            assert (a * b).coeffs == _mulmod(a.coeffs, b.coeffs, rows, p), (p, n, a, b)

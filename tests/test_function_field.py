@@ -201,6 +201,14 @@ def test_section_arithmetic_stays_on_curve(family):
     assert section_add(family, family.p1, SectionPoint(family.p1.y, family.p1.x)) is None
 
 
+def test_on_curve_clears_the_denominator_of_k(family):
+    half = SectionPoint(family.p1.x * Fraction(1, 2), family.p1.y * Fraction(1, 2))
+    assert half.on_curve(family.k * Fraction(1, 8))
+    assert not half.on_curve(family.k)
+    assert not family.p1.on_curve(family.k * Fraction(1, 8))
+    assert not SectionPoint(family.p1.x + 1, family.p1.y).on_curve(family.k)
+
+
 def test_multiples_of_the_identity_are_the_identity(family):
     # the identity is the point (1 : -1 : 0), so a negative n needs no branch for it
     for n in (-3, -1, 0, 1, 2):
@@ -298,6 +306,11 @@ def test_good_prime_screen(family):
     assert not good_prime(family, 7)  # divides lc(k) = 189
     assert not good_prime(family, 3)
     assert not good_prime(family, 15)
+    rational = FunctionFieldCurve(
+        family.k * Fraction(1, 8), family.k_quadratics, family.k_unit, family.p1, family.p2
+    )
+    with pytest.raises(LFunctionError, match="Z\\[T\\]"):
+        good_prime(rational, 17)
 
 
 def test_fiber_trace_sum_supersingular_zero(family):

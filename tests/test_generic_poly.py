@@ -1,9 +1,10 @@
 """Property tests for Polynomial over coefficient fields other than Q.
 
 F_17, F_{5^2} and Q(omega) coefficients take the generic branches of
-divmod and poly_gcd, which serve the finite-field code and the Q(omega)
-oracle: division with remainder reassembles its input, and the gcd divides
-both inputs and contains a planted common factor.
+divmod and poly_gcd.  They serve only the Q(omega) oracle and these tests
+(the finite fields compute gcds with the int-list `_pgcd` of exact.ffield):
+division with remainder reassembles its input, and the gcd divides both
+inputs and contains a planted common factor.
 """
 
 from fractions import Fraction

@@ -1,12 +1,14 @@
 """Tests for fiber classification, the K3 criterion, and Shioda-Tate."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from twocubes.exact import Polynomial, rational_poly
-from twocubes.function_field import build_family, lfunction
+from twocubes.function_field import build_family, good_prime, lfunction
 from twocubes.surface import (
     KodairaFiber,
     Place,
@@ -73,6 +75,50 @@ def test_classify_rejects_non_squarefree():
     k = rational_poly(0, 0, 1) * rational_poly(1, 0, 0, 0, 1)  # T^2 (T^4 + 1)
     with pytest.raises(ValueError, match="squarefree"):
         classify_fibers(k)
+
+
+def _random_k(rng, x):
+    """Integer coefficients (low first) of a random k of degree 1..6; about a
+    third of those of degree >= 2 carry a planted square factor."""
+
+    def rand(deg):
+        return sum(rng.randint(-9, 9) * x**i for i in range(deg)) + rng.randint(1, 9) * x**deg
+
+    deg = rng.randint(1, 6)
+    if deg >= 2 and rng.random() < 1 / 3:
+        s = rng.randint(1, deg // 2)
+        expr = rand(s) ** 2 * rand(deg - 2 * s)
+    else:
+        expr = rand(deg)
+    return [int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+
+
+def test_squarefree_decisions_match_sympy_discriminant():
+    """classify_fibers refuses exactly the k with disc(k) = 0, naming the monic
+    gcd(k, k') as sympy computes it, and good_prime(p) is p not dividing
+    6 lc(k) disc(k) for every prime p < 500."""
+    rng, x = random.Random(11), sympy.Symbol("x")
+    family = build_family()
+    small = list(sympy.primerange(2, 500))
+    cases = [_random_k(rng, x) for _ in range(60)] + [[int(c) for c in family.k.coeffs]]
+    refused = 0
+    for coeffs in cases:
+        expr = sum(c * x**i for i, c in enumerate(coeffs))
+        disc = int(sympy.discriminant(expr, x))
+        k = Polynomial(tuple(Fraction(c) for c in coeffs))
+        if disc == 0:
+            rep = sympy.Poly(sympy.gcd(expr, sympy.diff(expr, x)), x).monic()
+            rep = Polynomial(tuple(Fraction(str(c)) for c in reversed(rep.all_coeffs())))
+            with pytest.raises(ValueError) as err:
+                classify_fibers(k)
+            assert str(err.value) == f"k is not squarefree; repeated factor {rep.format()}"
+            refused += 1
+        else:
+            classify_fibers(k)
+        curve = replace(family, k=k)
+        bad = 6 * coeffs[-1] * disc
+        assert [good_prime(curve, p) for p in small] == [bad % p != 0 for p in small]
+    assert 10 <= refused <= 30, refused
 
 
 def test_classify_rejects_bad_degrees():
