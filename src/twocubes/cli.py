@@ -33,7 +33,7 @@ from .elliptic import (
     count_points,
     hesse_to_weierstrass,
 )
-from .exact import FiniteField, Polynomial, rational_poly
+from .exact import FiniteField, Polynomial, factor_over_z, rational_poly
 from .function_field import (
     build_family,
     lfunction,
@@ -311,18 +311,27 @@ def _run_ff_lfunction(args) -> dict:
 
 
 def _factor_l(L) -> list[dict]:
-    import sympy
-
-    u = sympy.Symbol("u")
-    expr = sum(c * u**i for i, c in enumerate(L.coeffs))
-    content, factors = sympy.Poly(expr, u).factor_list()
-    out = []
-    if content != 1:
-        out.append({"factor": [str(content)], "multiplicity": 1})
-    for f, mult in sorted(factors, key=lambda fm: (sympy.degree(fm[0], u), str(fm[0]))):
-        coeffs = [str(c) for c in reversed(sympy.Poly(f, u).all_coeffs())]
-        out.append({"factor": coeffs, "multiplicity": int(mult)})
+    """The content of L(u) unless it is 1, then its irreducible factors over Z,
+    ordered by degree and then by their printed form (_poly_str)."""
+    content, factors = factor_over_z(L.coeffs)
+    out = [] if content == 1 else [{"factor": [str(content)], "multiplicity": 1}]
+    for f, mult in sorted(factors, key=lambda fm: (len(fm[0]), _poly_str(fm[0]))):
+        out.append({"factor": [str(c) for c in f], "multiplicity": mult})
     return out
+
+
+def _poly_str(f: list[int]) -> str:
+    """f in u as sympy prints a Poly over ZZ, "Poly(169*u**2 + 13*u + 1, u, domain='ZZ')";
+    the factor order of the JSON report is defined on this form."""
+    terms = []
+    for i in range(len(f) - 1, -1, -1):
+        if f[i]:
+            mono = "" if i == 0 else "u" if i == 1 else f"u**{i}"
+            c = abs(f[i])
+            body = mono if mono and c == 1 else f"{c}*{mono}" if mono else str(c)
+            terms.append(("- " if f[i] < 0 else "+ ") + body)
+    sign = "-" if f[-1] < 0 else ""
+    return f"Poly({sign}{' '.join(terms)[2:]}, u, domain='ZZ')"
 
 
 def _run_ff_differentials(args) -> dict:

@@ -5,7 +5,7 @@ rational functions and finite fields.  The numpy class-table kernel,
 from .eisenstein import OMEGA, Eisenstein
 from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes
-from .poly import Polynomial, cyclotomic, poly_gcd, rational_poly
+from .poly import Polynomial, cyclotomic, factor_over_z, poly_gcd, rational_poly
 from .ratfunc import RationalFunction, series_expand
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "RationalFunction",
     "cubefree_part",
     "cyclotomic",
+    "factor_over_z",
     "factorize",
     "icbrt",
     "is_probable_prime",

@@ -21,8 +21,8 @@ BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
 MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
 MAX_COUNTING_FIELD = MEMORY_BUDGET - BLOCK_BYTES
 
-# -- bare int-list polynomial arithmetic mod p: the Rabin test, FFElement products --
-# -- and the rows of the class-table build ------------------------------------------
+# -- bare int-list polynomial arithmetic mod p: the Rabin test, FFElement products, --
+# -- the rows of the class-table build and the modular steps of factor_over_z -------
 
 
 def _ptrim(cs: list[int]) -> list[int]:
@@ -50,15 +50,24 @@ def _pmul(a, b, p: int) -> list[int]:
     return [z >> w * k & mask for k in range(len(a) + len(b) - 1)]
 
 
-def _pmod(a, m, p: int) -> list[int]:
+def _ptail(m) -> list[tuple[int, int]]:
+    """The nonzero lower coefficients of a monic m as (i, m_i) pairs: all that
+    a reduction by m reads of it."""
+    return [(i, c) for i, c in enumerate(m[:-1]) if c]
+
+
+def _pmod(a, m, p: int, tail=None) -> list[int]:
     """a mod the monic m over F_p, for any integer coefficients of a.
 
     Only the nonzero lower coefficients of m are subtracted, and each
-    coefficient is reduced mod p once, at the end.
+    coefficient is reduced mod p once, at the end.  A caller that reduces by
+    one m many times passes its _ptail once computed.  Like _pmul it never
+    inverts, so it also works mod a prime power (the Hensel lifting of
+    exact.poly runs on both).
     """
     a = list(a)
     dm = len(m) - 1
-    low = [(i, c) for i, c in enumerate(m[:-1]) if c]
+    low = tail if tail is not None else _ptail(m)
     for top in range(len(a) - 1, dm - 1, -1):
         c = a[top] % p
         if c:
@@ -67,25 +76,41 @@ def _pmod(a, m, p: int) -> list[int]:
     return _ptrim([c % p for c in a[:dm]])
 
 
+def _pquo(a, m, p: int) -> list[int]:
+    """The quotient of a by the monic m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    q = [0] * max(len(a) - dm, 0)
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = q[top - dm] = a[top] % p
+        if c:
+            for i in range(dm):
+                a[top - dm + i] -= c * m[i]
+    return q
+
+
+def _pmonic(a: list[int], p: int) -> list[int]:
+    """The nonzero a scaled to leading coefficient 1 over F_p."""
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of trimmed a and b."""
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [c * inv % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _pmod(a, _pmonic(b, p), p)
+    return _pmonic(a, p) if a else a
 
 
-def _ppow_x(e: int, m: list[int], p: int) -> list[int]:
-    """x**e mod m."""
+def _ppow(a: list[int], e: int, m, p: int) -> list[int]:
+    """a**e mod the monic m over F_p."""
+    tail = _ptail(m)
     result = [1]
-    base = _pmod([0, 1], m, p)
+    base = _pmod(a, m, p, tail)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = _pmod(_pmul(result, base, p), m, p, tail)
+        base = _pmod(_pmul(base, base, p), m, p, tail)
         e >>= 1
     return result
 
@@ -97,11 +122,11 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     if n == 1:
         return True
-    xpn = _ppow_x(p**n, f, p)
+    xpn = _ppow([0, 1], p**n, f, p)
     if _ptrim([(c - x) % p for c, x in itertools.zip_longest(xpn, [0, 1], fillvalue=0)]):
         return False
     for r in factorize(n):
-        xq = _ppow_x(p ** (n // r), f, p)
+        xq = _ppow([0, 1], p ** (n // r), f, p)
         h = _ptrim([(c - x) % p for c, x in itertools.zip_longest(xq, [0, 1], fillvalue=0)])
         if len(_pgcd(list(f), h, p)) != 1:
             return False
@@ -124,7 +149,8 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^n} = F_p[x]/(m) with m = smallest_irreducible(p, n), always; construct
     elements with field(value) or field.from_index(i).  Products for n > 1 are
-    _pmul followed by _pmod, the kernel of the Rabin test."""
+    _pmul followed by _pmod, the kernel of the Rabin test, with the tail of
+    the modulus computed once per field."""
 
     def __init__(self, p: int, n: int = 1):
         if not is_probable_prime(p):
@@ -135,6 +161,7 @@ class FiniteField:
         self.n = n
         self.q = p**n
         self.modulus = smallest_irreducible(p, n)
+        self._tail = _ptail(self.modulus)  # read by every product
         self._generator = None
 
     # -- element construction ---------------------------------------------
@@ -290,7 +317,7 @@ class FFElement:
         p, n = f.p, f.n
         if n == 1:
             return FFElement(f, (self.coeffs[0] * o.coeffs[0] % p,))
-        prod = _pmod(_pmul(self.coeffs, o.coeffs, p), f.modulus, p)
+        prod = _pmod(_pmul(self.coeffs, o.coeffs, p), f.modulus, p, f._tail)
         return FFElement(f, tuple(prod) + (0,) * (n - len(prod)))
 
     __rmul__ = __mul__

@@ -9,14 +9,20 @@ sentinel, never -1).
 
 Over Q the work is done by the integer kernel below, on int lists over
 Z[T]: products, exact division and the primitive gcd; squarefreeness of k
-is decided on it as gcd(k, k') = 1.  Polynomials over F_p are the plain int
-lists of ``exact.ffield``.
+is decided on it as gcd(k, k') = 1, and ``factor_over_z`` factors on it by
+Zassenhaus.  Polynomials over F_p are the plain int lists of ``exact.ffield``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, count
+from math import gcd, isqrt, lcm
+from random import Random
+
+from .ffield import _pgcd, _pmod, _pmonic, _pmul, _ppow, _pquo, _ptrim
+from .numbers import is_probable_prime
 
 
 class Polynomial:
@@ -206,8 +212,6 @@ def _is_rational_poly(f: Polynomial) -> bool:
 
 def _cleared(*polys: Polynomial) -> list[list[int]]:
     """Integer coefficient lists of rational polys times the lcm of all their denominators."""
-    from math import lcm
-
     den = lcm(*(c.denominator for f in polys for c in f.coeffs))
     return [[c.numerator * (den // c.denominator) for c in f.coeffs] for f in polys]
 
@@ -220,6 +224,10 @@ def _int_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _int_deriv(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 # Shorter factor length from which one packed big-int product beats schoolbook.
@@ -298,8 +306,6 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     Each step is a*(lb/g) - (c/g)*x^s*b with g = gcd(c, lb), a scaled-down
     pseudo-remainder step.
     """
-    from math import gcd
-
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -320,8 +326,6 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _primitive(a: list[int]) -> list[int]:
-    from math import gcd
-
     g = gcd(*a)
     return [c // g for c in a] if g > 1 else a
 
@@ -373,3 +377,155 @@ def _int_cyclotomic(m: int) -> tuple[int, ...]:
 def cyclotomic(m: int) -> Polynomial:
     """The m-th cyclotomic polynomial over Q."""
     return Polynomial(tuple(Fraction(c) for c in _int_cyclotomic(m)))
+
+
+# -- factorization over Z: Zassenhaus (Cohen, GTM 138, 3.5; Knuth, TAOCP 2, 4.6.2) --
+
+
+def factor_over_z(f: list[int]) -> tuple[int, list[tuple[list[int], int]]]:
+    """(c, [(g, m), ...]) with f = c * prod g^m over Z, every g primitive and
+    irreducible with a positive leading coefficient, sorted by (degree, coefficients).
+
+    c is the content of f with the sign of its leading coefficient.  Each
+    part of the squarefree decomposition is factored mod a small prime p,
+    lifted mod p^k and recombined; a factor is accepted only when it divides
+    exactly over Z, so a wrong lift can never yield a wrong factor.
+    """
+    f = _ptrim(list(f))
+    if not f:
+        raise ValueError("the zero polynomial has no factorization")
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    out = []
+    for part, m in _yun([x // c for x in f]):
+        out += [(g, m) for g in _zassenhaus(part)]
+    return c, sorted(out, key=lambda gm: (len(gm[0]), gm[0]))
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive f with lc > 0: the
+    nonconstant a_i with f = prod a_i^i, each primitive and squarefree.
+
+    Every divisor is a primitive gcd, so by Gauss's lemma every division is
+    exact over Z.
+    """
+    df = _int_deriv(f)
+    if not df:
+        return []
+    b = _int_gcd(f, df)
+    c, d = _int_exact_div(f, b), _int_exact_div(df, b)
+    out, i = [], 1
+    while len(c) > 1:
+        d = _int_add(d, _int_deriv(c), -1)
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c, d, i = _int_exact_div(c, a), _int_exact_div(d, a), i + 1
+    return out
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors over Z of a primitive squarefree f with lc > 0."""
+    if len(f) <= 2:
+        return [f]
+    p = 5  # the smallest prime >= 5 keeping the degree and squarefreeness of f
+    df = _int_deriv(f)
+    while f[-1] % p == 0 or len(_pgcd([c % p for c in f], _ptrim([c % p for c in df]), p)) > 1:
+        p = next(q for q in count(p + 2, 2) if is_probable_prime(q))
+    gs = _factor_mod_p(_pmonic([c % p for c in f], p), p, Random(0))
+    if len(gs) == 1:
+        return [f]
+    lifted, pk = _hensel_lift(f, gs, p, 2 * _mignotte(f))
+    return _recombine(f, lifted, pk)
+
+
+def _factor_mod_p(f: list[int], p: int, rng: Random) -> list[list[int]]:
+    """Monic irreducible factors of a monic squarefree f over F_p, p odd:
+    distinct-degree, then Cantor-Zassenhaus equal-degree factorization."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):  # an f of degree < 2(d + 1) is irreducible
+        d += 1
+        h = _ppow(h, p, f, p)  # x^(p^d) mod f
+        g = _pgcd(f, [c % p for c in _int_add(h, [0, -1])], p)
+        if len(g) > 1:
+            out += _equal_degree(g, d, p, rng)
+            f = _pquo(f, g, p)
+            h = _pmod(h, f, p)
+    return out + [f] if len(f) > 1 else out
+
+
+def _equal_degree(g: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
+    """Split a monic g whose irreducible factors all have degree d."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        r = _ptrim([rng.randrange(p) for _ in range(len(g) - 1)])
+        s = _ppow(r, (p**d - 1) // 2, g, p)
+        h = _pgcd(g, [c % p for c in _int_add(s, [-1])], p)
+        if 1 < len(h) < len(g):
+            return _equal_degree(h, d, p, rng) + _equal_degree(_pquo(g, h, p), d, p, rng)
+
+
+def _mignotte(f: list[int]) -> int:
+    """A bound on the coefficients of (lc f / lc g) g for every factor g of f over Z:
+    2^deg f times the Euclidean norm of f (Mignotte)."""
+    return (isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+
+
+def _hensel_lift(f: list[int], gs: list[list[int]], p: int, bound: int):
+    """Monic G_i = g_i mod p with f = lc(f) prod G_i mod m, and m = p^(2^j) > bound.
+
+    Quadratic lifting of all factors at once.  With F = prod G_j and s_i the
+    inverse of F/G_i mod G_i, sum s_i F/G_i = 1 mod m, so the error
+    e = (f - lc(f) F)/m is spread as G_i += m (s_i e / lc(f) mod G_i); each
+    s_i then follows to m^2 by Newton's step s_i (2 - s_i F/G_i).
+    """
+    s = [_ppow(h, p ** (len(g) - 1) - 2, g, p) for g, h in zip(gs, _cofactors(gs, p))]
+    G, m = gs, p
+    while m <= bound:
+        prod = [f[-1]]
+        for g in G:
+            prod = _int_mul(prod, g)
+        lc_inv = pow(f[-1], -1, m)
+        e = [(a - b) // m * lc_inv % m for a, b in zip(f, prod)]
+        G = [_int_add(g, [m * c for c in _pmod(_pmul(si, e, m), g, m)]) for g, si in zip(G, s)]
+        m *= m
+        if m <= bound:  # Newton's step: s_i = 2 s_i - s_i (s_i F/G_i) mod G_i
+            for i, h in enumerate(_cofactors(G, m)):
+                sh = _pmod(_pmul(s[i], h, m), G[i], m)
+                s[i] = _pmod(_int_add([2 * c for c in s[i]], _pmul(s[i], sh, m), -1), G[i], m)
+    return G, m
+
+
+def _cofactors(G: list[list[int]], m: int) -> list[list[int]]:
+    """F/G_i mod (G_i, m) for each i, with F the product of all G_j."""
+    out = []
+    for i, g in enumerate(G):
+        h = [1]
+        for j, gj in enumerate(G):
+            if j != i:
+                h = _pmod(_pmul(h, gj, m), g, m)
+        out.append(h)
+    return out
+
+
+def _recombine(f: list[int], G: list[list[int]], pk: int) -> list[list[int]]:
+    """Zassenhaus recombination: products of subsets of the lifted G, in
+    increasing size, taken in the symmetric range mod p^k and made primitive,
+    each accepted only by exact division of f over Z."""
+    out, size = [], 1
+    while 2 * size <= len(G):
+        for S in combinations(range(len(G)), size):
+            h = [f[-1]]
+            for i in S:
+                h = [(c + pk // 2) % pk - pk // 2 for c in _int_mul(h, G[i])]
+            h = _primitive(h)
+            try:
+                q = _int_exact_div(f, h)
+            except ArithmeticError:
+                continue
+            out.append(h)
+            f, G = q, [g for i, g in enumerate(G) if i not in S]
+            break
+        else:
+            size += 1
+    return out + [f]

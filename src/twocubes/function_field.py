@@ -25,7 +25,7 @@ from math import gcd
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
 from .exact.ffield import MAX_COUNTING_FIELD, _pgcd, _ptrim
-from .exact.poly import _cleared, _int_add, _int_mul, _is_rational_poly
+from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul, _is_rational_poly
 from .exact.poly import _int_cyclotomic, _int_divide_out
 
 
@@ -108,15 +108,11 @@ def pullback_differential(P: SectionPoint) -> HolDifferential:
     Raises TypeError for a section with coefficients outside Q.
     """
     (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
-    wx = _int_add(_int_mul(_deriv(a), b), _int_mul(a, _deriv(b)), -1)
-    wy = _int_add(_int_mul(_deriv(c), e), _int_mul(c, _deriv(e)), -1)
+    wx = _int_add(_int_mul(_int_deriv(a), b), _int_mul(a, _int_deriv(b)), -1)
+    wy = _int_add(_int_mul(_int_deriv(c), e), _int_mul(c, _int_deriv(e)), -1)
     num = _int_add(_int_mul(wx, _int_mul(c, e)), _int_mul(_int_mul(a, b), wy), -1)
     be = _int_mul(b, e)
     return HolDifferential(RationalFunction(Polynomial(num), Polynomial(_int_mul(be, be))))
-
-
-def _deriv(a: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(a)][1:]
 
 
 def _int_pair(f: RationalFunction) -> list[list[int]]:
@@ -376,7 +372,7 @@ def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     k = [int(c) % p for c in curve.k.coeffs]
     if not k[-1]:
         return False
-    return len(_pgcd(k, _ptrim([c % p for c in _deriv(k)]), p)) == 1
+    return len(_pgcd(k, _ptrim([c % p for c in _int_deriv(k)]), p)) == 1
 
 
 def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, poly_gcd
+from .exact import Polynomial, factor_over_z, poly_gcd
+from .exact.poly import _cleared
 from .function_field import (
     build_family,
     lfunction,
@@ -95,16 +96,10 @@ class SurfaceReport:
 
 
 def _factor_over_q(k: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic irreducible factors of k over Q with multiplicities (via sympy)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(k.coeffs))
-    _, factors = sympy.Poly(expr, x).factor_list()
-    out = []
-    for f, mult in factors:
-        coeffs = [Fraction(str(c)) for c in reversed(sympy.Poly(f, x).all_coeffs())]
-        out.append((Polynomial(tuple(coeffs)).monic(), int(mult)))
+    """Monic irreducible factors of k over Q with multiplicities, sorted by
+    (degree, coefficients): the factors over Z of k with its denominators cleared."""
+    _, factors = factor_over_z(_cleared(k)[0])
+    out = [(Polynomial(tuple(map(Fraction, f))).monic(), m) for f, m in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from enumeration import count_by_enumeration
-from twocubes.cli import PolynomialSyntaxError, _parse_poly, main
+from twocubes.cli import PolynomialSyntaxError, _parse_poly, _poly_str, main
 from twocubes.exact import FiniteField, rational_poly
 from twocubes.function_field import build_family
 
@@ -113,6 +114,55 @@ def test_ff_lfunction_cli_p17(capsys):
     assert factors[("1", "17")] == 2
     assert factors[("1", "0", "34", "0", "83521")] == 1
     assert res["arith_bound"] == 2 and res["geom_bound"] == 4
+
+
+# The published order of the factors: by degree, then by printed form.
+GOLDEN_FACTORIZATION = {
+    5: [[["1", "5"], 4], [["-1", "5"], 4]],
+    11: [[["1", "11"], 4], [["-1", "11"], 4]],
+    13: [[["-1", "13"], 4], [["1", "13", "169"], 1], [["1", "1", "169"], 1]],
+    17: [[["1", "17"], 2], [["-1", "17"], 2], [["1", "0", "34", "0", "83521"], 1]],
+}
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_FACTORIZATION))
+def test_ff_lfunction_factorization_order_is_pinned(capsys, p):
+    doc = run_json(capsys, "ff", "lfunction", "--p", str(p))
+    got = [[f["factor"], f["multiplicity"]] for f in doc["results"]["factorization"]]
+    assert got == GOLDEN_FACTORIZATION[p]
+
+
+def test_factor_order_key_matches_sympy_printing():
+    """The order key (degree, printed form) is sympy's (degree, str(Poly)),
+    here on random polynomials that tie in degree."""
+    import sympy
+
+    u, rng = sympy.Symbol("u"), random.Random(5)
+    polys = [[rng.choice((-1, 0, 1, rng.randint(-300, 300))) for _ in range(rng.randint(1, 4))]
+             + [rng.choice((-1, 1, rng.randint(1, 400)))] for _ in range(200)]
+    for f in polys:
+        assert _poly_str(f) == str(sympy.Poly(list(reversed(f)), u))
+    ours = sorted(polys, key=lambda f: (len(f), _poly_str(f)))
+    theirs = sorted(polys, key=lambda f: (len(f), str(sympy.Poly(list(reversed(f)), u))))
+    assert ours == theirs
+
+
+def test_lfunction_and_surface_never_import_sympy():
+    """The factorizations run in-house, also under python -O."""
+    script = (
+        "import sys\n"
+        "from twocubes.cli import dispatch\n"
+        "for argv in (['ff', 'lfunction', '--p', '17'], ['ff', 'rank'], ['surface', 'analyze'],\n"
+        "             ['surface', 'analyze', '--k', 'T^6 - 1']):\n"
+        "    assert dispatch(argv)[0].status == 'ok', argv\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert out.stdout.strip() == "False", flags
 
 
 def test_ff_lfunction_cli_refuses_oversized_field_at_once(capsys):
