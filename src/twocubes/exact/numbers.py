@@ -1,8 +1,10 @@
 """Integer utilities: primality, factorization, cube-free decomposition.
 
-Everything is exact and deterministic.  Factorization is trial division up
-to 2**20, deterministic Miller-Rabin on what remains, perfect-power
-extraction, and a seeded Brent-rho splitter for stubborn composites.
+Everything is exact and deterministic.  Factorization is trial division by
+the primes below 2**16 (one small sieve, built once), deterministic
+Miller-Rabin on what remains, perfect-power extraction, and a seeded
+Brent-rho splitter for stubborn composites: what trial division leaves has
+no prime factor below 2**16.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
-TRIAL_BOUND = 1 << 20
+TRIAL_BOUND = 1 << 16
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

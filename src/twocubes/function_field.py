@@ -10,9 +10,12 @@ resulting vectors bounds the rank from below.  The CM map
 omega^2 = -1 - omega, so lambda([omega]P) = omega^2 lambda(P): the
 CM-extended rank comes from rational rows alone, (w, 0) and (-w, -w) in the
 basis (1, omega).  The upper bound comes from
-the degree-8 L-polynomial of the reduction mod p, assembled from fiber
-trace sums c_n and the functional-equation closure of its inverse roots
-under g -> p^2/g, then re-verified against independently counted c_n.
+the L-polynomial of the reduction mod p, of degree 2(number of geometric
+bad fibers) - 4 (8 for the family), assembled from fiber trace sums c_n
+and the functional-equation closure of its inverse roots under
+g -> p^2/g, then re-verified against independently counted c_n.  Every
+reader takes k itself: the sweep factors k mod p, so any squarefree k in
+Z[T] whose factors mod p split in the counted fields has the same path.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from random import Random
 
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
-from .exact.ffield import MAX_COUNTING_FIELD, _pgcd, _ptrim
+from .exact.ffield import MAX_COUNTING_FIELD, _pgcd, _pmonic, _ptrim
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul, _is_rational_poly
-from .exact.poly import _int_cyclotomic, _int_divide_out
+from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
 
 class FamilyError(Exception):
@@ -58,11 +62,9 @@ class HolDifferential:
 
 @dataclass(frozen=True)
 class FunctionFieldCurve:
-    """X^3 + Y^3 = k(T) with deg k = 6 squarefree, plus its Weierstrass model."""
+    """X^3 + Y^3 = k(T) with two sections, plus its Weierstrass model."""
 
     k: Polynomial
-    k_quadratics: tuple[tuple[int, int, int], ...]  # (a, b, c) per quadratic factor
-    k_unit: int
     p1: SectionPoint
     p2: SectionPoint
 
@@ -79,9 +81,8 @@ def build_family() -> FunctionFieldCurve:
     a transcription slip fails loudly here.  The family is a constant, so
     it is built and checked once per process.
     """
-    quads = ((3, -3, 1), (1, 1, 1), (1, -3, 3))
     k = rational_poly(63)
-    for (a, b, c) in quads:
+    for (a, b, c) in ((3, -3, 1), (1, 1, 1), (1, -3, 3)):
         k = k * rational_poly(c, b, a)
     if k.degree != 6 or poly_gcd(k, k.derivative()).degree:
         raise FamilyError("twist polynomial is not squarefree of degree 6")
@@ -94,7 +95,7 @@ def build_family() -> FunctionFieldCurve:
     for name, sec in (("P1", p1), ("P2", p2)):
         if not sec.on_curve(k):
             raise FamilyError(f"section {name} is not on the curve")
-    return FunctionFieldCurve(k, quads, 63, p1, p2)
+    return FunctionFieldCurve(k, p1, p2)
 
 
 def pullback_differential(P: SectionPoint) -> HolDifferential:
@@ -315,7 +316,8 @@ class LFunctionError(Exception):
 
 @dataclass(frozen=True)
 class LPolynomial:
-    """L(u) = sum coeffs[i] u^i of degree 8, with the c_n actually counted."""
+    """L(u) = sum coeffs[i] u^i of degree D = 2(number of geometric bad fibers) - 4,
+    with the c_n actually counted."""
 
     p: int
     coeffs: tuple[int, ...]
@@ -341,10 +343,9 @@ class LPolynomial:
         return [int(c) for c in cs]
 
     def functional_equation_sign(self) -> int:
-        b = self.coeffs
-        p = self.p
+        b, p, D = self.coeffs, self.p, self.degree
         for sign in (1, -1):
-            if all(b[8 - i] == sign * p ** (8 - 2 * i) * b[i] for i in range(0, 4 + 1)):
+            if all(b[D - i] == sign * p ** (D - 2 * i) * b[i] for i in range(D // 2 + 1)):
                 return sign
         raise LFunctionError("no functional-equation sign fits")
 
@@ -360,16 +361,22 @@ def _exp_series(cn: dict[int, int], upto: int) -> list[Fraction]:
     return b
 
 
+def _integral_k(curve: FunctionFieldCurve) -> list[int]:
+    """k as an int list; LFunctionError unless k is in Z[T]."""
+    if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
+        raise LFunctionError("the L-function needs k(T) in Z[T]")
+    return [int(c) for c in curve.k.coeffs]
+
+
 def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     """p does not divide 6 lc(k) disc(k): p >= 5 is prime, p does not divide
     lc(k), and gcd(k mod p, k' mod p) = 1.  LFunctionError unless k is in Z[T]."""
     from .exact import is_probable_prime
 
-    if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
-        raise LFunctionError("good_prime needs k(T) in Z[T]")
+    k = _integral_k(curve)
     if not is_probable_prime(p) or p in (2, 3):
         return False
-    k = [int(c) % p for c in curve.k.coeffs]
+    k = [c % p for c in k]
     if not k[-1]:
         return False
     return len(_pgcd(k, _ptrim([c % p for c in _int_deriv(k)]), p)) == 1
@@ -382,10 +389,12 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     supersingular, and the sum is 0 without any counting.  Otherwise the
     fiber over t has trace traces[log(-432 k(t)^2) mod 6], traces[j] =
     trace(field, g^j) in closed form, and one cubic-class sweep of k(t)
-    over all of F_q counts the fibers of each class; the fiber at infinity
-    comes from the reversed model (v^2 = u^3 - 432 lc(k)^2, good reduction
-    here).  The class table costs q bytes, and fields above its budget are
-    refused.
+    over all of F_q counts the fibers of each class.  The sweep needs every
+    root of k in F_q: the factors of k mod p must be linear, or quadratic
+    with n even, and any other factor is refused.  The fiber at infinity is
+    good exactly when 3 divides deg k, and then comes from the reversed
+    model v^2 = u^3 - 432 lc(k)^2; otherwise it is additive.  The class
+    table costs q bytes, and fields above its budget are refused.
     """
     q = p**n
     if q % 3 == 2:
@@ -394,19 +403,21 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     from .exact import zechlog  # numpy is imported only by the sweeps
 
     field = FiniteField(p, n)
+    k = _ptrim([c % p for c in _integral_k(curve)])
+    roots = []
+    for f in _factor_mod_p(_pmonic(k, p), p, Random(0)):
+        d = len(f) - 1
+        if d > 2 or n % d:
+            raise LFunctionError(
+                f"k has a factor of degree {d} mod {p}, with roots outside F_{p}^{n}")
+        if d == 1:
+            roots.append(field(-f[0]))
+        else:
+            s, mb, half = field.sqrt(f[1] * f[1] - 4 * f[0]), field(-f[1]), field(2).inverse()
+            roots += [(mb + s) * half, (mb - s) * half]
     engine = zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
-    roots = []
-    for (a, b, c) in curve.k_quadratics:
-        s = field.sqrt(field((b * b - 4 * a * c) % p))
-        inv2a = field(2 * a).inverse()
-        mb = field(-b % p)
-        roots.append((mb + s) * inv2a)
-        roots.append((mb - s) * inv2a)
-    lc = curve.k_unit
-    for (a, _, _) in curve.k_quadratics:
-        lc *= a
-    unit = field(lc % p)
+    unit = field(k[-1])
     counts, n_bad = engine.cube_class_counts(unit, roots)
     if n_bad != len(roots):
         raise LFunctionError("repeated roots of k in the counting field")
@@ -414,8 +425,8 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     c_n = 0
     for j in range(3):
         c_n += counts[j] * traces[(l432 + 2 * j) % 6]
-    a_inf = field(-432 % p) * unit * unit
-    c_n += traces[engine.sextic_class(a_inf)]
+    if (len(k) - 1) % 3 == 0:
+        c_n += traces[engine.sextic_class(field(-432) * unit * unit)]
     return c_n
 
 
@@ -425,43 +436,50 @@ def _check_counting_budget(p: int, n: int) -> None:
 
 
 def lfunction(p: int, direct: bool = False) -> LPolynomial:
-    """The degree-8 L-polynomial of the family curve reduced mod p.
-
-    Counts c_1..c_N, N = 6 (N = 8 with direct=True, small p only), completes
-    the coefficients from c_1..c_4 through the functional equation (closure
-    of inverse roots under g -> p^2/g), and keeps the sign whose L
-    reproduces every counted c_n with n >= 5.  A sign ambiguity those cannot
-    settle is an error, never a guess; c_1..c_8 determine L, so direct=True
-    checks the completion against all of it.  Results are cached on
-    (p, bool(direct)), however the call spells them.
-    """
-    return _lfunction(p, bool(direct))
+    """The degree-8 L-polynomial of the family curve reduced mod p, as _lfunction
+    computes it.  Results are cached on (p, bool(direct)), however the call
+    spells them."""
+    return _lfunction(build_family(), p, bool(direct))
 
 
 @lru_cache(maxsize=8)
-def _lfunction(p: int, direct: bool) -> LPolynomial:
-    curve = build_family()
+def _lfunction(curve: FunctionFieldCurve, p: int, direct: bool) -> LPolynomial:
+    """The L-polynomial of X^3 + Y^3 = k(T) reduced mod p, for squarefree k in Z[T].
+
+    Its degree is D = 2(number of geometric bad fibers) - 4 (Grothendieck-
+    Ogg-Shafarevich; every bad fiber here has conductor exponent 2): the
+    deg k roots of k, and infinity when 3 does not divide deg k.  Counts
+    c_1..c_N, N = D/2 + 2 (N = D with direct=True, small p only), completes
+    the coefficients from c_1..c_{D/2} through the functional equation
+    (closure of inverse roots under g -> p^2/g), and keeps the sign whose L
+    reproduces every counted c_n with n > D/2.  A sign ambiguity those
+    cannot settle is an error, never a guess; c_1..c_D determine L, so
+    direct=True checks the completion against all of it.
+    """
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
-    N = 8 if direct else 6
+    deg = curve.k.degree
+    D = 2 * (deg + (deg % 3 != 0)) - 4
+    h = D // 2
+    N = D if direct else h + 2
     _check_counting_budget(p, N)
     cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, N + 1)}
-    b4 = _exp_series(cn, 4)
-    if any(x.denominator != 1 for x in b4):
+    b = _exp_series(cn, h)
+    if any(x.denominator != 1 for x in b):
         raise LFunctionError("counted coefficients are not integral")
-    b4 = [int(x) for x in b4]
+    b = [int(x) for x in b]
     survivors = []
     for sign in (1, -1):
-        if sign == -1 and b4[4] != 0:
-            continue  # b4 = sign * b4 forces b4 = 0 for the minus sign
-        coeffs = tuple(b4 + [sign * p ** (8 - 2 * i) * b4[i] for i in (3, 2, 1, 0)])
+        if sign == -1 and b[h] != 0:
+            continue  # b_h = sign * b_h forces b_h = 0 for the minus sign
+        coeffs = tuple(b + [sign * p ** (D - 2 * i) * b[i] for i in reversed(range(h))])
         L = LPolynomial(p, coeffs, tuple(sorted(cn.items())))
-        if L.power_sum_coefficients(N)[4:] == [cn[n] for n in range(5, N + 1)]:
+        if L.power_sum_coefficients(N)[h:] == [cn[n] for n in range(h + 1, N + 1)]:
             survivors.append(L)
     if len(survivors) > 1:
-        raise LFunctionError(f"functional-equation sign ambiguous after c_5..c_{N}")
+        raise LFunctionError(f"functional-equation sign ambiguous after c_{h + 1}..c_{N}")
     if not survivors:
-        raise LFunctionError(f"functional-equation completion contradicts counted c_5..c_{N}")
+        raise LFunctionError(f"functional-equation completion contradicts counted c_{h + 1}..c_{N}")
     _verify_weil(survivors[0])
     return survivors[0]
 

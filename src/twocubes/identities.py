@@ -8,6 +8,7 @@ emitted, so a mis-transcribed generating function cannot slip through.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -190,24 +191,35 @@ def verify_euler_family(alpha, beta, gamma) -> CubeQuadruple:
 def taxicab_search(bound: int, reps: int = 2) -> list[tuple[int, list[tuple[int, int]]]]:
     """All n <= bound with at least `reps` representations n = a^3 + b^3, 1 <= a <= b.
 
-    Pairs are collected in a sum-indexed hash table; output is ascending in n
-    with representations sorted by the smaller leg.
+    A heap walks the sums in increasing order, one entry (a^3 + b^3, a, b)
+    per smaller leg a, so memory grows as bound^(1/3).  Equal sums leave the
+    heap together, ordered by the smaller leg, and the output is ascending in n.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    sums: dict[int, list[tuple[int, int]]] = {}
+    heap = []
     a = 1
     while 2 * a**3 <= bound:
-        a3 = a**3
-        b = a
-        while a3 + b**3 <= bound:
-            sums.setdefault(a3 + b**3, []).append((a, b))
-            b += 1
+        heap.append((2 * a**3, a, a))  # ascending, so already a heap
         a += 1
-    out = [(n, sorted(ps)) for n, ps in sums.items() if len(ps) >= reps]
-    out.sort()
+    out: list[tuple[int, list[tuple[int, int]]]] = []
+    last, legs = 0, []
+    while heap:
+        n, a, b = heap[0]
+        step = a**3 + (b + 1) ** 3
+        if step <= bound:
+            heapq.heapreplace(heap, (step, a, b + 1))
+        else:
+            heapq.heappop(heap)
+        if n != last:
+            if len(legs) >= reps:
+                out.append((last, legs))
+            last, legs = n, []
+        legs.append((a, b))
+    if len(legs) >= reps:
+        out.append((last, legs))
     return out
 
 

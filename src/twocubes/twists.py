@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .elliptic import (
     CubicTwistCurve,
@@ -22,7 +23,8 @@ from .elliptic import (
     subgroup_is_cyclic,
     torsion_order_bound,
 )
-from .exact import cubefree_part, prime_field, primes
+from .exact import Polynomial, cubefree_part, factor_over_z, prime_field, primes
+from .exact.poly import _cleared
 from .function_field import FunctionFieldCurve, build_family
 
 
@@ -98,9 +100,10 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
 
     Rational t = a/b is cleared by b^6: points scale by b^2, then both
     coordinates are divided by the cube factor c of k(t) b^6, so the
-    record's points sit exactly on X^3 + Y^3 = d with d cube-free.  The
-    decomposition factors the unit and the homogenized quadratic values
-    q_i(a, b) one by one, never their product.
+    record's points sit exactly on X^3 + Y^3 = d with d cube-free.  With
+    k = c_0 prod g over Z, k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and
+    the decomposition factors those homogenized factor values one by one,
+    never their product.
     """
     fam = family or build_family()
     t = Fraction(t)
@@ -108,11 +111,13 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     if k_t == 0:
         raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
     a, b = t.numerator, t.denominator
-    parts = [fam.k_unit]
-    parts += [qa * a * a + qb * a * b + qc * b * b for qa, qb, qc in fam.k_quadratics]
-    d, c = cubefree_part(*parts) if 0 not in parts else (0, 1)
+    content, factors = _factors(fam.k)
+    parts = [content, b ** (6 - fam.k.degree)]
+    for g in factors:
+        parts.append(sum(gi * a**i * b ** (len(g) - 1 - i) for i, gi in enumerate(g)))
+    d, c = cubefree_part(*parts)
     if d * c**3 != k_t * b**6:
-        raise SpecializationError(f"k({t}) b^6 is not the product of the family's factors")
+        raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
     scale = Fraction(b * b, c)
     pts = []
     for sec in (fam.p1, fam.p2):
@@ -122,6 +127,14 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
         pts.append(Point(x, y))
     return TwistRecord(t, k_t, d, pts[0], pts[1])
+
+
+@lru_cache(maxsize=8)
+def _factors(k: Polynomial) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The content of k and its irreducible factors over Z, each repeated by
+    its multiplicity; factored once per k, not once per t."""
+    content, factors = factor_over_z(_cleared(k)[0])
+    return content, tuple(tuple(g) for g, m in factors for _ in range(m))
 
 
 def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> CertificateOutcome:

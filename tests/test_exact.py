@@ -133,6 +133,31 @@ def test_factorize_matches_sympy():
         assert factorize(n) == dict(sympy.factorint(n))
 
 
+def test_primes_match_a_plain_sieve_across_the_trial_bound():
+    from twocubes.exact import primes
+    from twocubes.exact.numbers import TRIAL_BOUND
+
+    limit = TRIAL_BOUND + 5000
+    sieve = [True] * limit
+    sieve[:2] = [False, False]
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    expected = [p for p in range(limit) if sieve[p]]
+    gen = primes()
+    assert [next(gen) for _ in expected] == expected
+
+
+def test_factorize_splits_primes_above_the_trial_bound():
+    """A product of two primes in (2^16, 2^20) has no factor for trial
+    division to find, so Miller-Rabin and rho must split it."""
+    rng = random.Random(5)
+    for _ in range(10):
+        p, q = (sympy.nextprime(rng.randrange(2**16, 2**20 - 100)) for _ in range(2))
+        for n in (p * q, rng.randrange(1, 1000) * p * q * q):
+            assert factorize(n) == dict(sympy.factorint(n))
+
+
 # -- polynomials ----------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from twocubes.function_field import (
     HolDifferential,
     LFunctionError,
     LPolynomial,
+    _lfunction,
     _rank,
     build_family,
     fiber_trace_sum,
@@ -250,9 +251,7 @@ def test_jacobian_group_law_matches_affine_oracle(family, m, n):
 
 
 def test_section_arithmetic_needs_integral_k(family):
-    curve = FunctionFieldCurve(
-        family.k * Fraction(1, 8), family.k_quadratics, family.k_unit, family.p1, family.p2
-    )
+    curve = FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
     with pytest.raises(ValueError):
         section_add(curve, curve.p1, curve.p2)
 
@@ -306,9 +305,7 @@ def test_good_prime_screen(family):
     assert not good_prime(family, 7)  # divides lc(k) = 189
     assert not good_prime(family, 3)
     assert not good_prime(family, 15)
-    rational = FunctionFieldCurve(
-        family.k * Fraction(1, 8), family.k_quadratics, family.k_unit, family.p1, family.p2
-    )
+    rational = FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
     with pytest.raises(LFunctionError, match="Z\\[T\\]"):
         good_prime(rational, 17)
 
@@ -396,25 +393,102 @@ def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
         assert F.q < peak <= F.q + temporaries, p
 
 
-def test_c2_against_per_fiber_enumeration(family):
-    """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time,
-    each counted by enumeration (no log tables or closed forms anywhere)."""
-    F = FiniteField(17, 2)
+def _trace_sum_by_enumeration(k, p, n):
+    """c_n one fiber at a time over P^1(F_{p^n}), each counted by enumeration
+    (no log tables, closed forms or factorization of k anywhere)."""
+    F = FiniteField(p, n)
+    a432 = F.element(-432 % p)
     total = 0
     for idx in range(F.q):
         t = F.from_index(idx)
         kt = F.zero()
-        for c in reversed(family.k.coeffs):
-            kt = kt * t + F.element(c.numerator % 17)
-        if kt.is_zero():
-            continue
-        A = F.element(-432 % 17) * kt * kt
-        total += F.q + 1 - count_by_enumeration(F, A)
-    # fiber at infinity: reversed model has A = -432 * lc(k)^2
-    Ainf = F.element(-432 % 17) * F.element(189 % 17) ** 2
-    total += F.q + 1 - count_by_enumeration(F, Ainf)
+        for c in reversed(k.coeffs):
+            kt = kt * t + F.element(int(c) % p)
+        if not kt.is_zero():
+            total += F.q + 1 - count_by_enumeration(F, a432 * kt * kt)
+    if k.degree % 3 == 0:  # the fiber at infinity is good: A = -432 lc(k)^2
+        total += F.q + 1 - count_by_enumeration(F, a432 * F.element(int(k.lc) % p) ** 2)
+    return total
+
+
+def test_c2_against_per_fiber_enumeration(family):
+    """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time."""
+    total = _trace_sum_by_enumeration(family.k, 17, 2)
     assert total == -1088
     assert fiber_trace_sum(family, 17, 2) == total
+
+
+# Squarefree k off the family whose factors mod p split in the counted fields:
+# linear mod 7 and mod 13, and three quadratics irreducible mod 5 (n = 2 only).
+OFF_FAMILY_K = {
+    "deg4": rational_poly(4, 0, -5, 0, 1),  # (T - 1)(T + 1)(T - 2)(T + 2)
+    "deg5": 3 * rational_poly(0, 1) * rational_poly(1, 0, 1) * rational_poly(-6, 1, 1),
+    "deg6": 2 * rational_poly(2, 0, 1) * rational_poly(1, 1, 1) * rational_poly(3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name, p, n", [
+    ("deg4", 7, 1), ("deg4", 7, 2), ("deg5", 13, 1), ("deg5", 13, 2), ("deg6", 5, 2),
+])
+def test_cn_against_per_fiber_enumeration_off_the_family(family, name, p, n):
+    curve = FunctionFieldCurve(OFF_FAMILY_K[name], family.p1, family.p2)
+    assert good_prime(curve, p)
+    assert fiber_trace_sum(curve, p, n) == _trace_sum_by_enumeration(curve.k, p, n)
+
+
+def test_direct_path_agrees_off_the_family(family):
+    """deg k = 4: five bad fibers with infinity, so L has degree 6, and
+    counting c_1..c_6 confirms the completion from c_1..c_3."""
+    curve = FunctionFieldCurve(OFF_FAMILY_K["deg4"], family.p1, family.p2)
+    L = _lfunction(curve, 7, False)
+    assert L.degree == 6 and L.functional_equation_sign() in (1, -1)
+    assert _lfunction(curve, 7, True).coeffs == L.coeffs
+
+
+def test_rational_surfaces_have_the_exact_geometric_bound(family):
+    """For squarefree k of degree 1..3 the surface is rational, rho = 10 over
+    the algebraic closure at every good p, so by Shioda-Tate the geometric
+    rank bound of L is 8 - sum (m_v - 1) at every usable good prime."""
+    from twocubes.surface import classify_fibers
+
+    rng = random.Random(11)
+    seen = 0
+    while seen < 25:
+        deg = rng.randint(1, 3)
+        k = rational_poly(*[rng.randint(-9, 9) for _ in range(deg)], rng.choice([-3, -2, 1, 2]))
+        try:
+            fibers = classify_fibers(k)
+        except ValueError:  # not squarefree
+            continue
+        expected = 8 - sum((f.components - 1) * f.place.degree for f in fibers)
+        curve = FunctionFieldCurve(k, family.p1, family.p2)
+        used = []
+        for p in (5, 7, 11, 13, 17, 19, 23, 29):
+            if not good_prime(curve, p):
+                continue
+            try:
+                L = _lfunction(curve, p, False)
+            except LFunctionError as err:  # a factor of k mod p outside the counted fields
+                assert "factor of degree" in str(err)
+                continue
+            assert L.degree == 2 * (deg + (deg % 3 != 0)) - 4
+            assert rank_bounds(L)[1] == expected, (k, p)
+            used.append(p)
+        assert used, k
+        seen += 1
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_sweep_refuses_a_factor_outside_the_counted_field(family, p):
+    """T^3 - 2 is irreducible mod 7 and mod 13, so its roots lie in F_{p^3}
+    only: c_1 is refused, never counted from a partial root set."""
+    curve = FunctionFieldCurve(rational_poly(-2, 0, 0, 1), family.p1, family.p2)
+    assert good_prime(curve, p)
+    refusal = f"factor of degree 3 mod {p}, with roots outside F_{p}\\^1"
+    with pytest.raises(LFunctionError, match=refusal):
+        fiber_trace_sum(curve, p, 1)
+    with pytest.raises(LFunctionError, match="factor of degree 3"):
+        _lfunction(curve, p, False)
 
 
 def test_lfunction_17_matches_printed_factorization():
@@ -447,7 +521,7 @@ try:
 except LFunctionError:
     print("LFunctionError")
 try:
-    specialize(3, FunctionFieldCurve(2 * fam.k, fam.k_quadratics, 63, fam.p1, fam.p2))
+    specialize(3, FunctionFieldCurve(2 * fam.k, fam.p1, fam.p2))
 except SpecializationError:
     print("SpecializationError")
 """

@@ -120,6 +120,26 @@ def test_taxicab_matches_bruteforce_oracle():
     assert taxicab_search(10**5, 3) == _taxicab_oracle(10**5, 3)
 
 
+def test_taxicab_three_representations_match_the_oracle():
+    found = taxicab_search(10**8, 3)
+    assert found == _taxicab_oracle(10**8, 3)
+    assert found == [(87539319, [(167, 436), (228, 423), (255, 414)])]
+
+
+def test_taxicab_memory_grows_with_the_cube_root_of_the_bound():
+    """The heap holds one entry per smaller leg, about 170 at 10^7; the
+    sum-indexed table it replaced held all 0.6 * 10^7^(2/3) pairs (4 MB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        taxicab_search(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_taxicab_rejects_bad_args():
     with pytest.raises(ValueError):
         taxicab_search(1)

@@ -89,18 +89,39 @@ def test_factor_split_matches_cubefree_part(family):
 
 
 def test_specialize_rejects_inconsistent_factors(family):
-    # k no longer equals unit * product of the listed quadratics
-    from twocubes.exact import rational_poly
+    # the factors come from k itself, so k(t) b^6 always matches them; what can
+    # still disagree with k are the sections: the family's are off
+    # X^3 + Y^3 = 2k, and so off the twist of 2k at every t
     from twocubes.function_field import FunctionFieldCurve
 
-    fake = FunctionFieldCurve(2 * family.k, family.k_quadratics, 63, family.p1, family.p2)
-    with pytest.raises(SpecializationError, match="product"):
+    fake = FunctionFieldCurve(2 * family.k, family.p1, family.p2)
+    with pytest.raises(SpecializationError, match="off the twist"):
         specialize(3, fake)
-    fake = FunctionFieldCurve(
-        rational_poly(1, 0, 1), ((1, 0, -1),), 1, family.p1, family.p2
-    )  # k = T^2 + 1, listed factor T^2 - 1 vanishes at t = 1
-    with pytest.raises(SpecializationError):
-        specialize(1, fake)
+    with pytest.raises(SpecializationError, match="off the twist"):
+        specialize(Fraction(-2, 5), fake)
+
+
+@pytest.mark.parametrize("x, y", [((0, 1), (1,)), ((0, 2), (2,)), ((1, 1), (1, 1))])
+def test_specialize_takes_the_factors_from_k(x, y):
+    """Off the family: k = x^3 + y^3 with sections (x, y) and (y, x), of degree 3,
+    with a content (8T^3 + 8) and with a repeated factor (2(T + 1)^3).  The
+    twist comes from k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and k is
+    factored once for all t."""
+    from twocubes.exact import RationalFunction, rational_poly
+    from twocubes.function_field import FunctionFieldCurve, SectionPoint
+    from twocubes.twists import _factors
+
+    px, py = rational_poly(*x), rational_poly(*y)
+    k = px**3 + py**3
+    X, Y = RationalFunction(px), RationalFunction(py)
+    curve = FunctionFieldCurve(k, SectionPoint(X, Y), SectionPoint(Y, X))
+    misses = _factors.cache_info().misses
+    for t in (Fraction(3), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 9)):
+        r = specialize(t, curve)
+        assert r.d == cubefree_part(int(k(t) * t.denominator**6))[0]
+        for P in (r.p1, r.p2):
+            assert P.x**3 + P.y**3 == r.d
+    assert _factors.cache_info().misses == misses + 1
 
 
 def test_twist_table_0_to_3(family):
@@ -212,7 +233,7 @@ def test_specialize_rejects_roots_of_k():
         from twocubes.exact import rational_poly
 
         k = rational_poly(-1, 0, 0, 0, 0, 0, 1)  # T^6 - 1, vanishes at 1
-        fake = FunctionFieldCurve(k, ((1, 0, -1),), 1, fam.p1, fam.p2)
+        fake = FunctionFieldCurve(k, fam.p1, fam.p2)
         specialize(1, fake)
 
 
