@@ -254,13 +254,6 @@ class FiniteField:
             raise ArithmeticError("square root check failed")
         return root
 
-    def embed_fraction(self, fr) -> "FFElement":
-        """Reduce a rational number mod p; raises if p divides the denominator."""
-        den = fr.denominator
-        if den % self.p == 0:
-            raise ZeroDivisionError(f"denominator divisible by {self.p}")
-        return self.element(fr.numerator) / self.element(den)
-
     def __eq__(self, other):
         # the modulus is a function of (p, n)
         return isinstance(other, FiniteField) and (self.p, self.n) == (other.p, other.n)

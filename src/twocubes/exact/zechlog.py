@@ -32,12 +32,25 @@ exactly when the powers of g^e fill the p - 1 slots of F_p^* (so g^e lies
 in F_p and generates F_p^*) and the coset walk sets every slot of the
 normalized slabs; otherwise the build raises ArithmeticError.
 
-The sweep covers all t in F_q through a low/high digit split:
-packed(t - r) = hi_r[h] + lo_r[l], so each block of t is a broadcast add,
-a gather and a uint8 add per root.
+The sweep counts f(t) = unit prod (t - r)^k over all t = s + mu in F_q,
+mu the mean of the m roots (0 when p divides m).  Subtraction is digit-wise,
+so with the table viewed as rows of high digits by columns of low digits,
+the block of s - r over a run of rows is a row gather and a column gather.
+Each distinct root is gathered once and its class times k taken from a
+byte lookup that keeps ZERO, so a class sum holds at most one ZERO.
+
+The sweep folds s and -s when the roots r - mu are symmetric, {-r} = {r}
+as a multiset (the family's k(1 - T) = k(T) makes them so, mu = 1/2).  Then
+f(mu - s) = (-1)^m f(mu + s), and -1 is a cube since q = 1 mod 6, so s and
+-s have the same class mod 3.  Negation is digit-wise too: row h pairs with
+row -h and (h, l) with (-h, -l).  So row 0 is swept once and, for each
+position j, the rows [p^j, (p + 1)/2 p^j) of leading digit at most
+(p - 1)/2 are swept and counted twice: half the gathers, the same counts.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -207,20 +220,33 @@ class ZechLog:
         if len(roots) > MAX_ROOTS:
             raise ValueError(f"at most {MAX_ROOTS} roots")
         l_unit = self.sextic_class(unit)
-        p, half = self.p, self.n // 2
-        lo_size, hi_size = p**half, p ** (self.n - half)
-        digits = [self.field.element(r).coeffs for r in roots]
-        lo = [self._shifted(np.arange(lo_size), r[:half]) for r in digits]
+        field, p, n = self.field, self.p, self.n
+        half = n // 2
+        lo_size, hi_size = p**half, p ** (n - half)
+        roots = [field.element(r) for r in roots]
+        m = len(roots)
+        mean = sum(roots, field.zero()) / m if m % p else field.zero()
+        mult = Counter(r - mean for r in roots)  # the roots in s = t - mean
+        if all(mult[-r] == k for r, k in mult.items()):
+            # row 0, then each row h != 0 of leading digit <= (p - 1)/2 for itself and -h
+            spans = [(0, 1, 1)] + [(p**j, (p + 1) // 2 * p**j, 2) for j in range(n - half)]
+        else:
+            spans = [(0, hi_size, 1)]
+        times = np.full((MAX_ROOTS + 1, 256), ZERO, dtype=np.uint8)  # k * class mod 6
+        times[:, :6] = np.arange(MAX_ROOTS + 1)[:, None] * np.arange(6) % 6
+        gathers = [(r.coeffs[half:], self._shifted(np.arange(lo_size), r.coeffs[:half]), k)
+                   for r, k in mult.items()]
+        table = self.cls.reshape(hi_size, lo_size)
         rows = max(1, BLOCK // lo_size)
         hist = np.zeros(256, dtype=np.int64)
-        for start in range(0, hi_size, rows):
-            h = np.arange(start, min(start + rows, hi_size))
-            acc = np.zeros((len(h), lo_size), dtype=np.uint8)
-            for r, lo_r in zip(digits, lo):
-                hi_r = self._shifted(h, r[half:])
-                hi_r *= lo_size
-                acc += self.cls[hi_r[:, None] + lo_r]
-            hist += np.bincount(acc.ravel(), minlength=256)
+        for start, stop, weight in spans:
+            for a in range(start, stop, rows):
+                h = np.arange(a, min(a + rows, stop))
+                acc = np.zeros((len(h), lo_size), dtype=np.uint8)
+                for hi_r, lo_r, k in gathers:
+                    block = np.take(table[self._shifted(h, hi_r)], lo_r, axis=1, mode="clip")
+                    acc += block if k == 1 else np.take(times[k], block, out=block)
+                hist += weight * np.bincount(acc.ravel(), minlength=256)
         counts = [0, 0, 0]
         for s in range(ZERO):
             counts[(s + l_unit) % 3] += int(hist[s])

@@ -389,9 +389,13 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     supersingular, and the sum is 0 without any counting.  Otherwise the
     fiber over t has trace traces[log(-432 k(t)^2) mod 6], traces[j] =
     trace(field, g^j) in closed form, and one cubic-class sweep of k(t)
-    over all of F_q counts the fibers of each class.  The sweep needs every
-    root of k in F_q: the factors of k mod p must be linear, or quadratic
-    with n even, and any other factor is refused.  The fiber at infinity is
+    over all of F_q counts the fibers of each class.  When the roots of k
+    mod p are symmetric about their mean c/2, as the family's are about 1/2
+    since k(1 - T) = k(T), the sweep visits one t of each pair t, c - t and
+    counts it twice: k(c - t) = +-k(t) and -1 is a cube, so the pair has one
+    class and the count is exact.  The sweep needs every root of k in F_q:
+    the factors of k mod p must be linear, or quadratic with n even, and
+    any other factor is refused.  The fiber at infinity is
     good exactly when 3 divides deg k, and then comes from the reversed
     model v^2 = u^3 - 432 lc(k)^2; otherwise it is additive.  The class
     table costs q bytes, and fields above its budget are refused.

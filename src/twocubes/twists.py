@@ -103,7 +103,8 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     record's points sit exactly on X^3 + Y^3 = d with d cube-free.  With
     k = c_0 prod g over Z, k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and
     the decomposition factors those homogenized factor values one by one,
-    never their product.
+    never their product.  Above degree 6 that needs b = 1; any other t is
+    refused.
     """
     fam = family or build_family()
     t = Fraction(t)
@@ -111,8 +112,10 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     if k_t == 0:
         raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
     a, b = t.numerator, t.denominator
+    if fam.k.degree > 6 and b > 1:
+        raise SpecializationError(f"deg k = {fam.k.degree} > 6: b^6 leaves a denominator in k({t})")
     content, factors = _factors(fam.k)
-    parts = [content, b ** (6 - fam.k.degree)]
+    parts = [content, b ** max(6 - fam.k.degree, 0)]
     for g in factors:
         parts.append(sum(gi * a**i * b ** (len(g) - 1 - i) for i, gi in enumerate(g)))
     d, c = cubefree_part(*parts)

@@ -10,7 +10,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_oracle import power_walk_classes
+from reduction import embed_fraction
 from twocubes.exact import (
     OMEGA,
     Eisenstein,
@@ -352,9 +355,9 @@ def test_field_inverse_random():
 
 def test_embed_fraction():
     F = FiniteField(11)
-    assert F.embed_fraction(Fraction(1, 2)) == F(6)  # 2*6 = 12 = 1
+    assert embed_fraction(F, Fraction(1, 2)) == F(6)  # 2*6 = 12 = 1
     with pytest.raises(ZeroDivisionError):
-        F.embed_fraction(Fraction(3, 11))
+        embed_fraction(F, Fraction(3, 11))
 
 
 def test_sqrt_every_element():
@@ -444,6 +447,48 @@ def test_class_table_rejects_planted_generators(flags):
     ]
 
 
+@lru_cache(maxsize=None)
+def _cube_roots_of_unity(g):
+    e = (g.field.q - 1) // 3
+    return [(g ** (e * k)).coeffs for k in range(3)]
+
+
+@lru_cache(maxsize=None)
+def _cube_class(v, g):
+    """k with v^((q-1)/3) = (g^((q-1)/3))^k."""
+    return _cube_roots_of_unity(g).index((v ** ((v.field.q - 1) // 3)).coeffs)
+
+
+def _counts_by_evaluation(F, g, unit, roots):
+    """([N_0, N_1, N_2], zeros) by evaluating f(t) = unit * prod (t - r) one t
+    at a time, the class of f(t) read off f(t)^((q-1)/3)."""
+    direct, zeros = [0, 0, 0], 0
+    for t in F.elements():
+        v = unit
+        for r in roots:
+            v = v * (t - r)
+        if v.is_zero():
+            zeros += 1
+        else:
+            direct[_cube_class(v, g)] += 1
+    return direct, zeros
+
+
+def _counts_by_characters(F, g, unit, roots):
+    """The same counts one t at a time through the cubic character, which is
+    multiplicative: f(t) = 0 at a root, and otherwise its class is the sum of
+    the classes of unit and of each t - r.  Cheaper than the products over
+    F_{p^n}, so the fold can be checked on many root sets."""
+    counts, zeros = [0, 0, 0], 0
+    for t in F.elements():
+        diffs = [t - r for r in roots]
+        if any(d.is_zero() for d in diffs):
+            zeros += 1
+        else:
+            counts[sum(_cube_class(d, g) for d in diffs + [unit]) % 3] += 1
+    return counts, zeros
+
+
 @pytest.mark.parametrize("p,n,with_zero", [(13, 3, True), (13, 3, False), (5, 4, True)])
 def test_cube_class_counts_vs_per_t_evaluation(p, n, with_zero):
     """The sweep over all of F_q, t = 0 and t = root included, against
@@ -454,19 +499,97 @@ def test_cube_class_counts_vs_per_t_evaluation(p, n, with_zero):
     idx = rng.sample(range(1, F.q), 5 if with_zero else 6)
     roots = [F.from_index(i) for i in idx] + ([F.zero()] if with_zero else [])
     unit = F.from_index(rng.randrange(1, F.q))
-    omega = z.g ** ((F.q - 1) // 3)
-    power_of = {(omega**k).coeffs: k for k in range(3)}
-    direct, zeros = [0, 0, 0], 0
-    for t in F.elements():
-        v = unit
-        for r in roots:
-            v = v * (t - r)
-        if v.is_zero():
-            zeros += 1
-        else:
-            direct[power_of[(v ** ((F.q - 1) // 3)).coeffs]] += 1
+    direct, zeros = _counts_by_evaluation(F, z.g, unit, roots)
     assert z.cube_class_counts(unit, roots) == (direct, zeros)
     assert zeros == 6
+
+
+FOLD_FIELDS = [(7, 1), (13, 1), (7, 2), (13, 2), (13, 3), (5, 4), (7, 4)]
+
+
+def _root_set(F, case, rng):
+    """A root set of the named shape, with c the centre of its symmetry."""
+    p, q = F.p, F.q
+    c = F.from_index(rng.randrange(p, q) if case == "c outside F_p" else rng.randrange(1, p))
+    pairs = []
+    for _ in range(4):
+        r = F.from_index(rng.randrange(q))
+        pairs.append((r, c - r))
+    if case in ("c in F_p", "c outside F_p"):
+        return [x for pair in pairs[:3] for x in pair]
+    if case == "c/2 a root":  # m = 9, prime to p
+        return [x for pair in pairs for x in pair] + [c / 2]
+    if case == "repeated pair":
+        return [*pairs[0], *pairs[0], *pairs[1]]
+    if case == "not symmetric":
+        return [*pairs[0], *pairs[1], pairs[2][0], pairs[2][1] + 1]
+    # case "p | m": (p - 1)/2 pairs and c/2, symmetric about c != 0, but the
+    # mean is 0/0, so the sweep takes them about 0, where they are not
+    return [x for pair in pairs[: (p - 1) // 2] for x in pair] + [c / 2]
+
+
+FOLD_CASES = [
+    (p, n, case)
+    for p, n in FOLD_FIELDS
+    for case in ("c in F_p", "c outside F_p", "c/2 a root", "repeated pair", "not symmetric",
+                 "p | m")
+    if (case != "c outside F_p" or n > 1) and (case != "p | m" or p < 13)
+]
+
+
+@pytest.mark.parametrize("p,n,case", FOLD_CASES)
+def test_folded_sweep_vs_per_t_evaluation(p, n, case):
+    """The fold of s = t - mean with -s against the per-t evaluation, on root
+    sets that fold (symmetric, c in or outside F_p, c/2 a root, a repeated
+    pair) and on sets that must be swept in full (not symmetric, p | m)."""
+    F = FiniteField(p, n)
+    z = ZechLog(F)
+    rng = random.Random(f"{p} {n} {case}")
+    roots = _root_set(F, case, rng)
+    c = roots[0] + roots[1]
+    assert (Counter(c - r for r in roots) == Counter(roots)) == (case != "not symmetric")
+    assert (len(roots) % p == 0) == (case == "p | m")
+    unit = F.from_index(rng.randrange(1, F.q))
+    assert z.cube_class_counts(unit, roots) == _counts_by_characters(F, z.g, unit, roots)
+
+
+@pytest.mark.parametrize("p,n", [(7, 2), (7, 3), (7, 4)])
+def test_symmetric_roots_sweep_half_the_rows(p, n, monkeypatch):
+    """Row 0 and the rows of leading high digit <= (p - 1)/2, 1 + (H - 1)/2 rows
+    per distinct root, H = p^(n - n//2); all H rows for a set that is not
+    symmetric or whose mean is 0/0."""
+    F = FiniteField(p, n)
+    z = ZechLog(F)
+    rng = random.Random(p + n)
+    lo_size, hi_size = p ** (n // 2), p ** (n - n // 2)
+    shifted = ZechLog._shifted
+    swept = []
+
+    def spy(self, index, r):
+        swept.append(len(index))
+        return shifted(self, index, r)
+
+    monkeypatch.setattr(ZechLog, "_shifted", spy)
+    cases = [("c in F_p", 1 + (hi_size - 1) // 2), ("not symmetric", hi_size), ("p | m", hi_size)]
+    for case, rows in cases:
+        roots = _root_set(F, case, rng)
+        swept.clear()
+        z.cube_class_counts(F(1), roots)
+        assert sum(swept) == len(set(roots)) * (lo_size + rows), case
+
+
+@pytest.mark.parametrize("p,n", [(13, 1), (7, 2), (5, 4)])
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_cube_class_counts_with_root_multiplicity(p, n, k):
+    """A root of multiplicity k enters each class sum once, as k times its
+    class: k ZERO in one uint8 sum would wrap to a cube class at k = 4."""
+    F = FiniteField(p, n)
+    z = ZechLog(F)
+    rng = random.Random(p * k + n)
+    r, other = (F.from_index(i) for i in rng.sample(range(F.q), 2))
+    unit = F.from_index(rng.randrange(1, F.q))
+    for roots in ([r] * k, [r] * k + [other]):
+        assert z.cube_class_counts(unit, roots) == _counts_by_evaluation(F, z.g, unit, roots)
 
 
 def test_cube_class_counts_repeated_root_shows_in_zero_count():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from reduction import embed_fraction
 from twocubes.elliptic import (
     Point,
     WeierstrassCurve,
@@ -101,6 +102,18 @@ def test_specialize_rejects_inconsistent_factors(family):
         specialize(Fraction(-2, 5), fake)
 
 
+def test_specialize_refuses_non_integral_t_above_degree_6(family):
+    """k (T + 1) has degree 7, so b^6 leaves a denominator b in k(a/b) b^6."""
+    from twocubes.exact import rational_poly
+    from twocubes.function_field import FunctionFieldCurve
+
+    curve = FunctionFieldCurve(family.k * rational_poly(1, 1), family.p1, family.p2)
+    with pytest.raises(SpecializationError, match="deg k = 7 > 6"):
+        specialize(Fraction(1, 2), curve)
+    with pytest.raises(SpecializationError, match="off the twist"):
+        specialize(3, curve)  # an integral t gets past the degree; the sections are not on k (T + 1)
+
+
 @pytest.mark.parametrize("x, y", [((0, 1), (1,)), ((0, 2), (2,)), ((1, 1), (1, 1))])
 def test_specialize_takes_the_factors_from_k(x, y):
     """Off the family: k = x^3 + y^3 with sections (x, y) and (y, x), of degree 3,
@@ -159,8 +172,8 @@ def test_certificate_found_for_t3(family):
     curve = WeierstrassCurve(A)
     m = hesse_to_weierstrass(rec.curve())
     r1w, r2w = m.to_weierstrass(rec.p1), m.to_weierstrass(rec.p2)
-    r1 = Point(F.embed_fraction(r1w.x), F.embed_fraction(r1w.y))
-    r2 = Point(F.embed_fraction(r2w.x), F.embed_fraction(r2w.y))
+    r1 = Point(embed_fraction(F, r1w.x), embed_fraction(F, r1w.y))
+    r2 = Point(embed_fraction(F, r2w.x), embed_fraction(F, r2w.y))
     group = {None}
     frontier = [None]
     while frontier:
