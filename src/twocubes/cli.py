@@ -72,6 +72,10 @@ MAX_TAXICAB_BOUND = 10**9  # about 0.7 s; the heap walk adds under 1 MB to 18 MB
 MAX_NEARMISS_COUNT = 2000  # about 1.2 s; term n has O(n) digits
 MAX_TWIST_RANGE = 10**4  # t values in one twists table
 MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
+# ec count: the search for the modulus of F_{p^n} dominates; the slowest
+# field found within both caps (n = 16, q near 2^512) took about 0.9 s
+MAX_EC_DEGREE = 16
+MAX_EC_FIELD_BITS = 512
 
 
 class BudgetError(ValueError):
@@ -242,13 +246,12 @@ def _run_identities_taxicab(args) -> dict:
 
 def _run_identities_nearmiss(args) -> dict:
     _check_cap("--count", args.count, MAX_NEARMISS_COUNT)
-    families = identities.default_nearmiss_families()
-    config = families[args.family]
-    tuples = identities.nearmiss_stream(config, args.count)
+    tuples = identities.nearmiss_stream(args.family, args.count)
+    numerators, _ = identities.NEARMISS_FAMILIES[args.family]
     return {
         "family": args.family,
-        "numerators": [[str(c) for c in p.coeffs] for p in config.numerators],
-        "denominator": [str(c) for c in config.denominator.coeffs],
+        "numerators": [[str(c) for c in num] for num in numerators],
+        "denominator": [str(c) for c in identities.NEARMISS_DENOMINATOR],
         "tuples": [
             {"n": n, "a": str(a), "b": str(b), "c": str(c), "epsilon": eps}
             for (n, a, b, c, eps) in tuples
@@ -257,6 +260,8 @@ def _run_identities_nearmiss(args) -> dict:
 
 
 def _run_ec_count(args) -> dict:
+    _check_cap("--n", args.n, MAX_EC_DEGREE)
+    _check_cap("bits of q = p^n", (args.p ** max(args.n, 0)).bit_length(), MAX_EC_FIELD_BITS)
     field = FiniteField(args.p, args.n)
     if "," in args.a:
         A = field.element(tuple(int(c) for c in args.a.split(",")))

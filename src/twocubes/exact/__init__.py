@@ -6,7 +6,7 @@ from .eisenstein import OMEGA, Eisenstein
 from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes
 from .poly import Polynomial, cyclotomic, factor_over_z, poly_gcd, rational_poly
-from .ratfunc import RationalFunction, series_expand
+from .ratfunc import RationalFunction
 
 __all__ = [
     "OMEGA",
@@ -25,6 +25,5 @@ __all__ = [
     "prime_field",
     "primes",
     "rational_poly",
-    "series_expand",
     "smallest_irreducible",
 ]

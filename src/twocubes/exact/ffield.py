@@ -138,9 +138,12 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p."""
     if n == 1:
         return (0, 1)
-    # a zero constant term makes x a factor, so candidates start at 1
-    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        f = list(tail) + [1]
+    # a zero constant term makes x a factor, so candidates start at 1.  Each
+    # tail is read off the base-p digits of m, constant term most significant,
+    # so nothing of length p is stored and p may exceed 2^63.
+    weights = [p**i for i in range(n - 1, -1, -1)]
+    for m in range(weights[0], p * weights[0]):
+        f = [m // w % p for w in weights] + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise ArithmeticError("no irreducible found")  # unreachable

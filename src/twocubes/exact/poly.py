@@ -37,10 +37,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, c, k: int) -> "Polynomial":
         return cls((0,) * k + (c,))
 
@@ -124,14 +120,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def reversed(self, degree: int | None = None) -> "Polynomial":
-        """Coefficients reversed, treating self as having the given degree."""
-        d = self.degree if degree is None else degree
-        if d is None:
-            return Polynomial()
-        cs = [self.coeff(i) for i in range(d + 1)]
-        return Polynomial(tuple(reversed(cs)))
 
     # -- field-coefficient operations --------------------------------------
 

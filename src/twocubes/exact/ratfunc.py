@@ -1,10 +1,10 @@
-"""Rational functions num/den over a coefficient field, in lowest terms.
+"""Rational functions num/den over a coefficient field, in lowest terms: the
+coordinates of sections and the pullback differentials over Q(T).
 
 The denominator is kept monic and coprime to the numerator.  Over Q the
 normal form is reached fraction-free: denominators are cleared once, one
 primitive gcd over Z[T] is divided out exactly, and only the final division
-by the denominator's leading coefficient makes Fractions.  Taylor expansion
-at 0 runs the linear recurrence induced by the denominator.
+by the denominator's leading coefficient makes Fractions.
 """
 
 from __future__ import annotations
@@ -135,23 +135,3 @@ class RationalFunction:
             return self.num.format(var)
         return f"({self.num.format(var)}) / ({self.den.format(var)})"
 
-
-def series_expand(f: RationalFunction, n: int) -> list:
-    """First n Taylor coefficients of f at 0.
-
-    Requires den(0) != 0; coefficient k is produced by the recurrence
-    den_0*a_k = num_k - sum_{j>=1} den_j*a_{k-j}.
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    d0 = f.den.coeff(0)
-    if d0 == 0:
-        raise ZeroDivisionError("denominator vanishes at 0; no expansion there")
-    coeffs = []
-    dn = f.den.coeffs
-    for k in range(n):
-        acc = f.num.coeff(k)
-        for j in range(1, min(k, len(dn) - 1) + 1):
-            acc = acc - dn[j] * coeffs[k - j]
-        coeffs.append(acc / d0)
-    return coeffs

@@ -2,7 +2,7 @@
 
 The symbolic checks expand everything as exact polynomials and demand the
 zero polynomial; no identity is taken on faith.  The near-miss streams are
-re-verified tuple by tuple in integer arithmetic before anything is
+integer recurrences whose tuples are checked one by one before anything is
 emitted, so a mis-transcribed generating function cannot slip through.
 """
 
@@ -11,9 +11,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
-from .exact import Polynomial, RationalFunction, rational_poly, series_expand
+from .exact import Polynomial, rational_poly
 
 
 class IdentityError(Exception):
@@ -230,92 +229,49 @@ class NearMissError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NearMissConfig:
-    """Three generating-function numerators over one shared denominator.
-
-    ``sign_rule(n)`` states which of +1/-1 the n-th tuple must achieve; the
-    stream starts at index ``offset``.  The denominator must not vanish at 0.
-    """
-
-    numerators: tuple[Polynomial, Polynomial, Polynomial]
-    denominator: Polynomial
-    sign_rule: Callable[[int], int]
-    offset: int = 0
-    name: str = "custom"
-
-    def __post_init__(self):
-        if len(self.numerators) != 3:
-            raise ValueError("exactly three numerators required")
-        if self.denominator.coeff(0) == 0:
-            raise ValueError("denominator must not vanish at 0")
-
-    @classmethod
-    def expansion_at_zero(cls) -> "NearMissConfig":
-        """The lost-notebook family from expanding at 0; signs alternate (+1 first)."""
-        den = rational_poly(1, -82, -82, 1)
-        nums = (
-            rational_poly(1, 53, 9),
-            rational_poly(2, -26, -12),
-            rational_poly(2, 8, -10),
-        )
-        return cls(nums, den, lambda n: 1 if n % 2 == 0 else -1, 0, "zero")
-
-    @classmethod
-    def expansion_at_infinity(cls) -> "NearMissConfig":
-        """The companion family from expanding the same functions at infinity.
-
-        Substituting x -> 1/x and clearing powers turns each numerator into
-        x * reverse(numerator); the denominator is palindromic, hence fixed.
-        The constant term of every series is 0, so the stream starts at n = 1,
-        and the achieved signs alternate starting with +1.
-        """
-        den = rational_poly(1, -82, -82, 1)
-        base = (
-            rational_poly(1, 53, 9),
-            rational_poly(2, -26, -12),
-            rational_poly(2, 8, -10),
-        )
-        nums = tuple(
-            Polynomial((Fraction(0),) + tuple(reversed(p.coeffs))) for p in base
-        )
-        return cls(nums, den, lambda n: 1 if n % 2 == 1 else -1, 1, "infinity")
+# The lost-notebook generating functions: three numerators over one shared
+# denominator, expanded at 0.  Expanding at infinity substitutes x -> 1/x and
+# clears powers, which turns each numerator into x * reverse(numerator) and
+# fixes the palindromic denominator; those series start with a zero, so that
+# stream starts at n = 1.  Each family maps to (numerators, offset).
+NEARMISS_DENOMINATOR = (1, -82, -82, 1)
+_AT_ZERO = ((1, 53, 9), (2, -26, -12), (2, 8, -10))
+NEARMISS_FAMILIES = {
+    "zero": (_AT_ZERO, 0),
+    "infinity": (tuple((0,) + num[::-1] for num in _AT_ZERO), 1),
+}
 
 
-def nearmiss_stream(config: NearMissConfig, count: int) -> list[tuple[int, int, int, int, int]]:
-    """First `count` tuples (n, a_n, b_n, c_n, eps_n) with a^3 + b^3 - c^3 = eps.
+def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, int]]:
+    """First `count` tuples (n, a_n, b_n, c_n, eps_n) of a family in NEARMISS_FAMILIES.
 
-    Every tuple is verified by exact integer arithmetic before emission;
-    a failure aborts with the offending index.
+    a_n, b_n, c_n are the x^n coefficients of num / NEARMISS_DENOMINATOR for
+    the three numerators.  The denominator has constant term 1, so
+    den * series = num is solved over Z term by term.  Every tuple is checked
+    exactly, a^3 + b^3 - c^3 = eps = (-1)^(n - offset), before emission; the
+    first failure aborts with its index.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    total = config.offset + count
-    series = [
-        series_expand(RationalFunction(num, config.denominator), total)
-        for num in config.numerators
-    ]
+    numerators, offset = NEARMISS_FAMILIES[family]
+    tail = NEARMISS_DENOMINATOR[1:]
+    total = offset + count
+    series = []
+    for num in numerators:
+        s = []
+        for n in range(total):
+            acc = num[n] if n < len(num) else 0
+            for j, d in enumerate(tail[:n], 1):
+                acc -= d * s[n - j]
+            s.append(acc)
+        series.append(s)
     out = []
-    for n in range(config.offset, total):
-        vals = []
-        for s in series:
-            v = s[n]
-            if v.denominator != 1:
-                raise NearMissError(f"non-integer coefficient at n={n}: {v}")
-            vals.append(int(v))
-        a, b, c = vals
-        eps = a**3 + b**3 - c**3
-        want = config.sign_rule(n)
-        if eps not in (1, -1) or eps != want:
+    for n in range(offset, total):
+        a, b, c = (s[n] for s in series)
+        eps, want = a**3 + b**3 - c**3, (-1) ** (n - offset)
+        if eps != want:
             raise NearMissError(
                 f"cube relation fails at n={n}: {a}^3+{b}^3-{c}^3 = {eps}, expected {want}"
             )
         out.append((n, a, b, c, eps))
     return out
-
-
-def default_nearmiss_families() -> dict[str, NearMissConfig]:
-    return {
-        "zero": NearMissConfig.expansion_at_zero(),
-        "infinity": NearMissConfig.expansion_at_infinity(),
-    }

@@ -23,7 +23,6 @@ from twocubes.function_field import (
     z_rank_cm,
 )
 from twocubes.identities import (
-    NearMissConfig,
     euler_family_symbolic_check,
     nearmiss_stream,
     verify_entry20,
@@ -144,7 +143,7 @@ def test_criterion_7_surface():
 
 def test_criterion_8_nearmiss():
     t0 = time.perf_counter()
-    tuples = nearmiss_stream(NearMissConfig.expansion_at_zero(), 10)
+    tuples = nearmiss_stream("zero", 10)
     relations = all(a**3 + b**3 - c**3 == eps == (-1) ** n for (n, a, b, c, eps) in tuples)
     has_135 = tuples[1][1:4] == (135, 138, 172)
     dt = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """CLI tests: JSON schema, determinism, round-trips, CSV, exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from enumeration import count_by_enumeration
-from twocubes.cli import PolynomialSyntaxError, _parse_poly, _poly_str, main
+from twocubes.cli import PolynomialSyntaxError, _parse_poly, _poly_str, dispatch, main
 from twocubes.exact import FiniteField, rational_poly
 from twocubes.function_field import build_family
 
@@ -51,6 +52,16 @@ def test_nearmiss_cli_both_families(capsys):
     assert tuples[1] == {"n": 1, "a": "135", "b": "138", "c": "172", "epsilon": -1}
     doc = run_json(capsys, "identities", "nearmiss", "--family", "infinity", "--count", "2")
     assert doc["results"]["tuples"][0]["a"] == "9"
+
+
+def test_symbolic_outputs_match_the_benchmark_reference():
+    """Every CLI output the symbolic benchmark pins, at the digest it records."""
+    ref = json.loads((Path(SRC).parent / "perfbench/reference/symbolic.json").read_text())
+    assert len(ref["outputs"]) == 5
+    for key, want in ref["outputs"].items():
+        report, _ = dispatch(key.split())
+        body = json.dumps(report.results, sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest()[:16] == want, key
 
 
 def test_ec_count_cli(capsys):
@@ -339,6 +350,7 @@ def test_inputs_above_their_caps_fail_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli.identities, "taxicab_search", no_work)
     monkeypatch.setattr(cli.identities, "nearmiss_stream", no_work)
     monkeypatch.setattr(cli, "twist_table", no_work)
+    monkeypatch.setattr(cli, "FiniteField", no_work)
     cases = [
         (["identities", "taxicab", "--bound", str(cli.MAX_TAXICAB_BOUND + 1)],
          "--bound", cli.MAX_TAXICAB_BOUND),
@@ -349,6 +361,11 @@ def test_inputs_above_their_caps_fail_before_any_work(capsys, monkeypatch):
         (["twists", "table", "--from", "3", "--to", "3", "--certify",
           "--budget", str(cli.MAX_PRIME_BUDGET + 1)],
          "--budget", cli.MAX_PRIME_BUDGET),
+        (["ec", "count", "--p", "5", "--n", str(cli.MAX_EC_DEGREE + 1), "--a", "3"],
+         "--n", cli.MAX_EC_DEGREE),
+        # p^2 has one bit more than the cap; the cap is checked before primality
+        (["ec", "count", "--p", str(2 ** (cli.MAX_EC_FIELD_BITS // 2) + 1), "--n", "2",
+          "--a", "3"], "bits of q = p^n", cli.MAX_EC_FIELD_BITS),
     ]
     for argv, flag, cap in cases:
         doc = run_json(capsys, *argv)

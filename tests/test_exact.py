@@ -1,15 +1,17 @@
 """Tests for the exact arithmetic substrate.
 
 Derived expected values are recomputed by independent oracles (sympy
-factorization, hand recurrences, direct enumeration) rather than trusted
+factorization, direct enumeration) rather than trusted
 from the implementation under test.
 """
 
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -35,10 +37,10 @@ from twocubes.exact import (
     poly_gcd,
     prime_field,
     rational_poly,
-    series_expand,
     smallest_irreducible,
 )
 from twocubes.exact.eisenstein import primary_prime
+from twocubes.exact.ffield import _is_irreducible
 from twocubes.exact.zechlog import ZERO, ZechLog
 
 
@@ -202,44 +204,7 @@ def test_cyclotomic_polys():
     assert cyclotomic(12) == rational_poly(1, 0, -1, 0, 1)
 
 
-# -- rational functions and series ----------------------------------------------
-
-
-def test_series_examples():
-    geo = RationalFunction(rational_poly(1), rational_poly(1, -1))
-    assert series_expand(geo, 4) == [1, 1, 1, 1]
-    odd = RationalFunction(rational_poly(0, 1), rational_poly(1, 0, -1))
-    assert series_expand(odd, 5) == [0, 1, 0, 1, 0]
-    f = RationalFunction(rational_poly(1, 53, 9), rational_poly(1, -82, -82, 1))
-    # oracle: run the recurrence a_n = 82 a_{n-1} + 82 a_{n-2} - a_{n-3} by hand
-    a0 = 1
-    a1 = 82 * a0 + 53
-    a2 = 82 * a1 + 82 * a0 + 9
-    assert [a0, a1, a2] == [1, 135, 11161]
-    assert series_expand(f, 3) == [a0, a1, a2]
-
-
-def test_series_rejects_pole_at_zero():
-    f = RationalFunction(rational_poly(1), rational_poly(0, 1))
-    with pytest.raises(ZeroDivisionError):
-        series_expand(f, 3)
-
-
-def test_series_resummation_property():
-    rng = random.Random(17)
-    for _ in range(30):
-        num = Polynomial(tuple(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))))
-        den_tail = [Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
-        den = Polynomial((Fraction(rng.randint(1, 5)), *den_tail))
-        f = RationalFunction(num, den)
-        n = 12
-        coeffs = series_expand(f, n)
-        # den * series == num through degree n-1
-        for k in range(n):
-            acc = Fraction(0)
-            for j in range(min(k, len(f.den.coeffs) - 1) + 1):
-                acc += f.den.coeff(j) * coeffs[k - j]
-            assert acc == f.num.coeff(k)
+# -- rational functions ---------------------------------------------------------
 
 
 def test_ratfunc_evaluation_homomorphism():
@@ -304,6 +269,33 @@ def test_deterministic_moduli():
     # the moduli behind the golden values of the L-function stay fixed
     assert smallest_irreducible(17, 6) == (1, 0, 0, 0, 0, 5, 1)
     assert smallest_irreducible(5, 4) == (1, 0, 1, 1, 1)
+
+
+def _first_irreducible_in_product_order(p, n):
+    """The modulus search over itertools.product: constant term slowest."""
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+        if _is_irreducible(list(tail) + [1], p):
+            return tuple(tail) + (1,)
+
+
+def test_modulus_search_keeps_the_product_order():
+    for p, n in ((5, 2), (5, 3), (7, 4), (17, 6), (13, 5), (3, 7), (2, 5)):
+        assert smallest_irreducible.__wrapped__(p, n) == _first_irreducible_in_product_order(p, n)
+
+
+def test_modulus_search_is_lazy_for_large_p():
+    # a table of the p - 1 constant terms alone would take hundreds of MB
+    tracemalloc.start()
+    try:
+        modulus = smallest_irreducible.__wrapped__(10000019, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modulus == (1, 0, 1)  # p = 3 mod 4, so -1 is not a square
+    assert peak < 1 << 20
+    # p = 2^64 - 59 is 1 mod 4 and 2 mod 3: x^2 + 1 splits, x^2 + x + 1 does not
+    assert smallest_irreducible.__wrapped__(2**64 - 59, 2) == (1, 1, 1)
+    assert smallest_irreducible.__wrapped__(2**127 - 1, 2) == (1, 0, 1)
 
 
 def test_f7_ops():

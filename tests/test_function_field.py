@@ -540,6 +540,29 @@ def test_lfunction_rejects_bad_primes():
         lfunction(9)
 
 
+@pytest.mark.parametrize(
+    "p, plant, message",
+    [
+        (11, lambda n, c, p: c + (n == 2), "counted coefficients are not integral"),
+        (13, lambda n, c, p: c + p * (n == 5), "completion contradicts counted c_5..c_6"),
+        (13, lambda n, c, p: 0, "sign ambiguous after c_5..c_6"),
+    ],
+)
+def test_lfunction_refuses_inconsistent_counts(monkeypatch, p, plant, message):
+    from twocubes import function_field
+
+    def planted(curve, q, n):
+        return plant(n, fiber_trace_sum(curve, q, n), q)
+
+    monkeypatch.setattr(function_field, "fiber_trace_sum", planted)
+    _lfunction.cache_clear()
+    try:
+        with pytest.raises(LFunctionError, match=message):
+            lfunction(p)
+    finally:
+        _lfunction.cache_clear()
+
+
 def test_exp_log_roundtrip():
     for p in (5, 17):
         L = lfunction(p)

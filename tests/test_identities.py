@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from twocubes.exact import rational_poly
+from twocubes import identities
 from twocubes.identities import (
     CubeQuadruple,
     IdentityError,
-    NearMissConfig,
     NearMissError,
     euler_family_symbolic_check,
     nearmiss_stream,
@@ -151,24 +150,27 @@ def test_taxicab_rejects_bad_args():
 
 
 def test_nearmiss_zero_family_first_tuples():
-    cfg = NearMissConfig.expansion_at_zero()
-    tuples = nearmiss_stream(cfg, 2)
+    tuples = nearmiss_stream("zero", 3)
     assert tuples[0] == (0, 1, 2, 2, 1)
     assert tuples[1] == (1, 135, 138, 172, -1)
     assert 135**3 + 138**3 == 172**3 - 1  # integer-arithmetic oracle
+    # oracle: run the recurrence a_n = 82 a_{n-1} + 82 a_{n-2} - a_{n-3} + num_n by hand
+    a0 = 1
+    a1 = 82 * a0 + 53
+    a2 = 82 * a1 + 82 * a0 + 9
+    assert [a0, a1, a2] == [1, 135, 11161]
+    assert [t[1] for t in tuples] == [a0, a1, a2]
 
 
 def test_nearmiss_zero_family_ten_verified():
-    cfg = NearMissConfig.expansion_at_zero()
-    tuples = nearmiss_stream(cfg, 10)
+    tuples = nearmiss_stream("zero", 10)
     assert len(tuples) == 10
     for n, a, b, c, eps in tuples:
         assert a**3 + b**3 - c**3 == eps == (-1) ** n
 
 
 def test_nearmiss_infinity_family():
-    cfg = NearMissConfig.expansion_at_infinity()
-    tuples = nearmiss_stream(cfg, 6)
+    tuples = nearmiss_stream("infinity", 6)
     assert tuples[0] == (1, 9, -12, -10, 1)
     assert 9**3 + (-12) ** 3 - (-10) ** 3 == 1
     assert tuples[1][1:] == (791, -1010, -812, -1)
@@ -178,31 +180,21 @@ def test_nearmiss_infinity_family():
 
 def test_nearmiss_recurrence_property():
     # beyond the numerator degree the sequences satisfy the denominator recurrence
-    cfg = NearMissConfig.expansion_at_zero()
-    tuples = nearmiss_stream(cfg, 8)
+    tuples = nearmiss_stream("zero", 8)
     seqs = list(zip(*[(a, b, c) for (_, a, b, c, _) in tuples]))
     for seq in seqs:
         for n in range(3, len(seq)):
             assert seq[n] == 82 * seq[n - 1] + 82 * seq[n - 2] - seq[n - 3]
 
 
-def test_nearmiss_bad_config_aborts_with_index():
-    cfg = NearMissConfig(
-        (rational_poly(1, 53, 9), rational_poly(2, -26, -12), rational_poly(2, 8, -9)),
-        rational_poly(1, -82, -82, 1),
-        lambda n: 1 if n % 2 == 0 else -1,
-        0,
-        "broken",
-    )
+def test_nearmiss_bad_config_aborts_with_index(monkeypatch):
+    broken = ((1, 53, 9), (2, -26, -12), (2, 8, -9))
+    monkeypatch.setitem(identities.NEARMISS_FAMILIES, "zero", (broken, 0))
     # the corrupted quadratic coefficient first shows up in the n=2 coefficient
     with pytest.raises(NearMissError, match="n=2"):
-        nearmiss_stream(cfg, 3)
-
-
-def test_nearmiss_rejects_denominator_vanishing_at_zero():
-    with pytest.raises(ValueError):
-        NearMissConfig(
-            (rational_poly(1), rational_poly(1), rational_poly(1)),
-            rational_poly(0, 1),
-            lambda n: 1,
-        )
+        nearmiss_stream("zero", 3)
+    # the corrupted cubic coefficient at infinity first shows up at n=3
+    broken = ((0, 9, 53, 1), (0, -12, -26, 2), (0, -10, 8, 3))
+    monkeypatch.setitem(identities.NEARMISS_FAMILIES, "infinity", (broken, 1))
+    with pytest.raises(NearMissError, match="n=3"):
+        nearmiss_stream("infinity", 3)
