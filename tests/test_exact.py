@@ -42,6 +42,7 @@ from twocubes.exact import (
 from twocubes.exact.eisenstein import primary_prime
 from twocubes.exact.ffield import _is_irreducible
 from twocubes.exact.zechlog import ZERO, ZechLog
+from twocubes.identities import NEARMISS_DENOMINATOR, NEARMISS_FAMILIES, nearmiss_stream
 
 
 # -- cubefree decomposition ----------------------------------------------------
@@ -205,6 +206,25 @@ def test_cyclotomic_polys():
 
 
 # -- rational functions ---------------------------------------------------------
+
+
+def test_series_examples():
+    # the near-miss tuples are the Taylor coefficients of num / den at 0:
+    # checked by exact polynomial products, den * (a_0 + ... + a_{n-1} x^{n-1}) = num mod x^n
+    n = 8
+    den = rational_poly(*NEARMISS_DENOMINATOR)
+    tuples = nearmiss_stream("zero", n)
+    for i, num in enumerate(NEARMISS_FAMILIES["zero"][0]):
+        truncated = rational_poly(*(t[1 + i] for t in tuples))
+        residue = den * truncated - rational_poly(*num)
+        assert all(residue.coeff(k) == 0 for k in range(n))
+        assert residue.coeff(n) != 0
+    # oracle: run the recurrence a_n = 82 a_{n-1} + 82 a_{n-2} - a_{n-3} by hand
+    a0 = 1
+    a1 = 82 * a0 + 53
+    a2 = 82 * a1 + 82 * a0 + 9
+    assert [a0, a1, a2] == [1, 135, 11161]
+    assert [t[1] for t in tuples[:3]] == [a0, a1, a2]
 
 
 def test_ratfunc_evaluation_homomorphism():
