@@ -72,8 +72,8 @@ MAX_TAXICAB_BOUND = 10**9  # about 0.7 s; the heap walk adds under 1 MB to 18 MB
 MAX_NEARMISS_COUNT = 2000  # about 1.2 s; term n has O(n) digits
 MAX_TWIST_RANGE = 10**4  # t values in one twists table
 MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
-# ec count: the search for the modulus of F_{p^n} dominates; the slowest
-# field found within both caps (n = 16, q near 2^512) took about 0.9 s
+# ec count: the search for the modulus of F_{p^n} dominates; the slowest of 40
+# fields found within both caps (n = 16, p just below 2^32) took about 0.5 s
 MAX_EC_DEGREE = 16
 MAX_EC_FIELD_BITS = 512
 

@@ -8,7 +8,6 @@ reproducible.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .numbers import factorize, is_probable_prime
@@ -21,8 +20,8 @@ BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
 MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
 MAX_COUNTING_FIELD = MEMORY_BUDGET - BLOCK_BYTES
 
-# -- bare int-list polynomial arithmetic mod p: the Rabin test, FFElement products, --
-# -- the rows of the class-table build and the modular steps of factor_over_z -------
+# -- the one mod-p core, on bare int lists: FFElement products and powers, the ------
+# -- distinct-degree loop, the class-table rows and the steps of factor_over_z ------
 
 
 def _ptrim(cs: list[int]) -> list[int]:
@@ -115,22 +114,38 @@ def _ppow(a: list[int], e: int, m, p: int) -> list[int]:
     return result
 
 
+def _distinct_degree(f: list[int], p: int):
+    """Lazily, for d = 1, 2, ...: (d, g) with g = gcd(f, x^(p^d) - x) != 1,
+    divided out of the monic f over F_p, and what is left last, as (its
+    degree, it).  For a squarefree f each g is the product of the degree-d
+    irreducible factors and the last piece is irreducible.  A reducible f
+    has a factor of degree <= deg f / 2, so its first piece has d < deg f."""
+    h, d = [0, 1], 0
+    while 2 * (d + 1) < len(f):  # an f of degree < 2(d + 1) is irreducible
+        d += 1
+        h = _ppow(h, p, f, p)  # x^(p^d) mod f
+        hx = h + [0] * (2 - len(h))
+        hx[1] -= 1
+        g = _pgcd(f, _ptrim([c % p for c in hx]), p)
+        if len(g) > 1:
+            yield d, g
+            f = _pquo(f, g, p)
+            h = _pmod(h, f, p)
+    if len(f) > 1:
+        yield len(f) - 1, f
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test for monic f over F_p."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    xpn = _ppow([0, 1], p**n, f, p)
-    if _ptrim([(c - x) % p for c, x in itertools.zip_longest(xpn, [0, 1], fillvalue=0)]):
-        return False
-    for r in factorize(n):
-        xq = _ppow([0, 1], p ** (n // r), f, p)
-        h = _ptrim([(c - x) % p for c, x in itertools.zip_longest(xq, [0, 1], fillvalue=0)])
-        if len(_pgcd(list(f), h, p)) != 1:
-            return False
-    return True
+    """Whether the monic f is irreducible over F_p: its first distinct-degree
+    piece is f itself, of degree deg f."""
+    return len(f) > 1 and next(_distinct_degree(f, p))[0] == len(f) - 1
+
+
+def _good_reduction(f: list[int], p: int) -> bool:
+    """f over Z keeps its degree and stays squarefree mod p: p does not divide
+    lc(f), and gcd(f, f') = 1 over F_p."""
+    f = [c % p for c in f]
+    return f[-1] != 0 and len(_pgcd(f, _ptrim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +167,8 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^n} = F_p[x]/(m) with m = smallest_irreducible(p, n), always; construct
     elements with field(value) or field.from_index(i).  Products for n > 1 are
-    _pmul followed by _pmod, the kernel of the Rabin test, with the tail of
-    the modulus computed once per field."""
+    _pmul followed by _pmod, with the tail of the modulus computed once per
+    field, and powers are _ppow."""
 
     def __init__(self, p: int, n: int = 1):
         if not is_probable_prime(p):
@@ -228,34 +243,6 @@ class FiniteField:
         if a.is_zero():
             raise ValueError("sextic symbol of zero")
         return a ** ((self.q - 1) // 6)
-
-    def sqrt(self, a) -> "FFElement":
-        """A square root of a, by Tonelli-Shanks; ValueError for a non-square.
-
-        The generator is a non-residue and supplies the 2-power roots of
-        unity; the result is checked by squaring it.
-        """
-        a = self.element(a)
-        if a.is_zero():
-            return a
-        if self.p == 2:
-            root = a ** (self.q // 2)
-        else:
-            if a ** ((self.q - 1) // 2) != 1:
-                raise ValueError(f"{a!r} is not a square")
-            s, odd = 0, self.q - 1
-            while odd % 2 == 0:
-                s, odd = s + 1, odd // 2
-            c, t, root = self.generator() ** odd, a**odd, a ** ((odd + 1) // 2)
-            while t != 1:  # t has order 2^i < 2^s; c has order 2^s
-                i, t2 = 0, t
-                while t2 != 1:
-                    i, t2 = i + 1, t2 * t2
-                b = c ** (1 << (s - i - 1))
-                s, c, t, root = i, b * b, t * b * b, root * b
-        if root * root != a:
-            raise ArithmeticError("square root check failed")
-        return root
 
     def __eq__(self, other):
         # the modulus is a function of (p, n)
@@ -333,17 +320,11 @@ class FFElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        if self.field.n == 1:
-            return FFElement(self.field, (pow(self.coeffs[0], e, self.field.p),))
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        f = self.field
+        if f.n == 1:
+            return FFElement(f, (pow(self.coeffs[0], e, f.p),))
+        power = _ppow(self.coeffs, e, f.modulus, f.p)
+        return FFElement(f, tuple(power) + (0,) * (f.n - len(power)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

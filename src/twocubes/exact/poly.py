@@ -21,7 +21,8 @@ from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from random import Random
 
-from .ffield import _pgcd, _pmod, _pmonic, _pmul, _ppow, _pquo, _ptrim
+from .ffield import _distinct_degree, _good_reduction, _pgcd, _pmod, _pmonic, _pmul, _ppow, _pquo
+from .ffield import _ptrim
 from .numbers import is_probable_prime
 
 
@@ -416,8 +417,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     if len(f) <= 2:
         return [f]
     p = 5  # the smallest prime >= 5 keeping the degree and squarefreeness of f
-    df = _int_deriv(f)
-    while f[-1] % p == 0 or len(_pgcd([c % p for c in f], _ptrim([c % p for c in df]), p)) > 1:
+    while not _good_reduction(f, p):
         p = next(q for q in count(p + 2, 2) if is_probable_prime(q))
     gs = _factor_mod_p(_pmonic([c % p for c in f], p), p, Random(0))
     if len(gs) == 1:
@@ -428,17 +428,8 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
 
 def _factor_mod_p(f: list[int], p: int, rng: Random) -> list[list[int]]:
     """Monic irreducible factors of a monic squarefree f over F_p, p odd:
-    distinct-degree, then Cantor-Zassenhaus equal-degree factorization."""
-    out, h, d = [], [0, 1], 0
-    while 2 * (d + 1) < len(f):  # an f of degree < 2(d + 1) is irreducible
-        d += 1
-        h = _ppow(h, p, f, p)  # x^(p^d) mod f
-        g = _pgcd(f, [c % p for c in _int_add(h, [0, -1])], p)
-        if len(g) > 1:
-            out += _equal_degree(g, d, p, rng)
-            f = _pquo(f, g, p)
-            h = _pmod(h, f, p)
-    return out + [f] if len(f) > 1 else out
+    Cantor-Zassenhaus equal-degree factorization of each distinct-degree piece."""
+    return [h for d, g in _distinct_degree(f, p) for h in _equal_degree(g, d, p, rng)]
 
 
 def _equal_degree(g: list[int], d: int, p: int, rng: Random) -> list[list[int]]:

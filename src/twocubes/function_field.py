@@ -28,7 +28,7 @@ from random import Random
 
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
-from .exact.ffield import MAX_COUNTING_FIELD, _pgcd, _pmonic, _ptrim
+from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul, _is_rational_poly
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
@@ -280,14 +280,6 @@ class LambdaReport:
     w_right: RationalFunction
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "additive": self.additive,
-            "lambda_of_sum": self.w_left.format(),
-            "sum_of_lambdas": self.w_right.format(),
-            "degenerate": self.degenerate,
-        }
-
 
 def lambda_homomorphism_check(
     curve: FunctionFieldCurve, P: SectionPoint, Q: SectionPoint
@@ -374,12 +366,7 @@ def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     from .exact import is_probable_prime
 
     k = _integral_k(curve)
-    if not is_probable_prime(p) or p in (2, 3):
-        return False
-    k = [c % p for c in k]
-    if not k[-1]:
-        return False
-    return len(_pgcd(k, _ptrim([c % p for c in _int_deriv(k)]), p)) == 1
+    return is_probable_prime(p) and p not in (2, 3) and _good_reduction(k, p)
 
 
 def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
@@ -395,11 +382,16 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     counts it twice: k(c - t) = +-k(t) and -1 is a cube, so the pair has one
     class and the count is exact.  The sweep needs every root of k in F_q:
     the factors of k mod p must be linear, or quadratic with n even, and
-    any other factor is refused.  The fiber at infinity is
-    good exactly when 3 divides deg k, and then comes from the reversed
-    model v^2 = u^3 - 432 lc(k)^2; otherwise it is additive.  The class
-    table costs q bytes, and fields above its budget are refused.
+    any other factor is refused.  A quadratic factor's discriminant lies in
+    F_p^* = <h^2>, h = g^((q - 1)/(2(p - 1))) with g the generator of the
+    class table and n even, so one of h^0..h^(p-2) is its square root.  The
+    fiber at infinity is good exactly when 3 divides deg k, and then comes
+    from the reversed model v^2 = u^3 - 432 lc(k)^2; otherwise it is
+    additive.  A p that is not good is refused before any field is built;
+    the class table costs q bytes, and fields above its budget are refused.
     """
+    if not good_prime(curve, p):
+        raise LFunctionError(f"{p} is not a good prime for the family")
     q = p**n
     if q % 3 == 2:
         return 0
@@ -407,7 +399,7 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     from .exact import zechlog  # numpy is imported only by the sweeps
 
     field = FiniteField(p, n)
-    k = _ptrim([c % p for c in _integral_k(curve)])
+    k = [c % p for c in _integral_k(curve)]  # p is good: lc(k) stays
     roots = []
     for f in _factor_mod_p(_pmonic(k, p), p, Random(0)):
         d = len(f) - 1
@@ -417,7 +409,11 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
         if d == 1:
             roots.append(field(-f[0]))
         else:
-            s, mb, half = field.sqrt(f[1] * f[1] - 4 * f[0]), field(-f[1]), field(2).inverse()
+            disc = field(f[1] * f[1] - 4 * f[0])
+            s, h = field.one(), field.generator() ** ((q - 1) // (2 * p - 2))
+            while s * s != disc:
+                s *= h
+            mb, half = field(-f[1]), field(2).inverse()
             roots += [(mb + s) * half, (mb - s) * half]
     engine = zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]

@@ -38,15 +38,6 @@ class RankCertificate:
     order_p2: int
     torsion_bound: int
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "group_order": str(self.group_order),
-            "order_p1": str(self.order_p1),
-            "order_p2": str(self.order_p2),
-            "torsion_bound": self.torsion_bound,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateOutcome:

@@ -64,6 +64,24 @@ def test_symbolic_outputs_match_the_benchmark_reference():
         assert hashlib.sha256(body).hexdigest()[:16] == want, key
 
 
+def test_twists_outputs_match_the_benchmark_reference():
+    """The certified table over [-300, 300] at the per-t digests the twists
+    benchmark pins: sha256 of d, x1, y1, x2, y2 and cert_prime joined by
+    "|", 8 hex digits at index t + 10^4, with exactly the reference's
+    exhausted t left uncertified."""
+    ref = json.loads((Path(SRC).parent / "perfbench/reference/twists.json").read_text())
+    report, _ = dispatch(["twists", "table", "--from", "-300", "--to", "300", "--certify"])
+    assert report.status == "exhausted"
+    records = report.results["records"]
+    assert [rec["t"] for rec in records] == [str(t) for t in range(-300, 301)]
+    exhausted = [int(rec["t"]) for rec in records if rec["cert_prime"] is None]
+    assert exhausted == ref["exhausted_t"] == [-1, 0, 1, 2]
+    for rec in records:
+        i = int(rec["t"]) + 10**4
+        key = "|".join(str(rec[k]) for k in ("d", "x1", "y1", "x2", "y2", "cert_prime"))
+        assert hashlib.sha256(key.encode()).hexdigest()[:8] == ref["digests"][8 * i:8 * i + 8], i
+
+
 def test_ec_count_cli(capsys):
     doc = run_json(capsys, "ec", "count", "--p", "7", "--a", "1")
     assert doc["results"]["count"] == "12"

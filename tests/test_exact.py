@@ -291,16 +291,41 @@ def test_deterministic_moduli():
     assert smallest_irreducible(5, 4) == (1, 0, 1, 1, 1)
 
 
+def _has_monic_divisor(f, p):
+    """Brute force: some monic g of degree 1..deg f // 2 divides the monic f
+    over F_p, by schoolbook long division."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            g, r = list(tail) + [1], list(f)
+            for top in range(n, d - 1, -1):
+                c = r[top]
+                for i in range(d + 1):
+                    r[top - d + i] = (r[top - d + i] - c * g[i]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
 def _first_irreducible_in_product_order(p, n):
-    """The modulus search over itertools.product: constant term slowest."""
+    """The modulus search over itertools.product, constant term slowest, with
+    irreducibility decided by brute force."""
     for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        if _is_irreducible(list(tail) + [1], p):
+        if not _has_monic_divisor(list(tail) + [1], p):
             return tuple(tail) + (1,)
 
 
 def test_modulus_search_keeps_the_product_order():
     for p, n in ((5, 2), (5, 3), (7, 4), (17, 6), (13, 5), (3, 7), (2, 5)):
         assert smallest_irreducible.__wrapped__(p, n) == _first_irreducible_in_product_order(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 4), (7, 3)])
+def test_irreducibility_agrees_with_brute_force_on_every_monic(p, n):
+    """Every monic f of degree n, non-squarefree ones and x | f included."""
+    for tail in itertools.product(range(p), repeat=n):
+        f = list(tail) + [1]
+        assert _is_irreducible(f, p) == (not _has_monic_divisor(f, p)), f
 
 
 def test_modulus_search_is_lazy_for_large_p():
@@ -370,20 +395,6 @@ def test_embed_fraction():
     assert embed_fraction(F, Fraction(1, 2)) == F(6)  # 2*6 = 12 = 1
     with pytest.raises(ZeroDivisionError):
         embed_fraction(F, Fraction(3, 11))
-
-
-def test_sqrt_every_element():
-    for p, n in ((13, 1), (17, 1), (7, 2), (5, 3), (2, 3)):
-        F = FiniteField(p, n)
-        squares = {(x * x).coeffs for x in F.elements()}
-        for a in F.elements():
-            if a.coeffs in squares:
-                r = F.sqrt(a)
-                assert r * r == a
-            else:
-                with pytest.raises(ValueError):
-                    F.sqrt(a)
-        assert len(squares) == (F.q if p == 2 else (F.q + 1) // 2)
 
 
 def test_prime_field_is_built_once():

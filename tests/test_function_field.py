@@ -310,6 +310,22 @@ def test_good_prime_screen(family):
         good_prime(rational, 17)
 
 
+@pytest.mark.parametrize("k, p", [(None, 7), (None, 3), (rational_poly(6, -7, 1), 5)])
+def test_fiber_trace_sum_refuses_a_prime_that_is_not_good(family, monkeypatch, k, p):
+    """63 divides every coefficient of the family's k, so k = 0 mod 3 and mod
+    7; (T - 1)(T - 6) = (T - 1)^2 mod 5.  Each is refused by name before a
+    field is built, never an IndexError or a sweep of F_{p^2}."""
+    from twocubes import function_field
+
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(function_field, "FiniteField", no_field)
+    curve = family if k is None else FunctionFieldCurve(k, family.p1, family.p2)
+    with pytest.raises(LFunctionError, match=f"^{p} is not a good prime"):
+        fiber_trace_sum(curve, p, 2)
+
+
 def test_fiber_trace_sum_supersingular_zero(family):
     # 17^n = 2 mod 3 for odd n: all good fibers supersingular, c_n = 0
     for n in (1, 3, 5):
