@@ -165,7 +165,8 @@ class _ExprParser:
                     raise PolynomialSyntaxError("divisors must be nonzero constants")
                 f = f * (1 / g.coeffs[0])
             else:
-                f = self._bounded(f * g)
+                self._check_degree((f.degree or 0) + (g.degree or 0))
+                f = f * g
         return f
 
     def _unary(self) -> Polynomial:
@@ -182,7 +183,8 @@ class _ExprParser:
                 raise PolynomialSyntaxError(
                     f"exponents must be integers in [0, {MAX_PARSED_DEGREE}], not {e!r}"
                 )
-            f = self._bounded(f ** int(e))
+            self._check_degree((f.degree or 0) * int(e))
+            f = f ** int(e)
         return f
 
     def _atom(self) -> Polynomial:
@@ -199,10 +201,10 @@ class _ExprParser:
         raise PolynomialSyntaxError(f"unexpected {tok!r}")
 
     @staticmethod
-    def _bounded(f: Polynomial) -> Polynomial:
-        if (f.degree or 0) > MAX_PARSED_DEGREE:
+    def _check_degree(degree: int) -> None:
+        """Refuse a product or power by its degree, before it is multiplied out."""
+        if degree > MAX_PARSED_DEGREE:
             raise PolynomialSyntaxError(f"degree above {MAX_PARSED_DEGREE}")
-        return f
 
 
 # -- subcommand handlers --------------------------------------------------------

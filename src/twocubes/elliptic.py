@@ -1,13 +1,13 @@
 """Elliptic curve models and point counting.
 
 Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
-short Weierstrass form v^2 = u^3 - 432 d^2, with the explicit point map
-between them.  The chord-tangent group law is generic over any field of
-characteristic != 2, 3 (rationals, finite fields, rational function
-fields); over a prime field the certificate search runs it on plain int
-pairs instead.  Counting over F_q is closed-form: the trace of
-v^2 = u^3 + A is Gauss's sextic-character formula, lifted from F_p to F_q by
-Hasse-Davenport, so it costs one sextic residue symbol.
+short Weierstrass form v^2 = u^3 - 432 d^2, with the point map from the
+first to the second.  The chord-tangent group law runs over a prime field
+only, on plain int pairs, where the certificate search needs it; sections
+over Q(T) are added on the Hesse cubic itself (`function_field`).
+Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
+sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
+costs one sextic residue symbol.
 """
 
 from __future__ import annotations
@@ -72,49 +72,9 @@ class CubicTwistCurve:
         return P.x**3 + P.y**3 == self.d
 
 
-def neg_point(P: Point) -> Point:
-    if P.at_infinity:
-        return P
-    return Point(P.x, -P.y)
-
-
-def add_points(curve: WeierstrassCurve, P: Point, Q: Point) -> Point:
-    """Chord-tangent addition; off-curve inputs are rejected."""
-    if not curve.contains(P) or not curve.contains(Q):
-        raise ValueError("point not on curve")
-    if P.at_infinity:
-        return Q
-    if Q.at_infinity:
-        return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return INFINITY
-        # doubling (P == Q with y != 0)
-        lam = (3 * (P.x * P.x)) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return Point(x3, y3)
-
-
-def scalar_mul(curve: WeierstrassCurve, k: int, P: Point) -> Point:
-    if k < 0:
-        return scalar_mul(curve, -k, neg_point(P))
-    R = INFINITY
-    Q = P
-    while k:
-        if k & 1:
-            R = add_points(curve, R, Q)
-        k >>= 1
-        if k:
-            Q = add_points(curve, Q, Q)
-    return R
-
-
 @dataclass(frozen=True)
 class HesseWeierstrassMap:
-    """Bijection between X^3 + Y^3 = d and v^2 = u^3 - 432 d^2.
+    """The map from X^3 + Y^3 = d to v^2 = u^3 - 432 d^2, a bijection.
 
     (x, y) -> (12d/(x+y), 36d(x-y)/(x+y)); the flex x + y = 0 direction maps
     to the point at infinity.
@@ -131,16 +91,6 @@ class HesseWeierstrassMap:
             return INFINITY
         d = self.hesse.d
         return Point(12 * d / s, 36 * d * (P.x - P.y) / s)
-
-    def to_hesse(self, P: Point) -> Point:
-        if P.at_infinity:
-            return INFINITY
-        if P.x == 0:
-            raise ValueError("u = 0 has no affine Hesse preimage")
-        d = self.hesse.d
-        x = (36 * d + P.y) / (6 * P.x)
-        y = (36 * d - P.y) / (6 * P.x)
-        return Point(x, y)
 
 
 def hesse_to_weierstrass(curve: CubicTwistCurve) -> HesseWeierstrassMap:
@@ -261,9 +211,7 @@ def torsion_order_bound(d: int) -> int:
 
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
-# certificate search runs here.  The generic add_points/scalar_mul serve Q and
-# Q(T); through the Hesse-Weierstrass map they are the test reference for the
-# Hessian law on sections over Z[T].
+# certificate search runs here.
 
 
 def add_mod_p(p: int, A: int, P, Q):

@@ -1,7 +1,8 @@
 """The field Q(omega), omega a primitive cube root of unity (omega^2 = -1 - omega).
 
 Elements are a + b*omega with rational a, b.  This is Q(sqrt(-3)):
-sqrt(-3) = 1 + 2*omega.
+sqrt(-3) = 1 + 2*omega.  The closed-form point counts need only its ring
+operations and the norm, so there is no division.
 """
 
 from __future__ import annotations
@@ -46,29 +47,12 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Eisenstein":
-        """omega -> omega^2."""
-        return Eisenstein(self.a - self.b, -self.b)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def inverse(self) -> "Eisenstein":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        c = self.conjugate()
-        return Eisenstein(c.a / n, c.b / n)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative Eisenstein power")
         result = Eisenstein(1)
         base = self
         while e:

@@ -1,16 +1,16 @@
-"""Dense univariate polynomials over an arbitrary commutative coefficient ring.
+"""Dense univariate polynomials, and the integer kernel that computes over Q.
 
-Coefficients are stored lowest degree first.  Any coefficient type works as
-long as it supports +, -, * with itself and with small Python ints; divmod
-and gcd additionally need / (field coefficients).  Nesting is allowed: a
-Polynomial over Polynomial coefficients is a bivariate polynomial.  The zero
-polynomial has an empty coefficient tuple and degree ``None`` (a real
+``Polynomial`` stores coefficients lowest degree first and does ring
+arithmetic (+, -, *, powers, evaluation, derivative) for any coefficient
+type that supports +, -, * with itself and with small Python ints.  The
+zero polynomial has an empty coefficient tuple and degree ``None`` (a real
 sentinel, never -1).
 
-Over Q the work is done by the integer kernel below, on int lists over
-Z[T]: products, exact division and the primitive gcd; squarefreeness of k
-is decided on it as gcd(k, k') = 1, and ``factor_over_z`` factors on it by
-Zassenhaus.  Polynomials over F_p are the plain int lists of ``exact.ffield``.
+Division and gcd are over Q only, and run on the integer kernel below, on
+int lists over Z[T]: products, exact division and the primitive gcd;
+squarefreeness of k is decided on it as gcd(k, k') = 1, and
+``factor_over_z`` factors on it by Zassenhaus.  Polynomials over F_p are
+the plain int lists of ``exact.ffield``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Polynomial":
-        return cls((0,) * k + (c,))
 
     # -- structure ---------------------------------------------------------
 
@@ -82,9 +76,6 @@ class Polynomial:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else Polynomial((-other,)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial(tuple(c * other for c in self.coeffs))
@@ -108,8 +99,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, t):
@@ -121,28 +113,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    # -- field-coefficient operations --------------------------------------
-
-    def __divmod__(self, other: "Polynomial"):
-        if not isinstance(other, Polynomial) or other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = Polynomial()
-        r = self
-        db, lb = other.degree, other.lc
-        while not r.is_zero() and r.degree >= db:
-            shift = r.degree - db
-            factor = r.lc / lb
-            term = Polynomial.monomial(factor, shift)
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -334,21 +304,12 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over a coefficient field.
-
-    Rational-coefficient inputs run the primitive gcd over Z (denominators
-    cleared); other coefficient fields use plain Euclid.
-    """
+    """Monic gcd over Q: the primitive gcd over Z, with denominators cleared."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
-    if _is_rational_poly(f) and _is_rational_poly(g):
-        return Polynomial(tuple(Fraction(c) for c in _int_gcd(*_cleared(f, g)))).monic()
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return Polynomial(tuple(Fraction(c) for c in _int_gcd(*_cleared(f, g)))).monic()
 
 
 @lru_cache(maxsize=None)
@@ -361,11 +322,6 @@ def _int_cyclotomic(m: int) -> tuple[int, ...]:
         if m % d == 0:
             num = _int_exact_div(num, _int_cyclotomic(d))
     return tuple(num)
-
-
-def cyclotomic(m: int) -> Polynomial:
-    """The m-th cyclotomic polynomial over Q."""
-    return Polynomial(tuple(Fraction(c) for c in _int_cyclotomic(m)))
 
 
 # -- factorization over Z: Zassenhaus (Cohen, GTM 138, 3.5; Knuth, TAOCP 2, 4.6.2) --

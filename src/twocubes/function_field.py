@@ -29,7 +29,7 @@ from random import Random
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
 from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
-from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul, _is_rational_poly
+from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
 
@@ -46,7 +46,7 @@ class SectionPoint:
 
     def on_curve(self, k: Polynomial) -> bool:
         """x^3 + y^3 = k over Z[T]: (ae)^3 k_d + (cb)^3 k_d = k_n (be)^3 for
-        x = a/b, y = c/e and k = k_n/k_d.  TypeError outside Q."""
+        x = a/b, y = c/e and k = k_n/k_d.  TypeError unless k is in Q[T]."""
         return _on_cubic(_HesseModel.from_section(self), *_int_pair(RationalFunction(k)))
 
 
@@ -57,20 +57,18 @@ class HolDifferential:
     w: RationalFunction
 
     def as_polynomial(self) -> Polynomial:
-        return self.w.as_polynomial()
+        if self.w.den.degree:
+            raise ValueError("not a polynomial")
+        return self.w.num  # the normal form's denominator is the constant 1
 
 
 @dataclass(frozen=True)
 class FunctionFieldCurve:
-    """X^3 + Y^3 = k(T) with two sections, plus its Weierstrass model."""
+    """X^3 + Y^3 = k(T) with two sections."""
 
     k: Polynomial
     p1: SectionPoint
     p2: SectionPoint
-
-    @property
-    def weierstrass_A(self) -> Polynomial:
-        return -432 * self.k * self.k
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +104,6 @@ def pullback_differential(P: SectionPoint) -> HolDifferential:
     for quadratic polynomial sections its degree is <= 2 (holomorphy).
     Over Q, with x = a/b and y = c/e over Z[T], it is formed fraction-free
     as ((a'b - ab')ce - ab(c'e - ce')) / (b^2 e^2) and normalized once.
-    Raises TypeError for a section with coefficients outside Q.
     """
     (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
     wx = _int_add(_int_mul(_int_deriv(a), b), _int_mul(a, _int_deriv(b)), -1)
@@ -117,9 +114,7 @@ def pullback_differential(P: SectionPoint) -> HolDifferential:
 
 
 def _int_pair(f: RationalFunction) -> list[list[int]]:
-    """f = a/b with a, b over Z[T]; TypeError unless f has rational coefficients."""
-    if not (_is_rational_poly(f.num) and _is_rational_poly(f.den)):
-        raise TypeError("section arithmetic needs rational coefficients")
+    """f = a/b with a, b over Z[T]."""
     return _cleared(f.num, f.den)
 
 
@@ -127,7 +122,7 @@ def _int_rows(diffs: list[HolDifferential]) -> list[list[int]]:
     """Coefficient rows over Z of the w times one common denominator, padded to one width.
 
     The product of all denominators is a common multiple, which keeps every
-    linear relation among the w.  TypeError unless every w lies in Q(T).
+    linear relation among the w.
     """
     pairs = [_int_pair(d.w) for d in diffs]
     rows = []
@@ -249,8 +244,7 @@ def section_add(
 ) -> SectionPoint | None:
     """P + Q in the Mordell-Weil group; None is the identity.
 
-    Raises ValueError for a section off the curve and TypeError for one
-    with coefficients outside Q.
+    Raises ValueError for a section off the curve.
     """
     H = _HesseModel(curve)
     return H.to_section(H.add(H.from_section(P), H.from_section(Q)))
@@ -271,32 +265,6 @@ def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint | None) -> Se
         if n:
             pt = H.add(pt, pt)
     return H.to_section(acc)
-
-
-@dataclass
-class LambdaReport:
-    additive: bool
-    w_left: RationalFunction
-    w_right: RationalFunction
-    degenerate: bool = False
-
-
-def lambda_homomorphism_check(
-    curve: FunctionFieldCurve, P: SectionPoint, Q: SectionPoint
-) -> LambdaReport:
-    """Verify lambda(P + Q) = lambda(P) + lambda(Q) exactly.
-
-    The sum is computed by the Hessian addition law on X^3 + Y^3 = kZ^3
-    itself, over Z[T].  A sum at the identity is the degenerate case
-    lambda(O) = 0.  Raises as section_add; no section with x + y = 0 lies on
-    the curve, because k != 0.
-    """
-    w_sum = pullback_differential(P).w + pullback_differential(Q).w
-    S = section_add(curve, P, Q)
-    if S is None:
-        return LambdaReport(w_sum == 0, RationalFunction(Polynomial()), w_sum, degenerate=True)
-    w_left = pullback_differential(S).w
-    return LambdaReport(w_left == w_sum, w_left, w_sum)
 
 
 # -- the L-function over F_p(T) -------------------------------------------------

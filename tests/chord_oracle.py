@@ -1,0 +1,58 @@
+"""The affine chord-tangent group law on v^2 = u^3 + A over any field of
+characteristic != 2, 3: the generic oracle for the group laws in `src`.
+
+Coordinates may be Fractions, `FFElement`s or elements of a sympy field such
+as Q(T).  Through the Hesse-Weierstrass map and its inverse `to_hesse`, it is
+the reference for the Hessian law on sections over Z[T] and for the F_p law
+on int pairs that the certificate search runs.
+"""
+
+from twocubes.elliptic import INFINITY, HesseWeierstrassMap, Point, WeierstrassCurve
+
+
+def neg_point(P: Point) -> Point:
+    if P.at_infinity:
+        return P
+    return Point(P.x, -P.y)
+
+
+def add_points(curve: WeierstrassCurve, P: Point, Q: Point) -> Point:
+    """Chord-tangent addition; off-curve inputs are rejected."""
+    if not curve.contains(P) or not curve.contains(Q):
+        raise ValueError("point not on curve")
+    if P.at_infinity:
+        return Q
+    if Q.at_infinity:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return INFINITY
+        lam = (3 * (P.x * P.x)) / (2 * P.y)  # doubling (P == Q with y != 0)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return Point(x3, lam * (P.x - x3) - P.y)
+
+
+def scalar_mul(curve: WeierstrassCurve, k: int, P: Point) -> Point:
+    """k * P by double-and-add, doubling only while bits of k remain."""
+    if k < 0:
+        return scalar_mul(curve, -k, neg_point(P))
+    R, Q = INFINITY, P
+    while k:
+        if k & 1:
+            R = add_points(curve, R, Q)
+        k >>= 1
+        if k:
+            Q = add_points(curve, Q, Q)
+    return R
+
+
+def to_hesse(m: HesseWeierstrassMap, P: Point) -> Point:
+    """The inverse of m.to_weierstrass: (u, v) -> ((36d + v)/6u, (36d - v)/6u)."""
+    if P.at_infinity:
+        return INFINITY
+    if P.x == 0:
+        raise ValueError("u = 0 has no affine Hesse preimage")
+    d = m.hesse.d
+    return Point((36 * d + P.y) / (6 * P.x), (36 * d - P.y) / (6 * P.x))

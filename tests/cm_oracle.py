@@ -1,52 +1,56 @@
-"""Differentials over Q(omega) by the generic chain: the slow oracle for z_rank_cm.
+"""Differentials over Q(omega)(T) by sympy: the slow oracle for z_rank_cm.
 
-Sections are lifted to Q(omega) coefficients, twisted by the CM map
-(x, y) -> (omega x, omega y), and their Wronskians x'y - xy' formed by the
-generic RationalFunction Euclid chain; the rank flattens each Q(omega)
-coefficient to a pair of rationals.  This is how the CM-extended rank was
-computed before it moved to rational rows through
-lambda([omega]P) = omega^2 lambda(P).
+An element a + b*omega of Q(omega)(T) is a pair (a, b) over sympy's Q(T),
+multiplied with omega^2 = -1 - omega.  (sympy's own fields over
+QQ.algebraic_field(sqrt(-3)) are not used: there `w**3 == 1` compares
+False and `diff` fails.)  Sections are twisted by the CM map
+(x, y) -> (omega x, omega y), their Wronskians x'y - xy' are formed by the
+chain rule, and the rank flattens each Q(omega) coefficient to a pair of
+rationals.  This is how the CM-extended rank was computed before it moved
+to rational rows through lambda([omega]P) = omega^2 lambda(P).
 """
 
-from fractions import Fraction
+import sympy
 
-from twocubes.exact import OMEGA, Eisenstein, Polynomial, RationalFunction, poly_gcd
-from twocubes.function_field import HolDifferential, SectionPoint, _rank
+from qt_oracle import QT, T, qt
 
-
-def _to_eisenstein_poly(f: Polynomial) -> Polynomial:
-    return Polynomial(tuple(c if isinstance(c, Eisenstein) else Eisenstein(c) for c in f.coeffs))
+OMEGA = (QT(0), QT(1))
+OMEGA2 = (QT(-1), QT(-1))
 
 
-def _to_eisenstein_rf(f: RationalFunction) -> RationalFunction:
-    return RationalFunction(_to_eisenstein_poly(f.num), _to_eisenstein_poly(f.den))
+def lift(f):
+    """A Polynomial or RationalFunction over Q as the pair (f, 0)."""
+    return qt(f), QT(0)
 
 
-def cm_twist(P: SectionPoint) -> SectionPoint:
+def mul(u, v):
+    (a, b), (c, d) = u, v
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def cm_twist(P):
     """(x, y) -> (omega x, omega y), the extra endomorphism over Q(omega)."""
-    return SectionPoint(_to_eisenstein_rf(P.x) * OMEGA, _to_eisenstein_rf(P.y) * OMEGA)
+    return mul(OMEGA, lift(P.x)), mul(OMEGA, lift(P.y))
 
 
-def chain_differential(P: SectionPoint) -> HolDifferential:
-    """lambda(P) = x'y - xy' by RationalFunction arithmetic over any coefficient field."""
-    return HolDifferential(P.x.derivative() * P.y - P.x * P.y.derivative())
+def chain_differential(x, y):
+    """lambda(P) = x'y - xy' for P = (x, y) over Q(omega)(T)."""
+    dx, dy = tuple(c.diff(T) for c in x), tuple(c.diff(T) for c in y)
+    (a, b), (c, d) = mul(dx, y), mul(x, dy)
+    return a - c, b - d
 
 
-def flat_rank(diffs: list[HolDifferential]) -> int:
-    """Rank over Q of the coefficient vectors, Q(omega) entries flattened to (a, b)."""
-    if not diffs:
+def flat_rank(ws) -> int:
+    """Rank over Q of the coefficient vectors of the pairs ws, each a + b*omega
+    flattened to (a_0, b_0, a_1, b_1, ...) over one common denominator."""
+    if not ws:
         return 0
-    ws = [_to_eisenstein_rf(d.w) for d in diffs]
-    den = ws[0].den
-    for w in ws[1:]:
-        den = den * (w.den // poly_gcd(den, w.den))
-    numerators = [(w * RationalFunction(den)).as_polynomial() for w in ws]
-    width = max((n.degree + 1 if not n.is_zero() else 1) for n in numerators)
-    rows = []
-    for n in numerators:
-        row: list[Fraction] = []
-        for i in range(width):
-            c = Eisenstein._coerce(n.coeff(i))
-            row.extend((c.a, c.b))
-        rows.append(row)
-    return _rank(rows)
+    den = QT(1).numer
+    for w in ws:
+        for c in w:
+            den = den.lcm(c.denom)
+    nums = [[list(reversed((c.numer * den).exquo(c.denom).to_dense())) for c in w] for w in ws]
+    width = max(len(cs) for n in nums for cs in n)
+    rows = [[sympy.QQ.to_sympy(cs[i]) if i < len(cs) else 0 for i in range(width) for cs in n]
+            for n in nums]
+    return sympy.Matrix(rows).rank()

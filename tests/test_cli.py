@@ -177,15 +177,30 @@ def test_factor_order_key_matches_sympy_printing():
 
 
 def test_lfunction_and_surface_never_import_sympy():
-    """The factorizations run in-house, also under python -O."""
-    script = (
-        "import sys\n"
-        "from twocubes.cli import dispatch\n"
-        "for argv in (['ff', 'lfunction', '--p', '17'], ['ff', 'rank'], ['surface', 'analyze'],\n"
-        "             ['surface', 'analyze', '--k', 'T^6 - 1']):\n"
-        "    assert dispatch(argv)[0].status == 'ok', argv\n"
-        "print('sympy' in sys.modules)\n"
-    )
+    """The factorizations and the Q(T) arithmetic run in-house, also under
+    python -O: every subcommand and the section operations of the benchmark
+    leave sympy unimported.  A failed command raises, so -O cannot strip the
+    status check."""
+    script = """
+import sys
+from twocubes.cli import dispatch
+from twocubes.function_field import build_family, section_add, section_mul
+for argv in (['ff', 'lfunction', '--p', '17'], ['ff', 'rank'], ['ff', 'differentials'],
+             ['surface', 'analyze'], ['surface', 'analyze', '--k', 'T^6 - 1'],
+             ['twists', 'table', '--from', '3', '--to', '6', '--certify'],
+             ['identities', 'verify'], ['identities', 'taxicab', '--bound', '100000'],
+             ['identities', 'nearmiss', '--count', '10'],
+             ['ec', 'count', '--p', '17', '--n', '2', '--a', '3,1'],
+             ['ec', 'map', '--d', '1729', '--x', '9', '--y', '10']):
+    status = dispatch(argv)[0].status
+    if status != 'ok':
+        raise SystemExit(f'{argv}: {status}')
+fam = build_family()
+S = section_add(fam, section_mul(fam, 2, fam.p1), section_mul(fam, -1, fam.p2))
+if S is None or not S.on_curve(fam.k):
+    raise SystemExit('section arithmetic failed')
+print('sympy' in sys.modules)
+"""
     for flags in ([], ["-O"]):
         out = subprocess.run(
             [sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True,
@@ -260,6 +275,16 @@ def test_parse_poly_accepts(text, coeffs):
 def test_parse_poly_rejects(text):
     with pytest.raises(PolynomialSyntaxError):
         _parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["(T^64)^32", "((1+T)^64)^64", "(T^60)*(T^5)"])
+def test_parse_poly_refuses_a_degree_before_multiplying(text):
+    """A power or product of too high a degree is refused by its degree, before
+    the coefficients are multiplied out."""
+    t0 = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError, match="^degree above 64$"):
+        _parse_poly(text)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_surface_analyze_k_never_runs_code(capsys, tmp_path):

@@ -32,7 +32,6 @@ from twocubes.exact import (
     Polynomial,
     RationalFunction,
     cubefree_part,
-    cyclotomic,
     factorize,
     poly_gcd,
     prime_field,
@@ -41,6 +40,7 @@ from twocubes.exact import (
 )
 from twocubes.exact.eisenstein import primary_prime
 from twocubes.exact.ffield import _is_irreducible
+from twocubes.exact.poly import _int_cyclotomic, _int_exact_div
 from twocubes.exact.zechlog import ZERO, ZechLog
 from twocubes.identities import NEARMISS_DENOMINATOR, NEARMISS_FAMILIES, nearmiss_stream
 
@@ -191,18 +191,21 @@ def test_zero_polynomial_degree_sentinel():
 
 
 def test_divmod_and_gcd():
-    f = rational_poly(-1, 0, 1)  # T^2 - 1
-    g = rational_poly(1, 1)  # T + 1
-    q, r = divmod(f, g)
-    assert q == rational_poly(-1, 1) and r.is_zero()
-    assert poly_gcd(f, g) == rational_poly(1, 1)
+    # division over Q is exact division over Z on the integer kernel
+    assert _int_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]  # T^2 - 1 = (T - 1)(T + 1)
+    with pytest.raises(ArithmeticError):
+        _int_exact_div([-1, 0, 1], [2, 1])
+    f = rational_poly(-1, 0, 1)
+    assert poly_gcd(f, rational_poly(1, 1)) == rational_poly(1, 1)
+    assert poly_gcd(f, rational_poly("1/2", "1/2")) == rational_poly(1, 1)
+    assert poly_gcd(Polynomial(), rational_poly(2, 4)) == rational_poly("1/2", 1)
 
 
 def test_cyclotomic_polys():
-    assert cyclotomic(1) == rational_poly(-1, 1)
-    assert cyclotomic(2) == rational_poly(1, 1)
-    assert cyclotomic(6) == rational_poly(1, -1, 1)
-    assert cyclotomic(12) == rational_poly(1, 0, -1, 0, 1)
+    assert _int_cyclotomic(1) == (-1, 1)
+    assert _int_cyclotomic(2) == (1, 1)
+    assert _int_cyclotomic(6) == (1, -1, 1)
+    assert _int_cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
 # -- rational functions ---------------------------------------------------------
@@ -228,34 +231,44 @@ def test_series_examples():
 
 
 def test_ratfunc_evaluation_homomorphism():
+    """The normal form takes the values of num/den, and the normal forms of
+    a product and a sum, built from polynomial products, take f(t) g(t)
+    and f(t) + g(t)."""
     rng = random.Random(19)
-    for _ in range(30):
-        def rand_rf():
-            num = Polynomial(tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))))
-            den = Polynomial(
-                tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 3)))
-                + (Fraction(rng.randint(1, 5)),)
-            )
-            return RationalFunction(num, den)
 
-        f, g = rand_rf(), rand_rf()
+    def rand_pair():
+        num = Polynomial(tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))))
+        den = Polynomial(
+            tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 3)))
+            + (Fraction(rng.randint(1, 5)),)
+        )
+        return num, den
+
+    checked = 0
+    for _ in range(30):
+        (a, b), (c, d) = rand_pair(), rand_pair()
+        f, g = RationalFunction(a, b), RationalFunction(c, d)
         t = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        try:
-            lhs = (f * g)(t)
-            rhs = f(t) * g(t)
-            s_lhs = (f + g)(t)
-            s_rhs = f(t) + g(t)
-        except ZeroDivisionError:
+        if b(t) == 0 or d(t) == 0:
             continue
-        assert lhs == rhs
-        assert s_lhs == s_rhs
+        assert f(t) == a(t) / b(t) and g(t) == c(t) / d(t)
+        assert RationalFunction(a * c, b * d)(t) == f(t) * g(t)
+        assert RationalFunction(a * d + c * b, b * d)(t) == f(t) + g(t)
+        checked += 1
+    assert checked >= 20
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        RationalFunction(rational_poly(1), rational_poly(-2, 1))(Fraction(2))
 
 
 def test_ratfunc_normalization():
     f = RationalFunction(rational_poly(0, 2, 2), rational_poly(2, 2))  # 2T(T+1) / 2(T+1)
-    assert f.is_polynomial()
-    assert f.as_polynomial() == rational_poly(0, 1)
-    assert f.den.lc == 1
+    assert (f.num, f.den) == (rational_poly(0, 1), rational_poly(1))
+    assert f == RationalFunction(rational_poly(0, 1))
+    g = RationalFunction(rational_poly(1, 1), rational_poly(4, 2))  # (T+1) / 2(T+2)
+    assert (g.num, g.den) == (rational_poly("1/2", "1/2"), rational_poly(2, 1))
+    assert g.format() == "(1/2*T + 1/2) / (T + 2)"
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(rational_poly(1), Polynomial())
 
 
 # -- Q(omega) --------------------------------------------------------------------
@@ -272,11 +285,14 @@ def test_eisenstein_field_ops():
     for _ in range(50):
         a = Eisenstein(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         b = Eisenstein(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        conjugate = Eisenstein(a.a - a.b, -a.b)  # omega -> omega^2
+        assert a * conjugate == a.norm()
         assert (a * b).norm() == a.norm() * b.norm()
+        assert (a * b) * OMEGA == a * (b * OMEGA)
         if a != 0:
-            assert a * a.inverse() == 1
             assert a.norm() > 0
+    with pytest.raises(ValueError):
+        OMEGA**-1
 
 
 # -- finite fields ----------------------------------------------------------------

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from cm_oracle import chain_differential, cm_twist, flat_rank
+from chord_oracle import add_points, scalar_mul, to_hesse
+from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
-from twocubes.elliptic import INFINITY, Point, WeierstrassCurve, add_points, scalar_mul
-from twocubes.exact import FiniteField, OMEGA, RationalFunction, rational_poly
+from qt_oracle import T, qt
+from twocubes.elliptic import CubicTwistCurve, HesseWeierstrassMap, Point, WeierstrassCurve
+from twocubes.exact import OMEGA, FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
     FunctionFieldCurve,
     HolDifferential,
@@ -24,7 +26,6 @@ from twocubes.function_field import (
     build_family,
     fiber_trace_sum,
     good_prime,
-    lambda_homomorphism_check,
     lfunction,
     SectionPoint,
     pullback_differential,
@@ -48,9 +49,9 @@ def family():
 
 
 def test_family_on_curve_identities(family):
-    k = family.k
-    assert (family.p1.x**3 + family.p1.y**3) == RationalFunction(k)
-    assert (family.p2.x**3 + family.p2.y**3) == RationalFunction(k)
+    k = qt(family.k)
+    assert qt(family.p1.x) ** 3 + qt(family.p1.y) ** 3 == k
+    assert qt(family.p2.x) ** 3 + qt(family.p2.y) ** 3 == k
 
 
 def test_family_k_values(family):
@@ -73,14 +74,19 @@ def test_family_k_expansion(family):
 # -- pullback differentials ----------------------------------------------------------
 
 
+def _wronskian(P):
+    """x'y - xy' in sympy's Q(T)."""
+    x, y = qt(P.x), qt(P.y)
+    return x.diff(T) * y - x * y.diff(T)
+
+
 def test_wronskian_values(family):
     # symbolic differentiation oracle, done by hand on the quadratics:
     # w1 = (12T-4)(-3T^2-5T+5) - (6T^2-4T+4)(-6T-5) = -42T^2 + 84T
-    x1, y1 = family.p1.x.as_polynomial(), family.p1.y.as_polynomial()
-    oracle1 = x1.derivative() * y1 - x1 * y1.derivative()
-    assert oracle1 == rational_poly(0, 84, -42)
+    oracle1 = _wronskian(family.p1)
+    assert oracle1 == -42 * T**2 + 84 * T
     w1 = pullback_differential(family.p1)
-    assert w1.as_polynomial() == oracle1
+    assert qt(w1.as_polynomial()) == oracle1
     # w2 = -42(2T - 1)
     w2 = pullback_differential(family.p2)
     assert w2.as_polynomial() == rational_poly(42, -84)
@@ -98,20 +104,20 @@ def test_wronskian_degree_bound(family):
 
 def test_cm_twist_scales_by_cube_root(family):
     w1 = pullback_differential(family.p1)
-    tw = chain_differential(cm_twist(family.p1))
-    # (wx)'(wy) - (wx)(wy)' = w^2 (x'y - xy')
-    expected = w1.w * RationalFunction(rational_poly(1)) * (OMEGA * OMEGA)
-    assert tw.w == w1.w * (OMEGA * OMEGA)
-    assert tw.w == expected
+    tw = chain_differential(*cm_twist(family.p1))
+    # (wx)'(wy) - (wx)(wy)' = w^2 (x'y - xy'), and w^2 = -1 - w
+    assert tw == mul(OMEGA2, lift(w1.w))
+    assert tw == (-qt(w1.w), -qt(w1.w))
 
 
 def test_z_rank_examples(family):
     w1 = pullback_differential(family.p1)
     w2 = pullback_differential(family.p2)
     assert z_rank([w1, w2]) == 2
-    cm = [w1, w2, chain_differential(cm_twist(family.p1)), chain_differential(cm_twist(family.p2))]
+    cm = [lift(w1.w), lift(w2.w), chain_differential(*cm_twist(family.p1)),
+          chain_differential(*cm_twist(family.p2))]
     assert flat_rank(cm) == 4 == z_rank_cm([w1, w2])
-    assert z_rank([w1, HolDifferential(-w1.w)]) == 1
+    assert z_rank([w1, HolDifferential(RationalFunction(-w1.w.num, w1.w.den))]) == 1
     assert z_rank([]) == 0
 
 
@@ -131,18 +137,21 @@ def _section_set(family, name):
 def test_z_rank_cm_matches_the_q_omega_chain(family, name, rank):
     sections = _section_set(family, name)
     diffs = [pullback_differential(P) for P in sections]
-    twisted = [chain_differential(cm_twist(P)) for P in sections]
-    omega2 = OMEGA * OMEGA
+    twisted = [chain_differential(*cm_twist(P)) for P in sections]
     for d, t in zip(diffs, twisted):
-        assert t.w == d.w * omega2  # lambda([omega]P) = omega^2 lambda(P)
-    assert z_rank_cm(diffs) == flat_rank(diffs + twisted) == rank
+        assert t == mul(OMEGA2, lift(d.w))  # lambda([omega]P) = omega^2 lambda(P)
+    assert z_rank_cm(diffs) == flat_rank([lift(d.w) for d in diffs] + twisted) == rank
 
 
 def test_q_omega_sections_are_rejected(family):
-    with pytest.raises(TypeError):
-        pullback_differential(cm_twist(family.p1))
-    with pytest.raises(TypeError):
-        z_rank([chain_differential(cm_twist(family.p1))])
+    """A coefficient outside Q is refused where it enters, when a
+    RationalFunction is built, so no section or differential over Q(omega)
+    reaches the integer kernel."""
+    x = family.p1.x.num
+    twisted = Polynomial(tuple(OMEGA * c for c in x.coeffs))
+    for num, den in ((twisted, None), (x, twisted), (OMEGA, None), (1, OMEGA)):
+        with pytest.raises(TypeError, match="coefficients in Q"):
+            RationalFunction(num, den)
 
 
 def test_rank_is_exact_on_large_integers():
@@ -151,29 +160,34 @@ def test_rank_is_exact_on_large_integers():
 
 
 # -- the lambda homomorphism -----------------------------------------------------------
+# lambda(P + Q) = lambda(P) + lambda(Q), checked in sympy's Q(T).
+
+
+def _lam(P):
+    return qt(pullback_differential(P).w)
 
 
 def test_lambda_additivity_examples(family):
-    rep = lambda_homomorphism_check(family, family.p1, family.p2)
-    assert rep.additive and not rep.degenerate
-    rep = lambda_homomorphism_check(family, family.p1, family.p1)
-    assert rep.additive
-    # P + (-P) lands on the identity: lambda(O) = 0
-    minus_p1 = type(family.p1)(family.p1.y, family.p1.x)  # (x,y) -> (y,x) is negation
-    rep = lambda_homomorphism_check(family, family.p1, minus_p1)
-    assert rep.degenerate and rep.additive
+    P1, P2 = family.p1, family.p2
+    assert _lam(section_add(family, P1, P2)) == _lam(P1) + _lam(P2)
+    assert _lam(section_add(family, P1, P1)) == 2 * _lam(P1)
+    # P + (-P) lands on the identity, and lambda(-P) = -lambda(P): lambda(O) = 0
+    minus_p1 = SectionPoint(P1.y, P1.x)  # (x, y) -> (y, x) is negation
+    assert section_add(family, P1, minus_p1) is None
+    assert _lam(minus_p1) == -_lam(P1)
 
 
 def test_lambda_check_rejects_a_section_at_the_flex(family):
-    T = RationalFunction(rational_poly(0, 1))
+    """x + y = 0 is the flex, no section of the curve: lambda(P + Q) is never formed."""
+    t = RationalFunction(rational_poly(0, 1))
+    flex = SectionPoint(t, RationalFunction(rational_poly(0, -1)))
     with pytest.raises(ValueError):
-        lambda_homomorphism_check(family, SectionPoint(T, -T), family.p1)
+        section_add(family, flex, family.p1)
 
 
 def test_lambda_additivity_random_combinations(family):
     rng = random.Random(71)
-    w1 = pullback_differential(family.p1).w
-    w2 = pullback_differential(family.p2).w
+    w1, w2 = _lam(family.p1), _lam(family.p2)
     tried = 0
     for _ in range(20):
         m = rng.randint(-2, 2)
@@ -187,8 +201,7 @@ def test_lambda_additivity_random_combinations(family):
         if S is None:
             assert expected == 0
         else:
-            assert (family.p1.x + family.p1.y) != 0
-            assert pullback_differential(S).w == expected
+            assert _lam(S) == expected
         tried += 1
     assert tried >= 15
 
@@ -202,12 +215,17 @@ def test_section_arithmetic_stays_on_curve(family):
     assert section_add(family, family.p1, SectionPoint(family.p1.y, family.p1.x)) is None
 
 
+def _poly_section(x, y):
+    return SectionPoint(RationalFunction(x), RationalFunction(y))
+
+
 def test_on_curve_clears_the_denominator_of_k(family):
-    half = SectionPoint(family.p1.x * Fraction(1, 2), family.p1.y * Fraction(1, 2))
+    x, y = family.p1.x.num, family.p1.y.num  # polynomial sections: den = 1
+    half = _poly_section(x * Fraction(1, 2), y * Fraction(1, 2))
     assert half.on_curve(family.k * Fraction(1, 8))
     assert not half.on_curve(family.k)
     assert not family.p1.on_curve(family.k * Fraction(1, 8))
-    assert not SectionPoint(family.p1.x + 1, family.p1.y).on_curve(family.k)
+    assert not _poly_section(x + 1, y).on_curve(family.k)
 
 
 def test_multiples_of_the_identity_are_the_identity(family):
@@ -218,35 +236,25 @@ def test_multiples_of_the_identity_are_the_identity(family):
     assert section_add(family, None, family.p1) == family.p1
 
 
-# The affine chord-tangent law over Q(T), through the Hesse-Weierstrass map,
-# is the oracle for the Hessian group law over Z[T] on X^3 + Y^3 = kZ^3.  The
-# test keeps its name from the Jacobian law that the Hessian law replaced.
-
-
-def _affine_point(curve, P):
-    k = RationalFunction(curve.k)
-    s = P.x + P.y
-    return INFINITY if s == 0 else Point(12 * k / s, 36 * k * (P.x - P.y) / s)
-
-
-def _affine_section(curve, W):
-    if W.at_infinity:
-        return None
-    k = RationalFunction(curve.k)
-    return SectionPoint((36 * k + W.y) / (6 * W.x), (36 * k - W.y) / (6 * W.x))
+# The affine chord-tangent law in sympy's Q(T), through the Hesse-Weierstrass
+# map, is the oracle for the Hessian group law over Z[T] on X^3 + Y^3 = kZ^3.
+# The test keeps its name from the Jacobian law that the Hessian law replaced.
 
 
 def _affine_combination(curve, m, n):
-    E = WeierstrassCurve(RationalFunction(curve.weierstrass_A))
-    mP1 = scalar_mul(E, m, _affine_point(curve, curve.p1))
-    nP2 = scalar_mul(E, n, _affine_point(curve, curve.p2))
-    return _affine_section(curve, add_points(E, mP1, nP2))
+    """m P1 + n P2 as a pair in sympy's Q(T), or None for the identity."""
+    k = qt(curve.k)
+    to_w = HesseWeierstrassMap(CubicTwistCurve(k), WeierstrassCurve(-432 * k * k))
+    mP1, nP2 = (scalar_mul(to_w.weierstrass, c, to_w.to_weierstrass(Point(qt(P.x), qt(P.y))))
+                for c, P in ((m, curve.p1), (n, curve.p2)))
+    S = to_hesse(to_w, add_points(to_w.weierstrass, mP1, nP2))
+    return None if S.at_infinity else (S.x, S.y)
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(-2, 3) for n in range(-2, 3)])
 def test_jacobian_group_law_matches_affine_oracle(family, m, n):
     S = section_add(family, section_mul(family, m, family.p1), section_mul(family, n, family.p2))
-    assert S == _affine_combination(family, m, n)
+    assert (None if S is None else (qt(S.x), qt(S.y))) == _affine_combination(family, m, n)
     assert (S is None) if (m, n) == (0, 0) else S.on_curve(family.k)
 
 
@@ -261,8 +269,9 @@ def test_off_curve_sections_raise_value_error_under_python_O():
 from twocubes.exact import RationalFunction, rational_poly
 from twocubes.function_field import SectionPoint, build_family, section_add, section_mul
 fam = build_family()
-T = RationalFunction(rational_poly(0, 1))
-for bad in (SectionPoint(fam.p1.x + 1, fam.p1.y), SectionPoint(T, -T)):  # the second at the flex
+T, minus_T = RationalFunction(rational_poly(0, 1)), RationalFunction(rational_poly(0, -1))
+off = SectionPoint(RationalFunction(fam.p1.x.num + 1), fam.p1.y)
+for bad in (off, SectionPoint(T, minus_T)):  # the second at the flex
     for call in (lambda: section_add(fam, bad, fam.p2), lambda: section_add(fam, fam.p2, bad),
                  lambda: section_mul(fam, 1, bad), lambda: section_mul(fam, -2, bad),
                  lambda: section_mul(fam, 3, bad)):
@@ -281,19 +290,20 @@ for bad in (SectionPoint(fam.p1.x + 1, fam.p1.y), SectionPoint(T, -T)):  # the s
 
 
 def test_section_arithmetic_rejects_non_rational_coefficients(family):
-    twisted = cm_twist(family.p1)  # coefficients in Q(omega)
-    with pytest.raises(TypeError):
-        section_add(family, twisted, family.p2)
-    with pytest.raises(TypeError):
-        section_mul(family, 2, twisted)
+    """Section coordinates over F_17 or in floats cannot be built, so the
+    Hessian law and the Wronskian only ever see Q(T)."""
+    F17 = FiniteField(17)
+    for bad in (Polynomial((F17(4), F17(1))), Polynomial((0.5, 1.0))):
+        with pytest.raises(TypeError):
+            _poly_section(bad, family.p1.y.num)
 
 
 def test_fraction_free_wronskian_matches_rational_function_chain(family):
+    """The Wronskian over Z[T] against the chain rule in sympy's Q(T)."""
     S = section_add(family, section_mul(family, 2, family.p1), section_mul(family, -1, family.p2))
-    assert not S.x.is_polynomial()
+    assert S.x.den.degree > 0
     for P in (family.p1, family.p2, S):
-        chain = P.x.derivative() * P.y - P.x * P.y.derivative()
-        assert pullback_differential(P).w == chain
+        assert qt(pullback_differential(P).w) == _wronskian(P)
 
 
 # -- the L-function ---------------------------------------------------------------------
@@ -527,8 +537,9 @@ def test_lfunction_cache_ignores_spelling():
 
 
 def test_typed_checks_survive_python_O():
-    """Both exactness checks raise their typed errors with asserts stripped."""
+    """The exactness and type checks raise their typed errors with asserts stripped."""
     script = """
+from twocubes.exact import OMEGA, Polynomial, RationalFunction
 from twocubes.function_field import FunctionFieldCurve, LFunctionError, LPolynomial, build_family
 from twocubes.twists import SpecializationError, specialize
 fam = build_family()
@@ -540,13 +551,23 @@ try:
     specialize(3, FunctionFieldCurve(2 * fam.k, fam.p1, fam.p2))
 except SpecializationError:
     print("SpecializationError")
+try:
+    RationalFunction(Polynomial((1, OMEGA)))
+except TypeError:
+    print("TypeError")
+try:
+    OMEGA ** -1  # without the check, e >>= 1 stays at -1 and the loop never ends
+except ValueError:
+    print("ValueError")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True,
+        timeout=60,
     )
-    assert out.stdout.split() == ["LFunctionError", "SpecializationError"]
+    want = ["LFunctionError", "SpecializationError", "TypeError", "ValueError"]
+    assert out.stdout.split() == want
 
 
 def test_lfunction_rejects_bad_primes():

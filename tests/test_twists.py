@@ -6,16 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from chord_oracle import add_points, neg_point, scalar_mul, to_hesse
 from reduction import embed_fraction
-from twocubes.elliptic import (
-    Point,
-    WeierstrassCurve,
-    add_points,
-    count_points,
-    hesse_to_weierstrass,
-    neg_point,
-    scalar_mul,
-)
+from twocubes.elliptic import Point, WeierstrassCurve, count_points, hesse_to_weierstrass
 from twocubes.exact import FiniteField, cubefree_part
 from twocubes.function_field import build_family
 from twocubes.twists import (
@@ -209,7 +202,7 @@ def test_dependent_points_never_certify(family):
     rec = specialize(3, family)
     m = hesse_to_weierstrass(rec.curve())
     w1 = m.to_weierstrass(rec.p1)
-    double = m.to_hesse(add_points(m.weierstrass, w1, w1))
+    double = to_hesse(m, add_points(m.weierstrass, w1, w1))
     dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, double)
     assert dep.p2.x**3 + dep.p2.y**3 == rec.d
     out = rank2_certificate(dep, prime_budget=25)
@@ -232,7 +225,7 @@ def test_exceptional_t0_is_exhausted(family):
     m = hesse_to_weierstrass(rec.curve())
     w2 = m.to_weierstrass(rec.p2)
     minus_2p2 = neg_point(scalar_mul(m.weierstrass, 2, w2))
-    assert m.to_hesse(minus_2p2) == rec.p1
+    assert to_hesse(m, minus_2p2) == rec.p1
     out = rank2_certificate(rec, prime_budget=20)
     assert out.exhausted
 
