@@ -378,6 +378,8 @@ def _run_surface_analyze(args) -> dict:
 
 
 def _run_twists_table(args) -> dict:
+    if args.t_from > args.t_to:
+        raise ValueError(f"--from {args.t_from} is greater than --to {args.t_to}")
     _check_cap("--from/--to width", args.t_to - args.t_from + 1, MAX_TWIST_RANGE)
     _check_cap("--budget", args.budget, MAX_PRIME_BUDGET)
     table = twist_table(args.t_from, args.t_to, certify=args.certify, prime_budget=args.budget)

@@ -4,7 +4,13 @@ Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
 short Weierstrass form v^2 = u^3 - 432 d^2, with the point map from the
 first to the second.  The chord-tangent group law runs over a prime field
 only, on plain int pairs, where the certificate search needs it; sections
-over Q(T) are added on the Hesse cubic itself (`function_field`).
+over Q(T) are added on the Hesse cubic itself (`function_field`).  Points
+are checked (reduced mod p, on the curve) once where they enter the law:
+`add_mod_p`, `mul_mod_p`, `point_order` and `subgroup_is_cyclic` check their
+inputs and `mul_mod_p` its result, while the steps inside run unchecked.
+`noncyclic_primes` reads off #E(F_p) alone the primes at which E(F_p) can
+fail to be cyclic: E(F_p) = Z/n1 x Z/n2 with n1 | n2 and n1 | p - 1 (Weil
+pairing).
 Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
 sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
 costs one sextic residue symbol.
@@ -211,16 +217,20 @@ def torsion_order_bound(d: int) -> int:
 
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
-# certificate search runs here.
+# certificate search runs here.  The steps behind the public entries run
+# unchecked: a chord-tangent step keeps a point on the curve.
 
 
-def add_mod_p(p: int, A: int, P, Q):
-    """Chord-tangent addition on v^2 = u^3 + A over F_p; off-curve inputs are rejected."""
-    for X in (P, Q):
-        if X is not None and not (0 <= X[0] < p and 0 <= X[1] < p):
-            raise ValueError("point not reduced mod p")
-        if X is not None and (X[1] * X[1] - X[0] ** 3 - A) % p:
-            raise ValueError("point not on curve")
+def _check_point(p: int, A: int, P) -> None:
+    if P is None:
+        return
+    if not (0 <= P[0] < p and 0 <= P[1] < p):
+        raise ValueError("point not reduced mod p")
+    if (P[1] * P[1] - P[0] ** 3 - A) % p:
+        raise ValueError("point not on curve")
+
+
+def _add_mod_p(p: int, A: int, P, Q):
     if P is None:
         return Q
     if Q is None:
@@ -236,54 +246,105 @@ def add_mod_p(p: int, A: int, P, Q):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def mul_mod_p(p: int, A: int, k: int, P):
-    """k * P over F_p for k >= 0, by double-and-add."""
+def _mul_mod_p(p: int, A: int, k: int, P):
     R = None
     while k:
         if k & 1:
-            R = add_mod_p(p, A, R, P)
+            R = _add_mod_p(p, A, R, P)
         k >>= 1
         if k:
-            P = add_mod_p(p, A, P, P)
+            P = _add_mod_p(p, A, P, P)
     return R
+
+
+def add_mod_p(p: int, A: int, P, Q):
+    """Chord-tangent addition on v^2 = u^3 + A over F_p; off-curve inputs are rejected."""
+    _check_point(p, A, P)
+    _check_point(p, A, Q)
+    return _add_mod_p(p, A, P, Q)
+
+
+def mul_mod_p(p: int, A: int, k: int, P):
+    """k * P over F_p for k >= 0, by double-and-add."""
+    _check_point(p, A, P)
+    R = _mul_mod_p(p, A, k, P)
+    _check_point(p, A, R)
+    return R
+
+
+def noncyclic_primes(p: int, order_factors: dict[int, int]) -> list[int]:
+    """The primes ell at which a subgroup of E(F_p) can fail to be cyclic,
+    given the factorization of #E(F_p); empty when E(F_p) must be cyclic.
+
+    E(F_p) = Z/n1 x Z/n2 with n1 | n2, and the Weil pairing puts mu_n1 in
+    F_p^*, so n1 | p - 1.  Its ell-part is non-cyclic only if ell | n1, which
+    needs ell | p - 1 and ell^2 | #E(F_p).
+    """
+    return [ell for ell, e in sorted(order_factors.items()) if e >= 2 and (p - 1) % ell == 0]
+
+
+def _order(p: int, A: int, P, n: int, n_factors: dict[int, int]) -> int:
+    """The order of P from a multiple n of it and n's factorization."""
+    if _mul_mod_p(p, A, n, P) is not None:
+        raise ValueError("group_order is not a multiple of the point order")
+    o = n
+    for ell in n_factors:
+        while o % ell == 0 and _mul_mod_p(p, A, o // ell, P) is None:
+            o //= ell
+    return o
+
+
+def _is_cyclic(p: int, A: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
+    """subgroup_is_cyclic from a multiple n of #E(F_p) and n's factorization."""
+    for X in (P, Q):
+        if _mul_mod_p(p, A, n, X) is not None:
+            raise ValueError("group_order is not a multiple of the point order")
+    for ell in noncyclic_primes(p, n_factors):
+        m = n // ell ** n_factors[ell]
+        Pp, Qp = _mul_mod_p(p, A, m, P), _mul_mod_p(p, A, m, Q)
+        oP, oQ = _ell_order(p, A, Pp, ell), _ell_order(p, A, Qp, ell)
+        if oP < oQ:
+            Pp, Qp, oP = Qp, Pp, oQ
+        R = None
+        for _ in range(oP):
+            if R == Qp:
+                break
+            R = _add_mod_p(p, A, R, Pp)
+        else:
+            return False
+    return True
+
+
+def _ell_order(p: int, A: int, P, ell: int) -> int:
+    """The order of P, known to be a power of ell."""
+    o = 1
+    while P is not None:
+        P = _mul_mod_p(p, A, ell, P)
+        o *= ell
+    return o
 
 
 def point_order(p: int, A: int, P, group_order: int) -> int:
     """Exact order of P in E(F_p) given a multiple of it (the group order)."""
+    _check_point(p, A, P)
     if P is None:
         return 1
-    if mul_mod_p(p, A, group_order, P) is not None:
-        raise ValueError("group_order is not a multiple of the point order")
-    o = group_order
-    for ell in factorize(group_order):
-        while o % ell == 0 and mul_mod_p(p, A, o // ell, P) is None:
-            o //= ell
-    return o
+    return _order(p, A, P, group_order, factorize(group_order))
 
 
 def subgroup_is_cyclic(p: int, A: int, P, Q, group_order: int) -> bool:
     """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
 
-    For each prime ell dividing both orders, reduce to the ell-primary parts
-    P', Q' with ord(P') >= ord(Q'); the span is cyclic at ell iff Q' lies in
-    <P'>, tested by direct enumeration of the (small) cyclic group.
+    Only the primes of noncyclic_primes can break cyclicity.  At each such
+    ell, with ell^e exactly dividing the group order n, the ell-primary
+    parts are P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
+    ord(P') >= ord(Q').  The span is cyclic at ell iff Q' lies in <P'>,
+    tested by direct enumeration of the (small) cyclic group.  group_order
+    must be a multiple of #E(F_p), not only of the two point orders: the
+    primes come from its factorization.
     """
-    oP = point_order(p, A, P, group_order)
-    oQ = point_order(p, A, Q, group_order)
-    fP, fQ = factorize(oP), factorize(oQ)
-    for ell in sorted(fP.keys() & fQ.keys()):
-        a, b = fP[ell], fQ[ell]
-        Pp = mul_mod_p(p, A, oP // ell**a, P)
-        Qp = mul_mod_p(p, A, oQ // ell**b, Q)
-        if a < b:
-            Pp, Qp = Qp, Pp
-            a, b = b, a
-        R = None
-        for _ in range(ell**a):
-            if R == Qp:
-                break
-            R = add_mod_p(p, A, R, Pp)
-        else:
-            return False
-    return True
-
+    _check_point(p, A, P)
+    _check_point(p, A, Q)
+    if group_order % count_points(prime_field(p), A):
+        raise ValueError("group_order is not a multiple of #E(F_p)")
+    return _is_cyclic(p, A, P, Q, group_order, factorize(group_order))

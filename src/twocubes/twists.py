@@ -17,13 +17,16 @@ from functools import lru_cache
 from .elliptic import (
     CubicTwistCurve,
     Point,
+    _check_point,
+    _is_cyclic,
+    _order,
     count_points,
     hesse_to_weierstrass,
-    point_order,
-    subgroup_is_cyclic,
+    noncyclic_primes,
     torsion_order_bound,
 )
-from .exact import Polynomial, cubefree_part, factor_over_z, prime_field, primes
+from .exact import Polynomial, RationalFunction, cubefree_part, factor_over_z, prime_field, primes
+from .exact.numbers import factorize
 from .exact.poly import _cleared
 from .function_field import FunctionFieldCurve, build_family
 
@@ -95,7 +98,9 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     k = c_0 prod g over Z, k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and
     the decomposition factors those homogenized factor values one by one,
     never their product.  Above degree 6 that needs b = 1; any other t is
-    refused.
+    refused.  Each section coordinate is evaluated over Z, on its
+    homogenized numerator and denominator, into one Fraction; the exact
+    check x^3 + y^3 = d follows.
     """
     fam = family or build_family()
     t = Fraction(t)
@@ -107,20 +112,37 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
         raise SpecializationError(f"deg k = {fam.k.degree} > 6: b^6 leaves a denominator in k({t})")
     content, factors = _factors(fam.k)
     parts = [content, b ** max(6 - fam.k.degree, 0)]
-    for g in factors:
-        parts.append(sum(gi * a**i * b ** (len(g) - 1 - i) for i, gi in enumerate(g)))
+    parts.extend(_homogenized(g, a, b) for g in factors)
     d, c = cubefree_part(*parts)
     if d * c**3 != k_t * b**6:
         raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
-    scale = Fraction(b * b, c)
     pts = []
     for sec in (fam.p1, fam.p2):
-        x = sec.x(t) * scale
-        y = sec.y(t) * scale
+        x, y = (_scaled_value(f, a, b, c) for f in (sec.x, sec.y))
         if x**3 + y**3 != d:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
         pts.append(Point(x, y))
     return TwistRecord(t, k_t, d, pts[0], pts[1])
+
+
+def _homogenized(g, a: int, b: int) -> int:
+    """b^deg(g) g(a/b) for an integer coefficient list g, low to high."""
+    return sum(gi * a**i * b ** (len(g) - 1 - i) for i, gi in enumerate(g))
+
+
+@lru_cache(maxsize=8)
+def _integer_forms(f: RationalFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Numerator and denominator of f over Z; cleared once per section
+    coordinate, not once per t."""
+    return tuple(map(tuple, _cleared(f.num, f.den)))
+
+
+def _scaled_value(f: RationalFunction, a: int, b: int, c: int) -> Fraction:
+    """f(a/b) b^2 / c as one Fraction of homogenized integer forms."""
+    num, den = _integer_forms(f)
+    e = len(den) - len(num) + 2  # b^2 times the b^deg powers the two forms carry
+    return Fraction(_homogenized(num, a, b) * b ** max(e, 0),
+                    _homogenized(den, a, b) * c * b ** max(-e, 0))
 
 
 @lru_cache(maxsize=8)
@@ -137,6 +159,13 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     Requires d > 2 (so the curve is torsion-free once the computed torsion
     bound is 1).  Exhausting the budget is a no-certificate outcome, not a
     disproof.  The outcome is also stored on the record.
+
+    #E(F_p) is factored once per prime.  E(F_p) = Z/n1 x Z/n2 with n1 | n2
+    and n1 | p - 1, so a prime where no ell | p - 1 has ell^2 | #E(F_p) is
+    skipped (it still counts as tried) before the points are reduced.  The
+    two reduced points are checked on the curve once; the cyclicity test
+    then runs on the unchecked group law, from that one factorization, and
+    the two point orders are computed only at the certifying prime.
     """
     if record.d <= 2:
         raise ValueError("d <= 2: torsion-freeness hypothesis unavailable")
@@ -162,13 +191,17 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
             continue
         tried += 1
         A = (-432 * record.d * record.d) % p
+        order = count_points(prime_field(p), A)
+        order_factors = factorize(order)
+        if not noncyclic_primes(p, order_factors):
+            continue
         r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (P.x, P.y))
                   for P in (w1, w2)]
-        order = count_points(prime_field(p), A)
-        if not subgroup_is_cyclic(p, A, r1, r2, order):
-            cert = RankCertificate(
-                p, order, point_order(p, A, r1, order), point_order(p, A, r2, order), tb
-            )
+        _check_point(p, A, r1)
+        _check_point(p, A, r2)
+        if not _is_cyclic(p, A, r1, r2, order, order_factors):
+            o1, o2 = (_order(p, A, r, order, order_factors) for r in (r1, r2))
+            cert = RankCertificate(p, order, o1, o2, tb)
             record.outcome = CertificateOutcome(cert, tried, "non-cyclic image")
             return record.outcome
     record.outcome = CertificateOutcome(None, tried, "budget exhausted")

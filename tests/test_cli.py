@@ -348,6 +348,18 @@ def test_twists_table_cli_reports_exhausted(capsys):
     ] * 3 + [("non-cyclic image", 7)]
 
 
+def test_twists_table_cli_refuses_an_inverted_range(capsys, monkeypatch):
+    from twocubes import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an inverted range started work")
+
+    monkeypatch.setattr(cli, "twist_table", no_work)
+    doc = run_json(capsys, "twists", "table", "--from", "5", "--to", "3", "--certify")
+    assert doc["status"] == "failed"
+    assert doc["results"]["error"] == "ValueError: --from 5 is greater than --to 3"
+
+
 def test_twists_table_cli_csv(capsys):
     code = main(["twists", "table", "--from", "3", "--to", "3", "--format", "csv"])
     out = capsys.readouterr().out

@@ -1,7 +1,11 @@
 """Tests for curve models, the group law, closed-form counting, and traces."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +21,14 @@ from twocubes.elliptic import (
     count_points,
     hesse_to_weierstrass,
     mul_mod_p,
+    noncyclic_primes,
     point_order,
     subgroup_is_cyclic,
     torsion_order_bound,
     trace,
 )
 from twocubes.exact import FiniteField, is_probable_prime
+from twocubes.exact.numbers import factorize
 
 
 # -- model conversion -----------------------------------------------------------
@@ -341,12 +347,59 @@ def test_int_group_law_matches_generic():
 
 
 def test_int_group_law_rejects_off_curve():
-    with pytest.raises(ValueError):
-        add_mod_p(7, 1, (1, 1), None)
-    with pytest.raises(ValueError):
-        add_mod_p(7, 1, None, (0, 8))  # on the curve only before reduction
-    with pytest.raises(ValueError):
-        point_order(7, 1, (1, 1), 12)
+    """Every public F_p entry checks its input points (and mul_mod_p its
+    result) with a typed error, so the checks survive -O."""
+    script = """
+import twocubes.elliptic as E
+from twocubes.exact import prime_field
+p, A, good = 7, 1, (0, 1)
+n = E.count_points(prime_field(p), A)
+for bad in ((1, 1), (0, 8)):  # off the curve; on it only before reduction mod 7
+    for call in (lambda: E.add_mod_p(p, A, bad, None), lambda: E.add_mod_p(p, A, good, bad),
+                 lambda: E.mul_mod_p(p, A, 3, bad), lambda: E.point_order(p, A, bad, n),
+                 lambda: E.subgroup_is_cyclic(p, A, bad, good, n),
+                 lambda: E.subgroup_is_cyclic(p, A, good, bad, n)):
+        try:
+            call()
+            print("accepted")
+        except ValueError as exc:
+            print(str(exc).replace(" ", "_"))
+E._add_mod_p = lambda p, A, P, Q: (1, 1)  # an add that leaves the curve
+try:
+    E.mul_mod_p(p, A, 2, good)
+    print("accepted")
+except ValueError as exc:
+    print(str(exc).replace(" ", "_"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    want = ["point_not_on_curve"] * 6 + ["point_not_reduced_mod_p"] * 6 + ["point_not_on_curve"]
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-c", script]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+        assert out.stdout.split() == want, flags
+
+
+def test_weil_skip_only_where_the_group_is_cyclic():
+    """Wherever noncyclic_primes is empty, enumeration finds a point of
+    order #E(F_p), over every A != 0 mod p and every prime 5 <= p < 200."""
+    skipped = kept = 0
+    for p in range(5, 200):
+        if not is_probable_prime(p):
+            continue
+        roots = {}
+        for v in range(p):
+            roots.setdefault(v * v % p, []).append(v)
+        for A in range(1, p):
+            pts = [(u, v) for u in range(p) for v in roots.get((u**3 + A) % p, ())]
+            n = len(pts) + 1
+            assert n == count_points(FiniteField(p), A)
+            if noncyclic_primes(p, factorize(n)):
+                kept += 1
+                continue
+            skipped += 1
+            assert any(point_order(p, A, P, n) == n for P in pts), (p, A)
+    assert skipped > 1000 and kept > 1000
 
 
 def _subgroup_bruteforce(curve, gens):
@@ -388,6 +441,16 @@ def test_subgroup_cyclicity_vs_enumeration():
                 if not got:
                     checked_noncyclic += 1
     assert checked_noncyclic >= 1  # the sample must include genuine non-cyclic cases
+
+
+def test_subgroup_is_cyclic_needs_a_multiple_of_the_group_order():
+    # two 2-torsion points of v^2 = u^3 + 1 over F_7 (#E = 12) span Z/2 x Z/2;
+    # 2 is a multiple of both point orders but hides the 4 | #E it needs
+    p, A, P, Q = 7, 1, (3, 0), (5, 0)
+    assert not subgroup_is_cyclic(p, A, P, Q, 12)
+    assert not subgroup_is_cyclic(p, A, P, Q, 24)
+    with pytest.raises(ValueError, match="multiple of #E"):
+        subgroup_is_cyclic(p, A, P, Q, 2)
 
 
 def test_scalar_mul_orders():
@@ -432,13 +495,14 @@ def test_mul_mod_p_doubles_only_while_bits_remain(monkeypatch):
 
     p, A, P = 1009, 5, (1, 174)
     calls = []
+    add = elliptic._add_mod_p
 
     def counted(p_, A_, X, Y):
         calls.append(1)
-        return add_mod_p(p_, A_, X, Y)
+        return add(p_, A_, X, Y)
 
-    monkeypatch.setattr(elliptic, "add_mod_p", counted)
-    # k: (add_mod_p calls, kP as computed before doubling stopped at the last bit)
+    monkeypatch.setattr(elliptic, "_add_mod_p", counted)
+    # k: (_add_mod_p calls, kP as computed before doubling stopped at the last bit)
     want = {1: (1, (1, 174)), 2: (2, (629, 760)), 4: (3, (256, 609)), 5: (4, (315, 240))}
     for k, (n_calls, kP) in want.items():
         calls.clear()

@@ -1,5 +1,6 @@
 """Tests for specialization, twist tables, and rank certificates."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,19 @@ import pytest
 
 from chord_oracle import add_points, neg_point, scalar_mul, to_hesse
 from reduction import embed_fraction
-from twocubes.elliptic import Point, WeierstrassCurve, count_points, hesse_to_weierstrass
-from twocubes.exact import FiniteField, cubefree_part
+from twocubes.elliptic import (
+    Point,
+    WeierstrassCurve,
+    add_mod_p,
+    count_points,
+    hesse_to_weierstrass,
+    mul_mod_p,
+    noncyclic_primes,
+    point_order,
+    subgroup_is_cyclic,
+)
+from twocubes.exact import FiniteField, cubefree_part, primes
+from twocubes.exact.numbers import factorize
 from twocubes.function_field import build_family
 from twocubes.twists import (
     SpecializationError,
@@ -196,6 +208,58 @@ def test_certificate_found_for_t3(family):
             break
     assert not cyclic
     assert cert.group_order == count_points(F, A)
+
+
+def _cyclic_by_point_orders(p, A, P, Q, n):
+    """<P, Q> cyclic, from both full point orders: at each ell dividing both,
+    the ell-part of smaller order must lie in the enumerated span of the other."""
+    oP, oQ = point_order(p, A, P, n), point_order(p, A, Q, n)
+    fP, fQ = factorize(oP), factorize(oQ)
+    for ell in fP.keys() & fQ.keys():
+        a, b = fP[ell], fQ[ell]
+        Pp, Qp = mul_mod_p(p, A, oP // ell**a, P), mul_mod_p(p, A, oQ // ell**b, Q)
+        if a < b:
+            Pp, Qp, a = Qp, Pp, b
+        span, R = {None}, None
+        for _ in range(ell**a):
+            R = add_mod_p(p, A, R, Pp)
+            span.add(R)
+        if Qp not in span:
+            return False
+    return True
+
+
+def test_weil_skip_never_hides_a_non_cyclic_image(family):
+    """Over t in [-50, 50] and the first 60 primes, the reduced (P1, P2) span
+    a cyclic group, by full point orders, at every good prime that the search
+    skips, and subgroup_is_cyclic agrees with the point orders at every other."""
+    first_60 = list(itertools.islice(primes(), 60))
+    skipped = non_cyclic = 0
+    for t in range(-50, 51):
+        try:
+            rec = specialize(t, family)
+        except SpecializationError:
+            continue
+        m = hesse_to_weierstrass(rec.curve())
+        w1, w2 = m.to_weierstrass(rec.p1), m.to_weierstrass(rec.p2)
+        if w1.at_infinity or w2.at_infinity:
+            continue
+        coords = (w1.x, w1.y, w2.x, w2.y)
+        for p in first_60:
+            if p < 5 or (6 * rec.d) % p == 0 or any(c.denominator % p == 0 for c in coords):
+                continue
+            A = (-432 * rec.d * rec.d) % p
+            n = count_points(FiniteField(p), A)
+            r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (w.x, w.y))
+                      for w in (w1, w2)]
+            cyclic = _cyclic_by_point_orders(p, A, r1, r2, n)
+            if not noncyclic_primes(p, factorize(n)):
+                skipped += 1
+                assert cyclic, (t, p)
+            else:
+                assert subgroup_is_cyclic(p, A, r1, r2, n) == cyclic, (t, p)
+                non_cyclic += not cyclic
+    assert skipped > 1000 and non_cyclic > 100
 
 
 def test_dependent_points_never_certify(family):
