@@ -381,6 +381,8 @@ def _run_twists_table(args) -> dict:
     if args.t_from > args.t_to:
         raise ValueError(f"--from {args.t_from} is greater than --to {args.t_to}")
     _check_cap("--from/--to width", args.t_to - args.t_from + 1, MAX_TWIST_RANGE)
+    if args.budget < 1:
+        raise BudgetError(f"--budget {args.budget} is below 1")
     _check_cap("--budget", args.budget, MAX_PRIME_BUDGET)
     table = twist_table(args.t_from, args.t_to, certify=args.certify, prime_budget=args.budget)
     payload = table.to_json()

@@ -4,10 +4,12 @@ Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
 short Weierstrass form v^2 = u^3 - 432 d^2, with the point map from the
 first to the second.  The chord-tangent group law runs over a prime field
 only, on plain int pairs, where the certificate search needs it; sections
-over Q(T) are added on the Hesse cubic itself (`function_field`).  Points
-are checked (reduced mod p, on the curve) once where they enter the law:
-`add_mod_p`, `mul_mod_p`, `point_order` and `subgroup_is_cyclic` check their
-inputs and `mul_mod_p` its result, while the steps inside run unchecked.
+over Q(T) are added on the Hesse cubic itself (`function_field`).  The
+search (`twists.rank2_certificate`) is the law's one caller, and it checks
+its two points where they enter: exactly on the Hesse cubic, then reduced
+mod p (`_check_point`).  The steps here (`_add_mod_p`, `_mul_mod_p`,
+`_is_cyclic`) run unchecked, since a chord-tangent step keeps a point on the
+curve.
 `noncyclic_primes` reads off #E(F_p) alone the primes at which E(F_p) can
 fail to be cyclic: E(F_p) = Z/n1 x Z/n2 with n1 | n2 and n1 | p - 1 (Weil
 pairing).
@@ -24,9 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .exact import OMEGA, Eisenstein, FiniteField, prime_field, primes
+from .exact import OMEGA, Eisenstein, FiniteField, icbrt, prime_field, primes
 from .exact.eisenstein import primary_prime
-from .exact.numbers import factorize
 
 
 @dataclass(frozen=True)
@@ -162,23 +163,6 @@ def trace(field: FiniteField, A) -> int:
 # -- torsion bound over Q ------------------------------------------------------
 
 
-def _has_rational_2_torsion(d: int) -> bool:
-    # v = 0 forces u^3 = 432 d^2
-    from .exact import icbrt
-
-    m = 432 * d * d
-    return icbrt(m) ** 3 == m
-
-
-def _has_rational_3_torsion(d: int) -> bool:
-    # u = 0 needs -432 d^2 square (negative, never); else u^3 = 1728 d^2,
-    # and then v^2 = 1296 d^2 = (36 d)^2 holds automatically.
-    from .exact import icbrt
-
-    m = 1728 * d * d
-    return icbrt(m) ** 3 == m
-
-
 # good primes whose point counts torsion_order_bound takes the gcd of
 TORSION_PRIMES = 8
 
@@ -208,8 +192,12 @@ def torsion_order_bound(d: int) -> int:
         used += 1
         if g == 1 or used >= TORSION_PRIMES:
             break
-    for ell, present in ((2, _has_rational_2_torsion), (3, _has_rational_3_torsion)):
-        if g % ell == 0 and not present(d):
+    # Rational ell-torsion needs a rational cube: for ell = 2, v = 0 forces
+    # u^3 = 432 d^2; for ell = 3, u = 0 needs -432 d^2 square (negative,
+    # never), else u^3 = 1728 d^2, and then v^2 = 1296 d^2 = (36 d)^2 holds
+    # automatically.
+    for ell, m in ((2, 432 * d * d), (3, 1728 * d * d)):
+        if g % ell == 0 and icbrt(m) ** 3 != m:
             while g % ell == 0:
                 g //= ell
     return g
@@ -217,8 +205,8 @@ def torsion_order_bound(d: int) -> int:
 
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
-# certificate search runs here.  The steps behind the public entries run
-# unchecked: a chord-tangent step keeps a point on the curve.
+# certificate search checks its two points with _check_point as they enter;
+# the steps run unchecked: a chord-tangent step keeps a point on the curve.
 
 
 def _check_point(p: int, A: int, P) -> None:
@@ -257,21 +245,6 @@ def _mul_mod_p(p: int, A: int, k: int, P):
     return R
 
 
-def add_mod_p(p: int, A: int, P, Q):
-    """Chord-tangent addition on v^2 = u^3 + A over F_p; off-curve inputs are rejected."""
-    _check_point(p, A, P)
-    _check_point(p, A, Q)
-    return _add_mod_p(p, A, P, Q)
-
-
-def mul_mod_p(p: int, A: int, k: int, P):
-    """k * P over F_p for k >= 0, by double-and-add."""
-    _check_point(p, A, P)
-    R = _mul_mod_p(p, A, k, P)
-    _check_point(p, A, R)
-    return R
-
-
 def noncyclic_primes(p: int, order_factors: dict[int, int]) -> list[int]:
     """The primes ell at which a subgroup of E(F_p) can fail to be cyclic,
     given the factorization of #E(F_p); empty when E(F_p) must be cyclic.
@@ -283,19 +256,17 @@ def noncyclic_primes(p: int, order_factors: dict[int, int]) -> list[int]:
     return [ell for ell, e in sorted(order_factors.items()) if e >= 2 and (p - 1) % ell == 0]
 
 
-def _order(p: int, A: int, P, n: int, n_factors: dict[int, int]) -> int:
-    """The order of P from a multiple n of it and n's factorization."""
-    if _mul_mod_p(p, A, n, P) is not None:
-        raise ValueError("group_order is not a multiple of the point order")
-    o = n
-    for ell in n_factors:
-        while o % ell == 0 and _mul_mod_p(p, A, o // ell, P) is None:
-            o //= ell
-    return o
-
-
 def _is_cyclic(p: int, A: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
-    """subgroup_is_cyclic from a multiple n of #E(F_p) and n's factorization."""
+    """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
+
+    n is a multiple of #E(F_p), not only of the two point orders (the primes
+    come from its factorization), and n_factors is its factorization.  Only
+    the primes of noncyclic_primes can break cyclicity.  At each such ell,
+    with ell^e exactly dividing n, the ell-primary parts are
+    P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
+    ord(P') >= ord(Q').  The span is cyclic at ell iff Q' lies in <P'>,
+    tested by direct enumeration of the (small) cyclic group.
+    """
     for X in (P, Q):
         if _mul_mod_p(p, A, n, X) is not None:
             raise ValueError("group_order is not a multiple of the point order")
@@ -322,29 +293,3 @@ def _ell_order(p: int, A: int, P, ell: int) -> int:
         P = _mul_mod_p(p, A, ell, P)
         o *= ell
     return o
-
-
-def point_order(p: int, A: int, P, group_order: int) -> int:
-    """Exact order of P in E(F_p) given a multiple of it (the group order)."""
-    _check_point(p, A, P)
-    if P is None:
-        return 1
-    return _order(p, A, P, group_order, factorize(group_order))
-
-
-def subgroup_is_cyclic(p: int, A: int, P, Q, group_order: int) -> bool:
-    """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
-
-    Only the primes of noncyclic_primes can break cyclicity.  At each such
-    ell, with ell^e exactly dividing the group order n, the ell-primary
-    parts are P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
-    ord(P') >= ord(Q').  The span is cyclic at ell iff Q' lies in <P'>,
-    tested by direct enumeration of the (small) cyclic group.  group_order
-    must be a multiple of #E(F_p), not only of the two point orders: the
-    primes come from its factorization.
-    """
-    _check_point(p, A, P)
-    _check_point(p, A, Q)
-    if group_order % count_points(prime_field(p), A):
-        raise ValueError("group_order is not a multiple of #E(F_p)")
-    return _is_cyclic(p, A, P, Q, group_order, factorize(group_order))

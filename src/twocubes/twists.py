@@ -19,7 +19,6 @@ from .elliptic import (
     Point,
     _check_point,
     _is_cyclic,
-    _order,
     count_points,
     hesse_to_weierstrass,
     noncyclic_primes,
@@ -37,8 +36,6 @@ class RankCertificate:
 
     prime: int
     group_order: int
-    order_p1: int
-    order_p2: int
     torsion_bound: int
 
 
@@ -162,20 +159,23 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
 
     #E(F_p) is factored once per prime.  E(F_p) = Z/n1 x Z/n2 with n1 | n2
     and n1 | p - 1, so a prime where no ell | p - 1 has ell^2 | #E(F_p) is
-    skipped (it still counts as tried) before the points are reduced.  The
-    two reduced points are checked on the curve once; the cyclicity test
-    then runs on the unchecked group law, from that one factorization, and
-    the two point orders are computed only at the certifying prime.
+    skipped (it still counts as tried) before the points are reduced.  Both
+    points are checked on X^3 + Y^3 = d exactly before any prime is tried,
+    and once more reduced mod p; the cyclicity test then runs on the
+    unchecked group law, from that one factorization.
     """
     if record.d <= 2:
         raise ValueError("d <= 2: torsion-freeness hypothesis unavailable")
     if record.p1.at_infinity or record.p2.at_infinity:
         raise ValueError("certificate needs two affine points")
+    curve = record.curve()
+    if not (curve.contains(record.p1) and curve.contains(record.p2)):
+        raise ValueError(f"point not on X^3 + Y^3 = {record.d}")
     tb = torsion_order_bound(record.d)
     if tb != 1:
         record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
         return record.outcome
-    m = hesse_to_weierstrass(record.curve())
+    m = hesse_to_weierstrass(curve)
     w1 = m.to_weierstrass(record.p1)
     w2 = m.to_weierstrass(record.p2)
     if w1.at_infinity or w2.at_infinity:
@@ -200,8 +200,7 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         _check_point(p, A, r1)
         _check_point(p, A, r2)
         if not _is_cyclic(p, A, r1, r2, order, order_factors):
-            o1, o2 = (_order(p, A, r, order, order_factors) for r in (r1, r2))
-            cert = RankCertificate(p, order, o1, o2, tb)
+            cert = RankCertificate(p, order, tb)
             record.outcome = CertificateOutcome(cert, tried, "non-cyclic image")
             return record.outcome
     record.outcome = CertificateOutcome(None, tried, "budget exhausted")

@@ -7,7 +7,7 @@ the reference for the Hessian law on sections over Z[T] and for the F_p law
 on int pairs that the certificate search runs.
 """
 
-from twocubes.elliptic import INFINITY, HesseWeierstrassMap, Point, WeierstrassCurve
+from twocubes.elliptic import INFINITY, HesseWeierstrassMap, Point, WeierstrassCurve, _add_mod_p
 
 
 def neg_point(P: Point) -> Point:
@@ -56,3 +56,14 @@ def to_hesse(m: HesseWeierstrassMap, P: Point) -> Point:
         raise ValueError("u = 0 has no affine Hesse preimage")
     d = m.hesse.d
     return Point((36 * d + P.y) / (6 * P.x), (36 * d - P.y) / (6 * P.x))
+
+
+def order_by_enumeration(p: int, A: int, P) -> int:
+    """The order of an int pair P on v^2 = u^3 + A over F_p (None is O), by
+    adding P until O comes back, on the int law that
+    test_int_group_law_matches_generic checks against add_points."""
+    o, R = 1, P
+    while R is not None:
+        R = _add_mod_p(p, A, R, P)
+        o += 1
+    return o

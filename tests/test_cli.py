@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -360,6 +362,25 @@ def test_twists_table_cli_refuses_an_inverted_range(capsys, monkeypatch):
     assert doc["results"]["error"] == "ValueError: --from 5 is greater than --to 3"
 
 
+def test_twists_table_cli_refuses_a_budget_below_1(capsys, monkeypatch):
+    from twocubes import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a budget below 1 started work")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "twist_table", no_work)
+        for budget in (0, -5):
+            doc = run_json(capsys, "twists", "table", "--from", "3", "--to", "4", "--certify",
+                           "--budget", str(budget))
+            assert doc["status"] == "failed"
+            assert doc["results"]["error"] == f"BudgetError: --budget {budget} is below 1"
+    doc = run_json(capsys, "twists", "table", "--from", "3", "--to", "3", "--certify",
+                   "--budget", "1")
+    assert doc["status"] == "exhausted"
+    assert doc["results"]["records"][0]["primes_tried"] == 1
+
+
 def test_twists_table_cli_csv(capsys):
     code = main(["twists", "table", "--from", "3", "--to", "3", "--format", "csv"])
     out = capsys.readouterr().out
@@ -435,3 +456,18 @@ def test_benchmark_inputs_are_within_their_caps():
     assert cli.MAX_NEARMISS_COUNT >= 1000
     assert cli.MAX_TWIST_RANGE >= 1
     assert cli.MAX_PRIME_BUDGET >= 50
+
+
+def test_readme_cli_examples_run():
+    """Every command in README's CLI block runs, without and with its bracketed
+    options; `twists table --certify` is exhausted, since t = 0, 1, 2 are."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("twocubes ")]
+    assert len(lines) >= 10
+    for line in lines:
+        bare, full = re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)
+        for text in dict.fromkeys((bare, full)):
+            argv = shlex.split(text)[1:]
+            want = "exhausted" if argv[:2] == ["twists", "table"] and "--certify" in argv else "ok"
+            assert dispatch(argv)[0].status == want, text

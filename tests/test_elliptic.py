@@ -10,20 +10,19 @@ from pathlib import Path
 import pytest
 
 import chord_oracle
-from chord_oracle import add_points, neg_point, scalar_mul, to_hesse
+from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul, to_hesse
 from enumeration import count_by_enumeration
 from twocubes.elliptic import (
     INFINITY,
     CubicTwistCurve,
     Point,
     WeierstrassCurve,
-    add_mod_p,
+    _add_mod_p,
+    _is_cyclic,
+    _mul_mod_p,
     count_points,
     hesse_to_weierstrass,
-    mul_mod_p,
     noncyclic_primes,
-    point_order,
-    subgroup_is_cyclic,
     torsion_order_bound,
     trace,
 )
@@ -339,45 +338,35 @@ def test_int_group_law_matches_generic():
             pts = [None] + _points_mod_p(p, a)
             for _ in range(30):
                 P, Q = rng.choice(pts), rng.choice(pts)
-                assert _as_ff(F, add_mod_p(p, a, P, Q)) == add_points(
+                assert _as_ff(F, _add_mod_p(p, a, P, Q)) == add_points(
                     curve, _as_ff(F, P), _as_ff(F, Q)
                 )
                 k = rng.randrange(0, 3 * p)
-                assert _as_ff(F, mul_mod_p(p, a, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
+                assert _as_ff(F, _mul_mod_p(p, a, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
 
 
 def test_int_group_law_rejects_off_curve():
-    """Every public F_p entry checks its input points (and mul_mod_p its
-    result) with a typed error, so the checks survive -O."""
+    """The entry check that the certificate search runs on its two reduced
+    points refuses a point off the curve or not reduced mod p with a typed
+    error, so the check survives -O."""
     script = """
-import twocubes.elliptic as E
-from twocubes.exact import prime_field
-p, A, good = 7, 1, (0, 1)
-n = E.count_points(prime_field(p), A)
+from twocubes.elliptic import _check_point
+p, A = 7, 1
+_check_point(p, A, None)
+_check_point(p, A, (0, 1))
 for bad in ((1, 1), (0, 8)):  # off the curve; on it only before reduction mod 7
-    for call in (lambda: E.add_mod_p(p, A, bad, None), lambda: E.add_mod_p(p, A, good, bad),
-                 lambda: E.mul_mod_p(p, A, 3, bad), lambda: E.point_order(p, A, bad, n),
-                 lambda: E.subgroup_is_cyclic(p, A, bad, good, n),
-                 lambda: E.subgroup_is_cyclic(p, A, good, bad, n)):
-        try:
-            call()
-            print("accepted")
-        except ValueError as exc:
-            print(str(exc).replace(" ", "_"))
-E._add_mod_p = lambda p, A, P, Q: (1, 1)  # an add that leaves the curve
-try:
-    E.mul_mod_p(p, A, 2, good)
-    print("accepted")
-except ValueError as exc:
-    print(str(exc).replace(" ", "_"))
+    try:
+        _check_point(p, A, bad)
+        print("accepted")
+    except ValueError as exc:
+        print(str(exc).replace(" ", "_"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    want = ["point_not_on_curve"] * 6 + ["point_not_reduced_mod_p"] * 6 + ["point_not_on_curve"]
     for flags in ([], ["-O"]):
         argv = [sys.executable, *flags, "-c", script]
         out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
-        assert out.stdout.split() == want, flags
+        assert out.stdout.split() == ["point_not_on_curve", "point_not_reduced_mod_p"], flags
 
 
 def test_weil_skip_only_where_the_group_is_cyclic():
@@ -398,7 +387,7 @@ def test_weil_skip_only_where_the_group_is_cyclic():
                 kept += 1
                 continue
             skipped += 1
-            assert any(point_order(p, A, P, n) == n for P in pts), (p, A)
+            assert any(order_by_enumeration(p, A, P) == n for P in pts), (p, A)
     assert skipped > 1000 and kept > 1000
 
 
@@ -431,36 +420,30 @@ def test_subgroup_cyclicity_vs_enumeration():
             for _ in range(4):
                 P, Q = rng.choice(pts), rng.choice(pts)
                 H = _subgroup_bruteforce(curve, [_as_ff(F, P), _as_ff(F, Q)])
-                oP = point_order(p, a, P, order)
-                oQ = point_order(p, a, Q, order)
+                oP = order_by_enumeration(p, a, P)
+                oQ = order_by_enumeration(p, a, Q)
                 ints = [None if X.at_infinity else (X.x.coeffs[0], X.y.coeffs[0]) for X in H]
-                brute_cyclic = any(point_order(p, a, X, order) == len(H) for X in ints)
-                got = subgroup_is_cyclic(p, a, P, Q, order)
+                brute_cyclic = any(order_by_enumeration(p, a, X) == len(H) for X in ints)
+                got = _is_cyclic(p, a, P, Q, order, factorize(order))
                 assert got == brute_cyclic, (p, a, P, Q)
                 assert len(H) % oP == 0 and len(H) % oQ == 0
                 if not got:
                     checked_noncyclic += 1
     assert checked_noncyclic >= 1  # the sample must include genuine non-cyclic cases
-
-
-def test_subgroup_is_cyclic_needs_a_multiple_of_the_group_order():
-    # two 2-torsion points of v^2 = u^3 + 1 over F_7 (#E = 12) span Z/2 x Z/2;
-    # 2 is a multiple of both point orders but hides the 4 | #E it needs
-    p, A, P, Q = 7, 1, (3, 0), (5, 0)
-    assert not subgroup_is_cyclic(p, A, P, Q, 12)
-    assert not subgroup_is_cyclic(p, A, P, Q, 24)
-    with pytest.raises(ValueError, match="multiple of #E"):
-        subgroup_is_cyclic(p, A, P, Q, 2)
+    # two 2-torsion points of v^2 = u^3 + 1 over F_7 (#E = 12) span Z/2 x Z/2,
+    # seen from #E and from a multiple of it
+    for n in (12, 24):
+        assert not _is_cyclic(7, 1, (3, 0), (5, 0), n, factorize(n))
 
 
 def test_scalar_mul_orders():
     p, a = 13, 5
     order = count_points(FiniteField(p), a)
     for P in _points_mod_p(p, a):
-        assert mul_mod_p(p, a, order, P) is None
-        o = point_order(p, a, P, order)
-        assert mul_mod_p(p, a, o, P) is None
-        assert all(mul_mod_p(p, a, k, P) is not None for k in range(1, o))
+        assert _mul_mod_p(p, a, order, P) is None
+        o = order_by_enumeration(p, a, P)
+        assert _mul_mod_p(p, a, o, P) is None
+        assert all(_mul_mod_p(p, a, k, P) is not None for k in range(1, o))
 
 
 def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
@@ -506,7 +489,7 @@ def test_mul_mod_p_doubles_only_while_bits_remain(monkeypatch):
     want = {1: (1, (1, 174)), 2: (2, (629, 760)), 4: (3, (256, 609)), 5: (4, (315, 240))}
     for k, (n_calls, kP) in want.items():
         calls.clear()
-        assert mul_mod_p(p, A, k, P) == kP, k
+        assert _mul_mod_p(p, A, k, P) == kP, k
         assert len(calls) == n_calls, k
-    assert mul_mod_p(p, A, 3, P) == (668, 595)
-    assert mul_mod_p(p, A, 0, P) is None
+    assert _mul_mod_p(p, A, 3, P) == (668, 595)
+    assert _mul_mod_p(p, A, 0, P) is None

@@ -2,23 +2,26 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chord_oracle import add_points, neg_point, scalar_mul, to_hesse
+from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul, to_hesse
 from reduction import embed_fraction
 from twocubes.elliptic import (
     Point,
     WeierstrassCurve,
-    add_mod_p,
+    _add_mod_p,
+    _is_cyclic,
+    _mul_mod_p,
     count_points,
     hesse_to_weierstrass,
-    mul_mod_p,
     noncyclic_primes,
-    point_order,
-    subgroup_is_cyclic,
 )
 from twocubes.exact import FiniteField, cubefree_part, primes
 from twocubes.exact.numbers import factorize
@@ -210,19 +213,19 @@ def test_certificate_found_for_t3(family):
     assert cert.group_order == count_points(F, A)
 
 
-def _cyclic_by_point_orders(p, A, P, Q, n):
-    """<P, Q> cyclic, from both full point orders: at each ell dividing both,
-    the ell-part of smaller order must lie in the enumerated span of the other."""
-    oP, oQ = point_order(p, A, P, n), point_order(p, A, Q, n)
+def _cyclic_by_point_orders(p, A, P, Q):
+    """<P, Q> cyclic, from both enumerated point orders: at each ell dividing
+    both, the ell-part of smaller order must lie in the enumerated span of the other."""
+    oP, oQ = order_by_enumeration(p, A, P), order_by_enumeration(p, A, Q)
     fP, fQ = factorize(oP), factorize(oQ)
     for ell in fP.keys() & fQ.keys():
         a, b = fP[ell], fQ[ell]
-        Pp, Qp = mul_mod_p(p, A, oP // ell**a, P), mul_mod_p(p, A, oQ // ell**b, Q)
+        Pp, Qp = _mul_mod_p(p, A, oP // ell**a, P), _mul_mod_p(p, A, oQ // ell**b, Q)
         if a < b:
             Pp, Qp, a = Qp, Pp, b
         span, R = {None}, None
         for _ in range(ell**a):
-            R = add_mod_p(p, A, R, Pp)
+            R = _add_mod_p(p, A, R, Pp)
             span.add(R)
         if Qp not in span:
             return False
@@ -231,8 +234,8 @@ def _cyclic_by_point_orders(p, A, P, Q, n):
 
 def test_weil_skip_never_hides_a_non_cyclic_image(family):
     """Over t in [-50, 50] and the first 60 primes, the reduced (P1, P2) span
-    a cyclic group, by full point orders, at every good prime that the search
-    skips, and subgroup_is_cyclic agrees with the point orders at every other."""
+    a cyclic group, by enumerated point orders, at every good prime that the
+    search skips, and _is_cyclic agrees with the point orders at every other."""
     first_60 = list(itertools.islice(primes(), 60))
     skipped = non_cyclic = 0
     for t in range(-50, 51):
@@ -252,12 +255,12 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             n = count_points(FiniteField(p), A)
             r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (w.x, w.y))
                       for w in (w1, w2)]
-            cyclic = _cyclic_by_point_orders(p, A, r1, r2, n)
+            cyclic = _cyclic_by_point_orders(p, A, r1, r2)
             if not noncyclic_primes(p, factorize(n)):
                 skipped += 1
                 assert cyclic, (t, p)
             else:
-                assert subgroup_is_cyclic(p, A, r1, r2, n) == cyclic, (t, p)
+                assert _is_cyclic(p, A, r1, r2, n, factorize(n)) == cyclic, (t, p)
                 non_cyclic += not cyclic
     assert skipped > 1000 and non_cyclic > 100
 
@@ -280,6 +283,46 @@ def test_certificate_rejects_small_d():
         Fraction(0), Fraction(2), 2, Point(Fraction(1), Fraction(1)), Point(Fraction(1), Fraction(1))
     )
     with pytest.raises(ValueError, match="d <= 2"):
+        rank2_certificate(rec)
+
+
+_OFF_CURVE_SCRIPT = """
+import math
+from twocubes.elliptic import Point
+from twocubes.twists import rank2_certificate, specialize
+N = math.prod(p for p in range(5, 38) if all(p % q for q in range(2, p)))  # 5 * 7 * ... * 37
+for which in ("p1", "p2"):
+    rec = specialize(3)
+    P = getattr(rec, which)
+    setattr(rec, which, Point(P.x + N, P.y))  # off the curve, on it mod 5, ..., 37
+    try:
+        print(rank2_certificate(rec).reason.replace(" ", "_"))
+    except ValueError as exc:
+        print(str(exc).replace(" ", "_"), rec.outcome)
+"""
+
+
+def test_certificate_refuses_an_off_curve_point(monkeypatch):
+    """A point off X^3 + Y^3 = d whose error every prime from 5 to 37 divides
+    reduces onto E(F_p) there, and the mod-p check alone let (x1 + N, y1) at
+    t = 3 certify at p = 37.  The exact check refuses either point before any
+    prime is tried, with a typed error, so also under -O."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-c", _OFF_CURVE_SCRIPT]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+        assert out.stdout.split() == ["point_not_on_X^3_+_Y^3_=_1729", "None"] * 2, flags
+
+    import twocubes.twists as tw
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an off-curve record started the search")
+
+    monkeypatch.setattr(tw, "torsion_order_bound", no_work)
+    monkeypatch.setattr(tw, "primes", no_work)
+    rec = specialize(3)
+    rec.p2 = Point(rec.p2.x, rec.p2.y + 1)
+    with pytest.raises(ValueError, match="not on X\\^3 \\+ Y\\^3 = 1729"):
         rank2_certificate(rec)
 
 
