@@ -140,7 +140,9 @@ def count_points(field: FiniteField, A) -> int:
     Needs characteristic >= 5 and A != 0 (additive fibers are the caller's
     business).  For q = 2 mod 3 the curve is supersingular and the count is
     q + 1; otherwise the trace depends only on the sextic residue symbol of
-    4A (see _sextic_traces), so a count costs one exponentiation.
+    4A (see _sextic_traces), so a count costs one exponentiation: over a
+    prime field one int pow mod p on A's single coefficient, over F_{p^n}
+    with n > 1 an FFElement power.
     """
     if field.p < 5:
         raise ValueError("need characteristic >= 5")
@@ -150,7 +152,11 @@ def count_points(field: FiniteField, A) -> int:
     q = field.q
     a = 0
     if q % 3 == 1:
-        a = _sextic_traces(field)[field.sextic_residue_symbol(4 * A).coeffs]
+        if field.n == 1:
+            symbol = (pow(4 * A.coeffs[0], (q - 1) // 6, q),)
+        else:
+            symbol = field.sextic_residue_symbol(4 * A).coeffs
+        a = _sextic_traces(field)[symbol]
     if a * a > 4 * q:
         raise ArithmeticError("Hasse bound violated")
     return q + 1 - a
@@ -186,9 +192,7 @@ def torsion_order_bound(d: int) -> int:
     for p in primes():
         if p < 5 or (6 * d) % p == 0:
             continue
-        field = prime_field(p)
-        g_new = count_points(field, field.element(A_int % p))
-        g = math.gcd(g, g_new)
+        g = math.gcd(g, count_points(prime_field(p), A_int))
         used += 1
         if g == 1 or used >= TORSION_PRIMES:
             break

@@ -327,7 +327,7 @@ class FFElement:
         return FFElement(f, tuple(power) + (0,) * (f.n - len(power)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def to_index(self) -> int:
         out = 0

@@ -4,13 +4,15 @@ Everything is exact and deterministic.  Factorization is trial division by
 the primes below 2**16 (one small sieve, built once), deterministic
 Miller-Rabin on what remains, perfect-power extraction, and a seeded
 Brent-rho splitter for stubborn composites: what trial division leaves has
-no prime factor below 2**16.
+no prime factor below 2**16.  The cube-free part needs less: trial division
+stops at the cube root of what is left, a gcd refinement across the parts
+settles the exponents of what remains, and Miller-Rabin and rho run only on
+a cofactor above 2**48.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -134,8 +136,13 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
+    if n > 1:
+        _factor_rough(n, out)
+    return out
+
+
+def _factor_rough(n: int, out: dict[int, int]) -> None:
+    """Add the factorization of n > 1 to out: Miller-Rabin, perfect powers, rho."""
     stack = [n]
     while stack:
         m = stack.pop()
@@ -153,23 +160,68 @@ def factorize(n: int) -> dict[int, int]:
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
 
 
 def cubefree_part(*factors: int) -> tuple[int, int]:
     """Write n = d * c**3 with c >= 1 and d cube-free; d keeps the sign of n.
 
-    n is the product of the arguments, each factored on its own, so a
-    caller who knows a factorization of n into small parts never factors
-    the (much larger) product.  Raises ValueError when n == 0.
+    n is the product of the arguments and is never formed.  Each part is
+    trial-divided only while p^3 <= what is left of it.  A cofactor m <= 2**48
+    left there has every prime factor above its cube root, so it is 1, P,
+    P^2 (found by isqrt) or PQ; only a cofactor above 2**48 is split by
+    Miller-Rabin and rho.  The trial primes and the cofactors of all parts
+    are refined into pairwise coprime squarefree bases by gcds (Bernstein,
+    "Factoring into coprimes in essentially linear time", 2005), so a prime
+    found in one part and left in another's cofactor has one exponent, and d
+    and c are read off the bases without knowing whether P or PQ is prime.
+    Raises ValueError when n == 0.
     """
     if 0 in factors:
         raise ValueError("0 has no cube-free decomposition")
-    exponents: Counter[int] = Counter()
+    trial: dict[int, int] = {}
+    rests: list[tuple[int, int]] = []
     for n in factors:
-        exponents.update(factorize(abs(n)))
+        n = abs(n)
+        for p in _small_primes():
+            if p * p * p > n:
+                break
+            while n % p == 0:
+                trial[p] = trial.get(p, 0) + 1
+                n //= p
+        if n > TRIAL_BOUND**3:
+            rough: dict[int, int] = {}
+            _factor_rough(n, rough)
+            rests.extend(rough.items())
+        elif n > 1:
+            r = math.isqrt(n)
+            rests.append((r, 2) if r * r == n else (n, 1))
+    bases = list(trial.items())
+    for m, e in rests:
+        bases = _refine(bases, m, e)
     d, c = (-1) ** sum(n < 0 for n in factors), 1
-    for p, e in exponents.items():
-        c *= p ** (e // 3)
-        d *= p ** (e % 3)
+    for b, e in bases:
+        c *= b ** (e // 3)
+        d *= b ** (e % 3)
     return d, c
+
+
+def _refine(bases: list[tuple[int, int]], m: int, e: int) -> list[tuple[int, int]]:
+    """Pairwise coprime squarefree (base, exponent) pairs times m^e, m squarefree.
+
+    A base b sharing g = gcd(m, b) > 1 with m splits into g, with the two
+    exponents added, and b / g; b / g is coprime to m because b is
+    squarefree, and m / g goes on to the other bases.
+    """
+    out = []
+    for b, f in bases:
+        g = math.gcd(m, b)
+        if g == 1:
+            out.append((b, f))
+            continue
+        out.append((g, f + e))
+        if b != g:
+            out.append((b // g, f))
+        m //= g
+    if m > 1:
+        out.append((m, e))
+    return out

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from random import Random
 
 from .elliptic import trace
-from .exact import FiniteField, Polynomial, RationalFunction, poly_gcd, rational_poly
+from .exact import FiniteField, Polynomial, RationalFunction, factor_over_z, poly_gcd, rational_poly
 from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
@@ -63,12 +63,34 @@ class HolDifferential:
 
 
 @dataclass(frozen=True)
+class IntegerForms:
+    """A curve's k and sections cleared over Z; coefficient tuples run low
+    to high."""
+
+    k_z: tuple[int, ...]  # k = k_z / k_den
+    k_den: int
+    content: int  # k_z = content * prod factors
+    factors: tuple[tuple[int, ...], ...]  # each repeated by its multiplicity
+    sections: tuple  # per section, x and y as (numerator, denominator) pairs
+
+
+@dataclass(frozen=True)
 class FunctionFieldCurve:
     """X^3 + Y^3 = k(T) with two sections."""
 
     k: Polynomial
     p1: SectionPoint
     p2: SectionPoint
+
+    @cached_property
+    def over_z(self) -> IntegerForms:
+        """The curve over Z, cleared and factored once."""
+        k_z, (den,) = _int_pair(RationalFunction(self.k))
+        content, factors = factor_over_z(k_z)
+        factors = tuple(tuple(g) for g, m in factors for _ in range(m))
+        sections = tuple(tuple(tuple(map(tuple, _int_pair(f))) for f in (P.x, P.y))
+                         for P in (self.p1, self.p2))
+        return IntegerForms(tuple(k_z), den, content, factors, sections)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .elliptic import (
     CubicTwistCurve,
@@ -24,9 +23,8 @@ from .elliptic import (
     noncyclic_primes,
     torsion_order_bound,
 )
-from .exact import Polynomial, RationalFunction, cubefree_part, factor_over_z, prime_field, primes
+from .exact import cubefree_part, prime_field, primes
 from .exact.numbers import factorize
-from .exact.poly import _cleared
 from .function_field import FunctionFieldCurve, build_family
 
 
@@ -91,63 +89,53 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
 
     Rational t = a/b is cleared by b^6: points scale by b^2, then both
     coordinates are divided by the cube factor c of k(t) b^6, so the
-    record's points sit exactly on X^3 + Y^3 = d with d cube-free.  With
-    k = c_0 prod g over Z, k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and
-    the decomposition factors those homogenized factor values one by one,
-    never their product.  Above degree 6 that needs b = 1; any other t is
-    refused.  Each section coordinate is evaluated over Z, on its
-    homogenized numerator and denominator, into one Fraction; the exact
-    check x^3 + y^3 = d follows.
+    record's points sit exactly on X^3 + Y^3 = d with d cube-free.  All of
+    it runs over Z, on the integer forms the curve holds (`over_z`): with
+    k = k_z / k_den and k_z = c_0 prod g, k(t) b^deg k is k_z^H(a, b) / k_den by
+    Horner on (a, b), and the decomposition takes the parts
+    c_0, g^H(a, b) and b^(6 - deg k) one by one, never their product.
+    k_z^H(a, b) does not read the factors, so the check
+    d c^3 = k(t) b^6 cross-checks the factorization at every t.  Above
+    degree 6 that needs b = 1; any other t is refused.  Each section
+    coordinate is one Fraction of its homogenized numerator and
+    denominator; the exact check x^3 + y^3 = d follows.
     """
-    fam = family or build_family()
+    z = (family or build_family()).over_z
     t = Fraction(t)
-    k_t = fam.k(t)
-    if k_t == 0:
-        raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
     a, b = t.numerator, t.denominator
-    if fam.k.degree > 6 and b > 1:
-        raise SpecializationError(f"deg k = {fam.k.degree} > 6: b^6 leaves a denominator in k({t})")
-    content, factors = _factors(fam.k)
-    parts = [content, b ** max(6 - fam.k.degree, 0)]
-    parts.extend(_homogenized(g, a, b) for g in factors)
-    d, c = cubefree_part(*parts)
-    if d * c**3 != k_t * b**6:
+    deg = len(z.k_z) - 1
+    k_ab = _homogenized(z.k_z, a, b)  # k(t) b^deg k_den
+    if k_ab == 0:
+        raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
+    if deg > 6 and b > 1:
+        raise SpecializationError(f"deg k = {deg} > 6: b^6 leaves a denominator in k({t})")
+    b_part = b ** max(6 - deg, 0)
+    d, c = cubefree_part(z.content, b_part, *(_homogenized(g, a, b) for g in z.factors))
+    if d * c**3 * z.k_den != k_ab * b_part:
         raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
     pts = []
-    for sec in (fam.p1, fam.p2):
-        x, y = (_scaled_value(f, a, b, c) for f in (sec.x, sec.y))
+    for section in z.sections:
+        x, y = (_scaled_value(num, den, a, b, c) for num, den in section)
         if x**3 + y**3 != d:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
         pts.append(Point(x, y))
-    return TwistRecord(t, k_t, d, pts[0], pts[1])
+    return TwistRecord(t, Fraction(k_ab, z.k_den * b**deg), d, pts[0], pts[1])
 
 
 def _homogenized(g, a: int, b: int) -> int:
-    """b^deg(g) g(a/b) for an integer coefficient list g, low to high."""
-    return sum(gi * a**i * b ** (len(g) - 1 - i) for i, gi in enumerate(g))
+    """b^deg(g) g(a/b) for an integer coefficient list g, low to high, by Horner."""
+    v, bk = 0, 1
+    for gi in reversed(g):
+        v = v * a + gi * bk
+        bk *= b
+    return v
 
 
-@lru_cache(maxsize=8)
-def _integer_forms(f: RationalFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Numerator and denominator of f over Z; cleared once per section
-    coordinate, not once per t."""
-    return tuple(map(tuple, _cleared(f.num, f.den)))
-
-
-def _scaled_value(f: RationalFunction, a: int, b: int, c: int) -> Fraction:
-    """f(a/b) b^2 / c as one Fraction of homogenized integer forms."""
-    num, den = _integer_forms(f)
+def _scaled_value(num, den, a: int, b: int, c: int) -> Fraction:
+    """f(a/b) b^2 / c as one Fraction, for f = num / den over Z."""
     e = len(den) - len(num) + 2  # b^2 times the b^deg powers the two forms carry
     return Fraction(_homogenized(num, a, b) * b ** max(e, 0),
                     _homogenized(den, a, b) * c * b ** max(-e, 0))
-
-
-@lru_cache(maxsize=8)
-def _factors(k: Polynomial) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The content of k and its irreducible factors over Z, each repeated by
-    its multiplicity; factored once per k, not once per t."""
-    content, factors = factor_over_z(_cleared(k)[0])
-    return content, tuple(tuple(g) for g, m in factors for _ in range(m))
 
 
 def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> CertificateOutcome:

@@ -66,22 +66,36 @@ def test_symbolic_outputs_match_the_benchmark_reference():
         assert hashlib.sha256(body).hexdigest()[:16] == want, key
 
 
-def test_twists_outputs_match_the_benchmark_reference():
-    """The certified table over [-300, 300] at the per-t digests the twists
-    benchmark pins: sha256 of d, x1, y1, x2, y2 and cert_prime joined by
-    "|", 8 hex digits at index t + 10^4, with exactly the reference's
-    exhausted t left uncertified."""
+def _twists_window_against_reference(lo: int, hi: int) -> list[int]:
+    """Certify [lo, hi] and check each record against the per-t digest the
+    twists benchmark pins: sha256 of d, x1, y1, x2, y2 and cert_prime joined
+    by "|", 8 hex digits at index t + 10^4.  Returns the uncertified t."""
     ref = json.loads((Path(SRC).parent / "perfbench/reference/twists.json").read_text())
-    report, _ = dispatch(["twists", "table", "--from", "-300", "--to", "300", "--certify"])
-    assert report.status == "exhausted"
+    report, _ = dispatch(["twists", "table", "--from", str(lo), "--to", str(hi), "--certify"])
     records = report.results["records"]
-    assert [rec["t"] for rec in records] == [str(t) for t in range(-300, 301)]
-    exhausted = [int(rec["t"]) for rec in records if rec["cert_prime"] is None]
-    assert exhausted == ref["exhausted_t"] == [-1, 0, 1, 2]
+    assert [rec["t"] for rec in records] == [str(t) for t in range(lo, hi + 1)]
     for rec in records:
         i = int(rec["t"]) + 10**4
         key = "|".join(str(rec[k]) for k in ("d", "x1", "y1", "x2", "y2", "cert_prime"))
         assert hashlib.sha256(key.encode()).hexdigest()[:8] == ref["digests"][8 * i:8 * i + 8], i
+    exhausted = [int(rec["t"]) for rec in records if rec["cert_prime"] is None]
+    assert exhausted == [t for t in ref["exhausted_t"] if lo <= t <= hi]
+    assert report.status == ("exhausted" if exhausted else "ok")
+    return exhausted
+
+
+def test_twists_outputs_match_the_benchmark_reference():
+    """The certified table over [-300, 300] at the reference digests, with
+    exactly the reference's exhausted t left uncertified."""
+    ref = json.loads((Path(SRC).parent / "perfbench/reference/twists.json").read_text())
+    assert _twists_window_against_reference(-300, 300) == ref["exhausted_t"] == [-1, 0, 1, 2]
+
+
+def test_twists_outputs_match_the_benchmark_reference_at_the_ends():
+    """[-10^4, -9900] and [9900, 10^4], where the factor values of k(t) reach
+    about 3 * 10^8, at the reference digests, all certified."""
+    assert _twists_window_against_reference(-10**4, -9900) == []
+    assert _twists_window_against_reference(9900, 10**4) == []
 
 
 def test_ec_count_cli(capsys):

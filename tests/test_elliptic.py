@@ -26,7 +26,7 @@ from twocubes.elliptic import (
     torsion_order_bound,
     trace,
 )
-from twocubes.exact import FiniteField, is_probable_prime
+from twocubes.exact import FiniteField, is_probable_prime, prime_field
 from twocubes.exact.numbers import factorize
 
 
@@ -210,6 +210,45 @@ def test_count_rejects_singular_and_small_char():
         count_points(FiniteField(7), 0)
     with pytest.raises(ValueError):
         count_points(FiniteField(3), 1)
+    with pytest.raises(ValueError, match="different field"):
+        count_points(FiniteField(7), FiniteField(13)(1))
+
+
+def test_prime_field_count_on_ints_matches_enumeration():
+    """Over F_p, p < 100, every A in F_p^* counts as enumeration does, given as
+    an int in [1, p), a negative int, an int above p and an FFElement, for
+    p = 1 and p = 2 mod 3."""
+    ps = [p for p in range(5, 100) if is_probable_prime(p)]
+    assert {p % 3 for p in ps} == {1, 2}
+    for p in ps:
+        F = prime_field(p)
+        for A in range(1, p):
+            n = count_by_enumeration(F, A)
+            for a in (A, A - p, A + 2 * p, F(A)):
+                assert count_points(F, a) == n, (p, a)
+
+
+def test_count_refuses_a_zero_mod_p_under_O():
+    """A = 0 mod p is refused as an int, a negative int and an FFElement, with
+    and without -O."""
+    script = """
+from twocubes.elliptic import count_points
+from twocubes.exact import prime_field
+for p in (7, 11):
+    F = prime_field(p)
+    for A in (0, p, -p, 3 * p, F(0)):
+        try:
+            count_points(F, A)
+            print("accepted")
+        except ValueError:
+            print("refused")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-c", script]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+        assert out.stdout.split() == ["refused"] * 10, flags
 
 
 def test_supersingular_law():

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_oracle import power_walk_classes
+from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
 from twocubes.exact import (
     OMEGA,
@@ -48,18 +49,9 @@ from twocubes.identities import NEARMISS_DENOMINATOR, NEARMISS_FAMILIES, nearmis
 # -- cubefree decomposition ----------------------------------------------------
 
 
-def _cubefree_oracle(n: int) -> tuple[int, int]:
-    sign = -1 if n < 0 else 1
-    d, c = 1, 1
-    for p, e in sympy.factorint(abs(n)).items():
-        c *= p ** (e // 3)
-        d *= p ** (e % 3)
-    return sign * d, c
-
-
 @pytest.mark.parametrize("n,expected", [(189, (7, 3)), (46683, (1729, 3)), (1, (1, 1))])
 def test_cubefree_examples(n, expected):
-    assert _cubefree_oracle(n) == expected  # oracle agrees with the frozen value
+    assert cubefree_oracle(n) == expected  # oracle agrees with the frozen value
     assert cubefree_part(n) == expected
 
 
@@ -88,7 +80,7 @@ def test_cubefree_of_a_product_matches_whole():
         n = 1
         for x in parts:
             n *= x
-        assert cubefree_part(*parts) == _cubefree_oracle(n)
+        assert cubefree_part(*parts) == cubefree_oracle(n)
     with pytest.raises(ValueError):
         cubefree_part(3, 0)
 
@@ -108,6 +100,44 @@ def test_cubefree_part_reconstructs_signed_products(parts, cube):
     assert (d < 0) == (n < 0)
     primes_of_n = set().union(*(sympy.factorint(abs(x)) for x in parts))
     assert all(d % p**3 for p in primes_of_n)
+
+
+# Primes above the cube root of every cofactor below: P and Q near 10^6
+# and R = 2^61 - 1, far above 2^48.
+_P, _Q, _R = 1000003, 1000033, 2**61 - 1
+
+
+@pytest.mark.parametrize("parts", [
+    (_P,), (_P**2,), (_P * _Q,),  # the cofactor left at the cube root: P, P^2, PQ
+    (8 * _P,), (27 * _P**2,), (5**3 * 7 * _P * _Q,),
+    (_P, 9 * _P), (_P, _P, 4 * _P), (_P * _Q, _P**2), (_P * _Q, _Q * 11, 13 * _P),  # shared
+    (63, 7**2 * _P), (143, 11**2 * _P), (7 * 11 * 13, 11**2 * 2**9), (63, 7**2 * 1000),  # table primes
+    (_R,), (_R * _P,), (_R, _R**2 * 5), (_P * _Q * 1000037,), (_P**3 * _Q,),  # above 2^48
+    (-_P, -_P**2), (-1, _P * _Q), (1, -1, -8), (-1,), (1,), (1, -_R * 7, 49),  # signs, +-1
+])
+def test_cubefree_part_cofactors_match_sympy(parts):
+    """Cofactors above the cube root, large primes shared by two and by three
+    parts, a table prime split between a large part and a small one (63
+    leaves the cofactor 7 once 5^3 > 7 stops its trial division), cofactors
+    above 2^48 and signed parts, against sympy's factorization of the product."""
+    assert cubefree_part(*parts) == cubefree_oracle(math.prod(parts))
+
+
+def test_cubefree_part_splits_only_above_2_48(monkeypatch):
+    """Miller-Rabin and rho run on a cofactor above 2^48 and on nothing below."""
+    from twocubes.exact import numbers
+
+    calls = []
+    rough = numbers._factor_rough
+    monkeypatch.setattr(numbers, "_factor_rough", lambda n, out: calls.append(n) or rough(n, out))
+    # 2^48 - 59 and 65537 * 4294901753 are primes and a product of two primes
+    # above 65521^3: trial division runs through the whole table and leaves
+    # them whole, yet no prime divides them three times
+    for parts in ((_P * _Q,), (_P**2, 63 * _Q), (2**48 - 59, 65521**3), (65537 * 4294901753,)):
+        assert cubefree_part(*parts) == cubefree_oracle(math.prod(parts))
+    assert calls == []
+    cubefree_part(9, _R * _P)
+    assert calls == [_R * _P]
 
 
 def test_primary_prime():

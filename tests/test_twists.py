@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul, to_hesse
+from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
 from twocubes.elliptic import (
     Point,
@@ -23,7 +24,7 @@ from twocubes.elliptic import (
     hesse_to_weierstrass,
     noncyclic_primes,
 )
-from twocubes.exact import FiniteField, cubefree_part, primes
+from twocubes.exact import FiniteField, primes
 from twocubes.exact.numbers import factorize
 from twocubes.function_field import build_family
 from twocubes.twists import (
@@ -79,19 +80,22 @@ def test_specialize_consistency_random(family):
         t = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         assert family.p1.x(t) ** 3 + family.p1.y(t) ** 3 == family.k(t)
         r = specialize(t, family)
-        d, c = cubefree_part(int(r.k_t * t.denominator**6))
+        assert r.k_t == family.k(t)
+        d, c = cubefree_oracle(int(family.k(t) * t.denominator**6))
         assert r.d == d
         assert r.p1.x**3 + r.p1.y**3 == r.d
 
 
 def test_factor_split_matches_cubefree_part(family):
-    """(d, c) from the factored k(t) against cubefree_part of the whole k(t) b^6."""
+    """(d, c) from the factored k(t) against sympy's cube-free part of the
+    whole k(t) b^6, with the sections evaluated by Fraction arithmetic."""
     ts = [Fraction(t) for t in range(-300, 301)]
     ts += [Fraction(a, b) for b in range(2, 8) for a in range(-40, 41) if math.gcd(a, b) == 1]
     for t in ts:
         r = specialize(t, family)
         b = t.denominator
-        d, c = cubefree_part(int(r.k_t * b**6))
+        assert r.k_t == family.k(t)
+        d, c = cubefree_oracle(int(family.k(t) * b**6))
         assert r.d == d
         assert r.p1.x == family.p1.x(t) * b * b / c
         assert r.p2.y == family.p2.y(t) * b * b / c
@@ -110,6 +114,26 @@ def test_specialize_rejects_inconsistent_factors(family):
         specialize(Fraction(-2, 5), fake)
 
 
+@pytest.mark.parametrize("wrong", ["content", "dropped factor"])
+def test_specialize_checks_the_factors_against_k(family, monkeypatch, wrong):
+    """k(t) b^6 is evaluated from k over Z by Horner, not from the factor
+    list, so a factorization with a wrong content or a dropped factor is
+    refused at an integer t and at a rational t."""
+    from twocubes import function_field
+
+    factor = function_field.factor_over_z
+
+    def bad_factor(f):
+        content, factors = factor(f)
+        return (2 * content, factors) if wrong == "content" else (content, factors[1:])
+
+    monkeypatch.setattr(function_field, "factor_over_z", bad_factor)
+    curve = function_field.FunctionFieldCurve(family.k, family.p1, family.p2)
+    for t in (3, Fraction(-2, 5)):
+        with pytest.raises(SpecializationError, match="not the product of the factors"):
+            specialize(t, curve)
+
+
 def test_specialize_refuses_non_integral_t_above_degree_6(family):
     """k (T + 1) has degree 7, so b^6 leaves a denominator b in k(a/b) b^6."""
     from twocubes.exact import rational_poly
@@ -123,26 +147,29 @@ def test_specialize_refuses_non_integral_t_above_degree_6(family):
 
 
 @pytest.mark.parametrize("x, y", [((0, 1), (1,)), ((0, 2), (2,)), ((1, 1), (1, 1))])
-def test_specialize_takes_the_factors_from_k(x, y):
+def test_specialize_takes_the_factors_from_k(x, y, monkeypatch):
     """Off the family: k = x^3 + y^3 with sections (x, y) and (y, x), of degree 3,
     with a content (8T^3 + 8) and with a repeated factor (2(T + 1)^3).  The
     twist comes from k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and k is
-    factored once for all t."""
+    factored once for all t, when the curve first clears its integer forms."""
+    from twocubes import function_field
     from twocubes.exact import RationalFunction, rational_poly
     from twocubes.function_field import FunctionFieldCurve, SectionPoint
-    from twocubes.twists import _factors
 
+    calls = []
+    factor = function_field.factor_over_z
+    monkeypatch.setattr(function_field, "factor_over_z", lambda f: calls.append(f) or factor(f))
     px, py = rational_poly(*x), rational_poly(*y)
     k = px**3 + py**3
     X, Y = RationalFunction(px), RationalFunction(py)
     curve = FunctionFieldCurve(k, SectionPoint(X, Y), SectionPoint(Y, X))
-    misses = _factors.cache_info().misses
     for t in (Fraction(3), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 9)):
         r = specialize(t, curve)
-        assert r.d == cubefree_part(int(k(t) * t.denominator**6))[0]
+        assert r.k_t == k(t)
+        assert r.d == cubefree_oracle(int(k(t) * t.denominator**6))[0]
         for P in (r.p1, r.p2):
             assert P.x**3 + P.y**3 == r.d
-    assert _factors.cache_info().misses == misses + 1
+    assert len(calls) == 1
 
 
 def test_twist_table_0_to_3(family):
