@@ -3,7 +3,7 @@
 Subpackages and modules:
 
 - ``exact``: arbitrary-precision rationals, polynomials, rational
-  functions, Q(omega), finite fields, vectorized log tables.
+  functions, finite fields, vectorized log tables.
 - ``identities``: classical two-cube polynomial identities, taxicab
   search, near-miss families x^3 + y^3 = z^3 +/- 1.
 - ``elliptic``: Hesse cubics X^3 + Y^3 = d, short Weierstrass models,

@@ -2,20 +2,22 @@
 
 Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
 short Weierstrass form v^2 = u^3 - 432 d^2, with the point map from the
-first to the second.  The chord-tangent group law runs over a prime field
-only, on plain int pairs, where the certificate search needs it; sections
-over Q(T) are added on the Hesse cubic itself (`function_field`).  The
-search (`twists.rank2_certificate`) is the law's one caller, and it checks
-its two points where they enter: exactly on the Hesse cubic, then reduced
-mod p (`_check_point`).  The steps here (`_add_mod_p`, `_mul_mod_p`,
-`_is_cyclic`) run unchecked, since a chord-tangent step keeps a point on the
-curve.
+first to the second, over Q (`to_weierstrass`) and from a primitive integer
+triple straight to F_p (`weierstrass_mod_p`).  The chord-tangent group law
+runs over a prime field only, on plain int pairs, where the certificate
+search needs it; sections over Q(T) are added on the Hesse cubic itself
+(`function_field`).  The search (`twists.rank2_certificate`) is the law's
+one caller, and it checks its two points exactly on the Hesse cubic where
+they enter; the map keeps them on the curve mod p, and a chord-tangent step
+keeps a point on it, so the steps here (`_add_mod_p`, `_mul_mod_p`,
+`_is_cyclic`) run unchecked.
 `noncyclic_primes` reads off #E(F_p) alone the primes at which E(F_p) can
 fail to be cyclic: E(F_p) = Z/n1 x Z/n2 with n1 | n2 and n1 | p - 1 (Weil
 pairing).
 Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
 sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
-costs one sextic residue symbol.
+costs one sextic residue symbol; the Frobenius pi_q and its rotations are
+int pairs (a, b) = a + b*omega in Z[omega].
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .exact import OMEGA, Eisenstein, FiniteField, icbrt, prime_field, primes
-from .exact.eisenstein import primary_prime
+from .exact import FiniteField, icbrt, prime_field, primes
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,58 @@ def hesse_to_weierstrass(curve: CubicTwistCurve) -> HesseWeierstrassMap:
     return HesseWeierstrassMap(curve, WeierstrassCurve(-432 * curve.d * curve.d))
 
 
+def weierstrass_mod_p(d: int, P: tuple[int, int, int], p: int):
+    """to_weierstrass of (X : Y : Z) on X^3 + Y^3 = dZ^3, reduced mod p.
+
+    With P primitive and p >= 5 prime to 6d, the image over Q,
+    (12dZ, 36d(X - Y)) / (X + Y), has a denominator divisible by p exactly
+    when p | X + Y, and then the return is None; otherwise it is the int
+    pair (12dZ, 36d(X - Y)) (X + Y)^-1 mod p, on v^2 = u^3 - 432 d^2 over
+    F_p because that identity holds over Z[1/(X + Y)].
+    """
+    X, Y, Z = P
+    s = (X + Y) % p
+    if not s:
+        return None
+    s = pow(s, -1, p)
+    return 12 * d * Z * s % p, 36 * d * (X - Y) * s % p
+
+
 # -- point counting over finite fields ----------------------------------------
+
+
+def _zw_mul(x, y):
+    """(a + b*omega)(c + d*omega) in Z[omega], omega^2 = -1 - omega, on int pairs."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def primary_prime(p: int) -> tuple[int, int]:
+    """The primary (a = 2, b = 0 mod 3) pi = a + b*omega of norm p = 1 mod 3,
+    as the pair (a, b).
+
+    Cornacchia (Cohen, Algorithm 1.5.2) writes p = x^2 + 3y^2 from
+    sqrt(-3) = 1 + 2w, w a cube root of unity != 1 mod p; one of the six
+    associates of (x + y) + 2y*omega = x + y*sqrt(-3) is primary.
+    """
+    if p % 3 != 1:
+        raise ValueError(f"{p} is not 1 mod 3")
+    c = 2
+    while pow(c, (p - 1) // 3, p) == 1:
+        c += 1
+    r = (1 + 2 * pow(c, (p - 1) // 3, p)) % p
+    a, x = p, max(r, p - r)
+    while x * x > p:
+        a, x = x, a % x
+    y = math.isqrt((p - x * x) // 3)
+    a, b = x + y, 2 * y
+    if a * a - a * b + b * b != p:
+        raise ArithmeticError(f"Cornacchia found no x^2 + 3y^2 = {p}")
+    for _ in range(6):
+        if a % 3 == 2 and b % 3 == 0:
+            return a, b
+        a, b = _zw_mul((a, b), (0, -1))  # times the unit -omega
+    raise ArithmeticError(f"no primary associate of norm {p}")  # unreachable
 
 
 @lru_cache(maxsize=256)
@@ -116,21 +168,24 @@ def _sextic_traces(field: FiniteField) -> dict[tuple[int, ...], int]:
     chi-bar(4A) = (-omega)^k with zeta = -w^2, w = -a/b mod p the image of
     omega that kills the primary pi = a + b*omega.  For p = 2 mod 3, pi_q =
     -(-p)^(n/2) is rational, so either primitive sixth root serves as zeta.
+    Elements of Z[omega] are int pairs (a, b) = a + b*omega.
     """
     p, n = field.p, field.n
     if p % 3 == 1:
-        pi = primary_prime(p)
-        pi_q = -((-pi) ** n)
-        w = -int(pi.a) * pow(int(pi.b), -1, p)
+        a, b = primary_prime(p)
+        x = (-1, 0)
+        for _ in range(n):  # x = pi_q = -(-pi)^n
+            x = _zw_mul(x, (-a, -b))
+        w = -a * pow(b, -1, p)
         zeta = field(-w * w)
     else:
-        pi_q = Eisenstein(-((-p) ** (n // 2)))
+        x = (-((-p) ** (n // 2)), 0)
         roots = (field.from_index(i) ** ((field.q - 1) // 6) for i in range(p, field.q))
         zeta = next(z for z in roots if z**2 != 1 and z**3 != 1)
     traces = {}
-    for k in range(6):
-        x = (-OMEGA) ** k * pi_q
-        traces[(zeta**k).coeffs] = int(x.b - 2 * x.a)  # -2 Re(x + y*omega) = y - 2x
+    for k in range(6):  # x = (-omega)^k pi_q
+        traces[(zeta**k).coeffs] = x[1] - 2 * x[0]  # -2 Re(a + b*omega) = b - 2a
+        x = _zw_mul(x, (0, -1))
     return traces
 
 
@@ -208,18 +263,8 @@ def torsion_order_bound(d: int) -> int:
 
 
 # -- the group law over F_p on plain ints ---------------------------------------
-# Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The
-# certificate search checks its two points with _check_point as they enter;
-# the steps run unchecked: a chord-tangent step keeps a point on the curve.
-
-
-def _check_point(p: int, A: int, P) -> None:
-    if P is None:
-        return
-    if not (0 <= P[0] < p and 0 <= P[1] < p):
-        raise ValueError("point not reduced mod p")
-    if (P[1] * P[1] - P[0] ** 3 - A) % p:
-        raise ValueError("point not on curve")
+# Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The steps
+# run unchecked: a chord-tangent step keeps a point on the curve.
 
 
 def _add_mod_p(p: int, A: int, P, Q):

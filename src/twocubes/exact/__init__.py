@@ -1,16 +1,13 @@
-"""Exact arithmetic substrate: integers, rationals, Q(omega), polynomials,
-rational functions over Q and finite fields.  The numpy class-table kernel,
+"""Exact arithmetic substrate: integers, rationals, polynomials, rational
+functions over Q and finite fields.  The numpy class-table kernel,
 `exact.zechlog`, is imported by its callers when they sweep."""
 
-from .eisenstein import OMEGA, Eisenstein
 from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes
 from .poly import Polynomial, factor_over_z, poly_gcd, rational_poly
 from .ratfunc import RationalFunction
 
 __all__ = [
-    "OMEGA",
-    "Eisenstein",
     "FFElement",
     "FiniteField",
     "Polynomial",

@@ -67,8 +67,7 @@ class IntegerForms:
     """A curve's k and sections cleared over Z; coefficient tuples run low
     to high."""
 
-    k_z: tuple[int, ...]  # k = k_z / k_den
-    k_den: int
+    k_z: tuple[int, ...]  # the coefficients of k
     content: int  # k_z = content * prod factors
     factors: tuple[tuple[int, ...], ...]  # each repeated by its multiplicity
     sections: tuple  # per section, x and y as (numerator, denominator) pairs
@@ -76,21 +75,25 @@ class IntegerForms:
 
 @dataclass(frozen=True)
 class FunctionFieldCurve:
-    """X^3 + Y^3 = k(T) with two sections."""
+    """X^3 + Y^3 = k(T) with two sections; k must lie in Z[T]."""
 
     k: Polynomial
     p1: SectionPoint
     p2: SectionPoint
 
+    def __post_init__(self):
+        if not all(getattr(c, "denominator", None) == 1 for c in self.k.coeffs):
+            raise FamilyError("the curve needs k(T) in Z[T]")
+
     @cached_property
     def over_z(self) -> IntegerForms:
-        """The curve over Z, cleared and factored once."""
-        k_z, (den,) = _int_pair(RationalFunction(self.k))
+        """The curve over Z, factored once."""
+        k_z = [int(c) for c in self.k.coeffs]
         content, factors = factor_over_z(k_z)
         factors = tuple(tuple(g) for g, m in factors for _ in range(m))
         sections = tuple(tuple(tuple(map(tuple, _int_pair(f))) for f in (P.x, P.y))
                          for P in (self.p1, self.p2))
-        return IntegerForms(tuple(k_z), den, content, factors, sections)
+        return IntegerForms(tuple(k_z), content, factors, sections)
 
 
 @lru_cache(maxsize=None)
@@ -205,15 +208,13 @@ class _HesseModel:
     division, so only the final point is put in lowest terms; it returns
     (0 : 0 : 0) exactly when P - Q is a 3-torsion point at Z = 0, which over
     Q(T) means P = Q, and then the rotated law applies (Bernstein, Kohel and
-    Lange, "Twisted Hessian curves").  k must lie in Z[T]; every input of
-    every step is checked against X^3 + Y^3 = kZ^3.
+    Lange, "Twisted Hessian curves").  k lies in Z[T] (the curve refuses any
+    other); every input of every step is checked against X^3 + Y^3 = kZ^3.
     """
 
     O = ([1], [-1], [])
 
     def __init__(self, curve: FunctionFieldCurve):
-        if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
-            raise ValueError("section arithmetic needs k(T) in Z[T]")
         self.K = [int(c) for c in curve.k.coeffs]
 
     def check(self, *points):
@@ -343,19 +344,12 @@ def _exp_series(cn: dict[int, int], upto: int) -> list[Fraction]:
     return b
 
 
-def _integral_k(curve: FunctionFieldCurve) -> list[int]:
-    """k as an int list; LFunctionError unless k is in Z[T]."""
-    if not all(getattr(c, "denominator", None) == 1 for c in curve.k.coeffs):
-        raise LFunctionError("the L-function needs k(T) in Z[T]")
-    return [int(c) for c in curve.k.coeffs]
-
-
 def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     """p does not divide 6 lc(k) disc(k): p >= 5 is prime, p does not divide
-    lc(k), and gcd(k mod p, k' mod p) = 1.  LFunctionError unless k is in Z[T]."""
+    lc(k), and gcd(k mod p, k' mod p) = 1."""
     from .exact import is_probable_prime
 
-    k = _integral_k(curve)
+    k = [int(c) for c in curve.k.coeffs]
     return is_probable_prime(p) and p not in (2, 3) and _good_reduction(k, p)
 
 
@@ -389,7 +383,7 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     from .exact import zechlog  # numpy is imported only by the sweeps
 
     field = FiniteField(p, n)
-    k = [c % p for c in _integral_k(curve)]  # p is good: lc(k) stays
+    k = [int(c) % p for c in curve.k.coeffs]  # p is good: lc(k) stays
     roots = []
     for f in _factor_mod_p(_pmonic(k, p), p, Random(0)):
         d = len(f) - 1

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import (
-    CubicTwistCurve,
     Point,
-    _check_point,
     _is_cyclic,
     count_points,
-    hesse_to_weierstrass,
     noncyclic_primes,
     torsion_order_bound,
+    weierstrass_mod_p,
 )
 from .exact import cubefree_part, prime_field, primes
 from .exact.numbers import factorize
@@ -34,7 +32,6 @@ class RankCertificate:
 
     prime: int
     group_order: int
-    torsion_bound: int
 
 
 @dataclass(frozen=True)
@@ -60,9 +57,6 @@ class TwistRecord:
     @property
     def certificate(self) -> RankCertificate | None:
         return self.outcome.certificate if self.outcome else None
-
-    def curve(self) -> CubicTwistCurve:
-        return CubicTwistCurve(Fraction(self.d))
 
     def to_json(self) -> dict:
         out = {
@@ -90,11 +84,11 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     Rational t = a/b is cleared by b^6: points scale by b^2, then both
     coordinates are divided by the cube factor c of k(t) b^6, so the
     record's points sit exactly on X^3 + Y^3 = d with d cube-free.  All of
-    it runs over Z, on the integer forms the curve holds (`over_z`): with
-    k = k_z / k_den and k_z = c_0 prod g, k(t) b^deg k is k_z^H(a, b) / k_den by
-    Horner on (a, b), and the decomposition takes the parts
-    c_0, g^H(a, b) and b^(6 - deg k) one by one, never their product.
-    k_z^H(a, b) does not read the factors, so the check
+    it runs over Z, on the integer forms the curve holds (`over_z`): k is
+    in Z[T] (the curve refuses any other), with k = c_0 prod g, so
+    k(t) b^deg k is k^H(a, b) by Horner on (a, b), and the decomposition
+    takes the parts c_0, g^H(a, b) and b^(6 - deg k) one by one, never their
+    product.  k^H(a, b) does not read the factors, so the check
     d c^3 = k(t) b^6 cross-checks the factorization at every t.  Above
     degree 6 that needs b = 1; any other t is refused.  Each section
     coordinate is one Fraction of its homogenized numerator and
@@ -104,14 +98,14 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     t = Fraction(t)
     a, b = t.numerator, t.denominator
     deg = len(z.k_z) - 1
-    k_ab = _homogenized(z.k_z, a, b)  # k(t) b^deg k_den
+    k_ab = _homogenized(z.k_z, a, b)  # k(t) b^deg
     if k_ab == 0:
         raise SpecializationError(f"k({t}) = 0 is not an elliptic curve")
     if deg > 6 and b > 1:
         raise SpecializationError(f"deg k = {deg} > 6: b^6 leaves a denominator in k({t})")
     b_part = b ** max(6 - deg, 0)
     d, c = cubefree_part(z.content, b_part, *(_homogenized(g, a, b) for g in z.factors))
-    if d * c**3 * z.k_den != k_ab * b_part:
+    if d * c**3 != k_ab * b_part:
         raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
     pts = []
     for section in z.sections:
@@ -119,7 +113,7 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
         if x**3 + y**3 != d:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
         pts.append(Point(x, y))
-    return TwistRecord(t, Fraction(k_ab, z.k_den * b**deg), d, pts[0], pts[1])
+    return TwistRecord(t, Fraction(k_ab, b**deg), d, pts[0], pts[1])
 
 
 def _homogenized(g, a: int, b: int) -> int:
@@ -145,51 +139,55 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     bound is 1).  Exhausting the budget is a no-certificate outcome, not a
     disproof.  The outcome is also stored on the record.
 
+    Both points are checked on X^3 + Y^3 = d exactly before any prime is
+    tried, then held as primitive integer triples (X, Y, Z), x = X/Z and
+    y = Y/Z: on the curve x and y share the denominator Z, since a prime
+    dividing Z and X divides Y^3 = dZ^3 - X^3.  A prime p >= 5 prime to 6d
+    is skipped, and not counted as tried, exactly when p | X + Y for either
+    point; these are the primes that divide a denominator of the
+    Weierstrass image over Q:
+      - p | X + Y gives p | dZ^3, so p | Z and p does not divide X, and then
+        X^2 - XY + Y^2 = 3X^2 is a unit mod p;
+      - so v_p(X + Y) = 3 v_p(Z) > v_p(12dZ), and p divides the denominator
+        of u = 12dZ/(X + Y), while both denominators divide X + Y;
+      - at the other primes the image reduces onto E(F_p), since
+        v^2 = u^3 - 432 d^2 holds over Z[1/(X + Y)].
     #E(F_p) is factored once per prime.  E(F_p) = Z/n1 x Z/n2 with n1 | n2
     and n1 | p - 1, so a prime where no ell | p - 1 has ell^2 | #E(F_p) is
-    skipped (it still counts as tried) before the points are reduced.  Both
-    points are checked on X^3 + Y^3 = d exactly before any prime is tried,
-    and once more reduced mod p; the cyclicity test then runs on the
+    skipped (it still counts as tried); the cyclicity test then runs on the
     unchecked group law, from that one factorization.
     """
-    if record.d <= 2:
+    d = record.d
+    if d <= 2:
         raise ValueError("d <= 2: torsion-freeness hypothesis unavailable")
-    if record.p1.at_infinity or record.p2.at_infinity:
+    points = (record.p1, record.p2)
+    if any(P.at_infinity for P in points):
         raise ValueError("certificate needs two affine points")
-    curve = record.curve()
-    if not (curve.contains(record.p1) and curve.contains(record.p2)):
-        raise ValueError(f"point not on X^3 + Y^3 = {record.d}")
-    tb = torsion_order_bound(record.d)
+    if any(P.x**3 + P.y**3 != d for P in points):
+        raise ValueError(f"point not on X^3 + Y^3 = {d}")
+    tb = torsion_order_bound(d)
     if tb != 1:
         record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
         return record.outcome
-    m = hesse_to_weierstrass(curve)
-    w1 = m.to_weierstrass(record.p1)
-    w2 = m.to_weierstrass(record.p2)
-    if w1.at_infinity or w2.at_infinity:
-        raise ValueError("points map to the identity")
-    denominators = 1
-    for P in (w1, w2):
-        denominators *= P.x.denominator * P.y.denominator
+    triples = [(P.x.numerator, P.y.numerator, P.x.denominator) for P in points]
     tried = 0
     for p in primes():
         if tried >= prime_budget:
             break
-        if p < 5 or (6 * record.d) % p == 0 or denominators % p == 0:
+        if p < 5 or (6 * d) % p == 0:
+            continue
+        r1, r2 = (weierstrass_mod_p(d, T, p) for T in triples)
+        if r1 is None or r2 is None:
             continue
         tried += 1
-        A = (-432 * record.d * record.d) % p
+        A = (-432 * d * d) % p
         order = count_points(prime_field(p), A)
         order_factors = factorize(order)
         if not noncyclic_primes(p, order_factors):
             continue
-        r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (P.x, P.y))
-                  for P in (w1, w2)]
-        _check_point(p, A, r1)
-        _check_point(p, A, r2)
         if not _is_cyclic(p, A, r1, r2, order, order_factors):
-            cert = RankCertificate(p, order, tb)
-            record.outcome = CertificateOutcome(cert, tried, "non-cyclic image")
+            record.outcome = CertificateOutcome(RankCertificate(p, order), tried,
+                                                "non-cyclic image")
             return record.outcome
     record.outcome = CertificateOutcome(None, tried, "budget exhausted")
     return record.outcome

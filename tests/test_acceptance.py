@@ -235,11 +235,11 @@ def test_criterion_10_property_suites():
 
     # certificate soundness negative test: dependent points never certify
     from chord_oracle import scalar_mul, to_hesse
-    from twocubes.elliptic import hesse_to_weierstrass
+    from twocubes.elliptic import CubicTwistCurve, hesse_to_weierstrass
     from twocubes.twists import TwistRecord
 
     rec = specialize(3, fam)
-    mmap = hesse_to_weierstrass(rec.curve())
+    mmap = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
     dbl = to_hesse(mmap, scalar_mul(mmap.weierstrass, 2, mmap.to_weierstrass(rec.p1)))
     dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, dbl)
     cert_ok = rank2_certificate(dep, prime_budget=20).exhausted

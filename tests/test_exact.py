@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 from class_oracle import power_walk_classes
 from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
+from twocubes.elliptic import primary_prime
 from twocubes.exact import (
-    OMEGA,
-    Eisenstein,
     FiniteField,
     Polynomial,
     RationalFunction,
@@ -39,7 +38,6 @@ from twocubes.exact import (
     rational_poly,
     smallest_irreducible,
 )
-from twocubes.exact.eisenstein import primary_prime
 from twocubes.exact.ffield import _is_irreducible
 from twocubes.exact.poly import _int_cyclotomic, _int_exact_div
 from twocubes.exact.zechlog import ZERO, ZechLog
@@ -143,8 +141,8 @@ def test_cubefree_part_splits_only_above_2_48(monkeypatch):
 def test_primary_prime():
     for p in sympy.primerange(5, 3000):
         if p % 3 == 1:
-            pi = primary_prime(p)
-            assert pi.norm() == p and pi.a % 3 == 2 and pi.b % 3 == 0
+            a, b = primary_prime(p)  # a + b*omega
+            assert a * a - a * b + b * b == p and a % 3 == 2 and b % 3 == 0
         else:
             with pytest.raises(ValueError):
                 primary_prime(p)
@@ -299,30 +297,6 @@ def test_ratfunc_normalization():
     assert g.format() == "(1/2*T + 1/2) / (T + 2)"
     with pytest.raises(ZeroDivisionError):
         RationalFunction(rational_poly(1), Polynomial())
-
-
-# -- Q(omega) --------------------------------------------------------------------
-
-
-def test_omega_relations():
-    assert OMEGA**3 == 1
-    assert OMEGA * OMEGA == Eisenstein(-1, -1)
-    assert OMEGA**2 + OMEGA + 1 == 0
-
-
-def test_eisenstein_field_ops():
-    rng = random.Random(23)
-    for _ in range(50):
-        a = Eisenstein(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-        b = Eisenstein(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-        conjugate = Eisenstein(a.a - a.b, -a.b)  # omega -> omega^2
-        assert a * conjugate == a.norm()
-        assert (a * b).norm() == a.norm() * b.norm()
-        assert (a * b) * OMEGA == a * (b * OMEGA)
-        if a != 0:
-            assert a.norm() > 0
-    with pytest.raises(ValueError):
-        OMEGA**-1
 
 
 # -- finite fields ----------------------------------------------------------------

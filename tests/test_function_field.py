@@ -15,8 +15,9 @@ from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
 from qt_oracle import T, qt
 from twocubes.elliptic import CubicTwistCurve, HesseWeierstrassMap, Point, WeierstrassCurve
-from twocubes.exact import OMEGA, FiniteField, Polynomial, RationalFunction, rational_poly
+from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
+    FamilyError,
     FunctionFieldCurve,
     HolDifferential,
     LFunctionError,
@@ -144,12 +145,13 @@ def test_z_rank_cm_matches_the_q_omega_chain(family, name, rank):
 
 
 def test_q_omega_sections_are_rejected(family):
-    """A coefficient outside Q is refused where it enters, when a
-    RationalFunction is built, so no section or differential over Q(omega)
-    reaches the integer kernel."""
+    """A coefficient outside Q (here in F_17, or a float) is refused where it
+    enters, when a RationalFunction is built, so no section or differential
+    over another field reaches the integer kernel."""
+    F17 = FiniteField(17)
     x = family.p1.x.num
-    twisted = Polynomial(tuple(OMEGA * c for c in x.coeffs))
-    for num, den in ((twisted, None), (x, twisted), (OMEGA, None), (1, OMEGA)):
+    reduced = Polynomial(tuple(F17(int(c)) for c in x.coeffs))
+    for num, den in ((reduced, None), (x, reduced), (F17(3), None), (1, 0.5)):
         with pytest.raises(TypeError, match="coefficients in Q"):
             RationalFunction(num, den)
 
@@ -259,9 +261,11 @@ def test_jacobian_group_law_matches_affine_oracle(family, m, n):
 
 
 def test_section_arithmetic_needs_integral_k(family):
-    curve = FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
-    with pytest.raises(ValueError):
-        section_add(curve, curve.p1, curve.p2)
+    """A k outside Z[T] is refused when the curve is built, so the Hessian
+    law, the sweep and specialization only ever see k over Z."""
+    for k in (family.k * Fraction(1, 8), Polynomial((0.5, 1.0))):
+        with pytest.raises(FamilyError, match="Z\\[T\\]"):
+            FunctionFieldCurve(k, family.p1, family.p2)
 
 
 def test_off_curve_sections_raise_value_error_under_python_O():
@@ -315,9 +319,8 @@ def test_good_prime_screen(family):
     assert not good_prime(family, 7)  # divides lc(k) = 189
     assert not good_prime(family, 3)
     assert not good_prime(family, 15)
-    rational = FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
-    with pytest.raises(LFunctionError, match="Z\\[T\\]"):
-        good_prime(rational, 17)
+    with pytest.raises(FamilyError, match="Z\\[T\\]"):  # refused before any prime
+        FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
 
 
 @pytest.mark.parametrize("k, p", [(None, 7), (None, 3), (rational_poly(6, -7, 1), 5)])
@@ -539,10 +542,15 @@ def test_lfunction_cache_ignores_spelling():
 def test_typed_checks_survive_python_O():
     """The exactness and type checks raise their typed errors with asserts stripped."""
     script = """
-from twocubes.exact import OMEGA, Polynomial, RationalFunction
-from twocubes.function_field import FunctionFieldCurve, LFunctionError, LPolynomial, build_family
+from twocubes.exact import FiniteField, Polynomial, RationalFunction
+from twocubes.function_field import (
+    FamilyError, FunctionFieldCurve, LFunctionError, LPolynomial, build_family)
 from twocubes.twists import SpecializationError, specialize
 fam = build_family()
+try:
+    FunctionFieldCurve(fam.k * __import__("fractions").Fraction(1, 8), fam.p1, fam.p2)
+except FamilyError:
+    print("FamilyError")
 try:
     LPolynomial(5, (1, __import__("fractions").Fraction(1, 2)), ()).power_sum_coefficients(2)
 except LFunctionError:
@@ -552,13 +560,9 @@ try:
 except SpecializationError:
     print("SpecializationError")
 try:
-    RationalFunction(Polynomial((1, OMEGA)))
+    RationalFunction(Polynomial((1, FiniteField(17)(3))))
 except TypeError:
     print("TypeError")
-try:
-    OMEGA ** -1  # without the check, e >>= 1 stays at -1 and the loop never ends
-except ValueError:
-    print("ValueError")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -566,7 +570,7 @@ except ValueError:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True,
         timeout=60,
     )
-    want = ["LFunctionError", "SpecializationError", "TypeError", "ValueError"]
+    want = ["FamilyError", "LFunctionError", "SpecializationError", "TypeError"]
     assert out.stdout.split() == want
 
 

@@ -1,5 +1,6 @@
 """Tests for specialization, twist tables, and rank certificates."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -15,6 +16,7 @@ from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul
 from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
 from twocubes.elliptic import (
+    CubicTwistCurve,
     Point,
     WeierstrassCurve,
     _add_mod_p,
@@ -23,6 +25,7 @@ from twocubes.elliptic import (
     count_points,
     hesse_to_weierstrass,
     noncyclic_primes,
+    weierstrass_mod_p,
 )
 from twocubes.exact import FiniteField, primes
 from twocubes.exact.numbers import factorize
@@ -205,7 +208,7 @@ def test_certificate_found_for_t3(family):
     F = FiniteField(p)
     A = F.element((-432 * rec.d**2) % p)
     curve = WeierstrassCurve(A)
-    m = hesse_to_weierstrass(rec.curve())
+    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
     r1w, r2w = m.to_weierstrass(rec.p1), m.to_weierstrass(rec.p2)
     r1 = Point(embed_fraction(F, r1w.x), embed_fraction(F, r1w.y))
     r2 = Point(embed_fraction(F, r2w.x), embed_fraction(F, r2w.y))
@@ -260,28 +263,50 @@ def _cyclic_by_point_orders(p, A, P, Q):
 
 
 def test_weil_skip_never_hides_a_non_cyclic_image(family):
-    """Over t in [-50, 50] and the first 60 primes, the reduced (P1, P2) span
-    a cyclic group, by enumerated point orders, at every good prime that the
-    search skips, and _is_cyclic agrees with the point orders at every other."""
+    """Over t in [-50, 50], a few rational t, and t = -345 and 346 (the
+    first |t| where some p | X + Y, at p = 13), and the first 60 primes
+    p >= 5 prime to 6d:
+      - p divides a denominator of a point's Weierstrass image over Q
+        exactly when p | X + Y for its primitive triple (X, Y, Z), and
+        otherwise weierstrass_mod_p is that image reduced mod p;
+      - where neither point is skipped, the reduced (P1, P2) span a cyclic
+        group, by enumerated point orders, at every prime that the Weil
+        pairing skips, and _is_cyclic agrees with the point orders at
+        every other.
+    On X^3 + Y^3 = d, x and y share their denominator Z (a prime dividing Z
+    and X divides Y^3 = dZ^3 - X^3), so Z > 1 is the case to cover."""
     first_60 = list(itertools.islice(primes(), 60))
-    skipped = non_cyclic = 0
-    for t in range(-50, 51):
+    rational = [Fraction(-3, 2), Fraction(-1, 12), Fraction(1, 3), Fraction(9, 11), Fraction(5, 12)]
+    skipped = non_cyclic = denominator_skips = 0
+    for t in [*range(-50, 51), *rational, -345, 346]:
         try:
             rec = specialize(t, family)
         except SpecializationError:
             continue
-        m = hesse_to_weierstrass(rec.curve())
-        w1, w2 = m.to_weierstrass(rec.p1), m.to_weierstrass(rec.p2)
-        if w1.at_infinity or w2.at_infinity:
-            continue
-        coords = (w1.x, w1.y, w2.x, w2.y)
+        m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
+        points = []
+        for P in (rec.p1, rec.p2):
+            Z = math.lcm(P.x.denominator, P.y.denominator)
+            X, Y = int(P.x * Z), int(P.y * Z)
+            assert math.gcd(X, Y, Z) == 1 and P.x.denominator == P.y.denominator == Z
+            points.append(((X, Y, Z), m.to_weierstrass(P)))
         for p in first_60:
-            if p < 5 or (6 * rec.d) % p == 0 or any(c.denominator % p == 0 for c in coords):
+            if p < 5 or (6 * rec.d) % p == 0:
+                continue
+            reduced = []
+            for (X, Y, Z), w in points:
+                in_denominator = (w.x.denominator * w.y.denominator) % p == 0
+                assert in_denominator == ((X + Y) % p == 0), (t, p)
+                image = None if in_denominator else tuple(
+                    c.numerator * pow(c.denominator, -1, p) % p for c in (w.x, w.y))
+                assert weierstrass_mod_p(rec.d, (X, Y, Z), p) == image, (t, p)
+                reduced.append(image)
+            r1, r2 = reduced
+            if r1 is None or r2 is None:
+                denominator_skips += 1
                 continue
             A = (-432 * rec.d * rec.d) % p
             n = count_points(FiniteField(p), A)
-            r1, r2 = [tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (w.x, w.y))
-                      for w in (w1, w2)]
             cyclic = _cyclic_by_point_orders(p, A, r1, r2)
             if not noncyclic_primes(p, factorize(n)):
                 skipped += 1
@@ -289,12 +314,25 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             else:
                 assert _is_cyclic(p, A, r1, r2, n, factorize(n)) == cyclic, (t, p)
                 non_cyclic += not cyclic
-    assert skipped > 1000 and non_cyclic > 100
+    assert skipped > 1000 and non_cyclic > 100 and denominator_skips > 0
+
+
+# sha256 of the lines t|primes_tried|cert_reason of twist_table(-300, 300,
+# certify=True), joined by newlines; the reference digests
+# (d|x1|y1|x2|y2|cert_prime) cannot see a change that only moves primes_tried.
+PRIMES_TRIED_DIGEST = "2c5da9428b591eae9661298a196562a80280bfa709ab21785c5f8d1a941f02a8"
+
+
+def test_primes_tried_and_reasons_match_the_pinned_digest():
+    docs = [r.to_json() for r in twist_table(-300, 300, certify=True).records]
+    lines = "\n".join(f"{d['t']}|{d['primes_tried']}|{d['cert_reason']}" for d in docs)
+    assert len(docs) == 601
+    assert hashlib.sha256(lines.encode()).hexdigest() == PRIMES_TRIED_DIGEST
 
 
 def test_dependent_points_never_certify(family):
     rec = specialize(3, family)
-    m = hesse_to_weierstrass(rec.curve())
+    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
     w1 = m.to_weierstrass(rec.p1)
     double = to_hesse(m, add_points(m.weierstrass, w1, w1))
     dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, double)
@@ -356,7 +394,7 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
 def test_exceptional_t0_is_exhausted(family):
     # P1(0) and P2(0) are dependent in E_7(Q) (P1 = -2 P2), so no prime can certify
     rec = specialize(0, family)
-    m = hesse_to_weierstrass(rec.curve())
+    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
     w2 = m.to_weierstrass(rec.p2)
     minus_2p2 = neg_point(scalar_mul(m.weierstrass, 2, w2))
     assert to_hesse(m, minus_2p2) == rec.p1
