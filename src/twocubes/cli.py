@@ -27,12 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import identities
-from .elliptic import (
-    CubicTwistCurve,
-    Point,
-    count_points,
-    hesse_to_weierstrass,
-)
+from .elliptic import count_points, to_weierstrass
 from .exact import FiniteField, Polynomial, factor_over_z, rational_poly
 from .function_field import (
     build_family,
@@ -281,20 +276,20 @@ def _run_ec_count(args) -> dict:
 
 
 def _run_ec_map(args) -> dict:
-    d = Fraction(args.d)
-    curve = CubicTwistCurve(d)
-    P = Point(Fraction(args.x), Fraction(args.y))
-    if not curve.contains(P):
+    d, x, y = Fraction(args.d), Fraction(args.x), Fraction(args.y)
+    if d == 0:
+        raise ValueError("d must be nonzero")
+    if x**3 + y**3 != d:
         raise ValueError(f"({args.x}, {args.y}) is not on X^3 + Y^3 = {d}")
-    m = hesse_to_weierstrass(curve)
-    W = m.to_weierstrass(P)
+    A = -432 * d * d
+    u, v = to_weierstrass(d, x, y)
     return {
         "d": str(d),
-        "weierstrass_A": str(m.weierstrass.A),
-        "u": str(W.x) if not W.at_infinity else None,
-        "v": str(W.y) if not W.at_infinity else None,
-        "at_infinity": W.at_infinity,
-        "on_curve": m.weierstrass.contains(W),
+        "weierstrass_A": str(A),
+        "u": str(u),
+        "v": str(v),
+        "at_infinity": False,
+        "on_curve": v * v == u**3 + A,
     }
 
 

@@ -1,16 +1,18 @@
 """Elliptic curve models and point counting.
 
 Two models of the same j = 0 curves: the Hesse cubic X^3 + Y^3 = d and the
-short Weierstrass form v^2 = u^3 - 432 d^2, with the point map from the
-first to the second, over Q (`to_weierstrass`) and from a primitive integer
-triple straight to F_p (`weierstrass_mod_p`).  The chord-tangent group law
-runs over a prime field only, on plain int pairs, where the certificate
-search needs it; sections over Q(T) are added on the Hesse cubic itself
-(`function_field`).  The search (`twists.rank2_certificate`) is the law's
-one caller, and it checks its two points exactly on the Hesse cubic where
-they enter; the map keeps them on the curve mod p, and a chord-tangent step
-keeps a point on it, so the steps here (`_add_mod_p`, `_mul_mod_p`,
-`_is_cyclic`) run unchecked.
+short Weierstrass form v^2 = u^3 - 432 d^2.  The point map from the first
+to the second is one formula, over Q on coordinate pairs (`to_weierstrass`)
+and from a primitive integer triple straight to F_p (`weierstrass_mod_p`);
+x + y never vanishes on the curve, so neither needs a point at infinity.
+The chord-tangent group law runs over a prime field only, on plain int
+pairs, where the certificate search needs it; sections over Q(T) are added
+on the Hesse cubic itself (`function_field`).  The law reads no curve
+coefficient: the tangent slope on v^2 = u^3 + A is 3u^2/2v.  The search
+(`twists.rank2_certificate`) is its one caller, and it checks its two
+points exactly on the Hesse cubic where they enter; the map keeps them on
+the curve mod p, and a chord-tangent step keeps a point on it, so the
+steps here (`_add_mod_p`, `_mul_mod_p`, `_is_cyclic`) run unchecked.
 `noncyclic_primes` reads off #E(F_p) alone the primes at which E(F_p) can
 fail to be cyclic: E(F_p) = Z/n1 x Z/n2 with n1 | n2 and n1 | p - 1 (Weil
 pairing).
@@ -23,86 +25,20 @@ int pairs (a, b) = a + b*omega in Z[omega].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Any
 
 from .exact import FiniteField, icbrt, prime_field, primes
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Any = None
-    y: Any = None
-    at_infinity: bool = False
+def to_weierstrass(d, x, y):
+    """(x, y) on X^3 + Y^3 = d to (u, v) = (12d/(x + y), 36d(x - y)/(x + y))
+    on v^2 = u^3 - 432 d^2.
 
-    @classmethod
-    def infinity(cls) -> "Point":
-        return cls(None, None, True)
-
-    def __repr__(self):
-        return "O" if self.at_infinity else f"({self.x}, {self.y})"
-
-
-INFINITY = Point.infinity()
-
-
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """v^2 = u^3 + A with A != 0 (discriminant -432 A^2 nonzero)."""
-
-    A: Any
-
-    def __post_init__(self):
-        if self.A == 0:
-            raise ValueError("A = 0 is singular")
-
-    def contains(self, P: Point) -> bool:
-        if P.at_infinity:
-            return True
-        return P.y * P.y == P.x * P.x * P.x + self.A
-
-
-@dataclass(frozen=True)
-class CubicTwistCurve:
-    """X^3 + Y^3 = d with d != 0; group identity at the flex at infinity."""
-
-    d: Fraction
-
-    def __post_init__(self):
-        if self.d == 0:
-            raise ValueError("d must be nonzero")
-
-    def contains(self, P: Point) -> bool:
-        if P.at_infinity:
-            return True
-        return P.x**3 + P.y**3 == self.d
-
-
-@dataclass(frozen=True)
-class HesseWeierstrassMap:
-    """The map from X^3 + Y^3 = d to v^2 = u^3 - 432 d^2, a bijection.
-
-    (x, y) -> (12d/(x+y), 36d(x-y)/(x+y)); the flex x + y = 0 direction maps
-    to the point at infinity.
+    There is no point at infinity to handle: (x + y)(x^2 - xy + y^2) = d != 0,
+    so x + y != 0 at every affine point of the curve.
     """
-
-    hesse: CubicTwistCurve
-    weierstrass: WeierstrassCurve
-
-    def to_weierstrass(self, P: Point) -> Point:
-        if P.at_infinity:
-            return INFINITY
-        s = P.x + P.y
-        if s == 0:
-            return INFINITY
-        d = self.hesse.d
-        return Point(12 * d / s, 36 * d * (P.x - P.y) / s)
-
-
-def hesse_to_weierstrass(curve: CubicTwistCurve) -> HesseWeierstrassMap:
-    return HesseWeierstrassMap(curve, WeierstrassCurve(-432 * curve.d * curve.d))
+    s = x + y
+    return 12 * d / s, 36 * d * (x - y) / s
 
 
 def weierstrass_mod_p(d: int, P: tuple[int, int, int], p: int):
@@ -159,7 +95,7 @@ def primary_prime(p: int) -> tuple[int, int]:
     raise ArithmeticError(f"no primary associate of norm {p}")  # unreachable
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _sextic_traces(field: FiniteField) -> dict[tuple[int, ...], int]:
     """Trace of v^2 = u^3 + A over F_q, q = 1 mod 6, keyed by s = (4A)^((q-1)/6).
 
@@ -267,7 +203,7 @@ def torsion_order_bound(d: int) -> int:
 # run unchecked: a chord-tangent step keeps a point on the curve.
 
 
-def _add_mod_p(p: int, A: int, P, Q):
+def _add_mod_p(p: int, P, Q):
     if P is None:
         return Q
     if Q is None:
@@ -283,14 +219,14 @@ def _add_mod_p(p: int, A: int, P, Q):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _mul_mod_p(p: int, A: int, k: int, P):
+def _mul_mod_p(p: int, k: int, P):
     R = None
     while k:
         if k & 1:
-            R = _add_mod_p(p, A, R, P)
+            R = _add_mod_p(p, R, P)
         k >>= 1
         if k:
-            P = _add_mod_p(p, A, P, P)
+            P = _add_mod_p(p, P, P)
     return R
 
 
@@ -305,7 +241,7 @@ def noncyclic_primes(p: int, order_factors: dict[int, int]) -> list[int]:
     return [ell for ell, e in sorted(order_factors.items()) if e >= 2 and (p - 1) % ell == 0]
 
 
-def _is_cyclic(p: int, A: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
+def _is_cyclic(p: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
     """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
 
     n is a multiple of #E(F_p), not only of the two point orders (the primes
@@ -317,28 +253,28 @@ def _is_cyclic(p: int, A: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
     tested by direct enumeration of the (small) cyclic group.
     """
     for X in (P, Q):
-        if _mul_mod_p(p, A, n, X) is not None:
+        if _mul_mod_p(p, n, X) is not None:
             raise ValueError("group_order is not a multiple of the point order")
     for ell in noncyclic_primes(p, n_factors):
         m = n // ell ** n_factors[ell]
-        Pp, Qp = _mul_mod_p(p, A, m, P), _mul_mod_p(p, A, m, Q)
-        oP, oQ = _ell_order(p, A, Pp, ell), _ell_order(p, A, Qp, ell)
+        Pp, Qp = _mul_mod_p(p, m, P), _mul_mod_p(p, m, Q)
+        oP, oQ = _ell_order(p, Pp, ell), _ell_order(p, Qp, ell)
         if oP < oQ:
             Pp, Qp, oP = Qp, Pp, oQ
         R = None
         for _ in range(oP):
             if R == Qp:
                 break
-            R = _add_mod_p(p, A, R, Pp)
+            R = _add_mod_p(p, R, Pp)
         else:
             return False
     return True
 
 
-def _ell_order(p: int, A: int, P, ell: int) -> int:
+def _ell_order(p: int, P, ell: int) -> int:
     """The order of P, known to be a power of ell."""
     o = 1
     while P is not None:
-        P = _mul_mod_p(p, A, ell, P)
+        P = _mul_mod_p(p, ell, P)
         o *= ell
     return o

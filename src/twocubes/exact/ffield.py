@@ -255,7 +255,7 @@ class FiniteField:
         return f"FiniteField({self.p}, {self.n})" if self.n > 1 else f"FiniteField({self.p})"
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=None)
 def prime_field(p: int) -> FiniteField:
     """F_p, built once per process for the callers that count over many primes."""
     return FiniteField(p)

@@ -191,12 +191,10 @@ def test_criterion_10_property_suites():
     group_ok = len(pts) > 12
     for _ in range(50):
         P, Q, R = (rng.choice(pts) for _ in range(3))
-        group_ok &= _add_mod_p(p, A, P, Q) == _add_mod_p(p, A, Q, P)
-        group_ok &= _add_mod_p(p, A, _add_mod_p(p, A, P, Q), R) == _add_mod_p(
-            p, A, P, _add_mod_p(p, A, Q, R)
-        )
-        group_ok &= _add_mod_p(p, A, P, None) == P
-        group_ok &= _add_mod_p(p, A, P, None if P is None else (P[0], -P[1] % p)) is None
+        group_ok &= _add_mod_p(p, P, Q) == _add_mod_p(p, Q, P)
+        group_ok &= _add_mod_p(p, _add_mod_p(p, P, Q), R) == _add_mod_p(p, P, _add_mod_p(p, Q, R))
+        group_ok &= _add_mod_p(p, P, None) == P
+        group_ok &= _add_mod_p(p, P, None if P is None else (P[0], -P[1] % p)) is None
 
     # Hasse bound on counted fibers; supersingular law for q = 2 mod 3
     hasse_ok = True
@@ -234,14 +232,14 @@ def test_criterion_10_property_suites():
         l_ok &= all(cs[n - 1] == c for n, c in L.counted if n <= 6)
 
     # certificate soundness negative test: dependent points never certify
-    from chord_oracle import scalar_mul, to_hesse
-    from twocubes.elliptic import CubicTwistCurve, hesse_to_weierstrass
-    from twocubes.twists import TwistRecord
+    from chord_oracle import Point, WeierstrassCurve, scalar_mul, to_hesse
+    from twocubes.elliptic import to_weierstrass
+    from twocubes import twists
 
     rec = specialize(3, fam)
-    mmap = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
-    dbl = to_hesse(mmap, scalar_mul(mmap.weierstrass, 2, mmap.to_weierstrass(rec.p1)))
-    dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, dbl)
+    w1 = Point(*to_weierstrass(rec.d, rec.p1.x, rec.p1.y))
+    dbl = to_hesse(rec.d, scalar_mul(WeierstrassCurve(-432 * rec.d**2), 2, w1))
+    dep = twists.TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, twists.Point(dbl.x, dbl.y))
     cert_ok = rank2_certificate(dep, prime_budget=20).exhausted
 
     dt = time.perf_counter() - t0

@@ -118,17 +118,36 @@ def test_ec_count_cli_large_fields(capsys):
     assert a_p != 0
 
 
-def test_ec_map_cli(capsys):
-    doc = run_json(capsys, "ec", "map", "--d", "1729", "--x", "9", "--y", "10")
-    assert doc["results"]["u"] == "1092"
-    assert doc["results"]["v"] == "-3276"
-    assert doc["results"]["on_curve"]
+@pytest.mark.parametrize(
+    "d,x,y,A,u,v",
+    [
+        ("1729", "9", "10", "-1291438512", "1092", "-3276"),
+        ("2", "1", "1", "-1728", "12", "0"),
+        ("7", "2", "-1", "-21168", "84", "756"),
+        ("1729/27", "3", "10/3", "-47831056/27", "364/3", "-364/3"),
+    ],
+    ids=["1729", "2", "7", "1729_over_27"],
+)
+def test_ec_map_cli(capsys, d, x, y, A, u, v):
+    doc = run_json(capsys, "ec", "map", "--d", d, "--x", x, "--y", y)
+    assert doc["status"] == "ok"
+    assert doc["results"] == {
+        "d": d, "weierstrass_A": A, "u": u, "v": v, "at_infinity": False, "on_curve": True,
+    }
 
 
-def test_ec_map_rejects_off_curve(capsys):
-    doc = run_json(capsys, "ec", "map", "--d", "1729", "--x", "1", "--y", "1")
+@pytest.mark.parametrize(
+    "d,x,y,error",
+    [
+        ("0", "1", "1", "ValueError: d must be nonzero"),
+        ("1729", "1", "1", "ValueError: (1, 1) is not on X^3 + Y^3 = 1729"),
+    ],
+    ids=["zero_d", "off_curve"],
+)
+def test_ec_map_rejects_off_curve(capsys, d, x, y, error):
+    doc = run_json(capsys, "ec", "map", "--d", d, "--x", x, "--y", y)
     assert doc["status"] == "failed"
-    assert "error" in doc["results"]
+    assert doc["results"] == {"error": error}
 
 
 def test_ff_differentials_cli(capsys):

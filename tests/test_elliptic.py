@@ -10,19 +10,24 @@ from pathlib import Path
 import pytest
 
 import chord_oracle
-from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul, to_hesse
-from enumeration import count_by_enumeration
-from twocubes.elliptic import (
-    INFINITY,
-    CubicTwistCurve,
+from chord_oracle import (
+    O,
     Point,
     WeierstrassCurve,
+    add_points,
+    neg_point,
+    order_by_enumeration,
+    scalar_mul,
+    to_hesse,
+)
+from enumeration import count_by_enumeration
+from twocubes.elliptic import (
     _add_mod_p,
     _is_cyclic,
     _mul_mod_p,
     count_points,
-    hesse_to_weierstrass,
     noncyclic_primes,
+    to_weierstrass,
     torsion_order_bound,
     trace,
 )
@@ -31,6 +36,11 @@ from twocubes.exact.numbers import factorize
 
 
 # -- model conversion -----------------------------------------------------------
+
+
+def _to_w(d, P: Point) -> Point:
+    """The image of an affine Hesse point as an oracle point."""
+    return Point(*to_weierstrass(d, P.x, P.y))
 
 
 @pytest.mark.parametrize(
@@ -42,40 +52,31 @@ from twocubes.exact.numbers import factorize
     ],
 )
 def test_hesse_map_examples(d, pt, expected):
-    curve = CubicTwistCurve(Fraction(d))
-    m = hesse_to_weierstrass(curve)
-    W = m.to_weierstrass(Point(Fraction(pt[0]), Fraction(pt[1])))
+    W = _to_w(Fraction(d), Point(Fraction(pt[0]), Fraction(pt[1])))
     assert (W.x, W.y) == expected
     # substitution oracle: both sides of v^2 = u^3 - 432 d^2 agree
     assert W.y**2 == W.x**3 - 432 * d**2
-    assert m.weierstrass.contains(W)
-    back = to_hesse(m, W)
+    assert WeierstrassCurve(-432 * d * d).contains(W)
+    back = to_hesse(d, W)
     assert (back.x, back.y) == (pt[0], pt[1])
-
-
-def test_hesse_map_flex_to_infinity():
-    curve = CubicTwistCurve(Fraction(1729))
-    m = hesse_to_weierstrass(curve)
-    assert m.to_weierstrass(INFINITY).at_infinity
 
 
 def _hesse_points(d: int, n: int = 6) -> list[Point]:
     """Sample rational points of X^3+Y^3=d by adding the known ones in Weierstrass."""
-    curve = CubicTwistCurve(Fraction(d))
-    m = hesse_to_weierstrass(curve)
+    curve = WeierstrassCurve(-432 * d * d)
     seeds = {
         1729: [Point(Fraction(9), Fraction(10)), Point(Fraction(1), Fraction(12))],
         7: [Point(Fraction(2), Fraction(-1))],
     }[d]
-    ws = [m.to_weierstrass(P) for P in seeds]
+    ws = [_to_w(d, P) for P in seeds]
     out = list(seeds)
     cur = ws[0]
     for i in range(1, n):
-        cur = add_points(m.weierstrass, cur, ws[i % len(ws)])
+        cur = add_points(curve, cur, ws[i % len(ws)])
         if cur.at_infinity or cur.x == 0:
             continue
-        H = to_hesse(m, cur)
-        assert curve.contains(H)
+        H = to_hesse(d, cur)
+        assert H.x**3 + H.y**3 == d
         out.append(H)
     return out
 
@@ -99,8 +100,7 @@ def _hesse_chord_add(d: Fraction, P: Point, Q: Point) -> Point:
 
 def test_group_law_transport_via_chords():
     for d in (1729, 7):
-        curve = CubicTwistCurve(Fraction(d))
-        m = hesse_to_weierstrass(curve)
+        curve = WeierstrassCurve(-432 * d * d)
         pts = _hesse_points(d)
         pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
         checked = 0
@@ -111,20 +111,16 @@ def test_group_law_transport_via_chords():
             if 1 + mslope**3 == 0:
                 continue
             chord = _hesse_chord_add(Fraction(d), P, Q)
-            assert curve.contains(chord)
-            transported = add_points(
-                m.weierstrass, m.to_weierstrass(P), m.to_weierstrass(Q)
-            )
-            assert m.to_weierstrass(chord) == transported
+            assert chord.x**3 + chord.y**3 == d
+            transported = add_points(curve, _to_w(d, P), _to_w(d, Q))
+            assert _to_w(d, chord) == transported
             checked += 1
         assert checked >= 5
 
 
 def test_hesse_map_bijective_on_samples():
     pts = _hesse_points(1729, 8)
-    curve = CubicTwistCurve(Fraction(1729))
-    m = hesse_to_weierstrass(curve)
-    images = {(m.to_weierstrass(P).x, m.to_weierstrass(P).y) for P in pts}
+    images = {to_weierstrass(1729, P.x, P.y) for P in pts}
     assert len(images) == len(pts)
 
 
@@ -133,11 +129,10 @@ def test_hesse_map_bijective_on_samples():
 
 def test_group_law_axioms_over_q():
     d = Fraction(1729)
-    m = hesse_to_weierstrass(CubicTwistCurve(d))
-    c = m.weierstrass
-    pts = [m.to_weierstrass(P) for P in _hesse_points(1729, 6)]
+    c = WeierstrassCurve(-432 * d * d)
+    pts = [_to_w(d, P) for P in _hesse_points(1729, 6)]
     for P in pts:
-        assert add_points(c, P, INFINITY) == P
+        assert add_points(c, P, O) == P
         assert add_points(c, P, neg_point(P)).at_infinity
     for P in pts[:3]:
         for Q in pts[:3]:
@@ -184,7 +179,7 @@ def test_doubling_on_432_curve():
 def test_add_points_rejects_off_curve():
     c = WeierstrassCurve(Fraction(-432))
     with pytest.raises(ValueError):
-        add_points(c, Point(Fraction(1), Fraction(1)), INFINITY)
+        add_points(c, Point(Fraction(1), Fraction(1)), O)
 
 
 # -- point counting ----------------------------------------------------------------
@@ -364,7 +359,7 @@ def _points_mod_p(p, a):
 
 
 def _as_ff(F, P):
-    return INFINITY if P is None else Point(F(P[0]), F(P[1]))
+    return O if P is None else Point(F(P[0]), F(P[1]))
 
 
 def test_int_group_law_matches_generic():
@@ -377,11 +372,11 @@ def test_int_group_law_matches_generic():
             pts = [None] + _points_mod_p(p, a)
             for _ in range(30):
                 P, Q = rng.choice(pts), rng.choice(pts)
-                assert _as_ff(F, _add_mod_p(p, a, P, Q)) == add_points(
+                assert _as_ff(F, _add_mod_p(p, P, Q)) == add_points(
                     curve, _as_ff(F, P), _as_ff(F, Q)
                 )
                 k = rng.randrange(0, 3 * p)
-                assert _as_ff(F, _mul_mod_p(p, a, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
+                assert _as_ff(F, _mul_mod_p(p, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
 
 
 def test_weil_skip_only_where_the_group_is_cyclic():
@@ -402,13 +397,13 @@ def test_weil_skip_only_where_the_group_is_cyclic():
                 kept += 1
                 continue
             skipped += 1
-            assert any(order_by_enumeration(p, A, P) == n for P in pts), (p, A)
+            assert any(order_by_enumeration(p, P) == n for P in pts), (p, A)
     assert skipped > 1000 and kept > 1000
 
 
 def _subgroup_bruteforce(curve, gens):
-    group = {INFINITY}
-    frontier = [INFINITY]
+    group = {O}
+    frontier = [O]
     while frontier:
         new = []
         for X in frontier:
@@ -435,11 +430,11 @@ def test_subgroup_cyclicity_vs_enumeration():
             for _ in range(4):
                 P, Q = rng.choice(pts), rng.choice(pts)
                 H = _subgroup_bruteforce(curve, [_as_ff(F, P), _as_ff(F, Q)])
-                oP = order_by_enumeration(p, a, P)
-                oQ = order_by_enumeration(p, a, Q)
+                oP = order_by_enumeration(p, P)
+                oQ = order_by_enumeration(p, Q)
                 ints = [None if X.at_infinity else (X.x.coeffs[0], X.y.coeffs[0]) for X in H]
-                brute_cyclic = any(order_by_enumeration(p, a, X) == len(H) for X in ints)
-                got = _is_cyclic(p, a, P, Q, order, factorize(order))
+                brute_cyclic = any(order_by_enumeration(p, X) == len(H) for X in ints)
+                got = _is_cyclic(p, P, Q, order, factorize(order))
                 assert got == brute_cyclic, (p, a, P, Q)
                 assert len(H) % oP == 0 and len(H) % oQ == 0
                 if not got:
@@ -448,22 +443,22 @@ def test_subgroup_cyclicity_vs_enumeration():
     # two 2-torsion points of v^2 = u^3 + 1 over F_7 (#E = 12) span Z/2 x Z/2,
     # seen from #E and from a multiple of it
     for n in (12, 24):
-        assert not _is_cyclic(7, 1, (3, 0), (5, 0), n, factorize(n))
+        assert not _is_cyclic(7, (3, 0), (5, 0), n, factorize(n))
 
 
 def test_scalar_mul_orders():
     p, a = 13, 5
     order = count_points(FiniteField(p), a)
     for P in _points_mod_p(p, a):
-        assert _mul_mod_p(p, a, order, P) is None
-        o = order_by_enumeration(p, a, P)
-        assert _mul_mod_p(p, a, o, P) is None
-        assert all(_mul_mod_p(p, a, k, P) is not None for k in range(1, o))
+        assert _mul_mod_p(p, order, P) is None
+        o = order_by_enumeration(p, P)
+        assert _mul_mod_p(p, o, P) is None
+        assert all(_mul_mod_p(p, k, P) is not None for k in range(1, o))
 
 
 def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
-    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(1729)))
-    c, P = m.weierstrass, m.to_weierstrass(Point(Fraction(9), Fraction(10)))
+    d = Fraction(1729)
+    c, P = WeierstrassCurve(-432 * d * d), _to_w(d, Point(Fraction(9), Fraction(10)))
     calls = []
 
     def counted(curve, A, B):
@@ -492,19 +487,20 @@ def test_mul_mod_p_doubles_only_while_bits_remain(monkeypatch):
     import twocubes.elliptic as elliptic
 
     p, A, P = 1009, 5, (1, 174)
+    assert (P[1] ** 2 - P[0] ** 3 - A) % p == 0  # P on v^2 = u^3 + 5 over F_1009
     calls = []
     add = elliptic._add_mod_p
 
-    def counted(p_, A_, X, Y):
+    def counted(p_, X, Y):
         calls.append(1)
-        return add(p_, A_, X, Y)
+        return add(p_, X, Y)
 
     monkeypatch.setattr(elliptic, "_add_mod_p", counted)
     # k: (_add_mod_p calls, kP as computed before doubling stopped at the last bit)
     want = {1: (1, (1, 174)), 2: (2, (629, 760)), 4: (3, (256, 609)), 5: (4, (315, 240))}
     for k, (n_calls, kP) in want.items():
         calls.clear()
-        assert _mul_mod_p(p, A, k, P) == kP, k
+        assert _mul_mod_p(p, k, P) == kP, k
         assert len(calls) == n_calls, k
-    assert _mul_mod_p(p, A, 3, P) == (668, 595)
-    assert _mul_mod_p(p, A, 0, P) is None
+    assert _mul_mod_p(p, 3, P) == (668, 595)
+    assert _mul_mod_p(p, 0, P) is None

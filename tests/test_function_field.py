@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from chord_oracle import add_points, scalar_mul, to_hesse
+from chord_oracle import Point, WeierstrassCurve, add_points, scalar_mul, to_hesse
 from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
 from qt_oracle import T, qt
-from twocubes.elliptic import CubicTwistCurve, HesseWeierstrassMap, Point, WeierstrassCurve
+from twocubes.elliptic import to_weierstrass
 from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
     FamilyError,
@@ -246,10 +246,10 @@ def test_multiples_of_the_identity_are_the_identity(family):
 def _affine_combination(curve, m, n):
     """m P1 + n P2 as a pair in sympy's Q(T), or None for the identity."""
     k = qt(curve.k)
-    to_w = HesseWeierstrassMap(CubicTwistCurve(k), WeierstrassCurve(-432 * k * k))
-    mP1, nP2 = (scalar_mul(to_w.weierstrass, c, to_w.to_weierstrass(Point(qt(P.x), qt(P.y))))
+    E = WeierstrassCurve(-432 * k * k)
+    mP1, nP2 = (scalar_mul(E, c, Point(*to_weierstrass(k, qt(P.x), qt(P.y))))
                 for c, P in ((m, curve.p1), (n, curve.p2)))
-    S = to_hesse(to_w, add_points(to_w.weierstrass, mP1, nP2))
+    S = to_hesse(k, add_points(E, mP1, nP2))
     return None if S.at_infinity else (S.x, S.y)
 
 

@@ -12,25 +12,32 @@ from pathlib import Path
 
 import pytest
 
-from chord_oracle import add_points, neg_point, order_by_enumeration, scalar_mul, to_hesse
+import chord_oracle as oracle
+from chord_oracle import (
+    WeierstrassCurve,
+    add_points,
+    neg_point,
+    order_by_enumeration,
+    scalar_mul,
+    to_hesse,
+)
 from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
 from twocubes.elliptic import (
-    CubicTwistCurve,
-    Point,
-    WeierstrassCurve,
     _add_mod_p,
     _is_cyclic,
     _mul_mod_p,
+    _sextic_traces,
     count_points,
-    hesse_to_weierstrass,
     noncyclic_primes,
+    to_weierstrass,
     weierstrass_mod_p,
 )
-from twocubes.exact import FiniteField, primes
+from twocubes.exact import FiniteField, prime_field, primes
 from twocubes.exact.numbers import factorize
 from twocubes.function_field import build_family
 from twocubes.twists import (
+    Point,
     SpecializationError,
     TwistRecord,
     rank2_certificate,
@@ -208,16 +215,14 @@ def test_certificate_found_for_t3(family):
     F = FiniteField(p)
     A = F.element((-432 * rec.d**2) % p)
     curve = WeierstrassCurve(A)
-    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
-    r1w, r2w = m.to_weierstrass(rec.p1), m.to_weierstrass(rec.p2)
-    r1 = Point(embed_fraction(F, r1w.x), embed_fraction(F, r1w.y))
-    r2 = Point(embed_fraction(F, r2w.x), embed_fraction(F, r2w.y))
+    r1, r2 = (oracle.Point(*(embed_fraction(F, c) for c in to_weierstrass(rec.d, P.x, P.y)))
+              for P in (rec.p1, rec.p2))
     group = {None}
     frontier = [None]
     while frontier:
         new = []
         for X in frontier:
-            Xp = Point.infinity() if X is None else Point(*X)
+            Xp = oracle.O if X is None else oracle.Point(*X)
             for g in (r1, r2):
                 Y = add_points(curve, Xp, g)
                 key = None if Y.at_infinity else (Y.x, Y.y)
@@ -230,7 +235,7 @@ def test_certificate_found_for_t3(family):
     for key in group:
         if key is None:
             continue
-        P = Point(*key)
+        P = oracle.Point(*key)
         order = 1
         R = P
         while not R.at_infinity:
@@ -243,19 +248,19 @@ def test_certificate_found_for_t3(family):
     assert cert.group_order == count_points(F, A)
 
 
-def _cyclic_by_point_orders(p, A, P, Q):
+def _cyclic_by_point_orders(p, P, Q):
     """<P, Q> cyclic, from both enumerated point orders: at each ell dividing
     both, the ell-part of smaller order must lie in the enumerated span of the other."""
-    oP, oQ = order_by_enumeration(p, A, P), order_by_enumeration(p, A, Q)
+    oP, oQ = order_by_enumeration(p, P), order_by_enumeration(p, Q)
     fP, fQ = factorize(oP), factorize(oQ)
     for ell in fP.keys() & fQ.keys():
         a, b = fP[ell], fQ[ell]
-        Pp, Qp = _mul_mod_p(p, A, oP // ell**a, P), _mul_mod_p(p, A, oQ // ell**b, Q)
+        Pp, Qp = _mul_mod_p(p, oP // ell**a, P), _mul_mod_p(p, oQ // ell**b, Q)
         if a < b:
             Pp, Qp, a = Qp, Pp, b
         span, R = {None}, None
         for _ in range(ell**a):
-            R = _add_mod_p(p, A, R, Pp)
+            R = _add_mod_p(p, R, Pp)
             span.add(R)
         if Qp not in span:
             return False
@@ -283,22 +288,21 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             rec = specialize(t, family)
         except SpecializationError:
             continue
-        m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
         points = []
         for P in (rec.p1, rec.p2):
             Z = math.lcm(P.x.denominator, P.y.denominator)
             X, Y = int(P.x * Z), int(P.y * Z)
             assert math.gcd(X, Y, Z) == 1 and P.x.denominator == P.y.denominator == Z
-            points.append(((X, Y, Z), m.to_weierstrass(P)))
+            points.append(((X, Y, Z), to_weierstrass(rec.d, P.x, P.y)))
         for p in first_60:
             if p < 5 or (6 * rec.d) % p == 0:
                 continue
             reduced = []
-            for (X, Y, Z), w in points:
-                in_denominator = (w.x.denominator * w.y.denominator) % p == 0
+            for (X, Y, Z), (u, v) in points:
+                in_denominator = (u.denominator * v.denominator) % p == 0
                 assert in_denominator == ((X + Y) % p == 0), (t, p)
                 image = None if in_denominator else tuple(
-                    c.numerator * pow(c.denominator, -1, p) % p for c in (w.x, w.y))
+                    c.numerator * pow(c.denominator, -1, p) % p for c in (u, v))
                 assert weierstrass_mod_p(rec.d, (X, Y, Z), p) == image, (t, p)
                 reduced.append(image)
             r1, r2 = reduced
@@ -307,12 +311,12 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
                 continue
             A = (-432 * rec.d * rec.d) % p
             n = count_points(FiniteField(p), A)
-            cyclic = _cyclic_by_point_orders(p, A, r1, r2)
+            cyclic = _cyclic_by_point_orders(p, r1, r2)
             if not noncyclic_primes(p, factorize(n)):
                 skipped += 1
                 assert cyclic, (t, p)
             else:
-                assert _is_cyclic(p, A, r1, r2, n, factorize(n)) == cyclic, (t, p)
+                assert _is_cyclic(p, r1, r2, n, factorize(n)) == cyclic, (t, p)
                 non_cyclic += not cyclic
     assert skipped > 1000 and non_cyclic > 100 and denominator_skips > 0
 
@@ -330,12 +334,23 @@ def test_primes_tried_and_reasons_match_the_pinned_digest():
     assert hashlib.sha256(lines.encode()).hexdigest() == PRIMES_TRIED_DIGEST
 
 
+def test_a_repeated_search_builds_no_field_again():
+    """t = 0, 1, 2 are exhausted, so each walks the same 1000 primes in the
+    same order: an LRU cache bounded below that many primes would evict
+    every field and trace table before its next use.  An identical second
+    search must find all of them cached."""
+    twist_table(0, 2, certify=True, prime_budget=1000)
+    fields, traces = prime_field.cache_info().misses, _sextic_traces.cache_info().misses
+    twist_table(0, 2, certify=True, prime_budget=1000)
+    assert prime_field.cache_info().misses == fields
+    assert _sextic_traces.cache_info().misses == traces
+
+
 def test_dependent_points_never_certify(family):
     rec = specialize(3, family)
-    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
-    w1 = m.to_weierstrass(rec.p1)
-    double = to_hesse(m, add_points(m.weierstrass, w1, w1))
-    dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, double)
+    w1 = oracle.Point(*to_weierstrass(rec.d, rec.p1.x, rec.p1.y))
+    double = to_hesse(rec.d, add_points(WeierstrassCurve(-432 * rec.d**2), w1, w1))
+    dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, Point(double.x, double.y))
     assert dep.p2.x**3 + dep.p2.y**3 == rec.d
     out = rank2_certificate(dep, prime_budget=25)
     assert out.certificate is None
@@ -353,8 +368,7 @@ def test_certificate_rejects_small_d():
 
 _OFF_CURVE_SCRIPT = """
 import math
-from twocubes.elliptic import Point
-from twocubes.twists import rank2_certificate, specialize
+from twocubes.twists import Point, rank2_certificate, specialize
 N = math.prod(p for p in range(5, 38) if all(p % q for q in range(2, p)))  # 5 * 7 * ... * 37
 for which in ("p1", "p2"):
     rec = specialize(3)
@@ -394,10 +408,10 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
 def test_exceptional_t0_is_exhausted(family):
     # P1(0) and P2(0) are dependent in E_7(Q) (P1 = -2 P2), so no prime can certify
     rec = specialize(0, family)
-    m = hesse_to_weierstrass(CubicTwistCurve(Fraction(rec.d)))
-    w2 = m.to_weierstrass(rec.p2)
-    minus_2p2 = neg_point(scalar_mul(m.weierstrass, 2, w2))
-    assert to_hesse(m, minus_2p2) == rec.p1
+    w2 = oracle.Point(*to_weierstrass(rec.d, rec.p2.x, rec.p2.y))
+    minus_2p2 = neg_point(scalar_mul(WeierstrassCurve(-432 * rec.d**2), 2, w2))
+    P1 = to_hesse(rec.d, minus_2p2)
+    assert (P1.x, P1.y) == (rec.p1.x, rec.p1.y)
     out = rank2_certificate(rec, prime_budget=20)
     assert out.exhausted
 
