@@ -2,8 +2,10 @@
 
 The symbolic checks expand everything as exact polynomials and demand the
 zero polynomial; no identity is taken on faith.  The near-miss streams are
-integer recurrences whose tuples are checked one by one before anything is
-emitted, so a mis-transcribed generating function cannot slip through.
+integer recurrences; their first seven tuples are checked exactly before
+anything is emitted, and a recurrence argument proves every later tuple
+from those seven, so a mis-transcribed generating function cannot slip
+through.
 """
 
 from __future__ import annotations
@@ -240,6 +242,9 @@ NEARMISS_FAMILIES = {
     "zero": (_AT_ZERO, 0),
     "infinity": (tuple((0,) + num[::-1] for num in _AT_ZERO), 1),
 }
+# The order of the linear recurrence that a^3 + b^3 - c^3 - eps obeys (see
+# nearmiss_stream): this many consecutive exact checks prove every term.
+NEARMISS_RECURRENCE_ORDER = 7
 
 
 def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, int]]:
@@ -247,13 +252,31 @@ def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, i
 
     a_n, b_n, c_n are the x^n coefficients of num / NEARMISS_DENOMINATOR for
     the three numerators.  The denominator has constant term 1, so
-    den * series = num is solved over Z term by term.  Every tuple is checked
-    exactly, a^3 + b^3 - c^3 = eps = (-1)^(n - offset), before emission; the
-    first failure aborts with its index.
+    den * series = num is solved over Z term by term.  Every tuple satisfies
+    a^3 + b^3 - c^3 = eps = (-1)^(n - offset): the first
+    min(count, NEARMISS_RECURRENCE_ORDER) are checked exactly, the first
+    failure aborting with its index, and they prove the rest.
+
+    Proof (Hirschhorn, Math. Mag. 68, 1995).  Each numerator has at most
+    3 + offset coefficients (checked before any term), so from n = offset on
+    a, b and c follow the recurrence of the denominator, whose reciprocal
+    roots are -1, r and 1/r with r + 1/r = 83: each is a combination of the
+    n-th powers of those three.  Then D_n = a_n^3 + b_n^3 - c_n^3 - eps_n is
+    a combination of the n-th powers of products of three roots, which take
+    only 7 distinct values: r^3, r^-3, r, 1/r, -r^2, -r^-2 and -1 (eps_n is
+    a multiple of (-1)^n).  A combination of 7 distinct geometric sequences
+    that vanishes at 7 consecutive n vanishes at every n (Vandermonde), so a
+    failing term, if any, is among the first seven, and the index reported
+    is the same as that of a check of every term.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     numerators, offset = NEARMISS_FAMILIES[family]
+    if any(len(num) > 3 + offset for num in numerators):
+        raise NearMissError(
+            f"a numerator of {family!r} has more than {3 + offset} coefficients,"
+            " so the recurrence proof does not apply"
+        )
     tail = NEARMISS_DENOMINATOR[1:]
     total = offset + count
     series = []
@@ -265,13 +288,11 @@ def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, i
                 acc -= d * s[n - j]
             s.append(acc)
         series.append(s)
-    out = []
-    for n in range(offset, total):
-        a, b, c = (s[n] for s in series)
-        eps, want = a**3 + b**3 - c**3, (-1) ** (n - offset)
+    out = [(n, *(s[n] for s in series), (-1) ** (n - offset)) for n in range(offset, total)]
+    for n, a, b, c, want in out[:NEARMISS_RECURRENCE_ORDER]:
+        eps = a**3 + b**3 - c**3
         if eps != want:
             raise NearMissError(
                 f"cube relation fails at n={n}: {a}^3+{b}^3-{c}^3 = {eps}, expected {want}"
             )
-        out.append((n, a, b, c, eps))
     return out

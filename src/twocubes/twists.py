@@ -4,8 +4,9 @@ Every specialization is normalized to its cube-free twist d (coordinates
 absorb the cube factor), and a rank >= 2 certificate is a good prime p
 where the two reduced points generate a non-cyclic subgroup of E(F_p):
 the image of a rank <= 1 torsion-free Mordell-Weil group under the
-reduction homomorphism is cyclic, so a non-cyclic image plus a torsion
-bound of 1 proves rank >= 2 unconditionally.
+reduction homomorphism is cyclic, so a non-cyclic image of a curve with
+trivial torsion proves rank >= 2 unconditionally.  The torsion is not
+computed: a classical theorem gives it from d alone (`rank2_certificate`).
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .elliptic import (
     _is_cyclic,
     count_points,
     noncyclic_primes,
-    torsion_order_bound,
     weierstrass_mod_p,
 )
-from .exact import cubefree_part, prime_field, primes
+from .exact import cubefree_part, icbrt, prime_field, primes
 from .exact.numbers import factorize
 from .function_field import FunctionFieldCurve, build_family
 
@@ -142,9 +142,21 @@ def _scaled_value(num, den, a: int, b: int, c: int) -> Fraction:
 def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> CertificateOutcome:
     """Search good primes for a non-cyclic reduction image of (P1, P2).
 
-    Requires d > 2 (so the curve is torsion-free once the computed torsion
-    bound is 1).  Exhausting the budget is a no-certificate outcome, not a
-    disproof.  The outcome is also stored on the record.
+    Requires d > 2.  Exhausting the budget is a no-certificate outcome, not
+    a disproof.  The outcome is also stored on the record.
+
+    The torsion of X^3 + Y^3 = d over Q is a theorem, not a computation.
+    The curve is y^2 = x^3 + D with D = -432 d^2, and for sixth-power-free
+    D its torsion is Z/6 if D = 1, Z/3 if D = -432 or D is a square other
+    than 1, Z/2 if D is a cube other than 1, and trivial otherwise
+    (Silverman, AEC, 2nd ed., Exercise 10.19); dividing D by u^6 gives an
+    isomorphic curve and keeps D a cube, or a square, if it was one.  Here
+      - D < 0, so D is never a square;
+      - D is a cube up to sixth powers only when d is twice a cube;
+      - D/u^6 = -432 only when d is a cube.
+    So the torsion has order 3 if d is a cube, 2 if d is twice a cube, and
+    1 otherwise; a record with order 3 or 2 (never a cube-free d > 2 from
+    `specialize`) gets the no-certificate outcome "torsion bound N != 1".
 
     Both points are checked on X^3 + Y^3 = d exactly before any prime is
     tried, then held as primitive integer triples (X, Y, Z), x = X/Z and
@@ -170,7 +182,7 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     points = (record.p1, record.p2)
     if any(P.x**3 + P.y**3 != d for P in points):
         raise ValueError(f"point not on X^3 + Y^3 = {d}")
-    tb = torsion_order_bound(d)
+    tb = 3 if icbrt(d) ** 3 == d else 2 if d % 2 == 0 and icbrt(d // 2) ** 3 == d // 2 else 1
     if tb != 1:
         record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
         return record.outcome

@@ -11,6 +11,7 @@ import json
 import time
 from fractions import Fraction
 
+from twocubes import identities
 from twocubes.cli import main
 from twocubes.elliptic import count_points, trace
 from twocubes.exact import FiniteField
@@ -23,6 +24,7 @@ from twocubes.function_field import (
     z_rank_cm,
 )
 from twocubes.identities import (
+    NearMissError,
     euler_family_symbolic_check,
     nearmiss_stream,
     verify_entry20,
@@ -139,16 +141,25 @@ def test_criterion_7_surface():
     _report(7, "six geometric IV fibers over three quadratic places; e=24, K3, rho=18<=20", ok, dt)
 
 
-def test_criterion_8_nearmiss():
+def test_criterion_8_nearmiss(monkeypatch):
     t0 = time.perf_counter()
     tuples = nearmiss_stream("zero", 10)
     relations = all(a**3 + b**3 - c**3 == eps == (-1) ** n for (n, a, b, c, eps) in tuples)
     has_135 = tuples[1][1:4] == (135, 138, 172)
+    # a mis-transcribed numerator (c's x^2 coefficient -9 for -10) fails at n = 2
+    planted = ((1, 53, 9), (2, -26, -12), (2, 8, -9))
+    monkeypatch.setitem(identities.NEARMISS_FAMILIES, "zero", (planted, 0))
+    try:
+        nearmiss_stream("zero", 10)
+        caught = False
+    except NearMissError as exc:
+        caught = "n=2:" in str(exc)
     dt = time.perf_counter() - t0
     _report(
         8,
-        "first 10 near-miss tuples satisfy a^3+b^3 = c^3+(-1)^n, incl. (135,138,172)",
-        relations and has_135 and len(tuples) == 10 and dt < 1.0,
+        "first 10 near-miss tuples satisfy a^3+b^3 = c^3+(-1)^n, incl. (135,138,172);"
+        " a planted numerator fails at n=2",
+        relations and has_135 and len(tuples) == 10 and caught and dt < 1.0,
         dt,
     )
 

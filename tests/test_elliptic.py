@@ -21,6 +21,7 @@ from chord_oracle import (
     to_hesse,
 )
 from enumeration import count_by_enumeration
+from torsion_oracle import torsion_order_bound
 from twocubes.elliptic import (
     _add_mod_p,
     _is_cyclic,
@@ -28,7 +29,6 @@ from twocubes.elliptic import (
     count_points,
     noncyclic_primes,
     to_weierstrass,
-    torsion_order_bound,
     trace,
 )
 from twocubes.exact import FiniteField, is_probable_prime, prime_field
@@ -341,14 +341,14 @@ def test_trace_table_rejects_wrong_q():
 # -- torsion bound -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d,expected", [(1729, 1), (7, 1), (1, 3)])
-def test_torsion_bound_examples(d, expected):
-    assert torsion_order_bound(d) == expected
-
-
-def test_torsion_bound_detects_2_torsion():
-    # d = 2: (1,1) maps to (12, 0), a rational 2-torsion point
-    assert torsion_order_bound(2) % 2 == 0
+def test_torsion_oracle_is_the_theorem():
+    """The point-count bound is 3 at the cubes, 2 at twice the cubes and 1
+    elsewhere, as Silverman's Exercise 10.19 gives for X^3 + Y^3 = d; cube-free
+    or not.  d = 2: (1, 1) maps to (12, 0), a rational 2-torsion point."""
+    cubes = {c**3 for c in range(1, 28)}
+    for d in range(1, 20001):
+        expected = 3 if d in cubes else 2 if d % 2 == 0 and d // 2 in cubes else 1
+        assert torsion_order_bound(d) == expected, d
 
 
 # -- the group law over F_p on ints ---------------------------------------------------

@@ -1,12 +1,17 @@
 """Tests for the identity suites, taxicab search, and near-miss families."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from twocubes import identities
+from twocubes.cli import MAX_NEARMISS_COUNT
+from twocubes.exact.poly import _int_mul
 from twocubes.identities import (
+    NEARMISS_FAMILIES,
+    NEARMISS_RECURRENCE_ORDER,
     CubeQuadruple,
     IdentityError,
     NearMissError,
@@ -198,3 +203,85 @@ def test_nearmiss_bad_config_aborts_with_index(monkeypatch):
     monkeypatch.setitem(identities.NEARMISS_FAMILIES, "infinity", (broken, 1))
     with pytest.raises(NearMissError, match="n=3"):
         nearmiss_stream("infinity", 3)
+
+
+def _series(num, total):
+    """The first `total` Taylor coefficients of num / (1 - 82x - 82x^2 + x^3) at 0."""
+    s = []
+    for n in range(total):
+        v = num[n] if n < len(num) else 0
+        s.append(v + sum(c * s[n - j] for j, c in ((1, 82), (2, 82), (3, -1)) if n >= j))
+    return s
+
+
+def _defects(numerators, offset, count):
+    """D_n = a_n^3 + b_n^3 - c_n^3 - (-1)^(n - offset) for n = offset .. offset + count - 1."""
+    a, b, c = (_series(num, offset + count) for num in numerators)
+    return [a[n] ** 3 + b[n] ** 3 - c[n] ** 3 - (-1) ** (n - offset)
+            for n in range(offset, offset + count)]
+
+
+def _first_failure(numerators, offset, count):
+    """The per-term cube check: the first n whose tuple misses the relation, or None."""
+    return next((offset + i for i, D in enumerate(_defects(numerators, offset, count)) if D), None)
+
+
+@pytest.mark.parametrize("family", sorted(NEARMISS_FAMILIES))
+def test_nearmiss_every_term_to_the_cap_by_cubes(family):
+    # the per-term check the stream ran before the recurrence proof replaced it
+    numerators, offset = NEARMISS_FAMILIES[family]
+    assert _first_failure(numerators, offset, MAX_NEARMISS_COUNT) is None
+    series = [_series(num, offset + MAX_NEARMISS_COUNT) for num in numerators]
+    assert nearmiss_stream(family, MAX_NEARMISS_COUNT) == [
+        (n, *(s[n] for s in series), (-1) ** (n - offset))
+        for n in range(offset, offset + MAX_NEARMISS_COUNT)
+    ]
+
+
+def test_nearmiss_defect_obeys_the_order_7_recurrence():
+    # (z^2 - 571538z + 1)(z^2 - 83z + 1)(z^2 + 6887z + 1)(z + 1): its roots are
+    # r^+-3, r^+-1, -r^+-2 and -1, for r + 1/r = 83
+    char = [1]
+    for f in ([1, -571538, 1], [1, -83, 1], [1, 6887, 1], [1, 1]):
+        char = _int_mul(char, f)
+    assert len(char) - 1 == NEARMISS_RECURRENCE_ORDER
+    rng = random.Random(21)
+    for offset in (0, 1):
+        for _ in range(10):
+            nums = [[rng.randint(-99, 99) for _ in range(3 + offset)] for _ in range(3)]
+            D = _defects(nums, offset, 60 - offset)
+            assert any(D)
+            for m in range(len(D) - len(char) + 1):
+                assert sum(ci * D[m + i] for i, ci in enumerate(char)) == 0, (nums, m)
+
+
+def test_nearmiss_planted_error_is_caught_at_the_oracles_index(monkeypatch):
+    rng = random.Random(7)
+    for family in sorted(NEARMISS_FAMILIES):
+        numerators, offset = NEARMISS_FAMILIES[family]
+        for _ in range(10):
+            nums = [list(num) for num in numerators]
+            nums[rng.randrange(3)][rng.randrange(offset, 3 + offset)] += rng.choice((-2, -1, 1, 2))
+            n = _first_failure(nums, offset, 50)
+            assert n is not None
+            monkeypatch.setitem(identities.NEARMISS_FAMILIES, family, (nums, offset))
+            with pytest.raises(NearMissError, match=f"n={n}:"):
+                nearmiss_stream(family, 50)
+
+
+def test_nearmiss_refuses_a_numerator_outside_the_proof(monkeypatch):
+    # a trailing zero is harmless, but the premise is read off the length
+    for family, (numerators, offset) in NEARMISS_FAMILIES.items():
+        longer = (numerators[0] + (0,),) + numerators[1:]
+        monkeypatch.setitem(identities.NEARMISS_FAMILIES, family, (longer, offset))
+        with pytest.raises(NearMissError, match=f"more than {3 + offset} coefficients"):
+            nearmiss_stream(family, 1)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int_max_str_digits limit (Python < 3.11, or switched off)")
+@pytest.mark.parametrize("family", sorted(NEARMISS_FAMILIES))
+def test_nearmiss_terms_at_the_cap_still_print(family):
+    # str() of an int with more digits than the limit raises ValueError
+    bound = 10 ** (sys.get_int_max_str_digits() - 1)
+    assert all(abs(v) < bound for v in nearmiss_stream(family, MAX_NEARMISS_COUNT)[-1])

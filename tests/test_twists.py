@@ -366,6 +366,15 @@ def test_certificate_rejects_small_d():
         rank2_certificate(rec)
 
 
+@pytest.mark.parametrize("d,x,y,order", [(16, 2, 2, 2), (27, 3, 0, 3)])
+def test_certificate_refuses_rational_torsion(d, x, y, order):
+    # hand-made records on X^3 + Y^3 = d with d twice a cube or a cube, which
+    # specialize never makes (its d are cube-free): no prime is tried
+    P = Point(Fraction(x), Fraction(y))
+    out = rank2_certificate(TwistRecord(Fraction(0), Fraction(d), d, P, P))
+    assert (out.reason, out.primes_tried, out.certificate) == (f"torsion bound {order} != 1", 0, None)
+
+
 _OFF_CURVE_SCRIPT = """
 import math
 from twocubes.twists import Point, rank2_certificate, specialize
@@ -397,7 +406,6 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("an off-curve record started the search")
 
-    monkeypatch.setattr(tw, "torsion_order_bound", no_work)
     monkeypatch.setattr(tw, "primes", no_work)
     rec = specialize(3)
     rec.p2 = Point(rec.p2.x, rec.p2.y + 1)
