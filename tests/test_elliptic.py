@@ -341,6 +341,16 @@ def test_trace_table_rejects_wrong_q():
 # -- torsion bound -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("d,expected", [(1729, 1), (7, 1), (1, 3)])
+def test_torsion_bound_examples(d, expected):
+    assert torsion_order_bound(d) == expected
+
+
+def test_torsion_bound_detects_2_torsion():
+    # d = 2: (1,1) maps to (12, 0), a rational 2-torsion point
+    assert torsion_order_bound(2) % 2 == 0
+
+
 def test_torsion_oracle_is_the_theorem():
     """The point-count bound is 3 at the cubes, 2 at twice the cubes and 1
     elsewhere, as Silverman's Exercise 10.19 gives for X^3 + Y^3 = d; cube-free
