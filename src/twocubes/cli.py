@@ -347,8 +347,8 @@ def _run_ff_differentials(args) -> dict:
             "P2": {"x": fam.p2.x.format(), "y": fam.p2.y.format()},
         },
         "differentials": {
-            "P1": w1.w.format(),
-            "P2": w2.w.format(),
+            "P1": w1.format(),
+            "P2": w2.format(),
         },
         "z_rank_rational": z_rank([w1, w2]),
         "z_rank_cm_extended": z_rank_cm([w1, w2]),

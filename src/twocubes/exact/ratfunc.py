@@ -1,7 +1,8 @@
 """Rational functions num/den over Q, in lowest terms: the coordinates of
 sections and the pullback differentials over Q(T).
 
-A value type: it holds the normal form, evaluates at t and prints; the
+A value type: it holds the normal form, evaluates at t, prints, and reads
+back as a Polynomial when its denominator is 1; the
 arithmetic of Q(T) runs on the integer kernel of `exact.poly`.  The
 denominator is kept monic and coprime to the numerator.  The normal form
 is reached fraction-free: denominators are cleared once, one primitive gcd
@@ -58,6 +59,11 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+    def as_polynomial(self) -> Polynomial:
+        if self.den.degree:
+            raise ValueError("not a polynomial")
+        return self.num  # the normal form's denominator is the constant 1
 
     def format(self, var: str = "T") -> str:
         if self.den.degree == 0:

@@ -8,11 +8,10 @@ Wronskian x'y - xy' on the basis form dT/S^2; linear independence of the
 resulting vectors bounds the rank from below.  The CM map
 [omega](x, y) = (omega x, omega y) scales the Wronskian by
 omega^2 = -1 - omega, so lambda([omega]P) = omega^2 lambda(P): the
-CM-extended rank comes from rational rows alone, (w, 0) and (-w, -w) in the
-basis (1, omega).  The upper bound comes from
-the L-polynomial of the reduction mod p, of degree 2(number of geometric
-bad fibers) - 4 (8 for the family), assembled from fiber trace sums c_n
-and the functional-equation closure of its inverse roots under
+CM-extended rank is twice the rank of the rational w.  The upper bound
+comes from the L-polynomial of the reduction mod p, of degree 2(number of
+geometric bad fibers) - 4 (8 for the family), assembled from fiber trace
+sums c_n and the functional-equation closure of its inverse roots under
 g -> p^2/g, then re-verified against independently counted c_n.  Every
 reader takes k itself: the sweep factors k mod p, so any squarefree k in
 Z[T] whose factors mod p split in the counted fields has the same path.
@@ -51,18 +50,6 @@ class SectionPoint:
 
 
 @dataclass(frozen=True)
-class HolDifferential:
-    """w(T) * dT/S^2 on the genus-4 cover S^3 = k(T)."""
-
-    w: RationalFunction
-
-    def as_polynomial(self) -> Polynomial:
-        if self.w.den.degree:
-            raise ValueError("not a polynomial")
-        return self.w.num  # the normal form's denominator is the constant 1
-
-
-@dataclass(frozen=True)
 class IntegerForms:
     """A curve's k and sections cleared over Z; coefficient tuples run low
     to high."""
@@ -70,7 +57,7 @@ class IntegerForms:
     k_z: tuple[int, ...]  # the coefficients of k
     content: int  # k_z = content * prod factors
     factors: tuple[tuple[int, ...], ...]  # each repeated by its multiplicity
-    sections: tuple  # per section, x and y as (numerator, denominator) pairs
+    sections: tuple  # per section, its Hesse triple (X, Y, Z): x = X/Z, y = Y/Z
 
 
 @dataclass(frozen=True)
@@ -91,8 +78,7 @@ class FunctionFieldCurve:
         k_z = [int(c) for c in self.k.coeffs]
         content, factors = factor_over_z(k_z)
         factors = tuple(tuple(g) for g, m in factors for _ in range(m))
-        sections = tuple(tuple(tuple(map(tuple, _int_pair(f))) for f in (P.x, P.y))
-                         for P in (self.p1, self.p2))
+        sections = tuple(tuple(map(tuple, _HesseModel.from_section(P))) for P in (self.p1, self.p2))
         return IntegerForms(tuple(k_z), content, factors, sections)
 
 
@@ -121,21 +107,19 @@ def build_family() -> FunctionFieldCurve:
     return FunctionFieldCurve(k, p1, p2)
 
 
-def pullback_differential(P: SectionPoint) -> HolDifferential:
-    """lambda(P) = (x'y - xy') dT/S^2.
+def pullback_differential(P: SectionPoint) -> RationalFunction:
+    """The w of lambda(P) = w dT/S^2 on the genus-4 cover S^3 = k(T): w = x'y - xy'.
 
     Pulling the invariant differential back through (x/S, y/S) and reducing
     with S^3 = k, x^3 + y^3 = k leaves exactly the Wronskian coefficient;
     for quadratic polynomial sections its degree is <= 2 (holomorphy).
-    Over Q, with x = a/b and y = c/e over Z[T], it is formed fraction-free
-    as ((a'b - ab')ce - ab(c'e - ce')) / (b^2 e^2) and normalized once.
+    On the Hesse triple (X : Y : Z) of P over Z[T], x = X/Z and y = Y/Z, the
+    Z' terms cancel: x'y - xy' = (X'Y - XY')/Z^2 for any rational x and y.
+    It is formed fraction-free and normalized once.
     """
-    (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
-    wx = _int_add(_int_mul(_int_deriv(a), b), _int_mul(a, _int_deriv(b)), -1)
-    wy = _int_add(_int_mul(_int_deriv(c), e), _int_mul(c, _int_deriv(e)), -1)
-    num = _int_add(_int_mul(wx, _int_mul(c, e)), _int_mul(_int_mul(a, b), wy), -1)
-    be = _int_mul(b, e)
-    return HolDifferential(RationalFunction(Polynomial(num), Polynomial(_int_mul(be, be))))
+    X, Y, Z = _HesseModel.from_section(P)
+    num = _int_add(_int_mul(_int_deriv(X), Y), _int_mul(X, _int_deriv(Y)), -1)
+    return RationalFunction(Polynomial(num), Polynomial(_int_mul(Z, Z)))
 
 
 def _int_pair(f: RationalFunction) -> list[list[int]]:
@@ -143,13 +127,13 @@ def _int_pair(f: RationalFunction) -> list[list[int]]:
     return _cleared(f.num, f.den)
 
 
-def _int_rows(diffs: list[HolDifferential]) -> list[list[int]]:
+def _int_rows(ws: list[RationalFunction]) -> list[list[int]]:
     """Coefficient rows over Z of the w times one common denominator, padded to one width.
 
     The product of all denominators is a common multiple, which keeps every
     linear relation among the w.
     """
-    pairs = [_int_pair(d.w) for d in diffs]
+    pairs = [_int_pair(w) for w in ws]
     rows = []
     for i, (a, _) in enumerate(pairs):
         for j, (_, b) in enumerate(pairs):
@@ -160,21 +144,20 @@ def _int_rows(diffs: list[HolDifferential]) -> list[list[int]]:
     return [r + [0] * (width - len(r)) for r in rows]
 
 
-def z_rank(diffs: list[HolDifferential]) -> int:
+def z_rank(ws: list[RationalFunction]) -> int:
     """Rank over Q of the span of the differentials' coefficient vectors."""
-    return _rank(_int_rows(diffs))
+    return _rank(_int_rows(ws))
 
 
-def z_rank_cm(diffs: list[HolDifferential]) -> int:
+def z_rank_cm(ws: list[RationalFunction]) -> int:
     """Rank over Q of the given w = lambda(P) together with their CM images lambda([omega]P).
 
     lambda([omega]P) = omega^2 w = -w - omega w, so flattened in the basis
-    (1, omega) each w gives the rows (w, 0) and (-w, -w).
+    (1, omega) each w gives the rows (w, 0) and (-w, -w).  Their sum is
+    (0, -w), so with V the Q-span of the w the rows span
+    {(v, 0), (0, v) : v in V}, of rank 2 dim V: twice z_rank.
     """
-    rows = []
-    for r in _int_rows(diffs):
-        rows += [r + [0] * len(r), [-c for c in r] * 2]
-    return _rank(rows)
+    return 2 * z_rank(ws)
 
 
 def _rank(rows: list[list[int | Fraction]]) -> int:
@@ -433,11 +416,14 @@ def _lfunction(curve: FunctionFieldCurve, p: int, direct: bool) -> LPolynomial:
     Its degree is D = 2(number of geometric bad fibers) - 4 (Grothendieck-
     Ogg-Shafarevich; every bad fiber here has conductor exponent 2): the
     deg k roots of k, and infinity when 3 does not divide deg k.  Counts
-    c_1..c_N, N = D/2 + 2 (N = D with direct=True, small p only), completes
-    the coefficients from c_1..c_{D/2} through the functional equation
-    (closure of inverse roots under g -> p^2/g), and keeps the sign whose L
-    reproduces every counted c_n with n > D/2.  A sign ambiguity those
-    cannot settle is an error, never a guess; c_1..c_D determine L, so
+    c_1..c_N, N = D/2 + 2 (N = D with direct=True, small p only), and one
+    Newton pass turns them into b_0..b_N; b_0..b_h, h = D/2, must be
+    integers.  The functional equation (inverse roots closed under
+    g -> p^2/g) gives L_j = s p^(2j - D) L_{D-j} and L_j = 0 above D, and
+    the sign s is kept when b_h..b_N obey it: Newton's identities map
+    c_1..c_N to b_1..b_N one to one and triangularly, so that L reproduces
+    every counted c_n, and at j = h, b_h != 0 forces s = +1.  A sign
+    ambiguity is an error, never a guess; c_1..c_D determine L, so
     direct=True checks the completion against all of it.
     """
     if not good_prime(curve, p):
@@ -448,24 +434,20 @@ def _lfunction(curve: FunctionFieldCurve, p: int, direct: bool) -> LPolynomial:
     N = D if direct else h + 2
     _check_counting_budget(p, N)
     cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, N + 1)}
-    b = _exp_series(cn, h)
-    if any(x.denominator != 1 for x in b):
+    b = _exp_series(cn, N)
+    if any(x.denominator != 1 for x in b[: h + 1]):
         raise LFunctionError("counted coefficients are not integral")
-    b = [int(x) for x in b]
-    survivors = []
-    for sign in (1, -1):
-        if sign == -1 and b[h] != 0:
-            continue  # b_h = sign * b_h forces b_h = 0 for the minus sign
-        coeffs = tuple(b + [sign * p ** (D - 2 * i) * b[i] for i in reversed(range(h))])
-        L = LPolynomial(p, coeffs, tuple(sorted(cn.items())))
-        if L.power_sum_coefficients(N)[h:] == [cn[n] for n in range(h + 1, N + 1)]:
-            survivors.append(L)
-    if len(survivors) > 1:
+    signs = [s for s in (1, -1) if all(
+        b[j] == (s * p ** (2 * j - D) * b[D - j] if j <= D else 0) for j in range(h, N + 1))]
+    if len(signs) > 1:
         raise LFunctionError(f"functional-equation sign ambiguous after c_{h + 1}..c_{N}")
-    if not survivors:
+    if not signs:
         raise LFunctionError(f"functional-equation completion contradicts counted c_{h + 1}..c_{N}")
-    _verify_weil(survivors[0])
-    return survivors[0]
+    low = [int(x) for x in b[: h + 1]]
+    high = [signs[0] * p ** (D - 2 * i) * low[i] for i in reversed(range(h))]
+    L = LPolynomial(p, tuple(low + high), tuple(sorted(cn.items())))
+    _verify_weil(L)
+    return L
 
 
 def _verify_weil(L: LPolynomial) -> None:

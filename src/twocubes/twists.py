@@ -97,9 +97,9 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     takes the parts c_0, g^H(a, b) and b^(6 - deg k) one by one, never their
     product.  k^H(a, b) does not read the factors, so the check
     d c^3 = k(t) b^6 cross-checks the factorization at every t.  Above
-    degree 6 that needs b = 1; any other t is refused.  Each section
-    coordinate is one Fraction of its homogenized numerator and
-    denominator; the exact check x^3 + y^3 = d follows.
+    degree 6 that needs b = 1; any other t is refused.  Each section is a
+    Hesse triple (X, Y, Z) over Z[T], so x = X/Z and y = Y/Z are Fractions
+    of homogenized forms; the exact check x^3 + y^3 = d follows.
     """
     z = (family or build_family()).over_z
     t = Fraction(t)
@@ -115,8 +115,8 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     if d * c**3 != k_ab * b_part:
         raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
     pts = []
-    for section in z.sections:
-        x, y = (_scaled_value(num, den, a, b, c) for num, den in section)
+    for X, Y, Z in z.sections:
+        x, y = (_scaled_value(num, Z, a, b, c) for num in (X, Y))
         if x**3 + y**3 != d:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
         pts.append(Point(x, y))

@@ -6,8 +6,9 @@ QQ.algebraic_field(sqrt(-3)) are not used: there `w**3 == 1` compares
 False and `diff` fails.)  Sections are twisted by the CM map
 (x, y) -> (omega x, omega y), their Wronskians x'y - xy' are formed by the
 chain rule, and the rank flattens each Q(omega) coefficient to a pair of
-rationals.  This is how the CM-extended rank was computed before it moved
-to rational rows through lambda([omega]P) = omega^2 lambda(P).
+rationals.  The library computes none of this: lambda([omega]P) =
+omega^2 lambda(P) makes the CM-extended rank twice the rank of the rational
+w, and this oracle pins that theorem.
 """
 
 import sympy

@@ -295,6 +295,9 @@ def test_ratfunc_normalization():
     g = RationalFunction(rational_poly(1, 1), rational_poly(4, 2))  # (T+1) / 2(T+2)
     assert (g.num, g.den) == (rational_poly("1/2", "1/2"), rational_poly(2, 1))
     assert g.format() == "(1/2*T + 1/2) / (T + 2)"
+    assert f.as_polynomial() == rational_poly(0, 1)
+    with pytest.raises(ValueError, match="not a polynomial"):
+        g.as_polynomial()
     with pytest.raises(ZeroDivisionError):
         RationalFunction(rational_poly(1), Polynomial())
 

@@ -19,7 +19,6 @@ from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_p
 from twocubes.function_field import (
     FamilyError,
     FunctionFieldCurve,
-    HolDifferential,
     LFunctionError,
     LPolynomial,
     _lfunction,
@@ -87,10 +86,10 @@ def test_wronskian_values(family):
     oracle1 = _wronskian(family.p1)
     assert oracle1 == -42 * T**2 + 84 * T
     w1 = pullback_differential(family.p1)
-    assert qt(w1.as_polynomial()) == oracle1
+    assert w1.den == rational_poly(1) and qt(w1.num) == oracle1
     # w2 = -42(2T - 1)
     w2 = pullback_differential(family.p2)
-    assert w2.as_polynomial() == rational_poly(42, -84)
+    assert w2.den == rational_poly(1) and w2.num == rational_poly(42, -84)
 
 
 def test_wronskian_degree_bound(family):
@@ -107,18 +106,18 @@ def test_cm_twist_scales_by_cube_root(family):
     w1 = pullback_differential(family.p1)
     tw = chain_differential(*cm_twist(family.p1))
     # (wx)'(wy) - (wx)(wy)' = w^2 (x'y - xy'), and w^2 = -1 - w
-    assert tw == mul(OMEGA2, lift(w1.w))
-    assert tw == (-qt(w1.w), -qt(w1.w))
+    assert tw == mul(OMEGA2, lift(w1))
+    assert tw == (-qt(w1), -qt(w1))
 
 
 def test_z_rank_examples(family):
     w1 = pullback_differential(family.p1)
     w2 = pullback_differential(family.p2)
     assert z_rank([w1, w2]) == 2
-    cm = [lift(w1.w), lift(w2.w), chain_differential(*cm_twist(family.p1)),
+    cm = [lift(w1), lift(w2), chain_differential(*cm_twist(family.p1)),
           chain_differential(*cm_twist(family.p2))]
     assert flat_rank(cm) == 4 == z_rank_cm([w1, w2])
-    assert z_rank([w1, HolDifferential(RationalFunction(-w1.w.num, w1.w.den))]) == 1
+    assert z_rank([w1, RationalFunction(-w1.num, w1.den)]) == 1
     assert z_rank([]) == 0
 
 
@@ -140,8 +139,40 @@ def test_z_rank_cm_matches_the_q_omega_chain(family, name, rank):
     diffs = [pullback_differential(P) for P in sections]
     twisted = [chain_differential(*cm_twist(P)) for P in sections]
     for d, t in zip(diffs, twisted):
-        assert t == mul(OMEGA2, lift(d.w))  # lambda([omega]P) = omega^2 lambda(P)
-    assert z_rank_cm(diffs) == flat_rank([lift(d.w) for d in diffs] + twisted) == rank
+        assert t == mul(OMEGA2, lift(d))  # lambda([omega]P) = omega^2 lambda(P)
+    assert z_rank_cm(diffs) == flat_rank([lift(d) for d in diffs] + twisted) == rank
+
+
+def _random_poly(rng, terms, bound=9):
+    return rational_poly(*(Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+                           for _ in range(terms)))
+
+
+def _random_w(rng):
+    """A rational w whose denominator has degree 0, 1 or 2 (0 half the time)."""
+    den = rational_poly(*(rng.randint(-5, 5) for _ in range(rng.choice((0, 0, 1, 2)))),
+                        rng.randint(1, 3))
+    return RationalFunction(_random_poly(rng, rng.randint(1, 4)), den)
+
+
+def test_z_rank_cm_is_twice_z_rank_against_the_q_omega_oracle():
+    """The rows (w, 0) and (-w, -w) span {(v, 0), (0, v) : v in span(w)}, so
+    z_rank_cm = 2 z_rank; sympy ranks those rows over Q(omega)(T) directly,
+    on sets of 1..5 w with planted dependent members in every other set."""
+    rng = random.Random(22)
+    deficient = rational = 0
+    for trial in range(60):
+        ws = [_random_w(rng) for _ in range(rng.randint(1, 3))]
+        while trial % 2 and len(ws) < 5 and rng.random() < 0.8:
+            u, v = rng.choice(ws), rng.choice(ws)
+            a, c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4)
+            ws.append(RationalFunction(a * u.num * v.den + c * v.num * u.den, u.den * v.den))
+        rng.shuffle(ws)
+        oracle = flat_rank([lift(w) for w in ws] + [mul(OMEGA2, lift(w)) for w in ws])
+        assert z_rank_cm(ws) == oracle == 2 * z_rank(ws), ws
+        deficient += z_rank(ws) < len(ws)
+        rational += any(w.den.degree for w in ws)
+    assert deficient >= 10 and rational >= 10
 
 
 def test_q_omega_sections_are_rejected(family):
@@ -166,7 +197,7 @@ def test_rank_is_exact_on_large_integers():
 
 
 def _lam(P):
-    return qt(pullback_differential(P).w)
+    return qt(pullback_differential(P))
 
 
 def test_lambda_additivity_examples(family):
@@ -307,7 +338,24 @@ def test_fraction_free_wronskian_matches_rational_function_chain(family):
     S = section_add(family, section_mul(family, 2, family.p1), section_mul(family, -1, family.p2))
     assert S.x.den.degree > 0
     for P in (family.p1, family.p2, S):
-        assert qt(pullback_differential(P).w) == _wronskian(P)
+        assert qt(pullback_differential(P)) == _wronskian(P)
+
+
+def test_triple_wronskian_matches_the_chain_rule_off_any_curve():
+    """x = a/b and y = c/e with b != e, on no curve: (X'Y - XY')/Z^2 on the
+    Hesse triple (ae : cb : be) is x'y - xy' for any rational x and y."""
+    rng = random.Random(23)
+    distinct = 0
+    for _ in range(40):
+        a, c = (_random_poly(rng, rng.randint(1, 4)) for _ in range(2))
+        b, e = (_random_poly(rng, rng.randint(1, 3), 5) + rational_poly(0, 0, 0, 1)
+                for _ in range(2))  # T^3 keeps both denominators nonzero
+        if b == e:
+            continue
+        P = SectionPoint(RationalFunction(a, b), RationalFunction(c, e))
+        assert qt(pullback_differential(P)) == _wronskian(P)
+        distinct += P.x.den != P.y.den
+    assert distinct >= 30
 
 
 # -- the L-function ---------------------------------------------------------------------
@@ -534,6 +582,23 @@ def test_lfunction_5_direct_agrees_with_functional_equation_path():
     assert lfunction(5).coeffs == lfunction(5, direct=True).coeffs
 
 
+def test_lfunction_11_direct_agrees_with_functional_equation_path():
+    assert lfunction(11, direct=True).coeffs == lfunction(11).coeffs
+
+
+@pytest.mark.parametrize("p, coeffs, bounds", [
+    (19, (1, -68, 2071, -46208, 932824, -16681088, 269894791, -3199119908, 16983563041), (4, 6)),
+    (23, (1, 0, -2116, 0, 1679046, 0, -592143556, 0, 78310985281), (4, 8)),
+])
+def test_lfunction_at_the_largest_counted_primes(p, coeffs, bounds):
+    """5, 11, 13, 17, 19 and 23 are the good primes with p^6 inside the
+    class-table budget.  19 = 1 mod 3 counts every c_n; at 23 = 2 mod 3 the
+    odd c_n are 0 without counting."""
+    L = lfunction(p)
+    assert L.coeffs == coeffs
+    assert rank_bounds(L) == bounds
+
+
 def test_lfunction_cache_ignores_spelling():
     assert lfunction(17) is lfunction(17, direct=False)
     assert lfunction(5, direct=0) is lfunction(5)
@@ -600,6 +665,30 @@ def test_lfunction_refuses_inconsistent_counts(monkeypatch, p, plant, message):
     try:
         with pytest.raises(LFunctionError, match=message):
             lfunction(p)
+    finally:
+        _lfunction.cache_clear()
+
+
+@pytest.mark.parametrize("k, p, direct, n, counted", [
+    (None, 5, True, 7, "c_5..c_8"),  # the family, with c_7 past c_1..c_6
+    (None, 5, True, 8, "c_5..c_8"),
+    ((-1, 0, 1), 7, False, 3, "c_2..c_3"),  # D = 2: L_3 = 0
+    ((0, 1), 7, False, 2, "c_1..c_2"),  # D = 0: L = 1
+])
+def test_completion_refuses_a_planted_last_count(family, monkeypatch, k, p, direct, n, counted):
+    """The completion from c_1..c_{D/2} fixes every later count, the last
+    one and those above the degree D included."""
+    from twocubes import function_field
+
+    def planted(curve, q, m):
+        return fiber_trace_sum(curve, q, m) + 5 * (m == n)
+
+    curve = family if k is None else FunctionFieldCurve(rational_poly(*k), family.p1, family.p2)
+    monkeypatch.setattr(function_field, "fiber_trace_sum", planted)
+    _lfunction.cache_clear()
+    try:
+        with pytest.raises(LFunctionError, match=f"completion contradicts counted {counted}"):
+            _lfunction(curve, p, direct)
     finally:
         _lfunction.cache_clear()
 
