@@ -14,7 +14,10 @@ from .numbers import factorize, is_probable_prime
 
 # The counting sweeps (exact.zechlog) hold one q-byte class table plus at most
 # five int64 block arrays; the bound lives here, beside the fields it limits,
-# so a caller can refuse an oversized field without importing numpy.
+# so a caller can refuse an oversized field without importing numpy.  For
+# q = Q^3 the count goes through the norm to F_Q and holds Q^2 bytes, so there
+# the bound limits the work, about q/3 gathered bytes per root, not the table;
+# the fields it refuses are the same for every n.
 BLOCK = 1 << 18  # int64 words in one block array of the build or the sweep
 BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
 MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block

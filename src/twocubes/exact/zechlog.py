@@ -46,6 +46,11 @@ f(mu - s) = (-1)^m f(mu + s), and -1 is a cube since q = 1 mod 6, so s and
 row -h and (h, l) with (-h, -l).  So row 0 is swept once and, for each
 position j, the rows [p^j, (p + 1)/2 p^j) of leading digit at most
 (p - 1)/2 are swept and counted twice: half the gathers, the same counts.
+
+For q = Q^3, NormLog counts the same histogram through the norm to F_Q, with
+a Q x Q byte table in place of the q-byte one (its docstring gives the
+identity).  The table sweep serves the fields with n prime to 3, and is the
+oracle of that count.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import numpy as np
 
 from .ffield import BLOCK, BLOCK_BYTES, MAX_COUNTING_FIELD, FFElement, FiniteField, _pmod
 
-__all__ = ["BLOCK", "BLOCK_BYTES", "MAX_COUNTING_FIELD", "ZERO", "ZechLog"]
+__all__ = ["BLOCK", "BLOCK_BYTES", "MAX_COUNTING_FIELD", "ZERO", "NormLog", "ZechLog"]
 
 ZERO = 64  # class of 0: any class sum >= ZERO has a zero factor
 MAX_ROOTS = 12  # 12 * 5 < ZERO: a sum with no zero factor stays below ZERO
@@ -66,6 +71,24 @@ UNSET = 255  # a slot the build has not written
 def _wrap6(x: np.ndarray) -> np.ndarray:
     """x mod 6 in place for uint8 x < 12: x - 6 wraps around to >= 250 for x < 6."""
     return np.minimum(x, x - 6, out=x)
+
+
+def _add_class_counts(acc: np.ndarray, counts: list[int], weight: int) -> int:
+    """Add weight times the number of class sums in acc that are j mod 3 to
+    counts[j], and return weight times the number of sums >= ZERO, those with
+    a zero factor.  The uint8 acc is reduced in place, with no wider copy:
+    each wrap takes w off the sums >= w, so every sum below 96 ends below 3."""
+    zero = acc >= ZERO
+    n_zero = int(np.count_nonzero(zero))
+    for w in (48, 24, 12, 6, 3):
+        np.minimum(acc, acc - w, out=acc)
+    if n_zero:
+        acc[zero] = 3
+    n1, n2 = int(np.count_nonzero(acc == 1)), int(np.count_nonzero(acc == 2))
+    counts[0] += weight * (acc.size - n_zero - n1 - n2)
+    counts[1] += weight * n1
+    counts[2] += weight * n2
+    return weight * n_zero
 
 
 class ZechLog:
@@ -238,7 +261,7 @@ class ZechLog:
                    for r, k in mult.items()]
         table = self.cls.reshape(hi_size, lo_size)
         rows = max(1, BLOCK // lo_size)
-        hist = np.zeros(256, dtype=np.int64)
+        hist, zeros = [0, 0, 0], 0  # by the class of prod (t - r)^k, then the unit's added
         for start, stop, weight in spans:
             for a in range(start, stop, rows):
                 h = np.arange(a, min(a + rows, stop))
@@ -246,8 +269,107 @@ class ZechLog:
                 for hi_r, lo_r, k in gathers:
                     block = np.take(table[self._shifted(h, hi_r)], lo_r, axis=1, mode="clip")
                     acc += block if k == 1 else np.take(times[k], block, out=block)
-                hist += weight * np.bincount(acc.ravel(), minlength=256)
-        counts = [0, 0, 0]
-        for s in range(ZERO):
-            counts[(s + l_unit) % 3] += int(hist[s])
-        return counts, int(hist[ZERO:].sum())
+                zeros += _add_class_counts(acc, hist, weight)
+        return [hist[(j - l_unit) % 3] for j in range(3)], zeros
+
+
+class NormLog:
+    """Cube and sextic classes over F_q, q = Q^3 = 1 mod 6, through the norm
+    N(x) = x^E to F_Q, E = (q - 1)/(Q - 1): a Q x Q table in place of q bytes.
+
+    With g the generator of F_q^* and h = g^E, N(g^k) = h^k, so log_g x =
+    log_h N(x) mod Q - 1, and 6 divides Q - 1.  For t = a + u, a = Tr(t)/3
+    in F_Q and Tr(u) = 0, and a root r in F_Q, N(t - r) = -(v^3 + sigma v -
+    nu) with v = r - a and X^3 + sigma X - nu the characteristic polynomial
+    of u over F_Q.  That polynomial is irreducible, and then has 3 roots u,
+    or it is X^3 and u = 0: an element of F_q has degree 1 or 3 over F_Q.
+    So the histogram of log f(t) mod 3 over F_q is a sum over (a, sigma, nu)
+    in F_Q^3 with weight 3 where X^3 + sigma X - nu has no root in F_Q, and
+    the Q points t = a in F_Q, where prod (a - r)^k lies in F_Q and is a cube,
+    so f(a) has the unit's class or is 0.
+
+    Elements of F_Q are coded by their h-logs, and 0 by Q - 1.  The Zech
+    logarithm zm[k] = code(1 - h^k) gives D[w][nu] = log_h(w - nu) mod 3 =
+    w + zm[nu - w] mod 3, ZERO on the diagonal (-1 = h^((Q-1)/2) is a cube),
+    and code(v^3 + sigma v) = 3v + zm[sigma - 2v + (Q-1)/2].  For each sigma
+    the sweep gathers the rows D[v_r^3 + sigma v_r], v_r = r - a, of the
+    columns nu outside the image of v -> v^3 + sigma v.
+    """
+
+    def __init__(self, field: FiniteField):
+        if field.q % 6 != 1 or field.n % 3:
+            raise ValueError(f"q = {field.q} is not Q^3 with Q = 1 mod 6")
+        if field.q > MAX_COUNTING_FIELD:
+            raise ValueError(f"q = {field.q} exceeds the class-table budget")
+        self.field = field
+        self.q = field.q
+        self.Q = Q = field.p ** (field.n // 3)
+        self.g = field.generator()
+        h, x = self.g ** ((self.q - 1) // (Q - 1)), field.one()
+        self.powers = []  # h^0..h^(Q-2): F_Q^* in code order
+        for _ in range(Q - 1):
+            self.powers.append(x)
+            x = x * h
+        self.log = {y.coeffs: k for k, y in enumerate(self.powers)}
+        if x != 1 or len(self.log) != Q - 1:
+            raise ArithmeticError("g^((q-1)/(Q-1)) does not have order Q - 1")
+        self.zm = np.array([self._code(1 - y) for y in self.powers], dtype=np.int32)
+        k = np.arange(Q - 1, dtype=np.int32)
+        D = np.empty((Q, Q), dtype=np.uint8)
+        D[:-1, :-1] = (k[:, None] + self.zm[(k[None, :] - k[:, None]) % (Q - 1)]) % 3
+        D[:-1, -1] = D[-1, :-1] = k % 3  # w - 0 = w, and 0 - nu = -nu
+        np.fill_diagonal(D, ZERO)
+        self.D = D
+
+    def _code(self, x: FFElement) -> int:
+        """log_h x for x in F_Q^*, and Q - 1 for x = 0."""
+        if x.is_zero():
+            return self.Q - 1
+        k = self.log.get(self.field.element(x).coeffs)
+        if k is None:
+            raise ValueError(f"{x} has no h-log: it lies outside F_{self.Q}")
+        return k
+
+    def sextic_class(self, a: FFElement) -> int:
+        """log_g(a) mod 6 for nonzero a: log_h N(a) mod 6, which is E log_h a
+        for a in F_Q."""
+        a = self.field.element(a)
+        if a.is_zero():
+            raise ValueError("class of zero")
+        return self._code(a ** ((self.q - 1) // (self.Q - 1))) % 6
+
+    def cube_class_counts(self, unit: FFElement, roots: list[FFElement]) -> tuple[list[int], int]:
+        """Histogram of log(f(t)) mod 3 over all t in F_q for f = unit * prod (t - root),
+        every root in F_Q.
+
+        Returns ([N_0, N_1, N_2], number of t with f(t) = 0).
+        """
+        if len(roots) > MAX_ROOTS:
+            raise ValueError(f"at most {MAX_ROOTS} roots")
+        Q, Q1, D = self.Q, self.Q - 1, self.D
+        mult = Counter(self.field.element(r) for r in roots)
+        a_all = self.powers + [self.field.zero()]  # a by code
+        v_r = [(np.array([self._code(r - a) for a in a_all]), k % 3) for r, k in mult.items()]
+        v = np.arange(Q1)
+        zm = np.concatenate([self.zm, self.zm])  # read at indices below 2(Q - 1)
+        shift = (Q1 // 2 - 2 * v) % Q1
+        w = np.full(Q, Q1)  # code(v^3 + sigma v) by the code of v; v = 0 gives 0
+        hist, zeros = [0, 0, 0], len(mult)
+        for sigma in range(Q):
+            if sigma == Q1:
+                w[:Q1] = 3 * v % Q1
+            else:
+                z = zm[shift + sigma]
+                w[:Q1] = np.where(z == Q1, Q1, (3 * v + z) % Q1)
+            free = np.ones(Q, dtype=bool)
+            free[w] = False  # nu = v^3 + sigma v: X^3 + sigma X - nu has the root v
+            cols = D[:, free]
+            acc = np.zeros(cols.shape, dtype=np.uint8)
+            for vr, k in v_r:
+                if k:
+                    block = np.take(cols, w[vr], axis=0)
+                    acc += block if k == 1 else block * 2
+            zeros += _add_class_counts(acc, hist, 3)
+        hist[0] += Q - len(mult)  # t = a in F_Q, not a root
+        l_unit = self.sextic_class(unit)
+        return [hist[(j - l_unit) % 3] for j in range(3)], zeros

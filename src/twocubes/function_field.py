@@ -293,21 +293,6 @@ class LPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def power_sum_coefficients(self, upto: int) -> list[int]:
-        """c_1..c_upto from log L; inverse of the exp construction."""
-        b = [Fraction(c) for c in self.coeffs] + [Fraction(0)] * max(
-            0, upto + 1 - len(self.coeffs)
-        )
-        cs: list[Fraction] = []
-        for n in range(1, upto + 1):
-            acc = n * b[n]
-            for j in range(1, n):
-                acc -= cs[j - 1] * b[n - j]
-            cs.append(acc)
-        if any(c.denominator != 1 for c in cs):
-            raise LFunctionError("power sums of L are not integral")
-        return [int(c) for c in cs]
-
     def functional_equation_sign(self) -> int:
         b, p, D = self.coeffs, self.p, self.degree
         for sign in (1, -1):
@@ -354,8 +339,11 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
     class table and n even, so one of h^0..h^(p-2) is its square root.  The
     fiber at infinity is good exactly when 3 divides deg k, and then comes
     from the reversed model v^2 = u^3 - 432 lc(k)^2; otherwise it is
-    additive.  A p that is not good is refused before any field is built;
-    the class table costs q bytes, and fields above its budget are refused.
+    additive.  A p that is not good is refused before any field is built.
+    When 3 divides n every root lies in F_Q, Q = p^(n/3), since a factor of
+    degree d <= 2 with d | n has d | n/3, and the classes are counted through
+    the norm to F_Q (zechlog.NormLog, a Q x Q byte table); otherwise the class
+    table costs q bytes.  Fields above MAX_COUNTING_FIELD are refused either way.
     """
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
@@ -382,7 +370,7 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
                 s *= h
             mb, half = field(-f[1]), field(2).inverse()
             roots += [(mb + s) * half, (mb - s) * half]
-    engine = zechlog.ZechLog(field)
+    engine = zechlog.NormLog(field) if n % 3 == 0 else zechlog.ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
     unit = field(k[-1])
     counts, n_bad = engine.cube_class_counts(unit, roots)

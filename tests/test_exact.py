@@ -40,7 +40,7 @@ from twocubes.exact import (
 )
 from twocubes.exact.ffield import _is_irreducible
 from twocubes.exact.poly import _int_cyclotomic, _int_exact_div
-from twocubes.exact.zechlog import ZERO, ZechLog
+from twocubes.exact.zechlog import ZERO, NormLog, ZechLog
 from twocubes.identities import NEARMISS_DENOMINATOR, NEARMISS_FAMILIES, nearmiss_stream
 
 
@@ -643,3 +643,73 @@ def test_cube_class_counts_repeated_root_shows_in_zero_count():
     z = ZechLog(F)
     counts, zeros = z.cube_class_counts(F(2), [F(3), F(3), F(5)])
     assert zeros == 2 and sum(counts) == 11
+
+
+# -- cube classes through the norm to F_Q, q = Q^3 ------------------------------
+
+NORM_FIELDS = [(7, 3), (13, 3), (5, 6), (7, 6), (11, 6), (13, 6)]
+
+
+def _subfield_roots(nl, case, rng):
+    """Roots in F_Q: three pairs symmetric about a centre c, with c/2 added;
+    the same with one root moved off the symmetry; or with multiplicities."""
+    sub = nl.powers + [nl.field.zero()]
+    c = rng.choice(sub)
+    roots = [x for r in rng.sample(sub, 3) for x in (r, c - r)]
+    if case == "symmetric":
+        return roots + [c / 2]
+    if case == "not symmetric":
+        return roots[:-1] + [roots[-1] + 1]
+    return roots[:1] * 2 + roots[1:2] * 3 + roots[2:3] * 4  # case "repeated"
+
+
+@pytest.mark.parametrize("p,n", NORM_FIELDS)
+@pytest.mark.parametrize("case", ["symmetric", "not symmetric", "repeated"])
+def test_norm_counts_equal_the_table_sweep(p, n, case):
+    """The count through the norm against the class-table sweep, and against
+    the per-t cubic characters where F_q is small, with a random unit of F_q;
+    the sextic classes of the unit and of -432 agree too."""
+    F = FiniteField(p, n)
+    nl, z = NormLog(F), ZechLog(F)
+    rng = random.Random(f"{p} {n} {case}")
+    roots = _subfield_roots(nl, case, rng)
+    unit = F.from_index(rng.randrange(1, F.q))
+    counts = nl.cube_class_counts(unit, roots)
+    assert counts == z.cube_class_counts(unit, roots)
+    if F.q < 20_000:
+        assert counts == _counts_by_characters(F, z.g, unit, roots)
+    assert [nl.sextic_class(x) for x in (unit, F(-432))] == [z.sextic_class(x) for x in (unit, F(-432))]
+
+
+def test_norm_log_refuses_fields_and_roots_it_cannot_count():
+    with pytest.raises(ValueError, match="not Q\\^3"):
+        NormLog(FiniteField(5, 3))  # q = 2 mod 3
+    with pytest.raises(ValueError, match="not Q\\^3"):
+        NormLog(FiniteField(7, 2))
+    F = FiniteField(7, 3)
+    with pytest.raises(ValueError, match="outside F_7"):
+        NormLog(F).cube_class_counts(F(1), [F(2), F.x()])
+
+
+PLANTED_NORM_GENERATOR = """
+from twocubes.exact import FiniteField
+from twocubes.exact.zechlog import NormLog
+F = FiniteField(7, 3)
+F._generator = F.generator() ** 2
+try:
+    NormLog(F)
+    print("built")
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_norm_log_rejects_a_planted_generator(flags):
+    """Over F_{7^3}, h = g^(2 E) has order 3, not Q - 1 = 6: refused, also under -O."""
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", PLANTED_NORM_GENERATOR],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert out.stdout.splitlines() == ["g^((q-1)/(Q-1)) does not have order Q - 1"]

@@ -13,6 +13,7 @@ import pytest
 from chord_oracle import Point, WeierstrassCurve, add_points, scalar_mul, to_hesse
 from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
+from newton_oracle import power_sums
 from qt_oracle import T, qt
 from twocubes.elliptic import to_weierstrass
 from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
@@ -448,8 +449,9 @@ def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
     """The same budget for the build folded over F_p^*: over F_{13^6} and the
     published F_{17^6} the coset walk takes several blocks and a slab, p^5,
     is filled in chunks, with the normalized slab written in place in the
-    table.  The temporaries measure 2.5-2.7 MB, so they are held to 4 MiB,
-    well inside the block of BLOCK_BYTES that the budget allows."""
+    table.  The temporaries measure 2.5 MiB for the build and 1.1-1.2 MiB for
+    the sweep, so they are held to 4 MiB, well inside the block of BLOCK_BYTES
+    that the budget allows."""
     import tracemalloc
 
     from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
@@ -468,6 +470,34 @@ def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
             tracemalloc.stop()
         del z
         assert F.q < peak <= F.q + temporaries, p
+
+
+def test_norm_count_of_c6_at_17_equals_the_table_sweep(family, monkeypatch):
+    """The published c_6 over F_{17^6} through the norm to F_{17^2}, and again
+    through the q-byte class table that the sweep builds for 3 not dividing n."""
+    from twocubes.exact import zechlog
+
+    by_norm = fiber_trace_sum(family, 17, 6)
+    monkeypatch.setattr(zechlog, "NormLog", zechlog.ZechLog)
+    assert fiber_trace_sum(family, 17, 6) == by_norm
+
+
+def test_norm_count_memory_over_f17_6_is_not_q_bytes():
+    """The F_{17^6} count holds Q x Q = 17^4 bytes and small blocks, not the
+    q = 24 MB class table: it measures about 0.8 MiB, held to 4 MiB."""
+    import tracemalloc
+
+    from twocubes.exact.zechlog import NormLog
+
+    F = FiniteField(17, 6)
+    F.generator()
+    tracemalloc.start()
+    try:
+        NormLog(F).cube_class_counts(F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def _trace_sum_by_enumeration(k, p, n):
@@ -608,18 +638,27 @@ def test_typed_checks_survive_python_O():
     """The exactness and type checks raise their typed errors with asserts stripped."""
     script = """
 from twocubes.exact import FiniteField, Polynomial, RationalFunction
-from twocubes.function_field import (
-    FamilyError, FunctionFieldCurve, LFunctionError, LPolynomial, build_family)
+from twocubes.exact.zechlog import NormLog
+from twocubes import function_field
+from twocubes.function_field import FamilyError, FunctionFieldCurve, LFunctionError, build_family
 from twocubes.twists import SpecializationError, specialize
 fam = build_family()
 try:
     FunctionFieldCurve(fam.k * __import__("fractions").Fraction(1, 8), fam.p1, fam.p2)
 except FamilyError:
     print("FamilyError")
+counted = function_field.fiber_trace_sum  # c_2 + 1 at p = 11: b_2 is not integral
+function_field.fiber_trace_sum = lambda curve, p, n: counted(curve, p, n) + (n == 2)
 try:
-    LPolynomial(5, (1, __import__("fractions").Fraction(1, 2)), ()).power_sum_coefficients(2)
+    function_field.lfunction(11)
 except LFunctionError:
     print("LFunctionError")
+function_field.fiber_trace_sum = counted
+F = FiniteField(7, 3)
+try:
+    NormLog(F).cube_class_counts(F(1), [F.x()])
+except ValueError:
+    print("ValueError")
 try:
     specialize(3, FunctionFieldCurve(2 * fam.k, fam.p1, fam.p2))
 except SpecializationError:
@@ -635,7 +674,7 @@ except TypeError:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True,
         timeout=60,
     )
-    want = ["FamilyError", "LFunctionError", "SpecializationError", "TypeError"]
+    want = ["FamilyError", "LFunctionError", "ValueError", "SpecializationError", "TypeError"]
     assert out.stdout.split() == want
 
 
@@ -696,7 +735,7 @@ def test_completion_refuses_a_planted_last_count(family, monkeypatch, k, p, dire
 def test_exp_log_roundtrip():
     for p in (5, 17):
         L = lfunction(p)
-        cs = L.power_sum_coefficients(6)
+        cs = power_sums(L.coeffs, 6)
         for n, c in L.counted:
             if n <= 6:
                 assert cs[n - 1] == c
