@@ -64,7 +64,7 @@ class RunReport:
 # Caps on the flags that set how much work a command does; a value above its
 # cap fails before any work.  Times at the caps are from a 2-vCPU host.
 MAX_TAXICAB_BOUND = 10**9  # about 0.7 s; the heap walk adds under 1 MB to 18 MB peak RSS
-MAX_NEARMISS_COUNT = 2000  # about 0.6 s, most of it str(); term n has O(n) digits
+MAX_NEARMISS_COUNT = 2000  # about 0.25 s, most of it start-up; term n has O(n) digits
 MAX_TWIST_RANGE = 10**4  # t values in one twists table
 MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
 # ec count: the search for the modulus of F_{p^n} dominates; the slowest of 40

@@ -5,11 +5,12 @@ zero polynomial; no identity is taken on faith.  The near-miss streams are
 integer recurrences; their first seven tuples are checked exactly before
 anything is emitted, and a recurrence argument proves every later tuple
 from those seven, so a mis-transcribed generating function cannot slip
-through.
+through.  They run in exact decimal, so that printing them is linear.
 """
 
 from __future__ import annotations
 
+import decimal
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -245,14 +246,25 @@ NEARMISS_FAMILIES = {
 # The order of the linear recurrence that a^3 + b^3 - c^3 - eps obeys (see
 # nearmiss_stream): this many consecutive exact checks prove every term.
 NEARMISS_RECURRENCE_ORDER = 7
+# Integer Decimals held in base 10, so str() of a term is linear in its digits
+# and has no int_max_str_digits limit.  Any rounding raises, also under -O.
+NEARMISS_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
 
 
-def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, int]]:
+def nearmiss_stream(
+    family: str, count: int
+) -> list[tuple[int, decimal.Decimal, decimal.Decimal, decimal.Decimal, int]]:
     """First `count` tuples (n, a_n, b_n, c_n, eps_n) of a family in NEARMISS_FAMILIES.
 
     a_n, b_n, c_n are the x^n coefficients of num / NEARMISS_DENOMINATOR for
     the three numerators.  The denominator has constant term 1, so
-    den * series = num is solved over Z term by term.  Every tuple satisfies
+    den * series = num is solved over Z term by term, in NEARMISS_CONTEXT.
+    They are returned as integer Decimals (exponent 0): call int() on them
+    before any arithmetic, because the default decimal context rounds to 28
+    digits without raising.  Every tuple satisfies
     a^3 + b^3 - c^3 = eps = (-1)^(n - offset): the first
     min(count, NEARMISS_RECURRENCE_ORDER) are checked exactly, the first
     failure aborting with its index, and they prove the rest.
@@ -280,16 +292,18 @@ def nearmiss_stream(family: str, count: int) -> list[tuple[int, int, int, int, i
     tail = NEARMISS_DENOMINATOR[1:]
     total = offset + count
     series = []
-    for num in numerators:
-        s = []
-        for n in range(total):
-            acc = num[n] if n < len(num) else 0
-            for j, d in enumerate(tail[:n], 1):
-                acc -= d * s[n - j]
-            s.append(acc)
-        series.append(s)
+    with decimal.localcontext(NEARMISS_CONTEXT):
+        for num in numerators:
+            s = []
+            for n in range(total):
+                acc = decimal.Decimal(num[n] if n < len(num) else 0)
+                for j, d in enumerate(tail[:n], 1):
+                    acc -= d * s[n - j]
+                s.append(acc)
+            series.append(s)
     out = [(n, *(s[n] for s in series), (-1) ** (n - offset)) for n in range(offset, total)]
-    for n, a, b, c, want in out[:NEARMISS_RECURRENCE_ORDER]:
+    for n, *abc, want in out[:NEARMISS_RECURRENCE_ORDER]:
+        a, b, c = map(int, abc)
         eps = a**3 + b**3 - c**3
         if eps != want:
             raise NearMissError(

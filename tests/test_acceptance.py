@@ -145,7 +145,8 @@ def test_criterion_7_surface():
 def test_criterion_8_nearmiss(monkeypatch):
     t0 = time.perf_counter()
     tuples = nearmiss_stream("zero", 10)
-    relations = all(a**3 + b**3 - c**3 == eps == (-1) ** n for (n, a, b, c, eps) in tuples)
+    ints = [(n, int(a), int(b), int(c), eps) for (n, a, b, c, eps) in tuples]  # Decimals
+    relations = all(a**3 + b**3 - c**3 == eps == (-1) ** n for (n, a, b, c, eps) in ints)
     has_135 = tuples[1][1:4] == (135, 138, 172)
     # a mis-transcribed numerator (c's x^2 coefficient -9 for -10) fails at n = 2
     planted = ((1, 53, 9), (2, -26, -12), (2, 8, -9))

@@ -1,5 +1,6 @@
 """Tests for the identity suites, taxicab search, and near-miss families."""
 
+import decimal
 import random
 import sys
 from fractions import Fraction
@@ -7,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from twocubes import identities
-from twocubes.cli import MAX_NEARMISS_COUNT
+from twocubes.cli import MAX_NEARMISS_COUNT, dispatch
 from twocubes.exact.poly import _int_mul
 from twocubes.identities import (
+    NEARMISS_CONTEXT,
     NEARMISS_FAMILIES,
     NEARMISS_RECURRENCE_ORDER,
     CubeQuadruple,
@@ -170,7 +172,8 @@ def test_nearmiss_zero_family_first_tuples():
 def test_nearmiss_zero_family_ten_verified():
     tuples = nearmiss_stream("zero", 10)
     assert len(tuples) == 10
-    for n, a, b, c, eps in tuples:
+    for n, *abc, eps in tuples:
+        a, b, c = map(int, abc)  # Decimals: the default context would round the cubes
         assert a**3 + b**3 - c**3 == eps == (-1) ** n
 
 
@@ -179,14 +182,15 @@ def test_nearmiss_infinity_family():
     assert tuples[0] == (1, 9, -12, -10, 1)
     assert 9**3 + (-12) ** 3 - (-10) ** 3 == 1
     assert tuples[1][1:] == (791, -1010, -812, -1)
-    for n, a, b, c, eps in tuples:
+    for n, *abc, eps in tuples:
+        a, b, c = map(int, abc)
         assert a**3 + b**3 - c**3 == eps == (-1) ** (n + 1)
 
 
 def test_nearmiss_recurrence_property():
     # beyond the numerator degree the sequences satisfy the denominator recurrence
     tuples = nearmiss_stream("zero", 8)
-    seqs = list(zip(*[(a, b, c) for (_, a, b, c, _) in tuples]))
+    seqs = list(zip(*[(int(a), int(b), int(c)) for (_, a, b, c, _) in tuples]))
     for seq in seqs:
         for n in range(3, len(seq)):
             assert seq[n] == 82 * seq[n - 1] + 82 * seq[n - 2] - seq[n - 3]
@@ -231,11 +235,18 @@ def test_nearmiss_every_term_to_the_cap_by_cubes(family):
     # the per-term check the stream ran before the recurrence proof replaced it
     numerators, offset = NEARMISS_FAMILIES[family]
     assert _first_failure(numerators, offset, MAX_NEARMISS_COUNT) is None
+    # the CLI prints every term of the stream as str() of the oracle's int would
     series = [_series(num, offset + MAX_NEARMISS_COUNT) for num in numerators]
-    assert nearmiss_stream(family, MAX_NEARMISS_COUNT) == [
-        (n, *(s[n] for s in series), (-1) ** (n - offset))
+    report, _ = dispatch(["identities", "nearmiss", "--family", family,
+                          "--count", str(MAX_NEARMISS_COUNT)])
+    assert report.status == "ok"
+    assert [(t["n"], t["a"], t["b"], t["c"], t["epsilon"]) for t in report.results["tuples"]] == [
+        (n, *(str(s[n]) for s in series), (-1) ** (n - offset))
         for n in range(offset, offset + MAX_NEARMISS_COUNT)
     ]
+    # integer Decimals only: exponent 0 rules out E notation; the strings rule out -0
+    assert all(isinstance(v, decimal.Decimal) and v.as_tuple().exponent == 0
+               for t in nearmiss_stream(family, MAX_NEARMISS_COUNT) for v in t[1:4])
 
 
 def test_nearmiss_defect_obeys_the_order_7_recurrence():
@@ -278,10 +289,27 @@ def test_nearmiss_refuses_a_numerator_outside_the_proof(monkeypatch):
             nearmiss_stream(family, 1)
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="no int_max_str_digits limit (Python < 3.11, or switched off)")
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int_max_str_digits limit before Python 3.11")
 @pytest.mark.parametrize("family", sorted(NEARMISS_FAMILIES))
 def test_nearmiss_terms_at_the_cap_still_print(family):
-    # str() of an int with more digits than the limit raises ValueError
-    bound = 10 ** (sys.get_int_max_str_digits() - 1)
-    assert all(abs(v) < bound for v in nearmiss_stream(family, MAX_NEARMISS_COUNT)[-1])
+    # the terms are Decimals, so str(int)'s digit limit does not apply, even at its minimum
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        report, _ = dispatch(["identities", "nearmiss", "--family", family,
+                              "--count", str(MAX_NEARMISS_COUNT)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert report.status == "ok", report.results
+    assert len(report.results["tuples"][-1]["a"]) > 640
+
+
+def test_nearmiss_ignores_and_keeps_the_callers_decimal_context():
+    want = [tuple(map(str, t)) for t in nearmiss_stream("zero", 50)]
+    with decimal.localcontext(decimal.Context(prec=5)) as ctx:
+        before = repr(ctx)  # prec, rounding, exponent range, flags and traps
+        got = [tuple(map(str, t)) for t in nearmiss_stream("zero", 50)]
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+    assert got == want
+    assert NEARMISS_CONTEXT.traps[decimal.Inexact] and NEARMISS_CONTEXT.traps[decimal.Rounded]
