@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -83,6 +84,7 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 
 
 MAX_PARSED_DEGREE = 64  # bounds the work a --k polynomial can ask for
+MAX_PARSED_NESTING = 100  # parentheses; each level takes five Python frames
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()T]))")
 _COEFF = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 
@@ -111,12 +113,13 @@ class _ExprParser:
 
         expr  := term (('+' | '-') term)*
         term  := unary (('*' | '/') unary)*
-        unary := ('+' | '-') unary | power
+        unary := ('+' | '-')* power
         power := atom (('^' | '**') integer)?
         atom  := integer | 'T' | '(' expr ')'
 
-    where a divisor must be a nonzero constant and degrees stay within
-    MAX_PARSED_DEGREE."""
+    where a divisor must be a nonzero constant, degrees stay within
+    MAX_PARSED_DEGREE and parentheses nest at most MAX_PARSED_NESTING deep,
+    so that no input reaches Python's recursion limit."""
 
     def __init__(self, text: str):
         self.tokens = []
@@ -127,6 +130,9 @@ class _ExprParser:
                 raise PolynomialSyntaxError(f"unexpected {text[pos:].lstrip()[:1]!r} in {text!r}")
             self.tokens.append(m.group(1) or m.group(2))
             pos = m.end()
+        depth = itertools.accumulate((t == "(") - (t == ")") for t in self.tokens)
+        if max(depth, default=0) > MAX_PARSED_NESTING:
+            raise PolynomialSyntaxError(f"parentheses nested more than {MAX_PARSED_NESTING} deep")
         self.pos = 0
 
     def parse(self) -> Polynomial:
@@ -165,16 +171,18 @@ class _ExprParser:
         return f
 
     def _unary(self) -> Polynomial:
-        if self._peek() in ("+", "-"):
-            return self._unary() if self._take() == "+" else -self._unary()
-        return self._power()
+        negate = False
+        while self._peek() in ("+", "-"):
+            negate ^= self._take() == "-"
+        f = self._power()
+        return -f if negate else f
 
     def _power(self) -> Polynomial:
         f = self._atom()
         if self._peek() in ("^", "**"):
             self._take()
             e = self._take()
-            if not e.isdigit() or int(e) > MAX_PARSED_DEGREE:
+            if not e.isdigit() or self._int(e) > MAX_PARSED_DEGREE:
                 raise PolynomialSyntaxError(
                     f"exponents must be integers in [0, {MAX_PARSED_DEGREE}], not {e!r}"
                 )
@@ -185,7 +193,7 @@ class _ExprParser:
     def _atom(self) -> Polynomial:
         tok = self._take()
         if tok.isdigit():
-            return rational_poly(tok)
+            return rational_poly(self._int(tok))
         if tok == "T":
             return rational_poly(0, 1)
         if tok == "(":
@@ -194,6 +202,13 @@ class _ExprParser:
                 raise PolynomialSyntaxError("missing ')'")
             return f
         raise PolynomialSyntaxError(f"unexpected {tok!r}")
+
+    @staticmethod
+    def _int(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError as exc:  # above sys.get_int_max_str_digits()
+            raise PolynomialSyntaxError(f"integer of {len(tok)} digits: {exc}") from None
 
     @staticmethod
     def _check_degree(degree: int) -> None:
@@ -209,7 +224,8 @@ def _run_identities_verify(args) -> dict:
     r1913 = identities.verify_ramanujan_1913()
     r20 = identities.verify_entry20()
     euler_sym = identities.euler_family_symbolic_check()
-    quad = identities.verify_euler_family(3, 0, 1)
+    example = {"alpha": 3, "beta": 0, "gamma": 1}  # the quadruple of 1729
+    quad = identities.verify_euler_family(**example)
     all_ok = r1913.zero_polynomial and r20.zero_polynomial and euler_sym
     return {
         "all_verified": all_ok,
@@ -218,9 +234,7 @@ def _run_identities_verify(args) -> dict:
         "euler_family": {
             "symbolic_zero": euler_sym,
             "example": {
-                "alpha": "3",
-                "beta": "0",
-                "gamma": "1",
+                **{k: str(v) for k, v in example.items()},
                 "quadruple": [str(v) for v in (quad.x, quad.y, quad.z, quad.w)],
                 "common_value": str(quad.common_value()),
             },

@@ -1,7 +1,11 @@
 """Classical two-cube identities, taxicab search, and near-miss families.
 
-The symbolic checks expand everything as exact polynomials and demand the
-zero polynomial; no identity is taken on faith.  The near-miss streams are
+Each identity is written once, as a function that returns its forms, and is
+proved by evaluating the signed sum of their cubes in exact integers on the
+grid {0..d_1} x ... x {0..d_k}, where d_i bounds the degree of every cube in
+variable i: a polynomial of degree at most d_i in variable i that vanishes
+there is zero (Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so
+the check is a proof, not a sample.  The near-miss streams are
 integer recurrences; their first seven tuples are checked exactly before
 anything is emitted, and a recurrence argument proves every later tuple
 from those seven, so a mis-transcribed generating function cannot slip
@@ -12,10 +16,9 @@ from __future__ import annotations
 
 import decimal
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .exact import Polynomial, rational_poly
 
 
 class IdentityError(Exception):
@@ -43,137 +46,118 @@ class CubeQuadruple:
 class IdentityReport:
     name: str
     zero_polynomial: bool
-    offending_monomial: tuple | None = None
+    offending_point: tuple | None = None
     specializations: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "zero_polynomial": self.zero_polynomial}
-        if self.offending_monomial is not None:
-            out["offending_monomial"] = [str(v) for v in self.offending_monomial]
+        if self.offending_point is not None:
+            out["offending_point"] = [str(v) for v in self.offending_point]
         out["specializations"] = self.specializations
         return out
 
 
-# -- bivariate scaffolding: Polynomial in the outer variable over ------------
-# -- Polynomial-in-the-inner-variable coefficients ---------------------------
+def _cube_sum(signs, values):
+    return sum([s * v**3 for s, v in zip(signs, values)])
 
 
-def _inner(*coeffs) -> Polynomial:
-    return rational_poly(*coeffs)
+def _grid_failure(forms, signs, degrees) -> tuple | None:
+    """The first point of {0..d_1} x ... x {0..d_k}, for degrees (d_1, ..., d_k),
+    where sum(sign * form^3) is nonzero.  None proves that the sum is the zero
+    polynomial, provided every cube has degree <= d_i in variable i."""
+    for point in itertools.product(*(range(d + 1) for d in degrees)):
+        if _cube_sum(signs, forms(*point)):
+            return point
+    return None
 
 
-def _outer(*inner_polys) -> Polynomial:
-    return Polynomial(tuple(inner_polys))
+RAMANUJAN_1913_SIGNS, RAMANUJAN_1913_DEGREES = (1, -1, -1, -1), (6, 6)
 
 
-def _first_nonzero_monomial(f: Polynomial) -> tuple:
-    for i, ci in enumerate(f.coeffs):
-        if isinstance(ci, Polynomial):
-            for j, cij in enumerate(ci.coeffs):
-                if cij != 0:
-                    return (i, j, cij)
-        elif ci != 0:
-            return (i, ci)
-    raise ValueError("polynomial is zero")
+def ramanujan_1913_forms(A, B):
+    """(lhs, r1, r2, r3) of the 1913 identity lhs^3 = r1^3 + r2^3 + r3^3.
+
+    The forms are quadratic, so every cube has degree 6 in A and in B:
+    RAMANUJAN_1913_DEGREES, a 7 x 7 grid."""
+    return (6 * A * A - 4 * A * B + 4 * B * B, 3 * A * A + 5 * A * B - 5 * B * B,
+            4 * A * A - 4 * A * B + 6 * B * B, 5 * A * A - 5 * A * B - 3 * B * B)
 
 
 def verify_ramanujan_1913() -> IdentityReport:
-    """Check (6A^2-4AB+4B^2)^3 = (3A^2+5AB-5B^2)^3 + (4A^2-4AB+6B^2)^3 + (5A^2-5AB-3B^2)^3.
-
-    Expanded as a polynomial in A over polynomials in B; the difference must
-    be identically zero.  The report carries two integer specializations,
-    including the one that reduces to 12^3 = (-1)^3 + 10^3 + 9^3 after
-    division by 27.
-    """
-    # inner polynomials in B listed low-to-high, outer variable A
-    lhs = _outer(_inner(0, 0, 4), _inner(0, -4), _inner(6))
-    r1 = _outer(_inner(0, 0, -5), _inner(0, 5), _inner(3))
-    r2 = _outer(_inner(0, 0, 6), _inner(0, -4), _inner(4))
-    r3 = _outer(_inner(0, 0, -3), _inner(0, -5), _inner(5))
-    diff = lhs**3 - (r1**3 + r2**3 + r3**3)
-    report = IdentityReport("two-squares-parametrized cube identity (1913)", diff.is_zero())
-    if not diff.is_zero():
-        report.offending_monomial = _first_nonzero_monomial(diff)
-        return report
+    """Prove the 1913 identity; the report carries three specializations of the
+    same forms at Fractions, the last of which is 12^3 = (-1)^3 + 10^3 + 9^3."""
+    point = _grid_failure(ramanujan_1913_forms, RAMANUJAN_1913_SIGNS, RAMANUJAN_1913_DEGREES)
+    report = IdentityReport("two-squares-parametrized cube identity (1913)", point is None, point)
 
     def special(a, b, scale=1):
-        # outer variable A first, then the inner B
-        vals = [p(Fraction(a))(Fraction(b)) / scale for p in (lhs, r1, r2, r3)]
-        ok = vals[0] ** 3 == vals[1] ** 3 + vals[2] ** 3 + vals[3] ** 3
-        return {
-            "A": str(a),
-            "B": str(b),
-            "scale": str(scale),
-            "cubes": [str(v) for v in vals],
-            "holds": ok,
-        }
+        vals = [v / scale for v in ramanujan_1913_forms(Fraction(a), Fraction(b))]
+        return {"A": str(a), "B": str(b), "scale": str(scale), "cubes": [str(v) for v in vals],
+                "holds": _cube_sum(RAMANUJAN_1913_SIGNS, vals) == 0}
 
-    report.specializations = [special(1, 0), special(2, -1), special(2, -1, scale=3)]
+    if report.zero_polynomial:
+        report.specializations = [special(1, 0), special(2, -1), special(2, -1, scale=3)]
     return report
 
 
+ENTRY20_SIGNS, ENTRY20_DEGREES = (1, 1, 1, -1), (21, 6)
+
+
+def entry20_forms(M, P):
+    """(t1, t2, t3, rhs) of Entry 20(iii), t1^3 + t2^3 + t3^3 = rhs^3.
+
+    Each form has degree <= 7 in M (t1 and rhs) and 2 in P, so every cube has
+    degree <= 21 in M and <= 6 in P: ENTRY20_DEGREES, a 22 x 7 grid."""
+    M3, Q = M * M * M, 1 + 3 * P + 3 * P * P
+    return (M3 * M3 * M - 3 * M3 * M * (1 + P) + M * (3 * (1 + P) ** 2 - 1),
+            2 * M3 * M3 - 3 * M3 * (1 + 2 * P) + Q,
+            M3 * M3 - Q,
+            M3 * M3 * M - 3 * M3 * M * P + M * (3 * P * P - 1))
+
+
 def verify_entry20() -> IdentityReport:
-    """Check the second-notebook Entry 20(iii) four-cube identity in M and P."""
-    one_p = _inner(1, 1)  # 1 + P
-    one_p2 = one_p * one_p
-    t1 = _outer(
-        _inner(0), _inner(-1) + 3 * one_p2, _inner(0), _inner(0), -3 * one_p,
-        _inner(0), _inner(0), _inner(1),
-    )  # M^7 - 3M^4(1+P) + M(3(1+P)^2 - 1)
-    t2 = _outer(
-        _inner(1, 3, 3), _inner(0), _inner(0), -3 * _inner(1, 2), _inner(0),
-        _inner(0), _inner(2),
-    )  # 2M^6 - 3M^3(1+2P) + (1+3P+3P^2)
-    t3 = _outer(-_inner(1, 3, 3), _inner(0), _inner(0), _inner(0), _inner(0), _inner(0), _inner(1))
-    rhs = _outer(
-        _inner(0), _inner(-1, 0, 3), _inner(0), _inner(0), _inner(0, -3),
-        _inner(0), _inner(0), _inner(1),
-    )  # M^7 - 3M^4 P + M(3P^2 - 1)
-    diff = t1**3 + t2**3 + t3**3 - rhs**3
-    report = IdentityReport("second-notebook entry 20(iii) identity", diff.is_zero())
-    if not diff.is_zero():
-        report.offending_monomial = _first_nonzero_monomial(diff)
-        return report
+    """Prove Entry 20(iii); the report carries two specializations of the
+    same forms at Fractions."""
+    point = _grid_failure(entry20_forms, ENTRY20_SIGNS, ENTRY20_DEGREES)
+    report = IdentityReport("second-notebook entry 20(iii) identity", point is None, point)
 
     def special(m, p):
-        vals = [t(Fraction(m))(Fraction(p)) for t in (t1, t2, t3, rhs)]
-        ok = vals[0] ** 3 + vals[1] ** 3 + vals[2] ** 3 == vals[3] ** 3
-        return {"M": str(m), "P": str(p), "terms": [str(v) for v in vals], "holds": ok}
+        vals = entry20_forms(Fraction(m), Fraction(p))
+        return {"M": str(m), "P": str(p), "terms": [str(v) for v in vals],
+                "holds": _cube_sum(ENTRY20_SIGNS, vals) == 0}
 
-    report.specializations = [special(2, 0), special(1, 0)]
+    if report.zero_polynomial:
+        report.specializations = [special(2, 0), special(1, 0)]
     return report
 
 
 # -- Euler-equivalent third-notebook family ----------------------------------
 
+EULER_SIGNS, EULER_DEGREES = (1, 1, -1, -1), (12, 12, 15)
+
+
+def euler_family_forms(a, b, c, d=3):
+    """D^2 (a + L^2 c, L b + c, L a + c, b + L^2 c), with N = a^2 + ab + b^2,
+    D = d c^2 and L = N/D: the third-notebook quadruple x, y, z, w with L cleared.
+
+    N has degree 2 in a and in b, D degree 2 in c.  So the forms have degree
+    <= 4 in a and in b and <= 5 in c (D^2 c), and for every d every cube has
+    degree <= 12 in a and in b and <= 15 in c: EULER_DEGREES, a 13 x 13 x 16 grid."""
+    N, D = a * a + a * b + b * b, d * c * c
+    DD, NNc = D * D, N * N * c
+    return (a * DD + NNc, D * (N * b + D * c), D * (N * a + D * c), b * DD + NNc)
+
 
 def euler_family_symbolic_check(d: int = 3) -> bool:
-    """The lambda-eliminated form of the third-notebook family is the zero polynomial.
-
-    With N = a^2 + ab + b^2 and D = 3c^2 (so lambda = N/D), clearing D^6 from
-    (a + lambda^2 c)^3 + (lambda b + c)^3 - (lambda a + c)^3 - (b + lambda^2 c)^3
-    must leave the zero polynomial in a, b, c, expanded as a polynomial in a
-    over polynomials in b over polynomials in c.  D = d c^2 with d != 3 is a
-    perturbed family, for which the check must fail.
-    """
-    one, c_ = Polynomial((1,)), Polynomial((0, 1))  # over Z: nothing is divided
-    a = _outer(Polynomial(), _outer(one))
-    b = _outer(_outer(Polynomial(), one))
-    c = _outer(_outer(c_))
-    D = _outer(_outer(Polynomial((0, 0, d))))
-    N = a * a + a * b + b * b
-    DD, NNc = D * D, N * N * c
-    D3 = DD * D
-    t1 = a * DD + NNc
-    t2 = N * b + D * c
-    t3 = N * a + D * c
-    t4 = b * DD + NNc
-    diff = t1**3 + (t2**3 - t3**3) * D3 - t4**3
-    return diff.is_zero()
+    """euler_family_forms is a family of quadruples x^3 + y^3 = z^3 + w^3 in
+    a, b, c.  D = d c^2 with d != 3 is a perturbed family, for which the
+    check must fail."""
+    return _grid_failure(lambda a, b, c: euler_family_forms(a, b, c, d),
+                         EULER_SIGNS, EULER_DEGREES) is None
 
 
 def verify_euler_family(alpha, beta, gamma) -> CubeQuadruple:
-    """Build the quadruple (a + L^2 c, L b + c, L a + c, b + L^2 c), L = (a^2+ab+b^2)/(3c^2).
+    """The quadruple (a + L^2 c, L b + c, L a + c, b + L^2 c), L = (a^2+ab+b^2)/(3c^2):
+    euler_family_forms(alpha, beta, gamma) divided by D^2 = (3 gamma^2)^2.
 
     gamma = 0 is rejected.  The cube relation is enforced by the
     CubeQuadruple constructor, exactly.
@@ -181,10 +165,8 @@ def verify_euler_family(alpha, beta, gamma) -> CubeQuadruple:
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    lam = (alpha**2 + alpha * beta + beta**2) / (3 * gamma**2)
-    return CubeQuadruple(
-        alpha + lam**2 * gamma, lam * beta + gamma, lam * alpha + gamma, beta + lam**2 * gamma
-    )
+    scale = (3 * gamma**2) ** 2
+    return CubeQuadruple(*(v / scale for v in euler_family_forms(alpha, beta, gamma)))
 
 
 # -- taxicab search -----------------------------------------------------------

@@ -67,18 +67,30 @@ def test_criterion_1_taxicab(capsys):
         _report(1, "taxicab --bound 2000 returns exactly 1729 = {(1,12),(9,10)}", ok, dt)
 
 
-def test_criterion_2_identity_suites():
+def test_criterion_2_identity_suites(monkeypatch):
     t0 = time.perf_counter()
     ok_1913 = verify_ramanujan_1913().zero_polynomial
     ok_e20 = verify_entry20().zero_polynomial
     ok_euler = euler_family_symbolic_check()
     quad = verify_euler_family(3, 0, 1)
     ok_point = (quad.x, quad.y, quad.z, quad.w) == (12, 1, 10, 9) and quad.common_value() == 1729
+    # the grid proofs reject false identities: D = 2c^2, and 5AB -> 6AB in the 1913 r1
+    rejects_d2 = not euler_family_symbolic_check(d=2)
+    forms_1913 = identities.ramanujan_1913_forms
+
+    def planted_1913(A, B):
+        lhs, r1, r2, r3 = forms_1913(A, B)
+        return lhs, r1 + A * B, r2, r3
+
+    monkeypatch.setattr(identities, "ramanujan_1913_forms", planted_1913)
+    planted = verify_ramanujan_1913()
+    caught = not planted.zero_polynomial and planted.offending_point is not None
     dt = time.perf_counter() - t0
     _report(
         2,
-        "1913, entry 20(iii), Euler family reduce to zero; (3,0,1) gives 1729",
-        ok_1913 and ok_e20 and ok_euler and ok_point and dt < 1.0,
+        "1913, entry 20(iii), Euler family reduce to zero; (3,0,1) gives 1729;"
+        " D = 2c^2 and a planted 1913 coefficient are rejected",
+        ok_1913 and ok_e20 and ok_euler and ok_point and rejects_d2 and caught and dt < 1.0,
         dt,
     )
 

@@ -322,6 +322,31 @@ def test_parse_poly_refuses_a_degree_before_multiplying(text):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("(" * 2000 + "T" + ")" * 2000, "parentheses nested more than 100 deep"),
+        ("(" * 101 + "T" + ")" * 101, "parentheses nested more than 100 deep"),
+        ("9" * 5000, "integer of 5000 digits"),
+        ("T^" + "9" * 5000, "integer of 5000 digits"),
+    ],
+)
+def test_surface_analyze_k_refuses_deep_or_long_input_by_name(capsys, text, reason):
+    """Nesting that would reach the recursion limit, and literals above
+    int_max_str_digits, fail as PolynomialSyntaxError with the reason."""
+    doc = run_json(capsys, "surface", "analyze", "--k=" + text)
+    assert doc["status"] == "failed"
+    assert doc["results"]["error"].startswith(f"PolynomialSyntaxError: {reason}")
+
+
+def test_parse_poly_long_but_flat_input():
+    # signs are read in a loop and only parentheses nest, so these are not refused
+    assert _parse_poly("-" * 5000 + "T") == rational_poly(0, 1)
+    assert _parse_poly("-" * 5001 + "T") == rational_poly(0, -1)
+    assert _parse_poly("(" * 100 + "T" + ")" * 100) == rational_poly(0, 1)
+    assert _parse_poly("+".join(["T"] * 20000)) == rational_poly(0, 20000)
+
+
 def test_surface_analyze_k_never_runs_code(capsys, tmp_path):
     marker = tmp_path / "ran"
     for payload in (

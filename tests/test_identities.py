@@ -29,7 +29,63 @@ from twocubes.identities import (
 def test_ramanujan_1913_zero_polynomial():
     report = verify_ramanujan_1913()
     assert report.zero_polynomial
-    assert report.offending_monomial is None
+    assert report.offending_point is None
+
+
+# (forms, signs of the cubes, degree bounds of the grid, variables) of each grid proof
+GRID_PROOFS = {
+    "1913": (identities.ramanujan_1913_forms, identities.RAMANUJAN_1913_SIGNS,
+             identities.RAMANUJAN_1913_DEGREES, "A B"),
+    "entry20": (identities.entry20_forms, identities.ENTRY20_SIGNS,
+                identities.ENTRY20_DEGREES, "M P"),
+    "euler": (identities.euler_family_forms, identities.EULER_SIGNS,
+              identities.EULER_DEGREES, "a b c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PROOFS))
+def test_grid_proof_matches_sympy_and_its_grid_bounds_every_cube(name):
+    """sympy expands each identity to 0, and every cube has degree at most the
+    grid's bound in each variable, so the grid is one larger than the degree of
+    the difference in each variable and a false identity cannot vanish on it."""
+    import sympy
+
+    forms, signs, degrees, names = GRID_PROOFS[name]
+    xs = sympy.symbols(names)
+    assert len(degrees) == len(xs)
+    assert sympy.expand(sum(s * f**3 for s, f in zip(signs, forms(*xs)))) == 0
+    generic = (*xs, sympy.Symbol("d")) if name == "euler" else xs  # for every d, not only 3
+    for cube in (f**3 for f in forms(*generic)):
+        poly = sympy.Poly(cube, *xs)
+        assert all(poly.degree(x) <= d for x, d in zip(xs, degrees)), (name, cube)
+
+
+_FORMS_1913 = identities.ramanujan_1913_forms
+_FORMS_ENTRY20 = identities.entry20_forms
+
+
+def _planted_1913(A, B):
+    lhs, r1, r2, r3 = _FORMS_1913(A, B)
+    return lhs, r1 + A * B, r2, r3  # 5AB becomes 6AB in r1
+
+
+def _planted_entry20(M, P):
+    t1, t2, t3, rhs = _FORMS_ENTRY20(M, P)
+    return t1, t2, t3, rhs + M**4 * P  # -3M^4 P becomes -2M^4 P in rhs
+
+
+@pytest.mark.parametrize("name,planted,verify", [
+    ("ramanujan_1913_forms", _planted_1913, verify_ramanujan_1913),
+    ("entry20_forms", _planted_entry20, verify_entry20),
+])
+def test_grid_proof_catches_a_planted_coefficient(monkeypatch, name, planted, verify):
+    monkeypatch.setattr(identities, name, planted)
+    report = verify()
+    assert not report.zero_polynomial
+    assert report.offending_point is not None
+    doc = report.to_json()
+    assert doc["offending_point"] == [str(v) for v in report.offending_point]
+    assert doc["specializations"] == []
 
 
 def test_ramanujan_1913_specializations():
