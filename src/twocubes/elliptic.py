@@ -13,9 +13,9 @@ coefficient: the tangent slope on v^2 = u^3 + A is 3u^2/2v.  The search
 points exactly on the Hesse cubic where they enter; the map keeps them on
 the curve mod p, and a chord-tangent step keeps a point on it, so the
 steps here (`_add_mod_p`, `_mul_mod_p`, `_is_cyclic`) run unchecked.
-`noncyclic_primes` reads off #E(F_p) alone the primes at which E(F_p) can
-fail to be cyclic: E(F_p) = Z/n1 x Z/n2 with n1 | n2 and n1 | p - 1 (Weil
-pairing).
+`group_n1` reads E(F_p) = Z/n1 x Z/n2, n1 | n2, off the Frobenius: n1 = 1
+at p = 2 mod 3, and E(F_p) = Z[omega]/(pi - 1) at p = 1 mod 3 (Lenstra,
+J. Number Theory 56, 1996), so only the primes of n1 can break cyclicity.
 Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
 sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
 costs one sextic residue symbol; the Frobenius pi_q and its rotations are
@@ -189,24 +189,28 @@ def _mul_mod_p(p: int, k: int, P):
     return R
 
 
-def noncyclic_primes(p: int, order_factors: dict[int, int]) -> list[int]:
-    """The primes ell at which a subgroup of E(F_p) can fail to be cyclic,
-    given the factorization of #E(F_p); empty when E(F_p) must be cyclic.
+def group_n1(p: int, order: int) -> int:
+    """n1 in E(F_p) = Z/n1 x Z/n2, n1 | n2, for v^2 = u^3 + A with #E(F_p) = order, p >= 5.
 
-    E(F_p) = Z/n1 x Z/n2 with n1 | n2, and the Weil pairing puts mu_n1 in
-    F_p^*, so n1 | p - 1.  Its ell-part is non-cyclic only if ell | n1, which
-    needs ell | p - 1 and ell^2 | #E(F_p).
+    At p = 2 mod 3, u^3 = -A has one root, so E(F_p)[2] = Z/2, and the Weil
+    pairing gives n1 | gcd(p - 1, p + 1) = 2: n1 = 1.  At p = 1 mod 3,
+    End(E) = Z[omega] and E(F_p) = Z[omega]/(pi - 1) (Lenstra, J. Number
+    Theory 56, 1996); with trace t and t^2 + 3f^2 = 4p, pi - 1 =
+    (t - 2 + f)/2 + f omega, so n1 = gcd((t - 2 + f)/2, f), by one isqrt.
     """
-    return [ell for ell, e in sorted(order_factors.items()) if e >= 2 and (p - 1) % ell == 0]
+    if p % 3 == 2:
+        return 1
+    t = p + 1 - order
+    f = math.isqrt((4 * p - t * t) // 3)
+    return math.gcd((t - 2 + f) // 2, f)
 
 
-def _is_cyclic(p: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
-    """Whether <P, Q> in E(F_p) is cyclic, one prime at a time.
+def _is_cyclic(p: int, P, Q, n: int, ells) -> bool:
+    """Whether <P, Q> in E(F_p) is cyclic at each prime ell of `ells`; at the
+    primes of n1 (`group_n1`), whether it is cyclic.
 
-    n is a multiple of #E(F_p), not only of the two point orders (the primes
-    come from its factorization), and n_factors is its factorization.  Only
-    the primes of noncyclic_primes can break cyclicity.  At each such ell,
-    with ell^e exactly dividing n, the ell-primary parts are
+    n is a multiple of #E(F_p), not only of the two point orders.  At each
+    ell, with ell^e exactly dividing n, the ell-primary parts are
     P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
     ord(P') >= ord(Q').  The span is cyclic at ell iff Q' lies in <P'>,
     tested by direct enumeration of the (small) cyclic group.
@@ -214,8 +218,8 @@ def _is_cyclic(p: int, P, Q, n: int, n_factors: dict[int, int]) -> bool:
     for X in (P, Q):
         if _mul_mod_p(p, n, X) is not None:
             raise ValueError("group_order is not a multiple of the point order")
-    for ell in noncyclic_primes(p, n_factors):
-        m = n // ell ** n_factors[ell]
+    for ell in ells:
+        m = n // math.gcd(n, ell ** n.bit_length())  # n / ell^e
         Pp, Qp = _mul_mod_p(p, m, P), _mul_mod_p(p, m, Q)
         oP, oQ = _ell_order(p, Pp, ell), _ell_order(p, Qp, ell)
         if oP < oQ:

@@ -1,5 +1,5 @@
-"""Rational functions num/den over Q, in lowest terms: the coordinates of
-sections and the pullback differentials over Q(T).
+"""Rational functions num/den over Q, in lowest terms: the printed
+coordinates of sections and the pullback differentials over Q(T).
 
 A value type: it holds the normal form, evaluates at t, prints, and reads
 back as a Polynomial when its denominator is 1; the
@@ -32,16 +32,18 @@ class RationalFunction:
             raise TypeError("RationalFunction needs coefficients in Q")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Polynomial((1,))
-            return
         a, b = _cleared(num, den)
         g = _int_gcd(a, b)
         if len(g) > 1:
             a, b = _int_exact_div(a, g), _int_exact_div(b, g)
-        self.num = Polynomial(tuple(Fraction(c, b[-1]) for c in a))
-        self.den = Polynomial(tuple(Fraction(c, b[-1]) for c in b))
+        self.num, self.den = (Polynomial(tuple(Fraction(c, b[-1]) for c in f)) for f in (a, b))
+
+    @classmethod
+    def coprime(cls, a, b) -> RationalFunction:
+        """a/b for coprime a and b over Z[T], b nonzero: the normal form with no gcd."""
+        f = cls.__new__(cls)
+        f.num, f.den = (Polynomial(tuple(Fraction(c, b[-1]) for c in g)) for g in (a, b))
+        return f
 
     def __call__(self, t):
         d = self.den(t)

@@ -24,11 +24,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from random import Random
+from typing import NamedTuple
 
 from .elliptic import trace
 from .exact import FiniteField, Polynomial, RationalFunction, factor_over_z, poly_gcd, rational_poly
 from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
-from .exact.poly import _cleared, _int_add, _int_deriv, _int_mul
+from .exact.poly import _cleared, _int_add, _int_deriv, _int_exact_div, _int_gcd, _int_mul
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
 
@@ -36,28 +37,40 @@ class FamilyError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SectionPoint:
-    """A point of X^3 + Y^3 = k with rational-function coordinates."""
+class SectionPoint(NamedTuple):
+    """A point (X : Y : Z) of X^3 + Y^3 = kZ^3 over Z[T], x = X/Z and y = Y/Z;
+    coefficient tuples run low to high.
 
-    x: RationalFunction
-    y: RationalFunction
+    A section is held primitive (content 1) with lc(Z) > 0.  On the curve
+    gcd(X, Z) = gcd(X, Y, Z), because a prime dividing X and Z divides
+    Y^3 = kZ^3 - X^3; so X/Z and Y/Z are in lowest terms, and x and y read
+    off the normal form with no gcd.
+    """
+
+    X: tuple[int, ...]
+    Y: tuple[int, ...]
+    Z: tuple[int, ...]
+
+    @property
+    def x(self) -> RationalFunction:
+        return RationalFunction.coprime(self.X, self.Z)
+
+    @property
+    def y(self) -> RationalFunction:
+        return RationalFunction.coprime(self.Y, self.Z)
 
     def on_curve(self, k: Polynomial) -> bool:
-        """x^3 + y^3 = k over Z[T]: (ae)^3 k_d + (cb)^3 k_d = k_n (be)^3 for
-        x = a/b, y = c/e and k = k_n/k_d.  TypeError unless k is in Q[T]."""
-        return _on_cubic(_HesseModel.from_section(self), *_int_pair(RationalFunction(k)))
+        """k_d (X^3 + Y^3) = k_n Z^3 over Z[T] for k = k_n/k_d in Q[T]."""
+        return _on_cubic(self, *_cleared(k, Polynomial((1,))))
 
 
 @dataclass(frozen=True)
 class IntegerForms:
-    """A curve's k and sections cleared over Z; coefficient tuples run low
-    to high."""
+    """A curve's k over Z and its factors; coefficient tuples run low to high."""
 
     k_z: tuple[int, ...]  # the coefficients of k
     content: int  # k_z = content * prod factors
     factors: tuple[tuple[int, ...], ...]  # each repeated by its multiplicity
-    sections: tuple  # per section, its Hesse triple (X, Y, Z): x = X/Z, y = Y/Z
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,7 @@ class FunctionFieldCurve:
         k_z = [int(c) for c in self.k.coeffs]
         content, factors = factor_over_z(k_z)
         factors = tuple(tuple(g) for g, m in factors for _ in range(m))
-        sections = tuple(tuple(map(tuple, _HesseModel.from_section(P))) for P in (self.p1, self.p2))
-        return IntegerForms(tuple(k_z), content, factors, sections)
+        return IntegerForms(tuple(k_z), content, factors)
 
 
 @lru_cache(maxsize=None)
@@ -95,12 +107,8 @@ def build_family() -> FunctionFieldCurve:
         k = k * rational_poly(c, b, a)
     if k.degree != 6 or poly_gcd(k, k.derivative()).degree:
         raise FamilyError("twist polynomial is not squarefree of degree 6")
-    p1 = SectionPoint(
-        RationalFunction(rational_poly(4, -4, 6)), RationalFunction(rational_poly(5, -5, -3))
-    )
-    p2 = SectionPoint(
-        RationalFunction(rational_poly(6, -4, 4)), RationalFunction(rational_poly(-3, -5, 5))
-    )
+    p1 = SectionPoint((4, -4, 6), (5, -5, -3), (1,))
+    p2 = SectionPoint((6, -4, 4), (-3, -5, 5), (1,))
     for name, sec in (("P1", p1), ("P2", p2)):
         if not sec.on_curve(k):
             raise FamilyError(f"section {name} is not on the curve")
@@ -113,18 +121,13 @@ def pullback_differential(P: SectionPoint) -> RationalFunction:
     Pulling the invariant differential back through (x/S, y/S) and reducing
     with S^3 = k, x^3 + y^3 = k leaves exactly the Wronskian coefficient;
     for quadratic polynomial sections its degree is <= 2 (holomorphy).
-    On the Hesse triple (X : Y : Z) of P over Z[T], x = X/Z and y = Y/Z, the
-    Z' terms cancel: x'y - xy' = (X'Y - XY')/Z^2 for any rational x and y.
+    On the triple (X : Y : Z) of P, x = X/Z and y = Y/Z, the Z' terms
+    cancel: x'y - xy' = (X'Y - XY')/Z^2 for any triple, on the curve or not.
     It is formed fraction-free and normalized once.
     """
-    X, Y, Z = _HesseModel.from_section(P)
+    X, Y, Z = P
     num = _int_add(_int_mul(_int_deriv(X), Y), _int_mul(X, _int_deriv(Y)), -1)
     return RationalFunction(Polynomial(num), Polynomial(_int_mul(Z, Z)))
-
-
-def _int_pair(f: RationalFunction) -> list[list[int]]:
-    """f = a/b with a, b over Z[T]."""
-    return _cleared(f.num, f.den)
 
 
 def _int_rows(ws: list[RationalFunction]) -> list[list[int]]:
@@ -133,7 +136,7 @@ def _int_rows(ws: list[RationalFunction]) -> list[list[int]]:
     The product of all denominators is a common multiple, which keeps every
     linear relation among the w.
     """
-    pairs = [_int_pair(w) for w in ws]
+    pairs = [_cleared(w.num, w.den) for w in ws]
     rows = []
     for i, (a, _) in enumerate(pairs):
         for j, (_, b) in enumerate(pairs):
@@ -183,59 +186,51 @@ def _rank(rows: list[list[int | Fraction]]) -> int:
 # -- group law on sections: Hesse coordinates over Z[T] ------------------------
 
 
-class _HesseModel:
-    """X^3 + Y^3 = kZ^3 with points (X : Y : Z) over Z[T] and identity O = (1 : -1 : 0).
+# Points (X : Y : Z) of X^3 + Y^3 = kZ^3 over Z[T], k in Z[T]; O = (1 : -1 : 0) and
+# -(X : Y : Z) = (Y : X : Z).  Every input of every step is checked on the curve.
+_O = ([1], [-1], [])
 
-    A section (a/b, c/e) is (ae : cb : be), and -(X : Y : Z) = (Y : X : Z).
-    The standard Hessian addition law does not involve k and needs no
-    division, so only the final point is put in lowest terms; it returns
-    (0 : 0 : 0) exactly when P - Q is a 3-torsion point at Z = 0, which over
-    Q(T) means P = Q, and then the rotated law applies (Bernstein, Kohel and
-    Lange, "Twisted Hessian curves").  k lies in Z[T] (the curve refuses any
-    other); every input of every step is checked against X^3 + Y^3 = kZ^3.
+
+def _hesse_add(K, P, Q):
+    """P + Q by the standard Hessian addition law, which does not involve k
+    and needs no division.  It returns (0 : 0 : 0) exactly when P - Q is a
+    3-torsion point at Z = 0, which over Q(T) means P = Q, and then the
+    rotated law applies (Bernstein, Kohel and Lange, "Twisted Hessian curves")."""
+    _check(K, P, Q)
+    (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
+
+    def t(a, b, c):  # a^2 b c
+        return _int_mul(_int_mul(a, a), _int_mul(b, c))
+
+    X3 = _int_add(t(Y1, X2, Z2), t(Y2, X1, Z1), -1)
+    Y3 = _int_add(t(X1, Y2, Z2), t(X2, Y1, Z1), -1)
+    Z3 = _int_add(t(Z1, X2, Y2), t(Z2, X1, Y1), -1)
+    if X3 or Y3 or Z3:
+        return X3, Y3, Z3
+    X3 = _int_add(t(X2, X1, Y1), _int_mul(K, t(Z1, Y2, Z2)))
+    Y3 = _int_add(t(Y1, X2, Y2), _int_mul(K, t(Z2, X1, Z1)))
+    return X3, [-c for c in Y3], _int_add(t(Y2, Y1, Z1), t(X1, X2, Z2), -1)
+
+
+def _check(K, *points):
+    for P in points:
+        if not _on_cubic(P, K, [1]):
+            raise ValueError("point not on curve")
+
+
+def _to_section(P) -> SectionPoint | None:
+    """The point P on the curve, made primitive with lc(Z) > 0; None at Z = 0.
+
+    One gcd: g = gcd(X, Z) = gcd(X, Y, Z) on the curve, so X/g, Y/g and Z/g
+    are exact, and only their integer content and sign remain.
     """
-
-    O = ([1], [-1], [])
-
-    def __init__(self, curve: FunctionFieldCurve):
-        self.K = [int(c) for c in curve.k.coeffs]
-
-    def check(self, *points):
-        for P in points:
-            if not _on_cubic(P, self.K, [1]):
-                raise ValueError("point not on curve")
-
-    @classmethod
-    def from_section(cls, P: SectionPoint | None):
-        if P is None:
-            return cls.O
-        (a, b), (c, e) = _int_pair(P.x), _int_pair(P.y)
-        return _int_mul(a, e), _int_mul(c, b), _int_mul(b, e)
-
-    @staticmethod
-    def to_section(P) -> SectionPoint | None:
-        X, Y, Z = P
-        if not Z:
-            return None
-        den = Polynomial(Z)
-        return SectionPoint(RationalFunction(Polynomial(X), den),
-                            RationalFunction(Polynomial(Y), den))
-
-    def add(self, P, Q):
-        self.check(P, Q)
-        (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
-
-        def t(a, b, c):  # a^2 b c
-            return _int_mul(_int_mul(a, a), _int_mul(b, c))
-
-        X3 = _int_add(t(Y1, X2, Z2), t(Y2, X1, Z1), -1)
-        Y3 = _int_add(t(X1, Y2, Z2), t(X2, Y1, Z1), -1)
-        Z3 = _int_add(t(Z1, X2, Y2), t(Z2, X1, Y1), -1)
-        if X3 or Y3 or Z3:
-            return X3, Y3, Z3
-        X3 = _int_add(t(X2, X1, Y1), _int_mul(self.K, t(Z1, Y2, Z2)))
-        Y3 = _int_add(t(Y1, X2, Y2), _int_mul(self.K, t(Z2, X1, Z1)))
-        return X3, [-c for c in Y3], _int_add(t(Y2, Y1, Z1), t(X1, X2, Z2), -1)
+    X, Y, Z = P
+    if not Z:
+        return None
+    g = _int_gcd(X, Z)
+    X, Y, Z = (_int_exact_div(f, g) for f in P)
+    c = gcd(*X, *Y, *Z) * (1 if Z[-1] > 0 else -1)
+    return SectionPoint(*(tuple(v // c for v in f) for f in (X, Y, Z)))
 
 
 def _on_cubic(P, kn: list[int], kd: list[int]) -> bool:
@@ -248,29 +243,24 @@ def _on_cubic(P, kn: list[int], kd: list[int]) -> bool:
 def section_add(
     curve: FunctionFieldCurve, P: SectionPoint | None, Q: SectionPoint | None
 ) -> SectionPoint | None:
-    """P + Q in the Mordell-Weil group; None is the identity.
-
-    Raises ValueError for a section off the curve.
-    """
-    H = _HesseModel(curve)
-    return H.to_section(H.add(H.from_section(P), H.from_section(Q)))
+    """P + Q in the Mordell-Weil group; None is the identity.  ValueError off the curve."""
+    return _to_section(_hesse_add(curve.over_z.k_z, P or _O, Q or _O))
 
 
 def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint | None) -> SectionPoint | None:
-    """n * P by double-and-add in Hesse coordinates, normalized once; raises as section_add."""
-    H = _HesseModel(curve)
-    pt = H.from_section(P)
-    H.check(pt)
+    """n * P by double-and-add on the triples, normalized once; raises as section_add."""
+    K, pt = curve.over_z.k_z, P or _O
+    _check(K, pt)
     if n < 0:
         n, pt = -n, (pt[1], pt[0], pt[2])
-    acc = H.O
+    acc = _O
     while n:
         if n & 1:
-            acc = H.add(acc, pt)
+            acc = _hesse_add(K, acc, pt)
         n >>= 1
         if n:
-            pt = H.add(pt, pt)
-    return H.to_section(acc)
+            pt = _hesse_add(K, pt, pt)
+    return _to_section(acc)
 
 
 # -- the L-function over F_p(T) -------------------------------------------------

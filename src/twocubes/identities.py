@@ -150,7 +150,9 @@ def euler_family_forms(a, b, c, d=3):
 def euler_family_symbolic_check(d: int = 3) -> bool:
     """euler_family_forms is a family of quadruples x^3 + y^3 = z^3 + w^3 in
     a, b, c.  D = d c^2 with d != 3 is a perturbed family, for which the
-    check must fail."""
+    check must fail; d = 0 leaves L = N/D undefined and is a ValueError."""
+    if d == 0:
+        raise ValueError("d = 0 makes D = 0, so L = N/D is undefined")
     return _grid_failure(lambda a, b, c: euler_family_forms(a, b, c, d),
                          EULER_SIGNS, EULER_DEGREES) is None
 

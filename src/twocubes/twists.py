@@ -1,8 +1,9 @@
 """Specializing T -> t: cubic twists X^3 + Y^3 = d with rank certificates.
 
-Every specialization is normalized to its cube-free twist d (coordinates
-absorb the cube factor), and a rank >= 2 certificate is a good prime p
-where the two reduced points generate a non-cyclic subgroup of E(F_p):
+Every specialization is normalized to its cube-free twist d, its points
+held as integer triples (X : Y : Z) on X^3 + Y^3 = dZ^3 that absorb the cube
+factor; a rank >= 2 certificate is a good prime p where the two reduced
+points generate a non-cyclic subgroup of E(F_p):
 the image of a rank <= 1 torsion-free Mordell-Weil group under the
 reduction homomorphism is cyclic, so a non-cyclic image of a curve with
 trivial torsion proves rank >= 2 unconditionally.  The torsion is not
@@ -13,24 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
-from .elliptic import (
-    _is_cyclic,
-    count_points,
-    noncyclic_primes,
-    weierstrass_mod_p,
-)
-from .exact import cubefree_part, icbrt, prime_field, primes
-from .exact.numbers import factorize
+from .elliptic import _is_cyclic, count_points, group_n1, weierstrass_mod_p
+from .exact import cubefree_part, factorize, icbrt, prime_field, primes
 from .function_field import FunctionFieldCurve, build_family
 
 
-@dataclass(frozen=True)
-class Point:
-    """An affine point (x, y) of X^3 + Y^3 = d, coordinates Fractions."""
+class Point(NamedTuple):
+    """(X : Y : Z) on X^3 + Y^3 = dZ^3 with Z > 0 and gcd(X, Z) = 1; the
+    Fractions x = X/Z and y = Y/Z are formed for printing."""
 
-    x: Fraction
-    y: Fraction
+    X: int
+    Y: int
+    Z: int
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.Z)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.Z)
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,14 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     takes the parts c_0, g^H(a, b) and b^(6 - deg k) one by one, never their
     product.  k^H(a, b) does not read the factors, so the check
     d c^3 = k(t) b^6 cross-checks the factorization at every t.  Above
-    degree 6 that needs b = 1; any other t is refused.  Each section is a
-    Hesse triple (X, Y, Z) over Z[T], so x = X/Z and y = Y/Z are Fractions
-    of homogenized forms; the exact check x^3 + y^3 = d follows.
+    degree 6 that needs b = 1; any other t is refused.  A section's forms
+    (X, Y, Z), homogenized to one degree at (a, b), give (b^2 X^H : b^2 Y^H :
+    c Z^H) on X^3 + Y^3 = dZ^3, checked in ints.  There gcd(X, Z) = gcd(X, Y, Z),
+    as a prime dividing X and Z divides Y^3 = dZ^3 - X^3, so one gcd leaves
+    x = X/Z and y = Y/Z in lowest terms.
     """
-    z = (family or build_family()).over_z
+    family = family or build_family()
+    z = family.over_z
     t = Fraction(t)
     a, b = t.numerator, t.denominator
     deg = len(z.k_z) - 1
@@ -115,11 +124,14 @@ def specialize(t, family: FunctionFieldCurve | None = None) -> TwistRecord:
     if d * c**3 != k_ab * b_part:
         raise SpecializationError(f"k({t}) b^6 is not the product of the factors of k over Z")
     pts = []
-    for X, Y, Z in z.sections:
-        x, y = (_scaled_value(num, Z, a, b, c) for num in (X, Y))
-        if x**3 + y**3 != d:
+    for P in (family.p1, family.p2):
+        top = max(map(len, P))
+        X, Y, Z = (_homogenized(f + (0,) * (top - len(f)), a, b) for f in P)
+        X, Y, Z = X * b * b, Y * b * b, Z * c
+        if X**3 + Y**3 != d * Z**3 or not Z:
             raise SpecializationError(f"scaled point off the twist at t = {t}")
-        pts.append(Point(x, y))
+        g = gcd(X, Z) if Z > 0 else -gcd(X, Z)
+        pts.append(Point(X // g, Y // g, Z // g))
     return TwistRecord(t, Fraction(k_ab, b**deg), d, pts[0], pts[1])
 
 
@@ -130,13 +142,6 @@ def _homogenized(g, a: int, b: int) -> int:
         v = v * a + gi * bk
         bk *= b
     return v
-
-
-def _scaled_value(num, den, a: int, b: int, c: int) -> Fraction:
-    """f(a/b) b^2 / c as one Fraction, for f = num / den over Z."""
-    e = len(den) - len(num) + 2  # b^2 times the b^deg powers the two forms carry
-    return Fraction(_homogenized(num, a, b) * b ** max(e, 0),
-                    _homogenized(den, a, b) * c * b ** max(-e, 0))
 
 
 def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> CertificateOutcome:
@@ -158,50 +163,47 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     1 otherwise; a record with order 3 or 2 (never a cube-free d > 2 from
     `specialize`) gets the no-certificate outcome "torsion bound N != 1".
 
-    Both points are checked on X^3 + Y^3 = d exactly before any prime is
-    tried, then held as primitive integer triples (X, Y, Z), x = X/Z and
-    y = Y/Z: on the curve x and y share the denominator Z, since a prime
-    dividing Z and X divides Y^3 = dZ^3 - X^3.  A prime p >= 5 prime to 6d
-    is skipped, and not counted as tried, exactly when p | X + Y for either
-    point; these are the primes that divide a denominator of the
-    Weierstrass image over Q:
+    Both triples are checked before any prime is tried: on X^3 + Y^3 = dZ^3,
+    with Z > 0 and gcd(X, Z) = 1, which on the curve is gcd(X, Y, Z) = 1
+    (a prime dividing Z and X divides Y^3 = dZ^3 - X^3); a failure is a
+    ValueError.  A prime p >= 5 prime to 6d is skipped, and not counted as
+    tried, exactly when p | X + Y for either point; these are the primes
+    that divide a denominator of the Weierstrass image over Q:
       - p | X + Y gives p | dZ^3, so p | Z and p does not divide X, and then
         X^2 - XY + Y^2 = 3X^2 is a unit mod p;
       - so v_p(X + Y) = 3 v_p(Z) > v_p(12dZ), and p divides the denominator
         of u = 12dZ/(X + Y), while both denominators divide X + Y;
       - at the other primes the image reduces onto E(F_p), since
         v^2 = u^3 - 432 d^2 holds over Z[1/(X + Y)].
-    #E(F_p) is factored once per prime.  E(F_p) = Z/n1 x Z/n2 with n1 | n2
-    and n1 | p - 1, so a prime where no ell | p - 1 has ell^2 | #E(F_p) is
-    skipped (it still counts as tried); the cyclicity test then runs on the
-    unchecked group law, from that one factorization.
+    E(F_p) = Z/n1 x Z/n2 with n1 | n2 is read off the Frobenius
+    (`elliptic.group_n1`): n1 = 1 at p = 2 mod 3, and E(F_p) = Z[omega]/(pi - 1)
+    at p = 1 mod 3 (Lenstra 1996).  A prime with n1 = 1 is skipped (it still
+    counts as tried); otherwise the cyclicity test runs on the unchecked group
+    law at the primes of n1 only.
     """
     d = record.d
     if d <= 2:
         raise ValueError("d <= 2: torsion-freeness hypothesis unavailable")
     points = (record.p1, record.p2)
-    if any(P.x**3 + P.y**3 != d for P in points):
-        raise ValueError(f"point not on X^3 + Y^3 = {d}")
+    if any(X**3 + Y**3 != d * Z**3 or Z <= 0 or gcd(X, Z) != 1 for X, Y, Z in points):
+        raise ValueError(f"point not on X^3 + Y^3 = {d} with Z > 0 and gcd(X, Z) = 1")
     tb = 3 if icbrt(d) ** 3 == d else 2 if d % 2 == 0 and icbrt(d // 2) ** 3 == d // 2 else 1
     if tb != 1:
         record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
         return record.outcome
-    triples = [(P.x.numerator, P.y.numerator, P.x.denominator) for P in points]
     tried = 0
     for p in primes():
         if tried >= prime_budget:
             break
         if p < 5 or (6 * d) % p == 0:
             continue
-        r1, r2 = (weierstrass_mod_p(d, T, p) for T in triples)
+        r1, r2 = (weierstrass_mod_p(d, P, p) for P in points)
         if r1 is None or r2 is None:
             continue
         tried += 1
         order = count_points(prime_field(p), -432 * d * d % p)
-        order_factors = factorize(order)
-        if not noncyclic_primes(p, order_factors):
-            continue
-        if not _is_cyclic(p, r1, r2, order, order_factors):
+        n1 = group_n1(p, order)
+        if n1 > 1 and not _is_cyclic(p, r1, r2, order, factorize(n1)):
             record.outcome = CertificateOutcome(RankCertificate(p, order), tried,
                                                 "non-cyclic image")
             return record.outcome

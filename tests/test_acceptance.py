@@ -258,13 +258,14 @@ def test_criterion_10_property_suites():
 
     # certificate soundness negative test: dependent points never certify
     from chord_oracle import Point, WeierstrassCurve, scalar_mul, to_hesse
+    from triples import triple
     from twocubes.elliptic import to_weierstrass
     from twocubes import twists
 
     rec = specialize(3, fam)
     w1 = Point(*to_weierstrass(rec.d, rec.p1.x, rec.p1.y))
     dbl = to_hesse(rec.d, scalar_mul(WeierstrassCurve(-432 * rec.d**2), 2, w1))
-    dep = twists.TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, twists.Point(dbl.x, dbl.y))
+    dep = twists.TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, twists.Point(*triple(dbl.x, dbl.y)))
     cert_ok = rank2_certificate(dep, prime_budget=20).exhausted
 
     dt = time.perf_counter() - t0

@@ -27,7 +27,7 @@ from twocubes.elliptic import (
     _is_cyclic,
     _mul_mod_p,
     count_points,
-    noncyclic_primes,
+    group_n1,
     to_weierstrass,
     trace,
 )
@@ -389,26 +389,52 @@ def test_int_group_law_matches_generic():
                 assert _as_ff(F, _mul_mod_p(p, k, P)) == scalar_mul(curve, k, _as_ff(F, P))
 
 
+def _curves_mod_p(p):
+    """(A, affine points of v^2 = u^3 + A over F_p) for every A != 0 mod p."""
+    roots = {}
+    for v in range(p):
+        roots.setdefault(v * v % p, []).append(v)
+    for A in range(1, p):
+        yield A, [(u, v) for u in range(p) for v in roots.get((u**3 + A) % p, ())]
+
+
 def test_weil_skip_only_where_the_group_is_cyclic():
-    """Wherever noncyclic_primes is empty, enumeration finds a point of
-    order #E(F_p), over every A != 0 mod p and every prime 5 <= p < 200."""
+    """Wherever group_n1 is 1, enumeration finds a point of order #E(F_p),
+    over every A != 0 mod p and every prime 5 <= p < 200."""
     skipped = kept = 0
     for p in range(5, 200):
         if not is_probable_prime(p):
             continue
-        roots = {}
-        for v in range(p):
-            roots.setdefault(v * v % p, []).append(v)
-        for A in range(1, p):
-            pts = [(u, v) for u in range(p) for v in roots.get((u**3 + A) % p, ())]
+        for A, pts in _curves_mod_p(p):
             n = len(pts) + 1
             assert n == count_points(FiniteField(p), A)
-            if noncyclic_primes(p, factorize(n)):
+            if group_n1(p, n) > 1:
                 kept += 1
                 continue
             skipped += 1
             assert any(order_by_enumeration(p, P) == n for P in pts), (p, A)
     assert skipped > 1000 and kept > 1000
+
+
+def test_group_n1_against_the_group_exponent():
+    """E(F_p) = Z/n1 x Z/n2 has exponent n2 = #E(F_p)/n1.  For all 2028 curves
+    v^2 = u^3 + A over the primes p = 1 mod 3 below 200, n2 kills every
+    enumerated point and is the order of one of them."""
+    curves = 0
+    for p in range(7, 200, 6):
+        if not is_probable_prime(p):
+            continue
+        for A, pts in _curves_mod_p(p):
+            n = len(pts) + 1
+            n1 = group_n1(p, n)
+            n2 = n // n1
+            assert n1 * n2 == n, (p, A)
+            if n2 < n:  # n kills every point by Lagrange
+                assert all(_mul_mod_p(p, n2, P) is None for P in pts), (p, A)
+            assert any(all(_mul_mod_p(p, n2 // ell, P) is not None for ell in factorize(n2))
+                       for P in pts), (p, A)
+            curves += 1
+    assert curves == 2028
 
 
 def _subgroup_bruteforce(curve, gens):

@@ -1,5 +1,6 @@
 """Tests for the Q(T) curve, differentials, and the L-function machinery."""
 
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
 from newton_oracle import power_sums
 from qt_oracle import T, qt
+from triples import triple
 from twocubes.elliptic import to_weierstrass
 from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
@@ -76,8 +78,12 @@ def test_family_k_expansion(family):
 
 
 def _wronskian(P):
+    return _wronskian_of(P.x, P.y)
+
+
+def _wronskian_of(x, y):
     """x'y - xy' in sympy's Q(T)."""
-    x, y = qt(P.x), qt(P.y)
+    x, y = qt(x), qt(y)
     return x.diff(T) * y - x * y.diff(T)
 
 
@@ -206,15 +212,14 @@ def test_lambda_additivity_examples(family):
     assert _lam(section_add(family, P1, P2)) == _lam(P1) + _lam(P2)
     assert _lam(section_add(family, P1, P1)) == 2 * _lam(P1)
     # P + (-P) lands on the identity, and lambda(-P) = -lambda(P): lambda(O) = 0
-    minus_p1 = SectionPoint(P1.y, P1.x)  # (x, y) -> (y, x) is negation
+    minus_p1 = SectionPoint(P1.Y, P1.X, P1.Z)  # (X : Y : Z) -> (Y : X : Z) is negation
     assert section_add(family, P1, minus_p1) is None
     assert _lam(minus_p1) == -_lam(P1)
 
 
 def test_lambda_check_rejects_a_section_at_the_flex(family):
     """x + y = 0 is the flex, no section of the curve: lambda(P + Q) is never formed."""
-    t = RationalFunction(rational_poly(0, 1))
-    flex = SectionPoint(t, RationalFunction(rational_poly(0, -1)))
+    flex = SectionPoint(*triple(rational_poly(0, 1), rational_poly(0, -1)))
     with pytest.raises(ValueError):
         section_add(family, flex, family.p1)
 
@@ -246,11 +251,12 @@ def test_section_arithmetic_stays_on_curve(family):
     D = section_mul(family, 2, family.p1)
     assert D is not None and D.on_curve(family.k)
     assert section_add(family, family.p1, family.p1) == D  # doubling reached through addition
-    assert section_add(family, family.p1, SectionPoint(family.p1.y, family.p1.x)) is None
+    X, Y, Z = family.p1
+    assert section_add(family, family.p1, SectionPoint(Y, X, Z)) is None
 
 
 def _poly_section(x, y):
-    return SectionPoint(RationalFunction(x), RationalFunction(y))
+    return SectionPoint(*triple(x, y))
 
 
 def test_on_curve_clears_the_denominator_of_k(family):
@@ -287,9 +293,16 @@ def _affine_combination(curve, m, n):
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(-2, 3) for n in range(-2, 3)])
 def test_jacobian_group_law_matches_affine_oracle(family, m, n):
+    """Also the stored form: a primitive triple of int tuples with lc(Z) > 0,
+    whose x and y, read off with no gcd, are the gcd-computed normal form."""
     S = section_add(family, section_mul(family, m, family.p1), section_mul(family, n, family.p2))
     assert (None if S is None else (qt(S.x), qt(S.y))) == _affine_combination(family, m, n)
     assert (S is None) if (m, n) == (0, 0) else S.on_curve(family.k)
+    if S is not None:
+        assert all(type(c) is int for f in S for c in f)
+        assert math.gcd(*S.X, *S.Y, *S.Z) == 1 and S.Z[-1] > 0
+        for f, got in ((S.X, S.x), (S.Y, S.y)):
+            assert got == RationalFunction(Polynomial(f), Polynomial(S.Z))
 
 
 def test_section_arithmetic_needs_integral_k(family):
@@ -302,12 +315,11 @@ def test_section_arithmetic_needs_integral_k(family):
 
 def test_off_curve_sections_raise_value_error_under_python_O():
     script = """
-from twocubes.exact import RationalFunction, rational_poly
 from twocubes.function_field import SectionPoint, build_family, section_add, section_mul
 fam = build_family()
-T, minus_T = RationalFunction(rational_poly(0, 1)), RationalFunction(rational_poly(0, -1))
-off = SectionPoint(RationalFunction(fam.p1.x.num + 1), fam.p1.y)
-for bad in (off, SectionPoint(T, minus_T)):  # the second at the flex
+X, Y, Z = fam.p1
+off = SectionPoint((X[0] + 1,) + X[1:], Y, Z)  # x + 1
+for bad in (off, SectionPoint((0, 1), (0, -1), (1,))):  # the second at the flex
     for call in (lambda: section_add(fam, bad, fam.p2), lambda: section_add(fam, fam.p2, bad),
                  lambda: section_mul(fam, 1, bad), lambda: section_mul(fam, -2, bad),
                  lambda: section_mul(fam, 3, bad)):
@@ -326,8 +338,9 @@ for bad in (off, SectionPoint(T, minus_T)):  # the second at the flex
 
 
 def test_section_arithmetic_rejects_non_rational_coefficients(family):
-    """Section coordinates over F_17 or in floats cannot be built, so the
-    Hessian law and the Wronskian only ever see Q(T)."""
+    """Section coordinates over F_17 or in floats cannot be cleared to a
+    triple over Z[T], so the Hessian law and the Wronskian only ever see
+    Q(T)."""
     F17 = FiniteField(17)
     for bad in (Polynomial((F17(4), F17(1))), Polynomial((0.5, 1.0))):
         with pytest.raises(TypeError):
@@ -344,7 +357,9 @@ def test_fraction_free_wronskian_matches_rational_function_chain(family):
 
 def test_triple_wronskian_matches_the_chain_rule_off_any_curve():
     """x = a/b and y = c/e with b != e, on no curve: (X'Y - XY')/Z^2 on the
-    Hesse triple (ae : cb : be) is x'y - xy' for any rational x and y."""
+    triple (ae : cb : be) is x'y - xy' for any rational x and y.  The oracle
+    reads x and y, not the triple, whose x and y are in lowest terms on the
+    curve only."""
     rng = random.Random(23)
     distinct = 0
     for _ in range(40):
@@ -353,9 +368,9 @@ def test_triple_wronskian_matches_the_chain_rule_off_any_curve():
                 for _ in range(2))  # T^3 keeps both denominators nonzero
         if b == e:
             continue
-        P = SectionPoint(RationalFunction(a, b), RationalFunction(c, e))
-        assert qt(pullback_differential(P)) == _wronskian(P)
-        distinct += P.x.den != P.y.den
+        x, y = RationalFunction(a, b), RationalFunction(c, e)
+        assert qt(pullback_differential(SectionPoint(*triple(x, y)))) == _wronskian_of(x, y)
+        distinct += x.den != y.den
     assert distinct >= 30
 
 

@@ -114,6 +114,10 @@ def test_euler_family_symbolic():
 def test_euler_family_symbolic_rejects_perturbed_family():
     # D = 2c^2 instead of 3c^2 breaks the identity; the check is not vacuous
     assert not euler_family_symbolic_check(d=2)
+    # D = 0 collapses the forms to (N^2 c, 0, 0, N^2 c), a trivial solution with
+    # L = N/D undefined: refused, not passed
+    with pytest.raises(ValueError, match="d = 0"):
+        euler_family_symbolic_check(d=0)
 
 
 def test_euler_family_taxicab_point():

@@ -23,13 +23,14 @@ from chord_oracle import (
 )
 from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
+from triples import triple
 from twocubes.elliptic import (
     _add_mod_p,
     _is_cyclic,
     _mul_mod_p,
     _sextic_traces,
     count_points,
-    noncyclic_primes,
+    group_n1,
     to_weierstrass,
     weierstrass_mod_p,
 )
@@ -98,7 +99,8 @@ def test_specialize_consistency_random(family):
 
 def test_factor_split_matches_cubefree_part(family):
     """(d, c) from the factored k(t) against sympy's cube-free part of the
-    whole k(t) b^6, with the sections evaluated by Fraction arithmetic."""
+    whole k(t) b^6, with the sections evaluated by Fraction arithmetic; each
+    point is held as (X : Y : Z) with Z > 0 and gcd(X, Z) = 1."""
     ts = [Fraction(t) for t in range(-300, 301)]
     ts += [Fraction(a, b) for b in range(2, 8) for a in range(-40, 41) if math.gcd(a, b) == 1]
     for t in ts:
@@ -109,6 +111,8 @@ def test_factor_split_matches_cubefree_part(family):
         assert r.d == d
         assert r.p1.x == family.p1.x(t) * b * b / c
         assert r.p2.y == family.p2.y(t) * b * b / c
+        for X, Y, Z in (r.p1, r.p2):
+            assert math.gcd(X, Z) == 1 and Z > 0
 
 
 def test_specialize_rejects_inconsistent_factors(family):
@@ -163,7 +167,7 @@ def test_specialize_takes_the_factors_from_k(x, y, monkeypatch):
     twist comes from k(t) b^6 = c_0 prod g^H(a, b) b^(6 - deg k), and k is
     factored once for all t, when the curve first clears its integer forms."""
     from twocubes import function_field
-    from twocubes.exact import RationalFunction, rational_poly
+    from twocubes.exact import rational_poly
     from twocubes.function_field import FunctionFieldCurve, SectionPoint
 
     calls = []
@@ -171,8 +175,7 @@ def test_specialize_takes_the_factors_from_k(x, y, monkeypatch):
     monkeypatch.setattr(function_field, "factor_over_z", lambda f: calls.append(f) or factor(f))
     px, py = rational_poly(*x), rational_poly(*y)
     k = px**3 + py**3
-    X, Y = RationalFunction(px), RationalFunction(py)
-    curve = FunctionFieldCurve(k, SectionPoint(X, Y), SectionPoint(Y, X))
+    curve = FunctionFieldCurve(k, SectionPoint(*triple(px, py)), SectionPoint(*triple(py, px)))
     for t in (Fraction(3), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 9)):
         r = specialize(t, curve)
         assert r.k_t == k(t)
@@ -276,8 +279,8 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
         otherwise weierstrass_mod_p is that image reduced mod p;
       - where neither point is skipped, the reduced (P1, P2) span a cyclic
         group, by enumerated point orders, at every prime that the Weil
-        pairing skips, and _is_cyclic agrees with the point orders at
-        every other.
+        group_n1 is 1, and _is_cyclic on the primes of n1 agrees with
+        the point orders at every other.
     On X^3 + Y^3 = d, x and y share their denominator Z (a prime dividing Z
     and X divides Y^3 = dZ^3 - X^3), so Z > 1 is the case to cover."""
     first_60 = list(itertools.islice(primes(), 60))
@@ -290,8 +293,7 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             continue
         points = []
         for P in (rec.p1, rec.p2):
-            Z = math.lcm(P.x.denominator, P.y.denominator)
-            X, Y = int(P.x * Z), int(P.y * Z)
+            X, Y, Z = P
             assert math.gcd(X, Y, Z) == 1 and P.x.denominator == P.y.denominator == Z
             points.append(((X, Y, Z), to_weierstrass(rec.d, P.x, P.y)))
         for p in first_60:
@@ -312,11 +314,12 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             A = (-432 * rec.d * rec.d) % p
             n = count_points(FiniteField(p), A)
             cyclic = _cyclic_by_point_orders(p, r1, r2)
-            if not noncyclic_primes(p, factorize(n)):
+            n1 = group_n1(p, n)
+            if n1 == 1:
                 skipped += 1
                 assert cyclic, (t, p)
             else:
-                assert _is_cyclic(p, r1, r2, n, factorize(n)) == cyclic, (t, p)
+                assert _is_cyclic(p, r1, r2, n, factorize(n1)) == cyclic, (t, p)
                 non_cyclic += not cyclic
     assert skipped > 1000 and non_cyclic > 100 and denominator_skips > 0
 
@@ -350,7 +353,7 @@ def test_dependent_points_never_certify(family):
     rec = specialize(3, family)
     w1 = oracle.Point(*to_weierstrass(rec.d, rec.p1.x, rec.p1.y))
     double = to_hesse(rec.d, add_points(WeierstrassCurve(-432 * rec.d**2), w1, w1))
-    dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, Point(double.x, double.y))
+    dep = TwistRecord(rec.t, rec.k_t, rec.d, rec.p1, Point(*triple(double.x, double.y)))
     assert dep.p2.x**3 + dep.p2.y**3 == rec.d
     out = rank2_certificate(dep, prime_budget=25)
     assert out.certificate is None
@@ -359,9 +362,7 @@ def test_dependent_points_never_certify(family):
 
 def test_certificate_rejects_small_d():
     # synthetic record on X^3 + Y^3 = 2 (d <= 2: torsion hypothesis unavailable)
-    rec = TwistRecord(
-        Fraction(0), Fraction(2), 2, Point(Fraction(1), Fraction(1)), Point(Fraction(1), Fraction(1))
-    )
+    rec = TwistRecord(Fraction(0), Fraction(2), 2, Point(1, 1, 1), Point(1, 1, 1))
     with pytest.raises(ValueError, match="d <= 2"):
         rank2_certificate(rec)
 
@@ -370,7 +371,7 @@ def test_certificate_rejects_small_d():
 def test_certificate_refuses_rational_torsion(d, x, y, order):
     # hand-made records on X^3 + Y^3 = d with d twice a cube or a cube, which
     # specialize never makes (its d are cube-free): no prime is tried
-    P = Point(Fraction(x), Fraction(y))
+    P = Point(*triple(x, y))
     out = rank2_certificate(TwistRecord(Fraction(0), Fraction(d), d, P, P))
     assert (out.reason, out.primes_tried, out.certificate) == (f"torsion bound {order} != 1", 0, None)
 
@@ -380,13 +381,16 @@ import math
 from twocubes.twists import Point, rank2_certificate, specialize
 N = math.prod(p for p in range(5, 38) if all(p % q for q in range(2, p)))  # 5 * 7 * ... * 37
 for which in ("p1", "p2"):
-    rec = specialize(3)
-    P = getattr(rec, which)
-    setattr(rec, which, Point(P.x + N, P.y))  # off the curve, on it mod 5, ..., 37
-    try:
-        print(rank2_certificate(rec).reason.replace(" ", "_"))
-    except ValueError as exc:
-        print(str(exc).replace(" ", "_"), rec.outcome)
+    X, Y, Z = getattr(specialize(3), which)
+    # (x + N, y) is off the curve and on it mod 5, ..., 37; the other two are
+    # on the curve with Z < 0 and with gcd(X, Z) = 2
+    for bad in (Point(X + N * Z, Y, Z), Point(-X, -Y, -Z), Point(2 * X, 2 * Y, 2 * Z)):
+        rec = specialize(3)
+        setattr(rec, which, bad)
+        try:
+            print(rank2_certificate(rec).reason.replace(" ", "_"))
+        except ValueError as exc:
+            print(type(exc).__name__, rec.outcome)
 """
 
 
@@ -394,12 +398,13 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
     """A point off X^3 + Y^3 = d whose error every prime from 5 to 37 divides
     reduces onto E(F_p) there, and the mod-p check alone let (x1 + N, y1) at
     t = 3 certify at p = 37.  The exact check refuses either point before any
-    prime is tried, with a typed error, so also under -O."""
+    prime is tried, with a typed error, so also under -O.  It refuses in
+    the same way a triple on the curve with Z < 0 or gcd(X, Z) > 1."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for flags in ([], ["-O"]):
         argv = [sys.executable, *flags, "-c", _OFF_CURVE_SCRIPT]
         out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
-        assert out.stdout.split() == ["point_not_on_X^3_+_Y^3_=_1729", "None"] * 2, flags
+        assert out.stdout.split() == ["ValueError", "None"] * 6, flags
 
     import twocubes.twists as tw
 
@@ -408,7 +413,8 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
 
     monkeypatch.setattr(tw, "primes", no_work)
     rec = specialize(3)
-    rec.p2 = Point(rec.p2.x, rec.p2.y + 1)
+    X, Y, Z = rec.p2
+    rec.p2 = Point(X, Y + Z, Z)  # (x, y + 1)
     with pytest.raises(ValueError, match="not on X\\^3 \\+ Y\\^3 = 1729"):
         rank2_certificate(rec)
 
