@@ -13,8 +13,8 @@ coefficient: the tangent slope on v^2 = u^3 + A is 3u^2/2v.  The search
 points exactly on the Hesse cubic where they enter; the map keeps them on
 the curve mod p, and a chord-tangent step keeps a point on it, so the
 steps here (`_add_mod_p`, `_mul_mod_p`, `_is_cyclic`) run unchecked.
-`group_n1` reads E(F_p) = Z/n1 x Z/n2, n1 | n2, off the Frobenius: n1 = 1
-at p = 2 mod 3, and E(F_p) = Z[omega]/(pi - 1) at p = 1 mod 3 (Lenstra,
+E(F_p) = Z/n1 x Z/n2, n1 | n2, is read off the Frobenius: n1 = 1 at p = 2 mod 3,
+and `group_n1` reads n1 off E(F_p) = Z[omega]/(pi - 1) at p = 1 mod 3 (Lenstra,
 J. Number Theory 56, 1996), so only the primes of n1 can break cyclicity.
 Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
 sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
@@ -190,16 +190,14 @@ def _mul_mod_p(p: int, k: int, P):
 
 
 def group_n1(p: int, order: int) -> int:
-    """n1 in E(F_p) = Z/n1 x Z/n2, n1 | n2, for v^2 = u^3 + A with #E(F_p) = order, p >= 5.
+    """n1 in E(F_p) = Z/n1 x Z/n2, n1 | n2, for v^2 = u^3 + A with #E(F_p) = order, p = 1 mod 3.
 
-    At p = 2 mod 3, u^3 = -A has one root, so E(F_p)[2] = Z/2, and the Weil
-    pairing gives n1 | gcd(p - 1, p + 1) = 2: n1 = 1.  At p = 1 mod 3,
-    End(E) = Z[omega] and E(F_p) = Z[omega]/(pi - 1) (Lenstra, J. Number
-    Theory 56, 1996); with trace t and t^2 + 3f^2 = 4p, pi - 1 =
-    (t - 2 + f)/2 + f omega, so n1 = gcd((t - 2 + f)/2, f), by one isqrt.
+    At p = 2 mod 3 there is nothing to read: u^3 = -A has one root, so
+    E(F_p)[2] = Z/2, and the Weil pairing gives n1 | gcd(p - 1, p + 1) = 2,
+    so n1 = 1.  At p = 1 mod 3, End(E) = Z[omega] and E(F_p) = Z[omega]/(pi - 1)
+    (Lenstra, J. Number Theory 56, 1996); with trace t and t^2 + 3f^2 = 4p,
+    pi - 1 = (t - 2 + f)/2 + f omega, so n1 = gcd((t - 2 + f)/2, f), by one isqrt.
     """
-    if p % 3 == 2:
-        return 1
     t = p + 1 - order
     f = math.isqrt((4 * p - t * t) // 3)
     return math.gcd((t - 2 + f) // 2, f)

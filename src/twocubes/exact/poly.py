@@ -290,10 +290,10 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z of two nonzero polynomials, leading coefficient > 0.
+    """Primitive gcd over Z of two polynomials, not both zero, leading coefficient > 0.
 
     A primitive pseudo-remainder sequence: the content is stripped at every
-    step, which keeps coefficient growth tame.
+    step, which keeps coefficient growth tame; gcd(0, b) is b's primitive part.
     """
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):

@@ -244,12 +244,12 @@ def section_add(
     curve: FunctionFieldCurve, P: SectionPoint | None, Q: SectionPoint | None
 ) -> SectionPoint | None:
     """P + Q in the Mordell-Weil group; None is the identity.  ValueError off the curve."""
-    return _to_section(_hesse_add(curve.over_z.k_z, P or _O, Q or _O))
+    return _to_section(_hesse_add([int(c) for c in curve.k.coeffs], P or _O, Q or _O))
 
 
 def section_mul(curve: FunctionFieldCurve, n: int, P: SectionPoint | None) -> SectionPoint | None:
     """n * P by double-and-add on the triples, normalized once; raises as section_add."""
-    K, pt = curve.over_z.k_z, P or _O
+    K, pt = [int(c) for c in curve.k.coeffs], P or _O
     _check(K, pt)
     if n < 0:
         n, pt = -n, (pt[1], pt[0], pt[2])

@@ -178,8 +178,8 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     E(F_p) = Z/n1 x Z/n2 with n1 | n2 is read off the Frobenius
     (`elliptic.group_n1`): n1 = 1 at p = 2 mod 3, and E(F_p) = Z[omega]/(pi - 1)
     at p = 1 mod 3 (Lenstra 1996).  A prime with n1 = 1 is skipped (it still
-    counts as tried); otherwise the cyclicity test runs on the unchecked group
-    law at the primes of n1 only.
+    counts as tried), at p = 2 mod 3 before #E(F_p) is counted; otherwise the
+    cyclicity test runs on the unchecked group law at the primes of n1 only.
     """
     d = record.d
     if d <= 2:
@@ -201,6 +201,8 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         if r1 is None or r2 is None:
             continue
         tried += 1
+        if p % 3 == 2:
+            continue
         order = count_points(prime_field(p), -432 * d * d % p)
         n1 = group_n1(p, order)
         if n1 > 1 and not _is_cyclic(p, r1, r2, order, factorize(n1)):

@@ -399,42 +399,29 @@ def _curves_mod_p(p):
 
 
 def test_weil_skip_only_where_the_group_is_cyclic():
-    """Wherever group_n1 is 1, enumeration finds a point of order #E(F_p),
-    over every A != 0 mod p and every prime 5 <= p < 200."""
-    skipped = kept = 0
+    """E(F_p) = Z/n1 x Z/n2 has exponent n2 = #E(F_p)/n1, with n1 = 1 at
+    p = 2 mod 3 and n1 = group_n1 at p = 1 mod 3.  Over every A != 0 mod p
+    and every prime 5 <= p < 200, n2 kills every enumerated point and is the
+    order of one of them; so wherever n1 is 1, E(F_p) is cyclic.  The
+    2028 curves at p = 1 mod 3 are all checked."""
+    skipped = kept = curves_1_mod_3 = 0
     for p in range(5, 200):
         if not is_probable_prime(p):
             continue
         for A, pts in _curves_mod_p(p):
             n = len(pts) + 1
             assert n == count_points(FiniteField(p), A)
-            if group_n1(p, n) > 1:
-                kept += 1
-                continue
-            skipped += 1
-            assert any(order_by_enumeration(p, P) == n for P in pts), (p, A)
-    assert skipped > 1000 and kept > 1000
-
-
-def test_group_n1_against_the_group_exponent():
-    """E(F_p) = Z/n1 x Z/n2 has exponent n2 = #E(F_p)/n1.  For all 2028 curves
-    v^2 = u^3 + A over the primes p = 1 mod 3 below 200, n2 kills every
-    enumerated point and is the order of one of them."""
-    curves = 0
-    for p in range(7, 200, 6):
-        if not is_probable_prime(p):
-            continue
-        for A, pts in _curves_mod_p(p):
-            n = len(pts) + 1
-            n1 = group_n1(p, n)
+            n1 = 1 if p % 3 == 2 else group_n1(p, n)
+            curves_1_mod_3 += p % 3 == 1
             n2 = n // n1
             assert n1 * n2 == n, (p, A)
             if n2 < n:  # n kills every point by Lagrange
+                kept += 1
                 assert all(_mul_mod_p(p, n2, P) is None for P in pts), (p, A)
-            assert any(all(_mul_mod_p(p, n2 // ell, P) is not None for ell in factorize(n2))
-                       for P in pts), (p, A)
-            curves += 1
-    assert curves == 2028
+            else:
+                skipped += 1
+            assert any(order_by_enumeration(p, P) == n2 for P in pts), (p, A)
+    assert skipped > 1000 and kept > 1000 and curves_1_mod_3 == 2028
 
 
 def _subgroup_bruteforce(curve, gens):

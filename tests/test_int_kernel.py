@@ -96,6 +96,7 @@ def test_primitive_gcd_divides_and_contains_planted_factor(a, b, g):
     _int_exact_div(x, h)
     _int_exact_div(y, h)
     _int_exact_div(h, [c // gcd(*g) for c in g])  # the primitive part of g divides h
+    assert _int_gcd([], x) == _int_gcd(x, []) == _int_gcd(x, x)  # gcd(0, x) = gcd(x, x)
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -113,3 +114,5 @@ def test_integer_normal_form_equals_fraction_normal_form(n, d, g):
     assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
     assert f.den.lc == 1
     assert repr(f) == repr(RationalFunction(f.num, f.den))
+    zero = RationalFunction(Polynomial(()), den)  # 0/den by the general path: gcd(0, den)
+    assert (zero.num.coeffs, zero.den.coeffs) == ((), (1,))

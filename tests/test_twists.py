@@ -278,9 +278,9 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
         exactly when p | X + Y for its primitive triple (X, Y, Z), and
         otherwise weierstrass_mod_p is that image reduced mod p;
       - where neither point is skipped, the reduced (P1, P2) span a cyclic
-        group, by enumerated point orders, at every prime that the Weil
-        group_n1 is 1, and _is_cyclic on the primes of n1 agrees with
-        the point orders at every other.
+        group, by enumerated point orders, at every prime p = 2 mod 3 and
+        every prime where group_n1 is 1, and _is_cyclic on the primes of n1
+        agrees with the point orders at every other.
     On X^3 + Y^3 = d, x and y share their denominator Z (a prime dividing Z
     and X divides Y^3 = dZ^3 - X^3), so Z > 1 is the case to cover."""
     first_60 = list(itertools.islice(primes(), 60))
@@ -314,7 +314,7 @@ def test_weil_skip_never_hides_a_non_cyclic_image(family):
             A = (-432 * rec.d * rec.d) % p
             n = count_points(FiniteField(p), A)
             cyclic = _cyclic_by_point_orders(p, r1, r2)
-            n1 = group_n1(p, n)
+            n1 = 1 if p % 3 == 2 else group_n1(p, n)
             if n1 == 1:
                 skipped += 1
                 assert cyclic, (t, p)
@@ -390,7 +390,7 @@ for which in ("p1", "p2"):
         try:
             print(rank2_certificate(rec).reason.replace(" ", "_"))
         except ValueError as exc:
-            print(type(exc).__name__, rec.outcome)
+            print(str(exc).replace(" ", "_"), rec.outcome)
 """
 
 
@@ -404,7 +404,8 @@ def test_certificate_refuses_an_off_curve_point(monkeypatch):
     for flags in ([], ["-O"]):
         argv = [sys.executable, *flags, "-c", _OFF_CURVE_SCRIPT]
         out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
-        assert out.stdout.split() == ["ValueError", "None"] * 6, flags
+        refusal = "point_not_on_X^3_+_Y^3_=_1729_with_Z_>_0_and_gcd(X,_Z)_=_1"
+        assert out.stdout.split() == [refusal, "None"] * 6, flags
 
     import twocubes.twists as tw
 
