@@ -64,7 +64,9 @@ class RunReport:
 
 # Caps on the flags that set how much work a command does; a value above its
 # cap fails before any work.  Times at the caps are from a 2-vCPU host.
-MAX_TAXICAB_BOUND = 10**9  # about 0.7 s; the heap walk adds under 1 MB to 18 MB peak RSS
+# taxicab at the cap: about 0.2 s; it sorts the sums in windows of about 4096
+# pairs, which keep its traced peak near 0.9 MiB and add 2 MB to 17 MB peak RSS
+MAX_TAXICAB_BOUND = 10**9
 MAX_NEARMISS_COUNT = 2000  # about 0.25 s, most of it start-up; term n has O(n) digits
 MAX_TWIST_RANGE = 10**4  # t values in one twists table
 MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
@@ -290,6 +292,11 @@ def _run_ec_count(args) -> dict:
 
 
 def _run_ec_map(args) -> dict:
+    # Checked before Fraction() sees them: it expands exponent notation such
+    # as "1e1000000000" into an integer of unbounded size.
+    for flag, text in (("--d", args.d), ("--x", args.x), ("--y", args.y)):
+        if not _COEFF.fullmatch(text):
+            raise ValueError(f"{flag} must be an integer or a/b: {text!r}")
     d, x, y = Fraction(args.d), Fraction(args.x), Fraction(args.y)
     if d == 0:
         raise ValueError("d must be nonzero")

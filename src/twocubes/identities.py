@@ -14,9 +14,11 @@ through.  They run in exact decimal, so that printing them is linear.
 
 from __future__ import annotations
 
+import bisect
 import decimal
-import heapq
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -174,38 +176,62 @@ def verify_euler_family(alpha, beta, gamma) -> CubeQuadruple:
 # -- taxicab search -----------------------------------------------------------
 
 
+# Sort this many (a, b) pairs at a time, so that memory stays flat at any bound.
+_PAIRS_PER_WINDOW = 4096
+
+
+def _equal_sum_runs(keys: list[int], s: int) -> list[tuple[int, list[int]]]:
+    """Each n shared by two or more of the sorted keys (n << s) | a, with those keys."""
+    ns = [k >> s for k in keys]
+    runs: list[tuple[int, list[int]]] = []
+    for j in itertools.compress(range(1, len(ns)), map(operator.eq, ns, ns[1:])):
+        if not runs or runs[-1][0] != ns[j]:
+            runs.append((ns[j], [keys[j - 1]]))
+        runs[-1][1].append(keys[j])
+    return runs
+
+
 def taxicab_search(bound: int, reps: int = 2) -> list[tuple[int, list[tuple[int, int]]]]:
     """All n <= bound with at least `reps` representations n = a^3 + b^3, 1 <= a <= b.
 
-    A heap walks the sums in increasing order, one entry (a^3 + b^3, a, b)
-    per smaller leg a, so memory grows as bound^(1/3).  Equal sums leave the
-    heap together, ordered by the smaller leg, and the output is ascending in n.
+    The sums are walked in windows (lo, hi] whose edges rise from 0 to bound,
+    so every sum falls in exactly one window, together with all of its pairs.
+    A window packs each of its pairs as the key ((a^3 + b^3) << s) | a, where
+    s is the bit length of the largest smaller leg, and sorts the keys: equal
+    sums become adjacent and ordered by a, and the output is ascending in n.
+    About 0.44 x^(2/3) pairs have a sum below x, so edge i of W sits at
+    bound * (i/W)^(3/2) and each window holds about _PAIRS_PER_WINDOW pairs.
+    Each smaller leg a keeps the first b it has not emitted; its run in the
+    window ends at the largest b with b^3 <= hi - a^3, which bisecting the
+    integer cube table finds exactly, with no float at any bound.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    heap = []
-    a = 1
-    while 2 * a**3 <= bound:
-        heap.append((2 * a**3, a, a))  # ascending, so already a heap
-        a += 1
+    cubes = [0]  # b^3 for every b with 1 + b^3 <= bound
+    while len(cubes) ** 3 < bound:
+        cubes.append(len(cubes) ** 3)
+    a_max = bisect.bisect_right(cubes, bound // 2) - 1  # the largest a with 2a^3 <= bound
+    s = a_max.bit_length()
+    mask = (1 << s) - 1
+    shifted = [c << s for c in cubes]
+    windows = 4 * len(cubes) ** 2 // (9 * _PAIRS_PER_WINDOW) + 1
+    first_b = list(range(len(cubes)))  # per smaller leg a, the first b not yet emitted
     out: list[tuple[int, list[tuple[int, int]]]] = []
-    last, legs = 0, []
-    while heap:
-        n, a, b = heap[0]
-        step = a**3 + (b + 1) ** 3
-        if step <= bound:
-            heapq.heapreplace(heap, (step, a, b + 1))
-        else:
-            heapq.heappop(heap)
-        if n != last:
-            if len(legs) >= reps:
-                out.append((last, legs))
-            last, legs = n, []
-        legs.append((a, b))
-    if len(legs) >= reps:
-        out.append((last, legs))
+    for i in range(1, windows + 1):
+        hi = math.isqrt(bound * bound * i**3 // windows**3)
+        keys: list[int] = []
+        for a in range(1, bisect.bisect_right(cubes, hi // 2)):  # 2a^3 <= hi
+            b0 = first_b[a]
+            b1 = first_b[a] = bisect.bisect_right(cubes, hi - cubes[a], b0)
+            base = shifted[a] | a
+            keys += [base + c for c in shifted[b0:b1]]
+        keys.sort()
+        for n, run in _equal_sum_runs(keys, s):
+            if len(run) >= reps:
+                legs = [k & mask for k in run]
+                out.append((n, [(a, bisect.bisect_left(cubes, n - cubes[a])) for a in legs]))
     return out
 
 

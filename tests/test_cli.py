@@ -150,6 +150,18 @@ def test_ec_map_rejects_off_curve(capsys, d, x, y, error):
     assert doc["results"] == {"error": error}
 
 
+@pytest.mark.parametrize("flag", ["--d", "--x", "--y"])
+@pytest.mark.parametrize("value", ["1e1000000000", "0.5"])
+def test_ec_map_takes_only_integers_or_fractions(capsys, flag, value):
+    # Fraction("1e1000000000") would build a billion-digit integer first.
+    argv = {"--d": "1729", "--x": "9", "--y": "10", flag: value}
+    started = time.perf_counter()
+    doc = run_json(capsys, "ec", "map", *(t for kv in argv.items() for t in kv))
+    assert time.perf_counter() - started < 1.0
+    assert doc["status"] == "failed"
+    assert doc["results"] == {"error": f"ValueError: {flag} must be an integer or a/b: {value!r}"}
+
+
 def test_ff_differentials_cli(capsys):
     doc = run_json(capsys, "ff", "differentials")
     res = doc["results"]

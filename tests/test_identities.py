@@ -192,14 +192,57 @@ def test_taxicab_three_representations_match_the_oracle():
     assert found == [(87539319, [(167, 436), (228, 423), (255, 414)])]
 
 
+def test_taxicab_every_small_bound_matches_the_oracle():
+    # Below 3000 there is one window, whose last edge is the bound itself:
+    # this puts it on every sum, 1729 among them, and one below each.
+    for bound in range(2, 3001):
+        for reps in (2, 3):
+            assert taxicab_search(bound, reps) == _taxicab_oracle(bound, reps), (bound, reps)
+
+
+@pytest.mark.parametrize("bound", [87539319, 87539318])
+def test_taxicab_bound_at_the_first_three_way_sum(bound):
+    # 87539319 = 167^3 + 436^3 = 228^3 + 423^3 = 255^3 + 414^3
+    found = taxicab_search(bound, 3)
+    assert found == _taxicab_oracle(bound, 3)
+    assert len(found) == (bound == 87539319)
+
+
+def test_taxicab_two_representations_match_the_oracle_at_the_benchmark_bound():
+    assert taxicab_search(10**8, 2) == _taxicab_oracle(10**8, 2)
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_taxicab_tiny_windows_match_the_oracle(monkeypatch, pairs):
+    # Thousands of windows, so that many edges fall on sums and between the
+    # pairs of one sum.
+    monkeypatch.setattr(identities, "_PAIRS_PER_WINDOW", pairs)
+    for bound in (2, 1729, 4104, 20683, 10**5, 10**6):
+        for reps in (2, 3):
+            assert taxicab_search(bound, reps) == _taxicab_oracle(bound, reps), (bound, reps)
+
+
 def test_taxicab_memory_grows_with_the_cube_root_of_the_bound():
-    """The heap holds one entry per smaller leg, about 170 at 10^7; the
-    sum-indexed table it replaced held all 0.6 * 10^7^(2/3) pairs (4 MB)."""
+    """The cube tables hold one entry per b, about 215 at 10^7, and one
+    window holds about 4096 packed keys at any bound; the sum-indexed table
+    of an earlier version held all 20 000 pairs at once (4 MB)."""
     import tracemalloc
 
     tracemalloc.start()
     try:
         taxicab_search(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_taxicab_memory_stays_under_1_mib_at_the_benchmark_bound():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        taxicab_search(10**8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
