@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     ffr.add_argument("--p", type=int, default=17)
     ffl = ff_sub.add_parser("lfunction", help="degree-8 L-polynomial mod p")
     ffl.add_argument("--p", type=int, required=True)
-    ffl.add_argument("--direct", action="store_true", help="count c_1..c_8 directly")
+    ffl.add_argument("--direct", action="store_true", help="count the character sums S_1..S_4 directly")
     ff_sub.add_parser("differentials", help="pullback differentials of the sections")
 
     surf = top.add_parser("surface", help="elliptic surface analysis")

@@ -16,8 +16,10 @@ from .numbers import factorize, is_probable_prime
 # five int64 block arrays; the bound lives here, beside the fields it limits,
 # so a caller can refuse an oversized field without importing numpy.  For
 # q = Q^3 the count goes through the norm to F_Q and holds Q^2 bytes, so there
-# the bound limits the work, about q/3 gathered bytes per root, not the table;
-# the fields it refuses are the same for every n.
+# the bound limits the work, about q/3 gathered bytes per root, not the table.
+# The L-function counts up to F_{p^3} at p = 1 mod 3, so it reaches p = 787
+# there (lfunction(787) takes about 1.1 s and peaks at 35 MB on 2 vCPUs), and
+# up to F_{p^6} at p = 2 mod 3, so it reaches p = 23.
 BLOCK = 1 << 18  # int64 words in one block array of the build or the sweep
 BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
 MEMORY_BUDGET = 512 << 20  # bytes for one table plus one block
@@ -226,12 +228,13 @@ class FiniteField:
     # -- field-level operations ---------------------------------------------
 
     def generator(self) -> "FFElement":
-        """Smallest (in index order) generator of the multiplicative group."""
+        """Smallest (in index order) generator of the multiplicative group.  For
+        n > 1 the search starts at index p: the indices below are F_p."""
         if self._generator is not None:
             return self._generator
         cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
         one = self.one()
-        for k in range(1, self.q):
+        for k in range(self.p if self.n > 1 else 1, self.q):
             g = self.from_index(k)
             if all(g**c != one for c in cofactors):
                 self._generator = g

@@ -49,8 +49,9 @@ position j, the rows [p^j, (p + 1)/2 p^j) of leading digit at most
 
 For q = Q^3, NormLog counts the same histogram through the norm to F_Q, with
 a Q x Q byte table in place of the q-byte one (its docstring gives the
-identity).  The table sweep serves the fields with n prime to 3, and is the
-oracle of that count.
+identity), and folds the sweep over the Frobenius orbits of F_Q when the
+roots allow it.  The table sweep serves the fields with n prime to 3, and is
+the oracle of that count.
 """
 
 from __future__ import annotations
@@ -342,34 +343,75 @@ class NormLog:
         """Histogram of log(f(t)) mod 3 over all t in F_q for f = unit * prod (t - root),
         every root in F_Q.
 
+        Frobenius sigma -> sigma^p is code -> p code mod Q - 1, and t -> t^p
+        maps the t of sigma onto those of sigma^p.  When the roots are
+        Frobenius-stable as a multiset, P = prod (t - r)^k has coefficients in
+        F_p, so P(t^p) = P(t)^p has p times the class of P(t).  Then one sigma
+        per orbit is swept, and member i of the orbit adds its histogram
+        with the classes multiplied by p^i mod 3.
+
         Returns ([N_0, N_1, N_2], number of t with f(t) = 0).
         """
         if len(roots) > MAX_ROOTS:
             raise ValueError(f"at most {MAX_ROOTS} roots")
-        Q, Q1, D = self.Q, self.Q - 1, self.D
-        mult = Counter(self.field.element(r) for r in roots)
-        a_all = self.powers + [self.field.zero()]  # a by code
-        v_r = [(np.array([self._code(r - a) for a in a_all]), k % 3) for r, k in mult.items()]
-        v = np.arange(Q1)
-        zm = np.concatenate([self.zm, self.zm])  # read at indices below 2(Q - 1)
-        shift = (Q1 // 2 - 2 * v) % Q1
-        w = np.full(Q, Q1)  # code(v^3 + sigma v) by the code of v; v = 0 gives 0
+        Q1, p = self.Q - 1, self.field.p
+        mult = Counter(self._code(self.field.element(r)) for r in roots)
+        rows = [(self._row(c), k % 3) for c, k in mult.items()]
+
+        def frob(c: int) -> int:
+            return c if c == Q1 else c * p % Q1
+
+        stable = Counter({frob(c): k for c, k in mult.items()}) == mult
         hist, zeros = [0, 0, 0], len(mult)
-        for sigma in range(Q):
-            if sigma == Q1:
-                w[:Q1] = 3 * v % Q1
-            else:
-                z = zm[shift + sigma]
-                w[:Q1] = np.where(z == Q1, Q1, (3 * v + z) % Q1)
-            free = np.ones(Q, dtype=bool)
-            free[w] = False  # nu = v^3 + sigma v: X^3 + sigma X - nu has the root v
-            cols = D[:, free]
-            acc = np.zeros(cols.shape, dtype=np.uint8)
-            for vr, k in v_r:
-                if k:
-                    block = np.take(cols, w[vr], axis=0)
-                    acc += block if k == 1 else block * 2
-            zeros += _add_class_counts(acc, hist, 3)
-        hist[0] += Q - len(mult)  # t = a in F_Q, not a root
+        for sigma in range(self.Q):
+            orbit = [sigma]
+            while stable and frob(orbit[-1]) != sigma:
+                orbit.append(frob(orbit[-1]))
+            if min(orbit) < sigma:
+                continue
+            (n0, n1, n2), n_zero = self._slice_counts(sigma, rows)
+            swapped = sum(pow(p, j, 3) == 2 for j in range(len(orbit)))
+            plain = len(orbit) - swapped
+            hist[0] += len(orbit) * n0
+            hist[1] += plain * n1 + swapped * n2
+            hist[2] += plain * n2 + swapped * n1
+            zeros += len(orbit) * n_zero
+        hist[0] += self.Q - len(mult)  # t = a in F_Q, not a root
         l_unit = self.sextic_class(unit)
         return [hist[(j - l_unit) % 3] for j in range(3)], zeros
+
+    def _row(self, c: int) -> np.ndarray:
+        """code(r - a) by the code of a, for the r of code c, read off the Zech
+        logarithms: r - h^i = h^c (1 - h^(i - c)), of code c + zm[i - c] or
+        Q - 1 at i = c; r - 0 = r; and for r = 0, -h^i = h^(i + (Q-1)/2)."""
+        Q1 = self.Q - 1
+        i = np.arange(Q1)
+        if c == Q1:
+            row = (i + Q1 // 2) % Q1
+        else:
+            z = self.zm[(i - c) % Q1]
+            row = np.where(z == Q1, Q1, (c + z) % Q1)
+        return np.append(row, c)
+
+    def _slice_counts(self, sigma: int, rows) -> tuple[list[int], int]:
+        """The histogram of prod (t - r)^k, weight 3, over the t = a + u whose
+        u has X^3 + sigma X - nu as characteristic polynomial, for every a
+        and every nu outside the image of v -> v^3 + sigma v; sigma by code."""
+        Q1 = self.Q - 1
+        w = np.full(self.Q, Q1)  # code(v^3 + sigma v) by the code of v; v = 0 gives 0
+        v = np.arange(Q1)
+        if sigma == Q1:
+            w[:Q1] = 3 * v % Q1
+        else:
+            z = self.zm[(Q1 // 2 - 2 * v + sigma) % Q1]
+            w[:Q1] = np.where(z == Q1, Q1, (3 * v + z) % Q1)
+        free = np.ones(self.Q, dtype=bool)
+        free[w] = False  # nu = v^3 + sigma v: X^3 + sigma X - nu has the root v
+        cols = self.D[:, free]
+        acc = np.zeros(cols.shape, dtype=np.uint8)
+        for row, k in rows:
+            if k:
+                block = np.take(cols, w[row], axis=0)
+                acc += block if k == 1 else block * 2
+        counts = [0, 0, 0]
+        return counts, _add_class_counts(acc, counts, 3)

@@ -10,11 +10,14 @@ resulting vectors bounds the rank from below.  The CM map
 omega^2 = -1 - omega, so lambda([omega]P) = omega^2 lambda(P): the
 CM-extended rank is twice the rank of the rational w.  The upper bound
 comes from the L-polynomial of the reduction mod p, of degree 2(number of
-geometric bad fibers) - 4 (8 for the family), assembled from fiber trace
-sums c_n and the functional-equation closure of its inverse roots under
-g -> p^2/g, then re-verified against independently counted c_n.  Every
-reader takes k itself: the sweep factors k mod p, so any squarefree k in
-Z[T] whose factors mod p split in the counted fields has the same path.
+geometric bad fibers) - 4 (8 for the family).  Its fiber trace sums are
+c_n = 2 Re(alpha^n S_n) for cubic-character sums S_n of k over F_{B^n}
+(B = p or p^2, whichever is 1 mod 3), which are the power sums of the
+chi-part L_chi of the cover S^3 = k(T): L_chi is completed from S_1, S_2
+by its functional equation, re-verified against a counted S_3, and L is
+multiplied out from it.  Every reader takes k itself: the sweep factors k
+mod p, so any squarefree k in Z[T] whose factors mod p split in the counted
+fields has the same path.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import gcd
 from random import Random
 from typing import NamedTuple
 
-from .elliptic import trace
+from .elliptic import _zw_mul, primary_prime
 from .exact import FiniteField, Polynomial, RationalFunction, factor_over_z, poly_gcd, rational_poly
 from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_exact_div, _int_gcd, _int_mul
@@ -277,7 +280,7 @@ class LPolynomial:
 
     p: int
     coeffs: tuple[int, ...]
-    counted: tuple[tuple[int, int], ...]  # (n, c_n) pairs that were counted
+    counted: tuple[tuple[int, int], ...]  # (n, c_n) pairs from the counted sums
 
     @property
     def degree(self) -> int:
@@ -291,14 +294,29 @@ class LPolynomial:
         raise LFunctionError("no functional-equation sign fits")
 
 
-def _exp_series(cn: dict[int, int], upto: int) -> list[Fraction]:
-    """b_0..b_upto with n b_n = sum_{j<=n} c_j b_{n-j}."""
-    b = [Fraction(1)]
+# Elements of Q(omega) are pairs (a, b) = a + b*omega of ints or Fractions, as in elliptic.
+
+
+def _conj(x):
+    a, b = x
+    return a - b, -b
+
+
+def _zw_div(x, y):
+    """x / y in Q(omega): x conj(y) / N(y)."""
+    a, b = y
+    norm = a * a - a * b + b * b
+    re, im = _zw_mul(x, _conj(y))
+    return Fraction(re, norm), Fraction(im, norm)
+
+
+def _exp_series(sums: list, upto: int) -> list:
+    """b_0..b_upto of exp(sum s_n u^n / n) over Q(omega), s_n = sums[n - 1]:
+    n b_n = sum_{j<=n} s_j b_{n-j}."""
+    b = [(Fraction(1), Fraction(0))]
     for n in range(1, upto + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            acc += cn.get(j, 0) * b[n - j]
-        b.append(acc / n)
+        terms = [_zw_mul(sums[j - 1], b[n - j]) for j in range(1, n + 1)]
+        b.append((sum(x for x, _ in terms) / n, sum(y for _, y in terms) / n))
     return b
 
 
@@ -311,40 +329,40 @@ def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
     return is_probable_prime(p) and p not in (2, 3) and _good_reduction(k, p)
 
 
-def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
-    """c_n = sum of fiber traces over P^1(F_{p^n}); additive fibers give 0.
+_counting_field = lru_cache(maxsize=None)(FiniteField)  # one F_{p^n}, generator included
 
-    Over fields with q = 2 mod 3 cubing is a bijection, every good fiber is
-    supersingular, and the sum is 0 without any counting.  Otherwise the
-    fiber over t has trace traces[log(-432 k(t)^2) mod 6], traces[j] =
-    trace(field, g^j) in closed form, and one cubic-class sweep of k(t)
-    over all of F_q counts the fibers of each class.  When the roots of k
-    mod p are symmetric about their mean c/2, as the family's are about 1/2
-    since k(1 - T) = k(T), the sweep visits one t of each pair t, c - t and
-    counts it twice: k(c - t) = +-k(t) and -1 is a cube, so the pair has one
-    class and the count is exact.  The sweep needs every root of k in F_q:
-    the factors of k mod p must be linear, or quadratic with n even, and
-    any other factor is refused.  A quadratic factor's discriminant lies in
-    F_p^* = <h^2>, h = g^((q - 1)/(2(p - 1))) with g the generator of the
-    class table and n even, so one of h^0..h^(p-2) is its square root.  The
-    fiber at infinity is good exactly when 3 divides deg k, and then comes
-    from the reversed model v^2 = u^3 - 432 lc(k)^2; otherwise it is
-    additive.  A p that is not good is refused before any field is built.
-    When 3 divides n every root lies in F_Q, Q = p^(n/3), since a factor of
-    degree d <= 2 with d | n has d | n/3, and the classes are counted through
-    the norm to F_Q (zechlog.NormLog, a Q x Q byte table); otherwise the class
-    table costs q bytes.  Fields above MAX_COUNTING_FIELD are refused either way.
+
+def _frobenius(p: int) -> tuple[tuple[int, int], int]:
+    """(alpha, w) for a good p: c_{e n} = 2 Re(alpha^n S_n) (character_sum),
+    with alpha = -pi for the primary pi of norm B.
+
+    The fiber over t has trace -2 Re(psi(4A) pi_q) (elliptic._sextic_traces),
+    with pi_q = -(-pi)^n over F_{p^n}, psi(x) = (-omega)^j for
+    x^((q-1)/6) = zeta^j, zeta = -w^2, and w in F_p the image of omega that
+    kills pi.  psi is psi_p o N, and 4A = -1728 k(t)^2 with -1728 =
+    2^6 (-3)^3 a sixth power, as -3 is a square mod p; so the trace is
+    2 Re((-pi)^n chi(k(t))) with chi = psi^2 the cubic character
+    chi(x) = omega^(2j) for x^((q-1)/3) = w^j.  At p = 2 mod 3 the counted
+    fields are F_{B^n}, B = p^2, pi_q = -(-p)^n with p itself primary, and
+    w = 0: Frobenius maps chi to its conjugate, and either gives the same
+    real S_n.
     """
-    if not good_prime(curve, p):
-        raise LFunctionError(f"{p} is not a good prime for the family")
-    q = p**n
-    if q % 3 == 2:
-        return 0
-    _check_counting_budget(p, n)
-    from .exact import zechlog  # numpy is imported only by the sweeps
+    if p % 3 == 2:
+        return (-p, 0), 0
+    a, b = primary_prime(p)
+    return (-a, -b), -a * pow(b, -1, p) % p
 
-    field = FiniteField(p, n)
-    k = [int(c) % p for c in curve.k.coeffs]  # p is good: lc(k) stays
+
+def _roots_mod_p(k: list[int], field: FiniteField) -> list:
+    """The roots of k mod p in the field F_{p^n}; lc(k) must be prime to p.
+
+    Every factor of k mod p must be linear, or quadratic with n even, and
+    any other factor is refused.  A quadratic factor's discriminant lies in
+    F_p^* = <h^2>, h = g^((q - 1)/(2(p - 1))) with g the field's generator
+    and n even, so it is (h^2)^j for some j < p - 1, found over the ints,
+    and h^j is its square root.
+    """
+    p, n, q = field.p, field.n, field.q
     roots = []
     for f in _factor_mod_p(_pmonic(k, p), p, Random(0)):
         d = len(f) - 1
@@ -354,25 +372,55 @@ def fiber_trace_sum(curve: FunctionFieldCurve, p: int, n: int) -> int:
         if d == 1:
             roots.append(field(-f[0]))
         else:
-            disc = field(f[1] * f[1] - 4 * f[0])
-            s, h = field.one(), field.generator() ** ((q - 1) // (2 * p - 2))
-            while s * s != disc:
-                s *= h
+            disc, h = (f[1] * f[1] - 4 * f[0]) % p, field.generator() ** ((q - 1) // (2 * p - 2))
+            h2 = (h * h).coeffs[0]
+            s = h ** next(j for j in range(p - 1) if pow(h2, j, p) == disc)
             mb, half = field(-f[1]), field(2).inverse()
             roots += [(mb + s) * half, (mb - s) * half]
+    return roots
+
+
+def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
+    """S_m = sum over t in P^1(F_{B^m}) of chi(k(t)), as the pair (a, b) = a + b omega.
+
+    B = p at p = 1 mod 3 and B = p^2 at p = 2 mod 3, so 3 divides B - 1;
+    chi is the cubic character of _frobenius, chi_B o N on every F_{B^m},
+    with chi(0) = 0.  The point at infinity adds chi(lc k) when 3 divides
+    deg k; otherwise its fiber is additive.  One cube-class sweep of k(t)
+    over F_q, q = B^m, counts N_j, the t with log_g k(t) = j mod 3 for the
+    field's generator g, and chi(g) = omega^c, with c read off the class of
+    N(g) = g^((q-1)/(p-1)) in F_p: S = N_0 + N_1 omega^c + N_2 omega^(2c).
+    When the roots of k mod p are symmetric about their mean, as the
+    family's are about 1/2 since k(1 - T) = k(T), the table sweep visits one
+    t of each pair t, c - t (zechlog).  The roots come from _roots_mod_p.
+    When 3 divides the degree n = log_p q every root lies in F_Q,
+    Q = p^(n/3), since a factor of degree d <= 2 with d | n has d | n/3, and
+    the classes are counted through the norm to F_Q (zechlog.NormLog, a
+    Q x Q byte table); otherwise the class table costs q bytes.  A p that is
+    not good is refused before any field is built, and fields above
+    MAX_COUNTING_FIELD before any sweep.
+    """
+    if not good_prime(curve, p):
+        raise LFunctionError(f"{p} is not a good prime for the family")
+    n = m if p % 3 == 1 else 2 * m
+    _check_counting_budget(p, n)
+    from .exact import zechlog  # numpy is imported only by the sweeps
+
+    field = _counting_field(p, n)
+    k = [int(c) % p for c in curve.k.coeffs]  # p is good: lc(k) stays
+    roots = _roots_mod_p(k, field)
     engine = zechlog.NormLog(field) if n % 3 == 0 else zechlog.ZechLog(field)
-    traces = [trace(field, engine.g**j) for j in range(6)]
     unit = field(k[-1])
     counts, n_bad = engine.cube_class_counts(unit, roots)
     if n_bad != len(roots):
         raise LFunctionError("repeated roots of k in the counting field")
-    l432 = engine.sextic_class(field(-432 % p))
-    c_n = 0
-    for j in range(3):
-        c_n += counts[j] * traces[(l432 + 2 * j) % 6]
     if (len(k) - 1) % 3 == 0:
-        c_n += traces[engine.sextic_class(field(-432) * unit * unit)]
-    return c_n
+        counts[engine.sextic_class(unit) % 3] += 1
+    n0, n1, n2 = counts
+    w = _frobenius(p)[1]
+    if w and pow((engine.g ** ((field.q - 1) // (p - 1))).coeffs[0], (p - 1) // 3, p) == w:
+        n1, n2 = n2, n1  # chi(g) = omega^2
+    return n0 - n2, n1 - n2
 
 
 def _check_counting_budget(p: int, n: int) -> None:
@@ -391,39 +439,65 @@ def lfunction(p: int, direct: bool = False) -> LPolynomial:
 def _lfunction(curve: FunctionFieldCurve, p: int, direct: bool) -> LPolynomial:
     """The L-polynomial of X^3 + Y^3 = k(T) reduced mod p, for squarefree k in Z[T].
 
-    Its degree is D = 2(number of geometric bad fibers) - 4 (Grothendieck-
-    Ogg-Shafarevich; every bad fiber here has conductor exponent 2): the
-    deg k roots of k, and infinity when 3 does not divide deg k.  Counts
-    c_1..c_N, N = D/2 + 2 (N = D with direct=True, small p only), and one
-    Newton pass turns them into b_0..b_N; b_0..b_h, h = D/2, must be
-    integers.  The functional equation (inverse roots closed under
-    g -> p^2/g) gives L_j = s p^(2j - D) L_{D-j} and L_j = 0 above D, and
-    the sign s is kept when b_h..b_N obey it: Newton's identities map
-    c_1..c_N to b_1..b_N one to one and triangularly, so that L reproduces
-    every counted c_n, and at j = h, b_h != 0 forces s = +1.  A sign
-    ambiguity is an error, never a guess; c_1..c_D determine L, so
-    direct=True checks the completion against all of it.
+    Its degree is D = 2d, d = (number of geometric bad fibers) - 2
+    (Grothendieck-Ogg-Shafarevich; every bad fiber here has conductor
+    exponent 2): the deg k roots of k, and infinity when 3 does not divide
+    deg k.  c_{e n} = 2 Re(alpha^n S_n) and the other c_n are 0 (_frobenius,
+    e = 1 at p = 1 mod 3 and 2 at p = 2 mod 3), and S_n is minus the n-th
+    power sum of the inverse roots of L_chi, of degree d over Z[omega]: the
+    chi-part of the cover S^3 = k(T) (Weil 1949).  So L(u) =
+    L_chi(alpha u) conj(L_chi)(conj(alpha) u) at e = 1, and L(u) =
+    L_chi(alpha u^2) at e = 2, where S_n is real.
+
+    S_1..S_N are counted, N = h + 1 with h = ceil(d/2) (N = max(d, h + 1)
+    with direct=True), and one Newton pass turns them into b_0..b_N, of
+    which b_0..b_h must lie in Z[omega].  The functional equation
+    b_(d-j) = b_d conj(b_j) / Q^j, Q = p^e, where b_d / Q^(d/2) is its sign
+    and b_d has norm Q^d, takes b_d from the pair j = floor(d/2), d - j = h,
+    and then b_(h+1)..b_d.  b_j = 0 there leaves the sign open: an error,
+    never a guess; so is a completion outside Z[omega].  The completion must
+    reproduce the counted b_(h+1)..b_N; S_1..S_d determine L_chi, so
+    direct=True checks it against all of them.
     """
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
     deg = curve.k.degree
-    D = 2 * (deg + (deg % 3 != 0)) - 4
-    h = D // 2
-    N = D if direct else h + 2
-    _check_counting_budget(p, N)
-    cn = {n: fiber_trace_sum(curve, p, n) for n in range(1, N + 1)}
-    b = _exp_series(cn, N)
-    if any(x.denominator != 1 for x in b[: h + 1]):
+    d = deg + (deg % 3 != 0) - 2
+    e = 1 if p % 3 == 1 else 2
+    h, i = (d + 1) // 2, d // 2
+    N = max(d, h + 1) if direct else h + 1
+    _check_counting_budget(p, e * N)
+    sums = [character_sum(curve, p, m) for m in range(1, N + 1)]
+    b = _exp_series(sums, N)
+    if any(x.denominator != 1 for c in b[: h + 1] for x in c):
         raise LFunctionError("counted coefficients are not integral")
-    signs = [s for s in (1, -1) if all(
-        b[j] == (s * p ** (2 * j - D) * b[D - j] if j <= D else 0) for j in range(h, N + 1))]
-    if len(signs) > 1:
-        raise LFunctionError(f"functional-equation sign ambiguous after c_{h + 1}..c_{N}")
-    if not signs:
-        raise LFunctionError(f"functional-equation completion contradicts counted c_{h + 1}..c_{N}")
-    low = [int(x) for x in b[: h + 1]]
-    high = [signs[0] * p ** (D - 2 * i) * low[i] for i in reversed(range(h))]
-    L = LPolynomial(p, tuple(low + high), tuple(sorted(cn.items())))
+    if b[i] == (0, 0):
+        raise LFunctionError(f"functional-equation sign ambiguous after S_1..S_{N}: b_{i} = 0")
+    Q = p**e
+    top = _zw_div(_zw_mul(b[h], (Q**i, 0)), _conj(b[i]))  # b_d
+    chi = b[: h + 1] + [_zw_div(_zw_mul(top, _conj(b[d - j])), (Q ** (d - j), 0))
+                        for j in range(h + 1, d + 1)]
+    if _zw_mul(top, _conj(top))[0] != Q**d or any(x.denominator != 1 for c in chi for x in c):
+        raise LFunctionError(f"no functional equation fits S_1..S_{h}")
+    if b[h + 1 :] != (chi + [(0, 0)] * N)[h + 1 : N + 1]:
+        span = f"S_{N}" if N == h + 1 else f"S_{h + 1}..S_{N}"
+        raise LFunctionError(f"functional-equation completion contradicts counted {span}")
+    alpha, powers = _frobenius(p)[0], [(1, 0)]
+    while len(powers) <= max(d, N):
+        powers.append(_zw_mul(powers[-1], alpha))
+    # A(u) = L_chi(alpha u) = P(u) + omega R(u) over Z
+    P, R = ([int(x) for x in col] for col in zip(*map(_zw_mul, chi, powers)))
+    if e == 1:  # A(u) conj(A)(u) = P^2 - PR + R^2
+        coeffs = _int_add(_int_add(_int_mul(P, P), _int_mul(P, R), -1), _int_mul(R, R))
+    elif any(R):
+        raise LFunctionError("S_n is not real at p = 2 mod 3")
+    else:  # A(u^2)
+        coeffs = [P[n // 2] if n % 2 == 0 else 0 for n in range(2 * d + 1)]
+    counted = []
+    for n in range(1, e * N + 1):
+        re, im = _zw_mul(powers[n // e], sums[n // e - 1]) if n % e == 0 else (0, 0)
+        counted.append((n, 2 * re - im))
+    L = LPolynomial(p, tuple(coeffs), tuple(counted))
     _verify_weil(L)
     return L
 

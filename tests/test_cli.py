@@ -257,13 +257,16 @@ print('sympy' in sys.modules)
 
 
 def test_ff_lfunction_cli_refuses_oversized_field_at_once(capsys):
-    t0 = time.perf_counter()
-    doc = run_json(capsys, "ff", "lfunction", "--p", "101")
-    assert time.perf_counter() - t0 < 1.0
-    assert doc["status"] == "failed"
-    assert doc["results"]["error"] == (
-        "LFunctionError: counting over q = 101^6 exceeds the class-table budget"
-    )
+    """101 = 2 mod 3 counts up to F_{101^6}; 811 = 1 mod 3, the first good p
+    of that residue past the budget, counts up to F_{811^3}."""
+    for p, q in ((101, "101^6"), (811, "811^3")):
+        t0 = time.perf_counter()
+        doc = run_json(capsys, "ff", "lfunction", "--p", str(p))
+        assert time.perf_counter() - t0 < 1.0
+        assert doc["status"] == "failed"
+        assert doc["results"]["error"] == (
+            f"LFunctionError: counting over q = {q} exceeds the class-table budget"
+        )
 
 
 def test_ff_rank_cli(capsys):

@@ -652,7 +652,8 @@ NORM_FIELDS = [(7, 3), (13, 3), (5, 6), (7, 6), (11, 6), (13, 6)]
 
 def _subfield_roots(nl, case, rng):
     """Roots in F_Q: three pairs symmetric about a centre c, with c/2 added;
-    the same with one root moved off the symmetry; or with multiplicities."""
+    the same with one root moved off the symmetry; with multiplicities; or
+    closed under Frobenius x -> x^p with multiplicities, 0 and F_p included."""
     sub = nl.powers + [nl.field.zero()]
     c = rng.choice(sub)
     roots = [x for r in rng.sample(sub, 3) for x in (r, c - r)]
@@ -660,25 +661,61 @@ def _subfield_roots(nl, case, rng):
         return roots + [c / 2]
     if case == "not symmetric":
         return roots[:-1] + [roots[-1] + 1]
+    if case == "frobenius-stable":
+        p = nl.field.p
+        r, s = rng.sample(nl.powers, 2)
+        return [r, r**p, s, s**p, s, s**p, nl.field.zero(), nl.field(2)]
     return roots[:1] * 2 + roots[1:2] * 3 + roots[2:3] * 4  # case "repeated"
 
 
 @pytest.mark.parametrize("p,n", NORM_FIELDS)
-@pytest.mark.parametrize("case", ["symmetric", "not symmetric", "repeated"])
-def test_norm_counts_equal_the_table_sweep(p, n, case):
+@pytest.mark.parametrize("case", ["symmetric", "not symmetric", "repeated", "frobenius-stable"])
+def test_norm_counts_equal_the_table_sweep(p, n, case, monkeypatch):
     """The count through the norm against the class-table sweep, and against
     the per-t cubic characters where F_q is small, with a random unit of F_q;
-    the sextic classes of the unit and of -432 agree too."""
+    the sextic classes of the unit and of -432 agree too.
+
+    A Frobenius-stable root multiset sweeps one sigma of F_Q per orbit of
+    x -> x^p, and any other set every sigma.  Over F_Q = F_{p^2}, p = 2 mod 3,
+    the stable sets have paired slices whose N_1 - N_2 do not cancel, so a
+    dropped class swap at the second member would change the counts."""
     F = FiniteField(p, n)
     nl, z = NormLog(F), ZechLog(F)
     rng = random.Random(f"{p} {n} {case}")
     roots = _subfield_roots(nl, case, rng)
     unit = F.from_index(rng.randrange(1, F.q))
+    slices, sweep = [], NormLog._slice_counts
+
+    def spy(self, sigma, rows):
+        out = sweep(self, sigma, rows)
+        slices.append((sigma, out[0]))
+        return out
+
+    monkeypatch.setattr(NormLog, "_slice_counts", spy)
     counts = nl.cube_class_counts(unit, roots)
     assert counts == z.cube_class_counts(unit, roots)
     if F.q < 20_000:
         assert counts == _counts_by_characters(F, z.g, unit, roots)
     assert [nl.sextic_class(x) for x in (unit, F(-432))] == [z.sextic_class(x) for x in (unit, F(-432))]
+    sub, a = nl.powers + [F.zero()], n // 3
+    stable = Counter(r**p for r in roots) == Counter(roots)
+    assert stable == (case == "frobenius-stable" or a == 1)
+    orbits = {frozenset(x ** (p**j) for j in range(a)) for x in sub}
+    assert len(slices) == (len(orbits) if stable else nl.Q)
+    if stable and a == 2 and p % 3 == 2:
+        paired = [c for sigma, c in slices if sigma % (p + 1) and sigma != nl.Q - 1]
+        assert sum(c[1] - c[2] for c in paired) != 0
+
+
+@pytest.mark.parametrize("p,n", NORM_FIELDS)
+def test_norm_log_rows_from_zech_logarithms(p, n):
+    """code(r - a) over every a in F_Q, read off the Zech logarithms, against
+    the element subtraction, for every r in F_Q, 0 included."""
+    nl = NormLog(FiniteField(p, n))
+    sub = nl.powers + [nl.field.zero()]
+    for r in sub:
+        row = nl._row(nl._code(r))
+        assert row.tolist() == [nl._code(r - a) for a in sub]
 
 
 def test_norm_log_refuses_fields_and_roots_it_cannot_count():

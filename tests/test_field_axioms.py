@@ -55,7 +55,7 @@ def test_every_nonzero_element_is_invertible(F):
         F.zero().inverse()
 
 
-# (p, n) of every field counted for L mod 5 (with --direct), 11, 13 and 17
+# (p, n) of every field counted for L mod 5 (with --direct), 11 and 17, and by the c_n oracle at 13
 COUNTED = [(5, n) for n in range(1, 9)] + [(p, n) for p in (11, 13, 17) for n in range(1, 7)]
 
 

@@ -16,18 +16,20 @@ from cm_oracle import OMEGA2, chain_differential, cm_twist, flat_rank, lift, mul
 from enumeration import count_by_enumeration
 from newton_oracle import power_sums
 from qt_oracle import T, qt
+from trace_oracle import fiber_trace_sum
 from triples import triple
-from twocubes.elliptic import to_weierstrass
+from twocubes.elliptic import _zw_mul, to_weierstrass
 from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
     FamilyError,
     FunctionFieldCurve,
     LFunctionError,
     LPolynomial,
+    _frobenius,
     _lfunction,
     _rank,
     build_family,
-    fiber_trace_sum,
+    character_sum,
     good_prime,
     lfunction,
     SectionPoint,
@@ -390,26 +392,41 @@ def test_good_prime_screen(family):
 @pytest.mark.parametrize("k, p", [(None, 7), (None, 3), (rational_poly(6, -7, 1), 5)])
 def test_fiber_trace_sum_refuses_a_prime_that_is_not_good(family, monkeypatch, k, p):
     """63 divides every coefficient of the family's k, so k = 0 mod 3 and mod
-    7; (T - 1)(T - 6) = (T - 1)^2 mod 5.  Each is refused by name before a
-    field is built, never an IndexError or a sweep of F_{p^2}."""
+    7; (T - 1)(T - 6) = (T - 1)^2 mod 5.  Each character sum is refused by
+    name before a field is built, never an IndexError or a sweep of F_{p^2}."""
     from twocubes import function_field
 
     def no_field(*args):
         raise AssertionError("a field was built")
 
-    monkeypatch.setattr(function_field, "FiniteField", no_field)
+    monkeypatch.setattr(function_field, "_counting_field", no_field)
     curve = family if k is None else FunctionFieldCurve(k, family.p1, family.p2)
     with pytest.raises(LFunctionError, match=f"^{p} is not a good prime"):
-        fiber_trace_sum(curve, p, 2)
+        character_sum(curve, p, 1)
+
+
+def cn_from_characters(curve, p, n):
+    """c_n = 2 Re(alpha^(n/e) S_(n/e)), e = 1 at p = 1 mod 3 and 2 at p = 2 mod 3;
+    0 when e does not divide n."""
+    e = 1 if p % 3 == 1 else 2
+    if n % e:
+        return 0
+    x, alpha = character_sum(curve, p, n // e), _frobenius(p)[0]
+    for _ in range(n // e):
+        x = _zw_mul(x, alpha)
+    return 2 * x[0] - x[1]
 
 
 def test_fiber_trace_sum_supersingular_zero(family):
-    # 17^n = 2 mod 3 for odd n: all good fibers supersingular, c_n = 0
+    """17^n = 2 mod 3 for odd n: every good fiber is supersingular, so the
+    oracle gives c_n = 0 without counting, and lfunction(17) lists c_n = 0."""
+    counted = dict(lfunction(17).counted)
     for n in (1, 3, 5):
-        assert fiber_trace_sum(family, 17, n) == 0
+        assert fiber_trace_sum(family, 17, n) == 0 == counted[n]
 
 
-# c_n as counted by the int32 log/Zech-table sweep that the class table replaced
+# c_n as counted by the int32 log/Zech-table sweep that the class table replaced;
+# the trace-table oracle and c_n = 2 Re(alpha^n S_n) must both give them
 GOLDEN_CN = {
     13: {1: -38, 2: -170, 3: -13688, 4: -142130, 5: -971918},
     5: {2: -200, 4: -5000, 6: -125000, 8: -3125000},
@@ -422,18 +439,23 @@ GOLDEN_CN = {
 
 @pytest.mark.parametrize("p", sorted(GOLDEN_CN))
 def test_fiber_trace_sum_goldens(family, p):
+    """chi(g) for the generator g of a field is omega or omega^2 from field to
+    field (omega^2 over F_{13^5}, F_19 and F_{19^3}), so c_5 at 13 and c_1, c_3
+    at 19 hold only with chi read off N(g)."""
     assert {n: fiber_trace_sum(family, p, n) for n in GOLDEN_CN[p]} == GOLDEN_CN[p]
+    assert {n: cn_from_characters(family, p, n) for n in GOLDEN_CN[p]} == GOLDEN_CN[p]
 
 
 def test_fiber_trace_sum_refuses_fields_above_the_table_budget(family):
     from twocubes.exact.zechlog import MAX_COUNTING_FIELD
 
     assert 23**6 <= MAX_COUNTING_FIELD < 29**6
-    with pytest.raises(LFunctionError, match="budget"):
-        fiber_trace_sum(family, 29, 6)
+    assert 787**3 <= MAX_COUNTING_FIELD < 811**3
+    with pytest.raises(LFunctionError, match="q = 29\\^6 exceeds"):
+        character_sum(family, 29, 3)
 
 
-@pytest.mark.parametrize("p, direct, n", [(101, False, 6), (13, True, 8)])
+@pytest.mark.parametrize("p, direct, n", [(101, False, 6), (29, False, 6), (29, True, 8), (811, False, 3)])
 def test_lfunction_refuses_oversized_fields_before_counting(p, direct, n):
     t0 = time.perf_counter()
     with pytest.raises(LFunctionError, match=f"q = {p}\\^{n} exceeds the class-table budget"):
@@ -488,13 +510,15 @@ def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
 
 
 def test_norm_count_of_c6_at_17_equals_the_table_sweep(family, monkeypatch):
-    """The published c_6 over F_{17^6} through the norm to F_{17^2}, and again
-    through the q-byte class table that the sweep builds for 3 not dividing n."""
+    """S_3 over F_{17^6}, which gives the published c_6, through the norm to
+    F_{17^2} with the Frobenius fold, and again through the q-byte class table
+    that the sweep builds for 3 not dividing n."""
     from twocubes.exact import zechlog
 
-    by_norm = fiber_trace_sum(family, 17, 6)
+    by_norm = character_sum(family, 17, 3)
     monkeypatch.setattr(zechlog, "NormLog", zechlog.ZechLog)
-    assert fiber_trace_sum(family, 17, 6) == by_norm
+    assert character_sum(family, 17, 3) == by_norm
+    assert cn_from_characters(family, 17, 6) == dict(lfunction(17).counted)[6]
 
 
 def test_norm_count_memory_over_f17_6_is_not_q_bytes():
@@ -537,7 +561,7 @@ def test_c2_against_per_fiber_enumeration(family):
     """Independent oracle: sum fiber traces over P^1(F_289) one fiber at a time."""
     total = _trace_sum_by_enumeration(family.k, 17, 2)
     assert total == -1088
-    assert fiber_trace_sum(family, 17, 2) == total
+    assert fiber_trace_sum(family, 17, 2) == total == cn_from_characters(family, 17, 2)
 
 
 # Squarefree k off the family whose factors mod p split in the counted fields:
@@ -555,12 +579,13 @@ OFF_FAMILY_K = {
 def test_cn_against_per_fiber_enumeration_off_the_family(family, name, p, n):
     curve = FunctionFieldCurve(OFF_FAMILY_K[name], family.p1, family.p2)
     assert good_prime(curve, p)
-    assert fiber_trace_sum(curve, p, n) == _trace_sum_by_enumeration(curve.k, p, n)
+    assert cn_from_characters(curve, p, n) == _trace_sum_by_enumeration(curve.k, p, n)
 
 
 def test_direct_path_agrees_off_the_family(family):
-    """deg k = 4: five bad fibers with infinity, so L has degree 6, and
-    counting c_1..c_6 confirms the completion from c_1..c_3."""
+    """deg k = 4: five bad fibers with infinity, so L has degree 6 and L_chi
+    degree d = 3.  The completion takes S_1, S_2 and checks S_3, and direct
+    counts S_1..S_d, the same three here."""
     curve = FunctionFieldCurve(OFF_FAMILY_K["deg4"], family.p1, family.p2)
     L = _lfunction(curve, 7, False)
     assert L.degree == 6 and L.functional_equation_sign() in (1, -1)
@@ -603,12 +628,12 @@ def test_rational_surfaces_have_the_exact_geometric_bound(family):
 @pytest.mark.parametrize("p", [7, 13])
 def test_sweep_refuses_a_factor_outside_the_counted_field(family, p):
     """T^3 - 2 is irreducible mod 7 and mod 13, so its roots lie in F_{p^3}
-    only: c_1 is refused, never counted from a partial root set."""
+    only: S_1 is refused, never counted from a partial root set."""
     curve = FunctionFieldCurve(rational_poly(-2, 0, 0, 1), family.p1, family.p2)
     assert good_prime(curve, p)
     refusal = f"factor of degree 3 mod {p}, with roots outside F_{p}\\^1"
     with pytest.raises(LFunctionError, match=refusal):
-        fiber_trace_sum(curve, p, 1)
+        character_sum(curve, p, 1)
     with pytest.raises(LFunctionError, match="factor of degree 3"):
         _lfunction(curve, p, False)
 
@@ -631,17 +656,35 @@ def test_lfunction_11_direct_agrees_with_functional_equation_path():
     assert lfunction(11, direct=True).coeffs == lfunction(11).coeffs
 
 
+def test_lfunction_13_direct_counts_to_f13_4():
+    """At p = 1 mod 3 direct counts S_1..S_4 over F_{13}..F_{13^4}, inside the
+    budget, and checks S_3 and S_4 against the completion."""
+    L = lfunction(13, direct=True)
+    assert L.coeffs == lfunction(13).coeffs
+    assert [n for n, _ in L.counted] == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("p, coeffs, bounds", [
     (19, (1, -68, 2071, -46208, 932824, -16681088, 269894791, -3199119908, 16983563041), (4, 6)),
     (23, (1, 0, -2116, 0, 1679046, 0, -592143556, 0, 78310985281), (4, 8)),
 ])
 def test_lfunction_at_the_largest_counted_primes(p, coeffs, bounds):
-    """5, 11, 13, 17, 19 and 23 are the good primes with p^6 inside the
-    class-table budget.  19 = 1 mod 3 counts every c_n; at 23 = 2 mod 3 the
-    odd c_n are 0 without counting."""
+    """23 is the largest good p = 2 mod 3 whose F_{p^6} fits the class-table
+    budget, and its odd c_n are 0 without counting.  At 19 = 1 mod 3 S_1..S_3
+    come from F_19, F_{19^2} and F_{19^3}; c_1..c_3 are listed as counted."""
     L = lfunction(p)
     assert L.coeffs == coeffs
     assert rank_bounds(L) == bounds
+    assert [n for n, _ in L.counted] == ([1, 2, 3] if p % 3 == 1 else [1, 2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("p, bounds", [(31, (4, 4)), (37, (4, 4)), (43, (4, 4)), (79, (4, 6))])
+def test_rank_bounds_at_primes_past_f_p6(family, p, bounds):
+    """p = 1 mod 3 counts only up to F_{p^3}, so the primes past 23 are in
+    reach (up to 787); their counted c_1..c_3 match the trace-table oracle."""
+    L = lfunction(p)
+    assert rank_bounds(L) == bounds
+    assert L.counted == tuple((n, fiber_trace_sum(family, p, n)) for n in (1, 2, 3))
 
 
 def test_lfunction_cache_ignores_spelling():
@@ -650,7 +693,9 @@ def test_lfunction_cache_ignores_spelling():
 
 
 def test_typed_checks_survive_python_O():
-    """The exactness and type checks raise their typed errors with asserts stripped."""
+    """The exactness and type checks raise their typed errors with asserts
+    stripped: planted character sums trip the integrality check at p = 11 and
+    the completion check at p = 13."""
     script = """
 from twocubes.exact import FiniteField, Polynomial, RationalFunction
 from twocubes.exact.zechlog import NormLog
@@ -662,13 +707,17 @@ try:
     FunctionFieldCurve(fam.k * __import__("fractions").Fraction(1, 8), fam.p1, fam.p2)
 except FamilyError:
     print("FamilyError")
-counted = function_field.fiber_trace_sum  # c_2 + 1 at p = 11: b_2 is not integral
-function_field.fiber_trace_sum = lambda curve, p, n: counted(curve, p, n) + (n == 2)
-try:
-    function_field.lfunction(11)
-except LFunctionError:
-    print("LFunctionError")
-function_field.fiber_trace_sum = counted
+counted = function_field.character_sum
+for p, m, step in ((11, 2, 1), (13, 3, 13)):  # S_2 + 1: b_2 is not integral; S_3 + 13: b_3 is off
+    def planted(curve, q, j, m=m, step=step):
+        a, b = counted(curve, q, j)
+        return a + step * (j == m), b
+    function_field.character_sum = planted
+    try:
+        function_field.lfunction(p)
+    except LFunctionError as err:
+        print("LFunctionError:", err)
+function_field.character_sum = counted
 F = FiniteField(7, 3)
 try:
     NormLog(F).cube_class_counts(F(1), [F.x()])
@@ -689,8 +738,10 @@ except TypeError:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True,
         timeout=60,
     )
-    want = ["FamilyError", "LFunctionError", "ValueError", "SpecializationError", "TypeError"]
-    assert out.stdout.split() == want
+    want = ["FamilyError", "LFunctionError: counted coefficients are not integral",
+            "LFunctionError: functional-equation completion contradicts counted S_3",
+            "ValueError", "SpecializationError", "TypeError"]
+    assert out.stdout.splitlines() == want
 
 
 def test_lfunction_rejects_bad_primes():
@@ -703,18 +754,21 @@ def test_lfunction_rejects_bad_primes():
 @pytest.mark.parametrize(
     "p, plant, message",
     [
-        (11, lambda n, c, p: c + (n == 2), "counted coefficients are not integral"),
-        (13, lambda n, c, p: c + p * (n == 5), "completion contradicts counted c_5..c_6"),
-        (13, lambda n, c, p: 0, "sign ambiguous after c_5..c_6"),
+        (11, lambda m, s, p: (s[0] + (m == 2), s[1]), "counted coefficients are not integral"),
+        (13, lambda m, s, p: (s[0] + p * (m == 3), s[1]), "completion contradicts counted S_3"),
+        (13, lambda m, s, p: (0, 0), "sign ambiguous after S_1..S_3: b_2 = 0"),
     ],
 )
 def test_lfunction_refuses_inconsistent_counts(monkeypatch, p, plant, message):
+    """Planted character sums: S_2 + 1 makes b_2 half-integral; S_3 + p makes
+    the counted b_3 disagree with the completion; all S_n = 0 leave b_2 = 0,
+    which does not fix b_4."""
     from twocubes import function_field
 
-    def planted(curve, q, n):
-        return plant(n, fiber_trace_sum(curve, q, n), q)
+    def planted(curve, q, m):
+        return plant(m, character_sum(curve, q, m), q)
 
-    monkeypatch.setattr(function_field, "fiber_trace_sum", planted)
+    monkeypatch.setattr(function_field, "character_sum", planted)
     _lfunction.cache_clear()
     try:
         with pytest.raises(LFunctionError, match=message):
@@ -724,21 +778,22 @@ def test_lfunction_refuses_inconsistent_counts(monkeypatch, p, plant, message):
 
 
 @pytest.mark.parametrize("k, p, direct, n, counted", [
-    (None, 5, True, 7, "c_5..c_8"),  # the family, with c_7 past c_1..c_6
-    (None, 5, True, 8, "c_5..c_8"),
-    ((-1, 0, 1), 7, False, 3, "c_2..c_3"),  # D = 2: L_3 = 0
-    ((0, 1), 7, False, 2, "c_1..c_2"),  # D = 0: L = 1
+    (None, 5, True, 3, "S_3..S_4"),  # the family, d = 4: direct counts S_1..S_4
+    (None, 5, True, 4, "S_3..S_4"),
+    ((-1, 0, 1), 7, False, 2, "S_2"),  # d = 1: b_2 = 0
+    ((0, 1), 7, False, 1, "S_1"),  # d = 0: L_chi = 1
 ])
 def test_completion_refuses_a_planted_last_count(family, monkeypatch, k, p, direct, n, counted):
-    """The completion from c_1..c_{D/2} fixes every later count, the last
-    one and those above the degree D included."""
+    """The completion from S_1..S_{ceil(d/2)} fixes every later count, the
+    last one and those above the degree d of L_chi included."""
     from twocubes import function_field
 
     def planted(curve, q, m):
-        return fiber_trace_sum(curve, q, m) + 5 * (m == n)
+        a, b = character_sum(curve, q, m)
+        return a + 5 * (m == n), b
 
     curve = family if k is None else FunctionFieldCurve(rational_poly(*k), family.p1, family.p2)
-    monkeypatch.setattr(function_field, "fiber_trace_sum", planted)
+    monkeypatch.setattr(function_field, "character_sum", planted)
     _lfunction.cache_clear()
     try:
         with pytest.raises(LFunctionError, match=f"completion contradicts counted {counted}"):
@@ -748,12 +803,9 @@ def test_completion_refuses_a_planted_last_count(family, monkeypatch, k, p, dire
 
 
 def test_exp_log_roundtrip():
-    for p in (5, 17):
+    for p in (5, 13, 17):
         L = lfunction(p)
-        cs = power_sums(L.coeffs, 6)
-        for n, c in L.counted:
-            if n <= 6:
-                assert cs[n - 1] == c
+        assert power_sums(L.coeffs, len(L.counted)) == [c for _, c in L.counted]
 
 
 def test_functional_equation_closure():
