@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: integers, rationals, polynomials, rational
-functions over Q and finite fields.  The numpy class-table kernel,
-`exact.zechlog`, is imported by its callers when they sweep."""
+functions over Q and finite fields.  The numpy counting sweep,
+`exact.zechlog`, which counts cube classes over F_{Q^m} through the norm to
+F_Q, is imported by its callers when they sweep."""
 
 from .ffield import FFElement, FiniteField, prime_field, smallest_irreducible
 from .numbers import cubefree_part, factorize, icbrt, is_probable_prime, primes

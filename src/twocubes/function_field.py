@@ -16,8 +16,8 @@ c_n = 2 Re(alpha^n S_n) for cubic-character sums S_n of k over F_{B^n}
 chi-part L_chi of the cover S^3 = k(T): L_chi is completed from S_1, S_2
 by its functional equation, re-verified against a counted S_3, and L is
 multiplied out from it.  Every reader takes k itself: the sweep factors k
-mod p, so any squarefree k in Z[T] whose factors mod p split in the counted
-fields has the same path.
+mod p, so any squarefree k in Z[T] whose roots mod p lie in F_B has the same
+path.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .elliptic import _zw_mul, primary_prime
 from .exact import FiniteField, Polynomial, RationalFunction, factor_over_z, poly_gcd, rational_poly
-from .exact.ffield import MAX_COUNTING_FIELD, _good_reduction, _pmonic
+from .exact.ffield import MAX_BASE_FIELD, MAX_COUNTING_FIELD, _good_reduction, _pmonic
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_exact_div, _int_gcd, _int_mul
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
@@ -387,39 +387,41 @@ def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
     chi is the cubic character of _frobenius, chi_B o N on every F_{B^m},
     with chi(0) = 0.  The point at infinity adds chi(lc k) when 3 divides
     deg k; otherwise its fiber is additive.  One cube-class sweep of k(t)
-    over F_q, q = B^m, counts N_j, the t with log_g k(t) = j mod 3 for the
-    field's generator g, and chi(g) = omega^c, with c read off the class of
-    N(g) = g^((q-1)/(p-1)) in F_p: S = N_0 + N_1 omega^c + N_2 omega^(2c).
-    When the roots of k mod p are symmetric about their mean, as the
-    family's are about 1/2 since k(1 - T) = k(T), the table sweep visits one
-    t of each pair t, c - t (zechlog).  The roots come from _roots_mod_p.
-    When 3 divides the degree n = log_p q every root lies in F_Q,
-    Q = p^(n/3), since a factor of degree d <= 2 with d | n has d | n/3, and
-    the classes are counted through the norm to F_Q (zechlog.NormLog, a
-    Q x Q byte table); otherwise the class table costs q bytes.  A p that is
-    not good is refused before any field is built, and fields above
-    MAX_COUNTING_FIELD before any sweep.
+    over F_{Q^j} = F_{B^m}, j the largest of 1, 2, 3 that divides m and
+    Q = B^(m/j) (so Q = B up to m = 3 and Q = B^2 at m = 4), counts N_i, the
+    t with log_h N(k(t)) = i mod 3 for the generator h of F_Q and the norm N
+    to F_Q (zechlog.NormLog).  Only F_Q is built: F_{B^m} itself for an
+    m > 1 prime to 6, so there within MAX_BASE_FIELD.  chi(x) = omega^c for
+    N(x) = h, with c read off the class of h^((Q-1)/(p-1)) in F_p:
+    S = N_0 + N_1 omega^c + N_2 omega^(2c).  The roots of k mod p come from
+    _roots_mod_p and must lie in F_Q.  A p that is not good is refused
+    before any field is built, and fields above MAX_COUNTING_FIELD or
+    MAX_BASE_FIELD before any sweep.
     """
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
-    n = m if p % 3 == 1 else 2 * m
-    _check_counting_budget(p, n)
+    e = 1 if p % 3 == 1 else 2
+    _check_counting_budget(p, e * m)
     from .exact import zechlog  # numpy is imported only by the sweeps
 
+    j = next(j for j in (3, 2, 1) if m % j == 0)
+    n = e * m // j
+    if p**n > MAX_BASE_FIELD:
+        raise LFunctionError(f"counting S_{m} over F_Q, Q = {p}^{n}, exceeds the base-field budget")
     field = _counting_field(p, n)
     k = [int(c) % p for c in curve.k.coeffs]  # p is good: lc(k) stays
     roots = _roots_mod_p(k, field)
-    engine = zechlog.NormLog(field) if n % 3 == 0 else zechlog.ZechLog(field)
+    engine = zechlog.NormLog(field)
     unit = field(k[-1])
-    counts, n_bad = engine.cube_class_counts(unit, roots)
+    counts, n_bad = engine.cube_class_counts(j, unit, roots)
     if n_bad != len(roots):
         raise LFunctionError("repeated roots of k in the counting field")
     if (len(k) - 1) % 3 == 0:
-        counts[engine.sextic_class(unit) % 3] += 1
+        counts[engine.cube_class(unit, j)] += 1
     n0, n1, n2 = counts
     w = _frobenius(p)[1]
-    if w and pow((engine.g ** ((field.q - 1) // (p - 1))).coeffs[0], (p - 1) // 3, p) == w:
-        n1, n2 = n2, n1  # chi(g) = omega^2
+    if w and pow((engine.h ** ((field.q - 1) // (p - 1))).coeffs[0], (p - 1) // 3, p) == w:
+        n1, n2 = n2, n1  # chi(x) = omega^2 for N(x) = h
     return n0 - n2, n1 - n2
 
 

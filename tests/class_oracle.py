@@ -1,5 +1,5 @@
 """The class table by a walk over every power of g: the slow oracle for the
-folded build of `exact.zechlog`.
+folded build of `zech_oracle.ZechLog`.
 
 cls[packed(g^i)] = i mod 6 for all i < q - 1, ZERO at packed(0) = 0.  The
 digits of g^0..g^(B-1) are computed once; block s holds g^(s+i) = g^s g^i,
@@ -9,7 +9,7 @@ F_p^* fold or the slab structure of the index.
 
 import numpy as np
 
-from twocubes.exact.zechlog import BLOCK, ZERO
+from zech_oracle import BLOCK, ZERO
 
 
 def _times(field, h, cols):

@@ -40,8 +40,9 @@ from twocubes.exact import (
 )
 from twocubes.exact.ffield import _is_irreducible
 from twocubes.exact.poly import _int_cyclotomic, _int_exact_div
-from twocubes.exact.zechlog import ZERO, NormLog, ZechLog
+from twocubes.exact.zechlog import NormLog
 from twocubes.identities import NEARMISS_DENOMINATOR, NEARMISS_FAMILIES, nearmiss_stream
+from zech_oracle import ZERO, ZechLog, over_extension
 
 
 # -- cubefree decomposition ----------------------------------------------------
@@ -425,7 +426,7 @@ def test_prime_field_is_built_once():
     assert prime_field(101) == FiniteField(101)
 
 
-# -- the class table and the cube-class sweep -------------------------------------
+# -- the class table of the oracle and its cube-class sweep ------------------------
 
 
 @pytest.mark.parametrize("p,n", [(13, 2), (5, 4), (7, 3), (19, 3)])
@@ -465,7 +466,7 @@ def test_class_table_equals_the_power_walk(p, n):
 
 PLANTED_GENERATORS = """
 from twocubes.exact import FiniteField
-from twocubes.exact.zechlog import ZechLog
+from zech_oracle import ZechLog
 for k in (2, 3):
     F = FiniteField(17, 2)
     F._generator = F.generator() ** k
@@ -485,7 +486,8 @@ def test_class_table_rejects_planted_generators(flags):
     out = subprocess.run(
         [sys.executable, *flags, "-c", PLANTED_GENERATORS],
         capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            str(Path(__file__).resolve().parents[i] / d) for i, d in ((1, "src"), (0, "")))},
     )
     assert out.stdout.splitlines() == [
         "2 g^((q-1)/(p-1)) does not enumerate F_p^*",
@@ -645,16 +647,58 @@ def test_cube_class_counts_repeated_root_shows_in_zero_count():
     assert zeros == 2 and sum(counts) == 11
 
 
-# -- cube classes through the norm to F_Q, q = Q^3 ------------------------------
+def test_class_table_memory_is_q_bytes_plus_one_block():
+    """The oracle's budget: table q bytes, temporaries one block.  With n = 1
+    and int64 digits every block array is full size."""
+    from zech_oracle import BLOCK_BYTES
 
-NORM_FIELDS = [(7, 3), (13, 3), (5, 6), (7, 6), (11, 6), (13, 6)]
+    F = FiniteField(1_000_003)
+    F.generator()  # its factorization caches a prime sieve, which is not the table's
+    tracemalloc.start()
+    try:
+        z = ZechLog(F)
+        z.cube_class_counts(F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.q < peak <= F.q + BLOCK_BYTES
 
 
-def _subfield_roots(nl, case, rng):
+def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
+    """The same budget for the build folded over F_p^*: over F_{13^6} and
+    F_{17^6} the coset walk takes several blocks and a slab, p^5, is filled
+    in chunks, with the normalized slab written in place in the table.  The
+    temporaries measure 2.5 MiB for the build and 1.1-1.2 MiB for the sweep,
+    so they are held to 4 MiB, well inside the block of BLOCK_BYTES."""
+    from zech_oracle import BLOCK_BYTES
+
+    temporaries = 4 * 2**20
+    assert temporaries <= BLOCK_BYTES
+    for p in (13, 17):
+        F = FiniteField(p, 6)
+        F.generator()
+        tracemalloc.start()
+        try:
+            z = ZechLog(F)
+            z.cube_class_counts(F(7), [F.from_index(i) for i in (1, 2, 3, 5, 8, 13)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del z
+        assert F.q < peak <= F.q + temporaries, p
+
+
+# -- cube classes over F_{Q^m} through the norm to F_Q -------------------------------
+
+NORM_FIELDS = [(7, 3), (13, 3), (5, 6), (7, 6), (11, 6), (13, 6)]  # F_{Q^3}, Q = p^(n/3)
+ROOT_CASES = ["symmetric", "not symmetric", "repeated", "frobenius-stable"]
+
+
+def _subfield_roots(FQ, case, rng):
     """Roots in F_Q: three pairs symmetric about a centre c, with c/2 added;
     the same with one root moved off the symmetry; with multiplicities; or
     closed under Frobenius x -> x^p with multiplicities, 0 and F_p included."""
-    sub = nl.powers + [nl.field.zero()]
+    sub = list(FQ.elements())
     c = rng.choice(sub)
     roots = [x for r in rng.sample(sub, 3) for x in (r, c - r)]
     if case == "symmetric":
@@ -662,76 +706,122 @@ def _subfield_roots(nl, case, rng):
     if case == "not symmetric":
         return roots[:-1] + [roots[-1] + 1]
     if case == "frobenius-stable":
-        p = nl.field.p
-        r, s = rng.sample(nl.powers, 2)
-        return [r, r**p, s, s**p, s, s**p, nl.field.zero(), nl.field(2)]
+        p = FQ.p
+        r, s = rng.sample(sub[1:], 2)
+        return [r, r**p, s, s**p, s, s**p, FQ.zero(), FQ(2)]
     return roots[:1] * 2 + roots[1:2] * 3 + roots[2:3] * 4  # case "repeated"
 
 
+def _norm_against_table(FQ, m, unit, roots):
+    """The norm sweep over F_{Q^m} against the class table of F_{Q^m}, the
+    classes matched by over_extension, and against the per-t cubic
+    characters where F_{Q^m} is small; the classes of the unit and of -432
+    agree too.  Returns the norm sweep's counts."""
+    nl = NormLog(FQ)
+    z, embed, swapped = over_extension(FQ, m)
+
+    def as_table(j):
+        return (3 - j) % 3 if swapped else j
+
+    counts, zeros = nl.cube_class_counts(m, unit, roots)
+    big_unit, big_roots = embed(unit), [embed(r) for r in roots]
+    table = z.cube_class_counts(big_unit, big_roots)
+    assert ([counts[as_table(j)] for j in range(3)], zeros) == table
+    if z.q < 20_000:
+        assert table == _counts_by_characters(z.field, z.g, big_unit, big_roots)
+    for x in (unit, FQ(-432)):
+        assert as_table(nl.cube_class(x, m)) == z.sextic_class(embed(x)) % 3
+    return counts, zeros
+
+
 @pytest.mark.parametrize("p,n", NORM_FIELDS)
-@pytest.mark.parametrize("case", ["symmetric", "not symmetric", "repeated", "frobenius-stable"])
+@pytest.mark.parametrize("case", ROOT_CASES)
 def test_norm_counts_equal_the_table_sweep(p, n, case, monkeypatch):
-    """The count through the norm against the class-table sweep, and against
-    the per-t cubic characters where F_q is small, with a random unit of F_q;
-    the sextic classes of the unit and of -432 agree too.
+    """m = 3: the count through the norm to F_Q, Q = p^(n/3), against the
+    class-table sweep of F_{p^n} (_norm_against_table), with a random unit of
+    F_Q.
 
     A Frobenius-stable root multiset sweeps one sigma of F_Q per orbit of
     x -> x^p, and any other set every sigma.  Over F_Q = F_{p^2}, p = 2 mod 3,
     the stable sets have paired slices whose N_1 - N_2 do not cancel, so a
     dropped class swap at the second member would change the counts."""
-    F = FiniteField(p, n)
-    nl, z = NormLog(F), ZechLog(F)
+    FQ = FiniteField(p, n // 3)
     rng = random.Random(f"{p} {n} {case}")
-    roots = _subfield_roots(nl, case, rng)
-    unit = F.from_index(rng.randrange(1, F.q))
-    slices, sweep = [], NormLog._slice_counts
+    roots = _subfield_roots(FQ, case, rng)
+    unit = FQ.from_index(rng.randrange(1, FQ.q))
+    slices, sweep = [], NormLog._cubic_slice
 
     def spy(self, sigma, rows):
         out = sweep(self, sigma, rows)
-        slices.append((sigma, out[0]))
+        slices.append((sigma, out))
         return out
 
-    monkeypatch.setattr(NormLog, "_slice_counts", spy)
-    counts = nl.cube_class_counts(unit, roots)
-    assert counts == z.cube_class_counts(unit, roots)
-    if F.q < 20_000:
-        assert counts == _counts_by_characters(F, z.g, unit, roots)
-    assert [nl.sextic_class(x) for x in (unit, F(-432))] == [z.sextic_class(x) for x in (unit, F(-432))]
-    sub, a = nl.powers + [F.zero()], n // 3
+    monkeypatch.setattr(NormLog, "_cubic_slice", spy)
+    _norm_against_table(FQ, 3, unit, roots)
+    sub, a = list(FQ.elements()), n // 3
     stable = Counter(r**p for r in roots) == Counter(roots)
     assert stable == (case == "frobenius-stable" or a == 1)
     orbits = {frozenset(x ** (p**j) for j in range(a)) for x in sub}
-    assert len(slices) == (len(orbits) if stable else nl.Q)
+    assert len(slices) == (len(orbits) if stable else FQ.q)
     if stable and a == 2 and p % 3 == 2:
-        paired = [c for sigma, c in slices if sigma % (p + 1) and sigma != nl.Q - 1]
+        paired = [c for sigma, c in slices if sigma % (p + 1) and sigma != FQ.q - 1]
         assert sum(c[1] - c[2] for c in paired) != 0
+
+
+@pytest.mark.parametrize("p,n,m", [
+    (7, 1, 1), (13, 1, 1), (7, 2, 1), (5, 2, 1),  # F_Q itself
+    (7, 1, 2), (13, 1, 2), (11, 2, 2), (13, 2, 2), (17, 2, 2), (5, 4, 2),  # F_{Q^2}
+])
+@pytest.mark.parametrize("case", ROOT_CASES)
+def test_norm_counts_over_f_q_and_f_q2_equal_the_table_sweep(p, n, m, case):
+    """m = 1: the Q points of F_Q alone; m = 2: those with the classes doubled,
+    plus one slice over the non-squares delta, N(a + u - r) = (a - r)^2 - delta
+    with u^2 = delta; each against the class table of F_{Q^m}, Q = p^n.  The
+    m = 2 fields F_{13^2}, F_{11^4}, F_{13^4}, F_{17^4} and F_{5^8} are those
+    that --direct counts at p = 13, 11 and 5, or S_2 at 13 and 17."""
+    FQ = FiniteField(p, n)
+    rng = random.Random(f"{p} {n} {m} {case}")
+    roots = _subfield_roots(FQ, case, rng)
+    unit = FQ.from_index(rng.randrange(1, FQ.q))
+    counts, zeros = _norm_against_table(FQ, m, unit, roots)
+    assert sum(counts) + zeros == FQ.q**m and zeros == len(set(roots))
 
 
 @pytest.mark.parametrize("p,n", NORM_FIELDS)
 def test_norm_log_rows_from_zech_logarithms(p, n):
     """code(r - a) over every a in F_Q, read off the Zech logarithms, against
     the element subtraction, for every r in F_Q, 0 included."""
-    nl = NormLog(FiniteField(p, n))
-    sub = nl.powers + [nl.field.zero()]
+    nl = NormLog(FiniteField(p, n // 3))
+    sub = [nl.h**i for i in range(nl.Q - 1)] + [nl.field.zero()]  # in code order
     for r in sub:
         row = nl._row(nl._code(r))
         assert row.tolist() == [nl._code(r - a) for a in sub]
 
 
 def test_norm_log_refuses_fields_and_roots_it_cannot_count():
-    with pytest.raises(ValueError, match="not Q\\^3"):
-        NormLog(FiniteField(5, 3))  # q = 2 mod 3
-    with pytest.raises(ValueError, match="not Q\\^3"):
-        NormLog(FiniteField(7, 2))
-    F = FiniteField(7, 3)
-    with pytest.raises(ValueError, match="outside F_7"):
-        NormLog(F).cube_class_counts(F(1), [F(2), F.x()])
+    with pytest.raises(ValueError, match="not 1 mod 6"):
+        NormLog(FiniteField(5, 3))  # Q = 2 mod 3
+    with pytest.raises(ValueError, match="not 1 mod 6"):
+        NormLog(FiniteField(17))
+    F = FiniteField(7)
+    nl = NormLog(F)
+    with pytest.raises(ValueError, match="m = 4"):
+        nl.cube_class_counts(4, F(1), [F(2)])
+    with pytest.raises(ValueError, match="different field"):
+        nl.cube_class_counts(1, F(1), [F(2), FiniteField(7, 3).x()])
+    with pytest.raises(ValueError, match="at most 12 roots"):
+        nl.cube_class_counts(1, F(1), [F(2)] * 13)
+    with pytest.raises(ValueError, match="class of zero"):
+        nl.cube_class_counts(1, F(0), [F(2)])
+    F = FiniteField(811)
+    with pytest.raises(ValueError, match="q = 533411731 exceeds the class-table budget"):
+        NormLog(F).cube_class_counts(3, F(1), [F(2)])
 
 
 PLANTED_NORM_GENERATOR = """
 from twocubes.exact import FiniteField
 from twocubes.exact.zechlog import NormLog
-F = FiniteField(7, 3)
+F = FiniteField(7)
 F._generator = F.generator() ** 2
 try:
     NormLog(F)
@@ -743,10 +833,10 @@ except ArithmeticError as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_norm_log_rejects_a_planted_generator(flags):
-    """Over F_{7^3}, h = g^(2 E) has order 3, not Q - 1 = 6: refused, also under -O."""
+    """Over F_7, h = g^2 has order 3, not Q - 1 = 6: refused, also under -O."""
     out = subprocess.run(
         [sys.executable, *flags, "-c", PLANTED_NORM_GENERATOR],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
-    assert out.stdout.splitlines() == ["g^((q-1)/(Q-1)) does not have order Q - 1"]
+    assert out.stdout.splitlines() == ["h does not have order Q - 1"]

@@ -28,6 +28,7 @@ from twocubes.function_field import (
     _frobenius,
     _lfunction,
     _rank,
+    _roots_mod_p,
     build_family,
     character_sum,
     good_prime,
@@ -41,6 +42,7 @@ from twocubes.function_field import (
     z_rank,
     z_rank_cm,
 )
+from zech_oracle import ZechLog
 
 PAPER_L17 = (1, 0, -544, 0, 147390, 0, -45435424, 0, 6975757441)
 
@@ -447,12 +449,18 @@ def test_fiber_trace_sum_goldens(family, p):
 
 
 def test_fiber_trace_sum_refuses_fields_above_the_table_budget(family):
+    """The work bound on the counted field, and the bound on F_Q itself where
+    an S_m with m prime to 6 is counted over F_{B^m} with no subfield."""
+    from twocubes.exact.ffield import MAX_BASE_FIELD
     from twocubes.exact.zechlog import MAX_COUNTING_FIELD
 
     assert 23**6 <= MAX_COUNTING_FIELD < 29**6
     assert 787**3 <= MAX_COUNTING_FIELD < 811**3
     with pytest.raises(LFunctionError, match="q = 29\\^6 exceeds"):
         character_sum(family, 29, 3)
+    assert 13**5 <= MAX_BASE_FIELD < 19**5
+    with pytest.raises(LFunctionError, match="Q = 19\\^5, exceeds the base-field budget"):
+        character_sum(family, 19, 5)
 
 
 @pytest.mark.parametrize("p, direct, n", [(101, False, 6), (29, False, 6), (29, True, 8), (811, False, 3)])
@@ -463,76 +471,73 @@ def test_lfunction_refuses_oversized_fields_before_counting(p, direct, n):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_class_table_memory_is_q_bytes_plus_one_block():
-    """The budget behind MAX_COUNTING_FIELD: table q bytes, temporaries one
-    block.  With n = 1 and int64 digits every block array is full size."""
+def test_character_sum_memory_over_f11_8_is_far_below_q_bytes(family):
+    """S_4 at p = 11 counts F_{11^8}, q = 214 MB, as m = 2 over F_Q = F_{11^4}:
+    the sweep holds O(Q) bytes of Zech logarithms and root rows and one block
+    of BLOCK class sums at a time, and measures about 3 MiB, held to 8 MiB."""
     import tracemalloc
 
-    from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
+    from twocubes.function_field import _counting_field
 
-    F = FiniteField(1_000_003)
-    F.generator()  # its factorization caches a prime sieve, which is not the table's
+    _counting_field(11, 4).generator()  # built once per process, not the sweep's
     tracemalloc.start()
     try:
-        z = ZechLog(F)
-        z.cube_class_counts(F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
+        S = character_sum(family, 11, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert F.q < peak <= F.q + BLOCK_BYTES
+    assert S == (-58564, 0)
+    assert peak <= 8 * 2**20
 
 
-def test_class_table_memory_for_n_above_1_is_q_bytes_plus_one_block():
-    """The same budget for the build folded over F_p^*: over F_{13^6} and the
-    published F_{17^6} the coset walk takes several blocks and a slab, p^5,
-    is filled in chunks, with the normalized slab written in place in the
-    table.  The temporaries measure 2.5 MiB for the build and 1.1-1.2 MiB for
-    the sweep, so they are held to 4 MiB, well inside the block of BLOCK_BYTES
-    that the budget allows."""
-    import tracemalloc
-
-    from twocubes.exact.zechlog import BLOCK_BYTES, ZechLog
-
-    temporaries = 4 * 2**20
-    assert temporaries <= BLOCK_BYTES
-    for p in (13, 17):
-        F = FiniteField(p, 6)
-        F.generator()
-        tracemalloc.start()
-        try:
-            z = ZechLog(F)
-            z.cube_class_counts(F(7), [F.from_index(i) for i in (1, 2, 3, 5, 8, 13)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        del z
-        assert F.q < peak <= F.q + temporaries, p
-
-
-def test_norm_count_of_c6_at_17_equals_the_table_sweep(family, monkeypatch):
-    """S_3 over F_{17^6}, which gives the published c_6, through the norm to
-    F_{17^2} with the Frobenius fold, and again through the q-byte class table
-    that the sweep builds for 3 not dividing n."""
+@pytest.mark.parametrize("p, direct", [(5, False), (5, True), (13, True), (17, False)])
+def test_only_f_b_and_f_b2_are_built_for_counting(p, direct, monkeypatch):
+    """Every S_m is counted over F_B, B = p or p^2 with 3 | B - 1, and the S_4
+    of direct=True over F_{B^2}: no larger F_{p^n} is built, and exact.zechlog
+    has no class table of a whole field left to build."""
+    from twocubes import function_field
     from twocubes.exact import zechlog
 
-    by_norm = character_sum(family, 17, 3)
-    monkeypatch.setattr(zechlog, "NormLog", zechlog.ZechLog)
-    assert character_sum(family, 17, 3) == by_norm
+    expected, built = lfunction(p, direct=direct).coeffs, []
+
+    def spy(q, n):
+        built.append((q, n))
+        return FiniteField(q, n)
+
+    monkeypatch.setattr(function_field, "_counting_field", spy)
+    assert _lfunction.__wrapped__(build_family(), p, direct).coeffs == expected
+    e = 1 if p % 3 == 1 else 2
+    assert set(built) == ({(p, e), (p, 2 * e)} if direct else {(p, e)})
+    assert not hasattr(zechlog, "ZechLog") and "ZechLog" not in zechlog.__all__
+
+
+def test_norm_count_of_c6_at_17_equals_the_table_sweep(family):
+    """S_3 over F_{17^6}, which gives the published c_6, through the norm to
+    F_{17^2} with the Frobenius fold, and again from the class table of all of
+    F_{17^6} (zech_oracle) with that field's own generator: at p = 2 mod 3,
+    S_m is real, so either cubic character gives it."""
+    F = FiniteField(17, 6)
+    z = ZechLog(F)
+    k = [int(c) % 17 for c in family.k.coeffs]
+    counts, zeros = z.cube_class_counts(F(k[-1]), _roots_mod_p(k, F))
+    counts[z.sextic_class(F(k[-1])) % 3] += 1  # deg k = 6: the point at infinity
+    assert zeros == 6
+    assert character_sum(family, 17, 3) == (counts[0] - counts[2], counts[1] - counts[2])
     assert cn_from_characters(family, 17, 6) == dict(lfunction(17).counted)[6]
 
 
 def test_norm_count_memory_over_f17_6_is_not_q_bytes():
-    """The F_{17^6} count holds Q x Q = 17^4 bytes and small blocks, not the
-    q = 24 MB class table: it measures about 0.8 MiB, held to 4 MiB."""
+    """The F_{17^6} count holds O(Q) bytes for Q = 17^2 and small blocks, not
+    the q = 24 MB class table: it measures about 0.3 MiB, held to 4 MiB."""
     import tracemalloc
 
     from twocubes.exact.zechlog import NormLog
 
-    F = FiniteField(17, 6)
+    F = FiniteField(17, 2)
     F.generator()
     tracemalloc.start()
     try:
-        NormLog(F).cube_class_counts(F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
+        NormLog(F).cube_class_counts(3, F(7), [F(1), F(2), F(3), F(5), F(8), F(13)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -695,7 +700,8 @@ def test_lfunction_cache_ignores_spelling():
 def test_typed_checks_survive_python_O():
     """The exactness and type checks raise their typed errors with asserts
     stripped: planted character sums trip the integrality check at p = 11 and
-    the completion check at p = 13."""
+    the completion check at p = 13, and a planted generator of F_7 of order 3
+    the order check of the norm sweep."""
     script = """
 from twocubes.exact import FiniteField, Polynomial, RationalFunction
 from twocubes.exact.zechlog import NormLog
@@ -718,11 +724,12 @@ for p, m, step in ((11, 2, 1), (13, 3, 13)):  # S_2 + 1: b_2 is not integral; S_
     except LFunctionError as err:
         print("LFunctionError:", err)
 function_field.character_sum = counted
-F = FiniteField(7, 3)
+F = FiniteField(7)
+F._generator = F.generator() ** 2  # h of order 3, not Q - 1 = 6
 try:
-    NormLog(F).cube_class_counts(F(1), [F.x()])
-except ValueError:
-    print("ValueError")
+    NormLog(F)
+except ArithmeticError:
+    print("ArithmeticError")
 try:
     specialize(3, FunctionFieldCurve(2 * fam.k, fam.p1, fam.p2))
 except SpecializationError:
@@ -740,7 +747,7 @@ except TypeError:
     )
     want = ["FamilyError", "LFunctionError: counted coefficients are not integral",
             "LFunctionError: functional-equation completion contradicts counted S_3",
-            "ValueError", "SpecializationError", "TypeError"]
+            "ArithmeticError", "SpecializationError", "TypeError"]
     assert out.stdout.splitlines() == want
 
 

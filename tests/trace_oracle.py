@@ -2,16 +2,17 @@
 closed-form traces: the oracle of `function_field.character_sum` through
 c_{e n} = 2 Re(alpha^n S_n).
 
-It shares the roots of k and the cube-class sweep with the library, and
-nothing else: the traces come from `elliptic.trace` (Gauss's formula for the
-fiber's own Weierstrass model), one per class of -432 k(t)^2 mod 6 for the
-generator of the field, with no cubic character and no alpha.
+It shares the roots of k with the library, and nothing else: the classes
+come from the class table of all of F_{p^n} (`zech_oracle.ZechLog`, with the
+field's own generator, no norm and no Zech logarithm), and the traces from
+`elliptic.trace` (Gauss's formula for the fiber's own Weierstrass model), one
+per class of -432 k(t)^2 mod 6, with no cubic character and no alpha.
 """
 
 from twocubes.elliptic import trace
 from twocubes.exact import FiniteField
-from twocubes.exact import zechlog
 from twocubes.function_field import LFunctionError, _roots_mod_p, good_prime
+from zech_oracle import ZechLog
 
 
 def fiber_trace_sum(curve, p: int, n: int) -> int:
@@ -27,7 +28,7 @@ def fiber_trace_sum(curve, p: int, n: int) -> int:
         return 0
     k = [int(c) % p for c in curve.k.coeffs]
     roots = _roots_mod_p(k, field)
-    engine = zechlog.NormLog(field) if n % 3 == 0 else zechlog.ZechLog(field)
+    engine = ZechLog(field)
     traces = [trace(field, engine.g**j) for j in range(6)]
     unit = field(k[-1])
     counts, n_bad = engine.cube_class_counts(unit, roots)
