@@ -428,77 +428,98 @@ def _twists_csv(results: dict) -> str:
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process (parsing does not mutate it)."""
+def _command_tree() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree, built once per process (parsing does not mutate it),
+    and each leaf parser with its handler by (group, command), recorded as it
+    is added."""
     parser = argparse.ArgumentParser(
         prog="twocubes", description="Exact computations around sums of two cubes."
     )
     top = parser.add_subparsers(dest="group", required=True)
+    commands = {}
 
-    ident = top.add_parser("identities", help="cube identities and near misses")
-    ident_sub = ident.add_subparsers(dest="command", required=True)
-    ident_sub.add_parser("verify", help="verify the classical identities symbolically")
-    taxi = ident_sub.add_parser("taxicab", help="numbers with several two-cube representations")
+    def group(name: str, help: str):
+        sub = top.add_parser(name, help=help).add_subparsers(dest="command", required=True)
+
+        def command(cmd: str, handler, help: str) -> argparse.ArgumentParser:
+            leaf = sub.add_parser(cmd, help=help)
+            commands[(name, cmd)] = (leaf, handler)
+            return leaf
+
+        return command
+
+    ident = group("identities", "cube identities and near misses")
+    ident("verify", _run_identities_verify, "verify the classical identities symbolically")
+    taxi = ident("taxicab", _run_identities_taxicab, "numbers with several two-cube representations")
     taxi.add_argument("--bound", type=int, required=True)
     taxi.add_argument("--reps", type=int, default=2)
-    near = ident_sub.add_parser("nearmiss", help="x^3 + y^3 = z^3 +/- 1 families")
+    near = ident("nearmiss", _run_identities_nearmiss, "x^3 + y^3 = z^3 +/- 1 families")
     near.add_argument("--family", choices=("zero", "infinity"), default="zero")
     near.add_argument("--count", type=int, default=10)
 
-    ec = top.add_parser("ec", help="elliptic curve models and counting")
-    ec_sub = ec.add_subparsers(dest="command", required=True)
-    ecc = ec_sub.add_parser("count", help="count points of v^2 = u^3 + A over F_{p^n}")
+    ec = group("ec", "elliptic curve models and counting")
+    ecc = ec("count", _run_ec_count, "count points of v^2 = u^3 + A over F_{p^n}")
     ecc.add_argument("--p", type=int, required=True)
     ecc.add_argument("--n", type=int, default=1)
     ecc.add_argument("--a", type=str, required=True, help="integer, or comma digits low-to-high")
-    ecm = ec_sub.add_parser("map", help="map a Hesse point to the Weierstrass model")
+    ecm = ec("map", _run_ec_map, "map a Hesse point to the Weierstrass model")
     ecm.add_argument("--d", type=str, required=True)
     ecm.add_argument("--x", type=str, required=True)
     ecm.add_argument("--y", type=str, required=True)
 
-    ff = top.add_parser("ff", help="the curve over Q(T) and its L-function")
-    ff_sub = ff.add_subparsers(dest="command", required=True)
-    ffr = ff_sub.add_parser("rank", help="rank bounds over Q(T) and geometrically")
+    ff = group("ff", "the curve over Q(T) and its L-function")
+    ffr = ff("rank", _run_ff_rank, "rank bounds over Q(T) and geometrically")
     ffr.add_argument("--p", type=int, default=17)
-    ffl = ff_sub.add_parser("lfunction", help="degree-8 L-polynomial mod p")
+    ffl = ff("lfunction", _run_ff_lfunction, "degree-8 L-polynomial mod p")
     ffl.add_argument("--p", type=int, required=True)
     ffl.add_argument("--direct", action="store_true", help="count the character sums S_1..S_4 directly")
-    ff_sub.add_parser("differentials", help="pullback differentials of the sections")
+    ff("differentials", _run_ff_differentials, "pullback differentials of the sections")
 
-    surf = top.add_parser("surface", help="elliptic surface analysis")
-    surf_sub = surf.add_subparsers(dest="command", required=True)
-    sana = surf_sub.add_parser("analyze", help="fibers, Euler number, K3 flag, Picard number")
+    surf = group("surface", "elliptic surface analysis")
+    sana = surf("analyze", _run_surface_analyze, "fibers, Euler number, K3 flag, Picard number")
     sana.add_argument("--k", type=str, default=None, help="custom squarefree k(T)")
 
-    tw = top.add_parser("twists", help="specializations to cubic twists")
-    tw_sub = tw.add_subparsers(dest="command", required=True)
-    twt = tw_sub.add_parser("table", help="twist records for integer t in a range")
+    tw = group("twists", "specializations to cubic twists")
+    twt = tw("table", _run_twists_table, "twist records for integer t in a range")
     twt.add_argument("--from", dest="t_from", type=int, required=True)
     twt.add_argument("--to", dest="t_to", type=int, required=True)
     twt.add_argument("--certify", action="store_true")
     twt.add_argument("--budget", type=int, default=50)
     twt.add_argument("--format", choices=("json", "csv"), default="json")
-    return parser
+    return parser, commands
 
 
-_HANDLERS = {
-    ("identities", "verify"): _run_identities_verify,
-    ("identities", "taxicab"): _run_identities_taxicab,
-    ("identities", "nearmiss"): _run_identities_nearmiss,
-    ("ec", "count"): _run_ec_count,
-    ("ec", "map"): _run_ec_map,
-    ("ff", "rank"): _run_ff_rank,
-    ("ff", "lfunction"): _run_ff_lfunction,
-    ("ff", "differentials"): _run_ff_differentials,
-    ("surface", "analyze"): _run_surface_analyze,
-    ("twists", "table"): _run_twists_table,
-}
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command."""
+    return _command_tree()[0]
+
+
+def _parse(argv: list[str]):
+    """(group, command, parsed flags, handler) for argv.
+
+    The tree would hand argv[2:] to the leaf parser of (argv[0], argv[1])
+    unchanged, so that leaf parses it alone, with the same namespace, help
+    and error messages (their prefix is the leaf's prog).  Anything else goes
+    to the full tree, whose help and errors it then prints: an unknown
+    command, fewer than two words, or arguments the leaf leaves over, which
+    the tree reports as `twocubes: error: unrecognized arguments`.
+    """
+    tree, commands = _command_tree()
+    entry = commands.get(tuple(argv[:2]))
+    if entry is not None:
+        leaf, handler = entry
+        args, rest = leaf.parse_known_args(argv[2:])
+        if not rest:
+            return argv[0], argv[1], args, handler
+    args = tree.parse_args(argv)
+    return args.group, args.command, args, commands[(args.group, args.command)][1]
 
 
 def dispatch(argv: list[str]) -> tuple[RunReport, str | None]:
-    """Run one subcommand; returns the report and an optional CSV body."""
-    args = build_parser().parse_args(argv)
-    handler = _HANDLERS[(args.group, args.command)]
+    """Run one subcommand; returns the report and an optional CSV body.
+
+    A valid command costs one argparse pass, over its leaf parser (`_parse`)."""
+    group, command, args, handler = _parse(argv)
     params = {
         k: v for k, v in vars(args).items() if k not in ("group", "command") and v is not None
     }
@@ -512,14 +533,13 @@ def dispatch(argv: list[str]) -> tuple[RunReport, str | None]:
     timing = time.perf_counter() - started
     if (
         status == "ok"
-        and args.group == "twists"
+        and group == "twists"
         and args.certify
         and results.get("summary", {}).get("uncertified", 0) > 0
     ):
         status = "exhausted"
     report = RunReport(
-        f"{args.group} {args.command}", {k: str(v) for k, v in params.items()}, results,
-        status, timing,
+        f"{group} {command}", {k: str(v) for k, v in params.items()}, results, status, timing,
     )
     csv_body = None
     if getattr(args, "format", "json") == "csv" and status != "failed":

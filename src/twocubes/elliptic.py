@@ -16,6 +16,8 @@ steps here (`_add_mod_p`, `_mul_mod_p`, `_is_cyclic`) run unchecked.
 E(F_p) = Z/n1 x Z/n2, n1 | n2, is read off the Frobenius: n1 = 1 at p = 2 mod 3,
 and `group_n1` reads n1 off E(F_p) = Z[omega]/(pi - 1) at p = 1 mod 3 (Lenstra,
 J. Number Theory 56, 1996), so only the primes of n1 can break cyclicity.
+The one check left on that path, that #E(F_p) kills both points, rides on
+the bounded walk to each ell-primary order (`_is_cyclic`, `_ell_order`).
 Counting over F_q is closed-form: the trace of v^2 = u^3 + A is Gauss's
 sextic-character formula, lifted from F_p to F_q by Hasse-Davenport, so it
 costs one sextic residue symbol; the Frobenius pi_q and its rotations are
@@ -207,19 +209,21 @@ def _is_cyclic(p: int, P, Q, n: int, ells) -> bool:
     """Whether <P, Q> in E(F_p) is cyclic at each prime ell of `ells`; at the
     primes of n1 (`group_n1`), whether it is cyclic.
 
-    n is a multiple of #E(F_p), not only of the two point orders.  At each
-    ell, with ell^e exactly dividing n, the ell-primary parts are
-    P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
+    n must kill both points (a ValueError otherwise); the caller passes
+    #E(F_p).  At each ell, with ell^e exactly dividing n, the ell-primary
+    parts are P' = (n / ell^e) P and Q' = (n / ell^e) Q; order them so that
     ord(P') >= ord(Q').  The span is cyclic at ell iff Q' lies in <P'>,
-    tested by direct enumeration of the (small) cyclic group.
+    tested by direct enumeration of the (small) cyclic group.  n P = O is
+    ell^e P' = O, which the walk to the order of P' (`_ell_order`) checks,
+    at the first ell before any answer; with no ell, n P = O is checked
+    directly.
     """
-    for X in (P, Q):
-        if _mul_mod_p(p, n, X) is not None:
-            raise ValueError("group_order is not a multiple of the point order")
+    if not ells and any(_mul_mod_p(p, n, X) is not None for X in (P, Q)):
+        raise ValueError("group_order is not a multiple of the point order")
     for ell in ells:
-        m = n // math.gcd(n, ell ** n.bit_length())  # n / ell^e
-        Pp, Qp = _mul_mod_p(p, m, P), _mul_mod_p(p, m, Q)
-        oP, oQ = _ell_order(p, Pp, ell), _ell_order(p, Qp, ell)
+        ell_e = math.gcd(n, ell ** n.bit_length())
+        Pp, Qp = _mul_mod_p(p, n // ell_e, P), _mul_mod_p(p, n // ell_e, Q)
+        oP, oQ = _ell_order(p, Pp, ell, ell_e), _ell_order(p, Qp, ell, ell_e)
         if oP < oQ:
             Pp, Qp, oP = Qp, Pp, oQ
         R = None
@@ -232,10 +236,13 @@ def _is_cyclic(p: int, P, Q, n: int, ells) -> bool:
     return True
 
 
-def _ell_order(p: int, P, ell: int) -> int:
-    """The order of P, known to be a power of ell."""
+def _ell_order(p: int, P, ell: int, ell_e: int) -> int:
+    """The order of P, a power of ell that divides ell_e; a ValueError if
+    ell_e P != O, so the walk takes at most e steps."""
     o = 1
     while P is not None:
+        if o == ell_e:
+            raise ValueError("group_order is not a multiple of the point order")
         P = _mul_mod_p(p, ell, P)
         o *= ell
     return o

@@ -332,6 +332,20 @@ def good_prime(curve: FunctionFieldCurve, p: int) -> bool:
 _counting_field = lru_cache(maxsize=None)(FiniteField)  # one F_{p^n}, generator included
 
 
+@lru_cache(maxsize=8)
+def _counting_engine(p: int, n: int):
+    """The norm sweep of F_Q = F_{p^n} (zechlog.NormLog), built once per field."""
+    from .exact import zechlog  # numpy is imported only by the sweeps
+
+    return zechlog.NormLog(_counting_field(p, n))
+
+
+@lru_cache(maxsize=None)
+def _counting_roots(k: tuple[int, ...], p: int, n: int) -> tuple:
+    """The roots of k mod p in F_{p^n} (_roots_mod_p), found once per field."""
+    return tuple(_roots_mod_p(k, _counting_field(p, n)))
+
+
 def _frobenius(p: int) -> tuple[tuple[int, int], int]:
     """(alpha, w) for a good p: c_{e n} = 2 Re(alpha^n S_n) (character_sum),
     with alpha = -pi for the primary pi of norm B.
@@ -380,6 +394,7 @@ def _roots_mod_p(k: list[int], field: FiniteField) -> list:
     return roots
 
 
+@lru_cache(maxsize=None)
 def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
     """S_m = sum over t in P^1(F_{B^m}) of chi(k(t)), as the pair (a, b) = a + b omega.
 
@@ -396,22 +411,21 @@ def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
     S = N_0 + N_1 omega^c + N_2 omega^(2c).  The roots of k mod p come from
     _roots_mod_p and must lie in F_Q.  A p that is not good is refused
     before any field is built, and fields above MAX_COUNTING_FIELD or
-    MAX_BASE_FIELD before any sweep.
+    MAX_BASE_FIELD before any sweep.  Each S_m is counted once per process,
+    and F_Q's engine and roots are built once for every m counted over it.
     """
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
     e = 1 if p % 3 == 1 else 2
     _check_counting_budget(p, e * m)
-    from .exact import zechlog  # numpy is imported only by the sweeps
-
     j = next(j for j in (3, 2, 1) if m % j == 0)
     n = e * m // j
     if p**n > MAX_BASE_FIELD:
         raise LFunctionError(f"counting S_{m} over F_Q, Q = {p}^{n}, exceeds the base-field budget")
-    field = _counting_field(p, n)
-    k = [int(c) % p for c in curve.k.coeffs]  # p is good: lc(k) stays
-    roots = _roots_mod_p(k, field)
-    engine = zechlog.NormLog(field)
+    k = tuple(int(c) % p for c in curve.k.coeffs)  # p is good: lc(k) stays
+    roots = _counting_roots(k, p, n)
+    engine = _counting_engine(p, n)
+    field = engine.field
     unit = field(k[-1])
     counts, n_bad = engine.cube_class_counts(j, unit, roots)
     if n_bad != len(roots):

@@ -23,12 +23,19 @@ from .function_field import FunctionFieldCurve, build_family
 
 
 class Point(NamedTuple):
-    """(X : Y : Z) on X^3 + Y^3 = dZ^3 with Z > 0 and gcd(X, Z) = 1; the
-    Fractions x = X/Z and y = Y/Z are formed for printing."""
+    """(X : Y : Z) on X^3 + Y^3 = dZ^3 with Z > 0 and gcd(X, Z) = 1, so also
+    gcd(Y, Z) = 1 (a prime dividing Y and Z divides X^3): X/Z and Y/Z are in
+    lowest terms as written, and `coords` prints them with no Fraction."""
 
     X: int
     Y: int
     Z: int
+
+    def coords(self) -> tuple[str, str]:
+        """x and y as Fraction prints them: X/Z, or X when Z = 1."""
+        if self.Z == 1:
+            return str(self.X), str(self.Y)
+        return f"{self.X}/{self.Z}", f"{self.Y}/{self.Z}"
 
     @property
     def x(self) -> Fraction:
@@ -72,14 +79,15 @@ class TwistRecord:
         return self.outcome.certificate if self.outcome else None
 
     def to_json(self) -> dict:
+        (x1, y1), (x2, y2) = self.p1.coords(), self.p2.coords()
         out = {
             "t": str(self.t),
             "k": str(self.k_t),
             "d": str(self.d),
-            "x1": str(self.p1.x),
-            "y1": str(self.p1.y),
-            "x2": str(self.p2.x),
-            "y2": str(self.p2.y),
+            "x1": x1,
+            "y1": y1,
+            "x2": x2,
+            "y2": y2,
         }
         out["cert_prime"] = self.certificate.prime if self.certificate else None
         out["cert_reason"] = self.outcome.reason if self.outcome else None
@@ -167,8 +175,9 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     with Z > 0 and gcd(X, Z) = 1, which on the curve is gcd(X, Y, Z) = 1
     (a prime dividing Z and X divides Y^3 = dZ^3 - X^3); a failure is a
     ValueError.  A prime p >= 5 prime to 6d is skipped, and not counted as
-    tried, exactly when p | X + Y for either point; these are the primes
-    that divide a denominator of the Weierstrass image over Q:
+    tried, exactly when p | X + Y for either point, tested on the triples;
+    these are the primes that divide a denominator of the Weierstrass image
+    over Q:
       - p | X + Y gives p | dZ^3, so p | Z and p does not divide X, and then
         X^2 - XY + Y^2 = 3X^2 is a unit mod p;
       - so v_p(X + Y) = 3 v_p(Z) > v_p(12dZ), and p divides the denominator
@@ -178,7 +187,8 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     E(F_p) = Z/n1 x Z/n2 with n1 | n2 is read off the Frobenius
     (`elliptic.group_n1`): n1 = 1 at p = 2 mod 3, and E(F_p) = Z[omega]/(pi - 1)
     at p = 1 mod 3 (Lenstra 1996).  A prime with n1 = 1 is skipped (it still
-    counts as tried), at p = 2 mod 3 before #E(F_p) is counted; otherwise the
+    counts as tried), at p = 2 mod 3 before #E(F_p) is counted.  Only at a
+    prime with n1 > 1 are the points reduced (`weierstrass_mod_p`), and the
     cyclicity test runs on the unchecked group law at the primes of n1 only.
     """
     d = record.d
@@ -192,20 +202,21 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
         record.outcome = CertificateOutcome(None, 0, f"torsion bound {tb} != 1")
         return record.outcome
     tried = 0
+    s1, s2 = (X + Y for X, Y, _ in points)
     for p in primes():
         if tried >= prime_budget:
             break
-        if p < 5 or (6 * d) % p == 0:
-            continue
-        r1, r2 = (weierstrass_mod_p(d, P, p) for P in points)
-        if r1 is None or r2 is None:
+        if p < 5 or (6 * d) % p == 0 or s1 % p == 0 or s2 % p == 0:
             continue
         tried += 1
         if p % 3 == 2:
             continue
         order = count_points(prime_field(p), -432 * d * d % p)
         n1 = group_n1(p, order)
-        if n1 > 1 and not _is_cyclic(p, r1, r2, order, factorize(n1)):
+        if n1 == 1:
+            continue
+        r1, r2 = (weierstrass_mod_p(d, P, p) for P in points)
+        if not _is_cyclic(p, r1, r2, order, factorize(n1)):
             record.outcome = CertificateOutcome(RankCertificate(p, order), tried,
                                                 "non-cyclic image")
             return record.outcome

@@ -484,6 +484,84 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert "invalid choice" in err
 
 
+# One argv per command, with flags given, defaulted and abbreviated.
+LEAF_ARGV = [
+    ["identities", "verify"],
+    ["identities", "taxicab", "--bound", "2000"],
+    ["identities", "nearmiss", "--count", "3", "--family", "infinity"],
+    ["ec", "count", "--p", "13", "--a", "2,1", "--n", "2"],
+    ["ec", "map", "--d", "1729", "--x", "10", "--y", "9"],
+    ["ff", "rank"],
+    ["ff", "lfunction", "--p", "13", "--dir"],
+    ["ff", "differentials"],
+    ["surface", "analyze", "--k", "T^3 + 1"],
+    ["twists", "table", "--to", "3", "--from=-2", "--certify", "--format", "csv"],
+]
+
+
+def test_leaf_dispatch_matches_the_full_tree():
+    """Each command parsed by its leaf alone gives the command, parameters
+    (key order included) and results that the tree's namespace gives."""
+    from twocubes import cli
+
+    assert sorted(map(tuple, (argv[:2] for argv in LEAF_ARGV))) == sorted(cli._command_tree()[1])
+    for argv in LEAF_ARGV:
+        tree = cli.build_parser().parse_args(argv)
+        flags = {k: v for k, v in vars(tree).items() if k not in ("group", "command")}
+        group, command, args, handler = cli._parse(argv)
+        assert (group, command) == (tree.group, tree.command)
+        assert list(vars(args).items()) == list(flags.items()), argv
+        report, _ = dispatch(argv)
+        assert report.command == f"{tree.group} {tree.command}"
+        want = {k: str(v) for k, v in flags.items() if v is not None}
+        assert list(report.parameters.items()) == list(want.items()), argv
+        assert report.results == handler(tree), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["twists", "table", "--from", "1", "--to", "2", "--bogus"],  # unrecognized argument
+    ["twists", "table", "--from", "1", "--to", "2", "extra"],
+    ["twists", "table", "--from", "1"],  # missing required flag
+    ["ec", "count", "--p", "x", "--a", "1"],  # bad int
+    ["twists", "table", "--from", "1", "--to", "2", "--bogus", "--budget", "x"],
+    ["identities", "nearmiss", "--family", "one"],  # bad choice
+    ["identities", "nonsense"],  # unknown command
+    ["nonsense", "verify"],
+    ["twists"],
+    [],
+    ["twists", "table", "--", "--from", "1", "--to", "2"],
+    ["ff", "lfunction", "-h"],  # help on a leaf
+    ["twists", "table", "--bogus", "--help"],
+    ["--help"],  # top-level help
+    ["ff", "--help"],
+])
+def test_leaf_dispatch_exits_as_the_full_tree(capsys, argv):
+    """Help, every parser error and its exit code are the tree's own."""
+    from twocubes import cli
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert outcome(dispatch) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_valid_twists_dispatch_parses_once_on_its_leaf(monkeypatch):
+    import argparse
+
+    parse, progs = argparse.ArgumentParser.parse_known_args, []
+
+    def spy(self, args=None, namespace=None):
+        progs.append(self.prog)
+        return parse(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    report, _ = dispatch(["twists", "table", "--from", "3", "--to", "3", "--certify"])
+    assert report.status == "ok" and report.results["records"][0]["cert_prime"] is not None
+    assert progs == ["twocubes twists table"]
+
+
 def test_determinism(capsys):
     doc1 = run_json(capsys, "twists", "table", "--from", "0", "--to", "2")
     doc2 = run_json(capsys, "twists", "table", "--from", "0", "--to", "2")

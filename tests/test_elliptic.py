@@ -469,6 +469,59 @@ def test_subgroup_cyclicity_vs_enumeration():
         assert not _is_cyclic(7, (3, 0), (5, 0), n, factorize(n))
 
 
+# E: v^2 = u^3 + 1 over F_7 is Z/2 x Z/6; (1, 3) has order 6 and (3, 0) order 2.
+# Each n below is not a multiple of an order: with an ell of n, with an ell
+# prime to n, with no ell, and n = 1; the last refusal is of Q's order alone.
+NOT_MULTIPLES = [
+    ((1, 3), (3, 0), 3, [3]),
+    ((1, 3), (3, 0), 2, [2]),
+    ((1, 3), (3, 0), 4, [2, 3]),
+    ((1, 3), (3, 0), 3, [2]),
+    ((1, 3), (3, 0), 4, []),
+    ((1, 3), (3, 0), 1, []),
+    ((1, 3), (3, 0), 1, [2]),
+    ((0, 1), (3, 0), 3, [3]),
+]
+
+
+def test_is_cyclic_refuses_an_n_that_is_not_a_multiple_of_a_point_order():
+    """n P = O is checked in the walk to each ell-order, and directly with no
+    ell; the walk stops at ell^e, so it cannot spin.  With n = 1, O and O span
+    the trivial group."""
+    from twocubes.elliptic import _ell_order
+
+    for P, Q, n, ells in NOT_MULTIPLES:
+        with pytest.raises(ValueError, match="^group_order is not a multiple of the point order$"):
+            _is_cyclic(7, P, Q, n, ells)
+    with pytest.raises(ValueError, match="not a multiple"):
+        _ell_order(7, (1, 3), 2, 4)  # order 6 is not a power of 2
+    assert _ell_order(7, (3, 0), 2, 4) == 2
+    for ells in ([], [2]):
+        assert _is_cyclic(7, None, None, 1, ells)
+    for n in (6, 12):  # 3 (1, 3) = (3, 0), and (5, 0) is the other 2-torsion
+        assert _is_cyclic(7, (1, 3), (3, 0), n, factorize(n))
+        assert not _is_cyclic(7, (1, 3), (5, 0), n, factorize(n))
+
+
+def test_is_cyclic_refusal_survives_python_O():
+    script = f"""
+from twocubes.elliptic import _is_cyclic
+for P, Q, n, ells in {NOT_MULTIPLES!r}:
+    try:
+        _is_cyclic(7, P, Q, n, ells)
+        print("accepted")
+    except ValueError as err:
+        print(err)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    want = ["group_order is not a multiple of the point order"] * len(NOT_MULTIPLES)
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-c", script]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+        assert out.stdout.splitlines() == want, flags
+
+
 def test_scalar_mul_orders():
     p, a = 13, 5
     order = count_points(FiniteField(p), a)

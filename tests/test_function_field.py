@@ -471,6 +471,15 @@ def test_lfunction_refuses_oversized_fields_before_counting(p, direct, n):
     assert time.perf_counter() - t0 < 1.0
 
 
+def clear_counting_caches():
+    """Forget every S_m, counting engine and root set this process has counted."""
+    from twocubes import function_field
+
+    for cached in (character_sum, function_field._counting_engine,
+                   function_field._counting_roots, _lfunction):
+        cached.cache_clear()
+
+
 def test_character_sum_memory_over_f11_8_is_far_below_q_bytes(family):
     """S_4 at p = 11 counts F_{11^8}, q = 214 MB, as m = 2 over F_Q = F_{11^4}:
     the sweep holds O(Q) bytes of Zech logarithms and root rows and one block
@@ -480,6 +489,7 @@ def test_character_sum_memory_over_f11_8_is_far_below_q_bytes(family):
     from twocubes.function_field import _counting_field
 
     _counting_field(11, 4).generator()  # built once per process, not the sweep's
+    clear_counting_caches()  # so that S_4 is counted here, engine included
     tracemalloc.start()
     try:
         S = character_sum(family, 11, 4)
@@ -505,10 +515,51 @@ def test_only_f_b_and_f_b2_are_built_for_counting(p, direct, monkeypatch):
         return FiniteField(q, n)
 
     monkeypatch.setattr(function_field, "_counting_field", spy)
+    clear_counting_caches()
     assert _lfunction.__wrapped__(build_family(), p, direct).coeffs == expected
     e = 1 if p % 3 == 1 else 2
     assert set(built) == ({(p, e), (p, 2 * e)} if direct else {(p, e)})
     assert not hasattr(zechlog, "ZechLog") and "ZechLog" not in zechlog.__all__
+    clear_counting_caches()  # nothing built through the spy outlives the test
+
+
+def test_each_engine_is_built_and_each_s_m_counted_once(monkeypatch):
+    """lfunction(17) counts S_1..S_3 over F_{17^2} with one engine and one root
+    set, and lfunction(5, direct=True) after lfunction(5) counts S_4 alone,
+    over F_{5^4}: S_1..S_3 are not counted again.  Every L is unchanged."""
+    from twocubes import function_field
+    from twocubes.exact import zechlog
+
+    expected = [lfunction(17), lfunction(5), lfunction(5, direct=True)]
+    built, rooted, counted = [], [], []
+
+    class Spy(zechlog.NormLog):
+        def __init__(self, field):
+            built.append((field.p, field.n))
+            super().__init__(field)
+
+        def cube_class_counts(self, m, unit, roots):
+            counted.append((self.field.p, self.field.n, m))
+            return super().cube_class_counts(m, unit, roots)
+
+    def roots_spy(k, field):
+        rooted.append((field.p, field.n))
+        return _roots_mod_p(k, field)
+
+    monkeypatch.setattr(zechlog, "NormLog", Spy)
+    monkeypatch.setattr(function_field, "_roots_mod_p", roots_spy)
+    clear_counting_caches()
+    try:
+        assert lfunction(17) == expected[0]
+        assert built == rooted == [(17, 2)]
+        assert counted == [(17, 2, 1), (17, 2, 2), (17, 2, 3)]
+        del built[:], rooted[:], counted[:]
+        assert lfunction(5) == expected[1]
+        assert lfunction(5, direct=True) == expected[2]
+        assert built == rooted == [(5, 2), (5, 4)]
+        assert counted == [(5, 2, 1), (5, 2, 2), (5, 2, 3), (5, 4, 2)]
+    finally:
+        clear_counting_caches()
 
 
 def test_norm_count_of_c6_at_17_equals_the_table_sweep(family):
