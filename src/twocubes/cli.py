@@ -26,10 +26,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import identities
+from .budget import MAX_EC_DEGREE, MAX_EC_FIELD_BITS, MAX_LITERAL_DIGITS, MAX_NEARMISS_COUNT
+from .budget import MAX_PARSED_DEGREE, MAX_PARSED_HEIGHT, MAX_PARSED_NESTING, MAX_PRIME_BUDGET
+from .budget import MAX_TAXICAB_BOUND, MAX_TWIST_RANGE, BudgetError, check_cap
 from .elliptic import count_points, to_weierstrass
 from .exact import FiniteField, Polynomial, factor_over_z, rational_poly
+from .exact.poly import _int_add, _int_mul
 from .function_field import (
     build_family,
     lfunction,
@@ -62,52 +67,52 @@ class RunReport:
         }
 
 
-# Caps on the flags that set how much work a command does; a value above its
-# cap fails before any work.  Times at the caps are from a 2-vCPU host.
-# taxicab at the cap: about 0.2 s; it sorts the sums in windows of about 4096
-# pairs, which keep its traced peak near 0.9 MiB and add 2 MB to 17 MB peak RSS
-MAX_TAXICAB_BOUND = 10**9
-MAX_NEARMISS_COUNT = 2000  # about 0.25 s, most of it start-up; term n has O(n) digits
-MAX_TWIST_RANGE = 10**4  # t values in one twists table
-MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
-# ec count: the search for the modulus of F_{p^n} dominates; the slowest of 40
-# fields found within both caps (n = 16, p just below 2^32) took about 0.5 s
-MAX_EC_DEGREE = 16
-MAX_EC_FIELD_BITS = 512
-
-
-class BudgetError(ValueError):
-    pass
-
-
-def _check_cap(flag: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise BudgetError(f"{flag} {value} exceeds the cap {cap}")
-
-
-MAX_PARSED_DEGREE = 64  # bounds the work a --k polynomial can ask for
-MAX_PARSED_NESTING = 100  # parentheses; each level takes five Python frames
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()T]))")
 _COEFF = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
+_INT = re.compile(r"\s*[-+]?\d+\s*")
 
 
 class PolynomialSyntaxError(ValueError):
     pass
 
 
+def _check_digits(flag: str, text: str) -> None:
+    """Refuse a number read as text by its digits, before int() or Fraction() reads it."""
+    check_cap(f"{flag} digits", sum(map(str.isdigit, text)), MAX_LITERAL_DIGITS)
+
+
 def _parse_poly(text: str) -> Polynomial:
     """A polynomial in T over Q, from either a comma-separated low-to-high
     coefficient list (integers or a/b) or an expression over integers, T,
     + - * / ^ ** and parentheses.  The text is parsed, never evaluated."""
-    if "," in text:
-        coeffs = text.split(",")
-        if not all(_COEFF.fullmatch(c) for c in coeffs):
-            raise PolynomialSyntaxError(f"coefficients must be integers or a/b: {text!r}")
-        try:
-            return rational_poly(*(c.strip() for c in coeffs))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PolynomialSyntaxError(f"bad coefficient in {text!r}: {exc}") from None
-    return _ExprParser(text).parse()
+    if "," not in text:
+        return _ExprParser(text).parse()
+    coeffs = text.split(",")
+    if not all(_COEFF.fullmatch(c) for c in coeffs):
+        raise PolynomialSyntaxError(f"coefficients must be integers or a/b: {text!r}")
+    check_cap("--k degree", len(coeffs) - 1, MAX_PARSED_DEGREE)
+    for c in coeffs:
+        _check_digits("--k", c)
+    try:
+        f = rational_poly(*(c.strip() for c in coeffs))
+    except ZeroDivisionError as exc:
+        raise PolynomialSyntaxError(f"bad coefficient in {text!r}: {exc}") from None
+    den = lcm(*(c.denominator for c in f.coeffs))
+    _check_height([c.numerator * (den // c.denominator) for c in f.coeffs], den)
+    return f
+
+
+def _height(nums: list[int], den: int) -> int:
+    return max(map(int.bit_length, [den, *nums]))
+
+
+def _check_height(nums: list[int], den: int) -> None:
+    check_cap("--k height bits", _height(nums, den), MAX_PARSED_HEIGHT)
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *nums)
+    return ([c // g for c in nums], den // g) if g > 1 else (nums, den)
 
 
 class _ExprParser:
@@ -119,9 +124,15 @@ class _ExprParser:
         power := atom (('^' | '**') integer)?
         atom  := integer | 'T' | '(' expr ')'
 
-    where a divisor must be a nonzero constant, degrees stay within
-    MAX_PARSED_DEGREE and parentheses nest at most MAX_PARSED_NESTING deep,
-    so that no input reaches Python's recursion limit."""
+    where a divisor must be a nonzero constant.  Each value is held cleared,
+    as integer coefficients low to high with no trailing zero over a positive
+    common denominator prime to their content; its height is the largest bit
+    length among them.  Parentheses nest at most MAX_PARSED_NESTING deep, so
+    that no input reaches Python's recursion limit, and every value stays
+    within MAX_PARSED_DEGREE and MAX_PARSED_HEIGHT: a product or a power is
+    refused by bounds on its degree and height before it is multiplied out,
+    and a sum or a quotient, of height at most one more than its operands'
+    together, once it is formed."""
 
     def __init__(self, text: str):
         self.tokens = []
@@ -133,15 +144,14 @@ class _ExprParser:
             self.tokens.append(m.group(1) or m.group(2))
             pos = m.end()
         depth = itertools.accumulate((t == "(") - (t == ")") for t in self.tokens)
-        if max(depth, default=0) > MAX_PARSED_NESTING:
-            raise PolynomialSyntaxError(f"parentheses nested more than {MAX_PARSED_NESTING} deep")
+        check_cap("--k nesting", max(depth, default=0), MAX_PARSED_NESTING)
         self.pos = 0
 
     def parse(self) -> Polynomial:
-        f = self._expr()
+        nums, den = self._expr()
         if self.pos < len(self.tokens):
             raise PolynomialSyntaxError(f"unexpected {self.tokens[self.pos]!r}")
-        return f
+        return Polynomial(tuple(Fraction(c, den) for c in nums))
 
     def _peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -153,51 +163,65 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def _expr(self) -> Polynomial:
-        f = self._term()
+    def _expr(self):
+        a, da = self._term()
         while self._peek() in ("+", "-"):
-            f = f + self._term() if self._take() == "+" else f - self._term()
-        return f
+            sign = 1 if self._take() == "+" else -1
+            b, db = self._term()
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            a, da = _reduced(_int_add([c * sa for c in a], [c * sb for c in b], sign), den)
+            _check_height(a, da)
+        return a, da
 
-    def _term(self) -> Polynomial:
-        f = self._unary()
+    def _term(self):
+        a, da = self._unary()
         while self._peek() in ("*", "/"):
-            op, g = self._take(), self._unary()
+            op, (b, db) = self._take(), self._unary()
             if op == "/":
-                if g.degree != 0:
+                if len(b) != 1:
                     raise PolynomialSyntaxError("divisors must be nonzero constants")
-                f = f * (1 / g.coeffs[0])
+                n = b[0]  # a/da divided by n/db
+                a, da = _reduced([c * db if n > 0 else -c * db for c in a], da * abs(n))
+                _check_height(a, da)
             else:
-                self._check_degree((f.degree or 0) + (g.degree or 0))
-                f = f * g
-        return f
+                check_cap("--k degree", len(a) + len(b) - 2, MAX_PARSED_DEGREE)
+                height = _height(a, da) + _height(b, db) + min(len(a), len(b)).bit_length()
+                check_cap("--k height bits", height, MAX_PARSED_HEIGHT)
+                a, da = _reduced(_int_mul(a, b), da * db)
+        return a, da
 
-    def _unary(self) -> Polynomial:
+    def _unary(self):
         negate = False
         while self._peek() in ("+", "-"):
             negate ^= self._take() == "-"
-        f = self._power()
-        return -f if negate else f
+        a, da = self._power()
+        return ([-c for c in a], da) if negate else (a, da)
 
-    def _power(self) -> Polynomial:
-        f = self._atom()
+    def _power(self):
+        a, da = self._atom()
         if self._peek() in ("^", "**"):
             self._take()
             e = self._take()
-            if not e.isdigit() or self._int(e) > MAX_PARSED_DEGREE:
+            if not e.isdigit():
                 raise PolynomialSyntaxError(
                     f"exponents must be integers in [0, {MAX_PARSED_DEGREE}], not {e!r}"
                 )
-            self._check_degree((f.degree or 0) * int(e))
-            f = f ** int(e)
-        return f
+            e = self._int(e)
+            check_cap("--k exponent", e, MAX_PARSED_DEGREE)
+            check_cap("--k degree", max(len(a) - 1, 0) * e, MAX_PARSED_DEGREE)
+            height = e * (_height(a, da) + len(a).bit_length())
+            check_cap("--k height bits", height, MAX_PARSED_HEIGHT)
+            a, da = list((Polynomial(a) ** e).coeffs), da**e
+        return a, da
 
-    def _atom(self) -> Polynomial:
+    def _atom(self):
         tok = self._take()
         if tok.isdigit():
-            return rational_poly(self._int(tok))
+            n = self._int(tok)
+            return [n] if n else [], 1
         if tok == "T":
-            return rational_poly(0, 1)
+            return [0, 1], 1
         if tok == "(":
             f = self._expr()
             if self._take() != ")":
@@ -207,16 +231,8 @@ class _ExprParser:
 
     @staticmethod
     def _int(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError as exc:  # above sys.get_int_max_str_digits()
-            raise PolynomialSyntaxError(f"integer of {len(tok)} digits: {exc}") from None
-
-    @staticmethod
-    def _check_degree(degree: int) -> None:
-        """Refuse a product or power by its degree, before it is multiplied out."""
-        if degree > MAX_PARSED_DEGREE:
-            raise PolynomialSyntaxError(f"degree above {MAX_PARSED_DEGREE}")
+        _check_digits("--k", tok)
+        return int(tok)
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -245,7 +261,7 @@ def _run_identities_verify(args) -> dict:
 
 
 def _run_identities_taxicab(args) -> dict:
-    _check_cap("--bound", args.bound, MAX_TAXICAB_BOUND)
+    check_cap("--bound", args.bound, MAX_TAXICAB_BOUND)
     found = identities.taxicab_search(args.bound, args.reps)
     return {
         "bound": str(args.bound),
@@ -258,7 +274,7 @@ def _run_identities_taxicab(args) -> dict:
 
 
 def _run_identities_nearmiss(args) -> dict:
-    _check_cap("--count", args.count, MAX_NEARMISS_COUNT)
+    check_cap("--count", args.count, MAX_NEARMISS_COUNT)
     tuples = identities.nearmiss_stream(args.family, args.count)
     numerators, _ = identities.NEARMISS_FAMILIES[args.family]
     return {
@@ -273,13 +289,15 @@ def _run_identities_nearmiss(args) -> dict:
 
 
 def _run_ec_count(args) -> dict:
-    _check_cap("--n", args.n, MAX_EC_DEGREE)
-    _check_cap("bits of q = p^n", (args.p ** max(args.n, 0)).bit_length(), MAX_EC_FIELD_BITS)
+    check_cap("--n", args.n, MAX_EC_DEGREE)
+    check_cap("bits of q = p^n", (args.p ** max(args.n, 0)).bit_length(), MAX_EC_FIELD_BITS)
+    coeffs = args.a.split(",")
+    if not all(_INT.fullmatch(c) for c in coeffs):
+        raise PolynomialSyntaxError(f"--a must be comma-separated integers: {args.a!r}")
+    for c in coeffs:
+        _check_digits("--a", c)
     field = FiniteField(args.p, args.n)
-    if "," in args.a:
-        A = field.element(tuple(int(c) for c in args.a.split(",")))
-    else:
-        A = field.element(int(args.a))
+    A = field.element(tuple(map(int, coeffs)))
     n_points = count_points(field, A)
     return {
         "p": args.p,
@@ -297,6 +315,7 @@ def _run_ec_map(args) -> dict:
     for flag, text in (("--d", args.d), ("--x", args.x), ("--y", args.y)):
         if not _COEFF.fullmatch(text):
             raise ValueError(f"{flag} must be an integer or a/b: {text!r}")
+        _check_digits(flag, text)
     d, x, y = Fraction(args.d), Fraction(args.x), Fraction(args.y)
     if d == 0:
         raise ValueError("d must be nonzero")
@@ -396,10 +415,10 @@ def _run_surface_analyze(args) -> dict:
 def _run_twists_table(args) -> dict:
     if args.t_from > args.t_to:
         raise ValueError(f"--from {args.t_from} is greater than --to {args.t_to}")
-    _check_cap("--from/--to width", args.t_to - args.t_from + 1, MAX_TWIST_RANGE)
+    check_cap("--from/--to width", args.t_to - args.t_from + 1, MAX_TWIST_RANGE)
     if args.budget < 1:
         raise BudgetError(f"--budget {args.budget} is below 1")
-    _check_cap("--budget", args.budget, MAX_PRIME_BUDGET)
+    check_cap("--budget", args.budget, MAX_PRIME_BUDGET)
     table = twist_table(args.t_from, args.t_to, certify=args.certify, prime_budget=args.budget)
     payload = table.to_json()
     if args.certify:

@@ -97,27 +97,48 @@ def primary_prime(p: int) -> tuple[int, int]:
     raise ArithmeticError(f"no primary associate of norm {p}")  # unreachable
 
 
+def _frobenius(p: int) -> tuple[tuple[int, int], int]:
+    """(alpha, w) for a prime p >= 5, alpha = -pi for the primary pi of norm
+    B (B = p or p^2, whichever is 1 mod 3): the family's fiber trace sums are
+    c_{e n} = 2 Re(alpha^n S_n) (function_field.character_sum), and
+    _sextic_traces reads pi_q and zeta = -w^2 off alpha and w.
+
+    The fiber over t has trace -2 Re(psi(4A) pi_q) (_sextic_traces),
+    with pi_q = -(-pi)^n over F_{p^n}, psi(x) = (-omega)^j for
+    x^((q-1)/6) = zeta^j, zeta = -w^2, and w in F_p the image of omega that
+    kills pi.  psi is psi_p o N, and 4A = -1728 k(t)^2 with -1728 =
+    2^6 (-3)^3 a sixth power, as -3 is a square mod p; so the trace is
+    2 Re((-pi)^n chi(k(t))) with chi = psi^2 the cubic character
+    chi(x) = omega^(2j) for x^((q-1)/3) = w^j.  At p = 2 mod 3 the counted
+    fields are F_{B^n}, B = p^2, pi_q = -(-p)^n with p itself primary, and
+    w = 0: Frobenius maps chi to its conjugate, and either gives the same
+    real S_n.
+    """
+    if p % 3 == 2:
+        return (-p, 0), 0
+    a, b = primary_prime(p)
+    return (-a, -b), -a * pow(b, -1, p) % p
+
+
 @lru_cache(maxsize=None)
 def _sextic_traces(field: FiniteField) -> dict[tuple[int, ...], int]:
     """Trace of v^2 = u^3 + A over F_q, q = 1 mod 6, keyed by s = (4A)^((q-1)/6).
 
     Gauss (Ireland & Rosen ch. 18 §3) lifted to F_q by Hasse-Davenport:
     a = -2 Re(chi-bar(4A) pi_q), pi_q = -(-pi)^n, and s = zeta^k gives
-    chi-bar(4A) = (-omega)^k with zeta = -w^2, w = -a/b mod p the image of
-    omega that kills the primary pi = a + b*omega.  For p = 2 mod 3, pi_q =
-    -(-p)^(n/2) is rational, so either primitive sixth root serves as zeta.
-    Elements of Z[omega] are int pairs (a, b) = a + b*omega.
+    chi-bar(4A) = (-omega)^k with zeta = -w^2, for the alpha = -pi and w of
+    _frobenius.  For p = 2 mod 3, pi_q = -(-p)^(n/2) is rational, so either
+    primitive sixth root serves as zeta.  Elements of Z[omega] are int pairs
+    (a, b) = a + b*omega.
     """
     p, n = field.p, field.n
+    alpha, w = _frobenius(p)
+    x = (-1, 0)
+    for _ in range(n if p % 3 == 1 else n // 2):  # x = pi_q = -alpha^n, or -alpha^(n/2)
+        x = _zw_mul(x, alpha)
     if p % 3 == 1:
-        a, b = primary_prime(p)
-        x = (-1, 0)
-        for _ in range(n):  # x = pi_q = -(-pi)^n
-            x = _zw_mul(x, (-a, -b))
-        w = -a * pow(b, -1, p)
         zeta = field(-w * w)
     else:
-        x = (-((-p) ** (n // 2)), 0)
         roots = (field.from_index(i) ** ((field.q - 1) // 6) for i in range(p, field.q))
         zeta = next(z for z in roots if z**2 != 1 and z**3 != 1)
     traces = {}

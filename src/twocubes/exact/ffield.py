@@ -12,22 +12,6 @@ from functools import lru_cache
 
 from .numbers import factorize, is_probable_prime
 
-# The counting sweep (exact.zechlog) builds only F_Q, Q = B or B^2 with B = p
-# or p^2, and holds O(Q) bytes of Zech logarithms and one block of BLOCK uint8
-# class sums at a time, so the bound on the counted field q = Q^m limits the
-# work, about q gathered bytes per root, not a table.  It lives here, beside
-# the fields it limits, so a caller can refuse an oversized field without
-# importing numpy.  The L-function counts up to F_{p^3} at p = 1 mod 3, so it
-# reaches p = 787 there, and up to F_{p^6} at p = 2 mod 3, so it reaches
-# p = 23; 502 MiB is the size of the q-byte class table it once bounded.
-BLOCK = 1 << 18  # uint8 class sums in one block of the sweep
-MAX_COUNTING_FIELD = 502 << 20
-# The sweep walks the Q - 1 powers of F_Q's generator in Python, 5-7 us each.
-# For the L-function F_Q is F_B or F_{B^2}, below 23000 elements under
-# MAX_COUNTING_FIELD, but an S_m with m > 1 prime to 6 is counted over
-# F_{B^m} itself; this bound keeps that walk to about 4 s and admits F_{13^5}.
-MAX_BASE_FIELD = 1 << 19
-
 # -- the one mod-p core, on bare int lists: FFElement products and powers, the ------
 # -- distinct-degree loop and the steps of factor_over_z --------------------------
 

@@ -41,10 +41,12 @@ from collections import Counter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ffield import BLOCK, MAX_COUNTING_FIELD, FFElement, FiniteField
+from ..budget import MAX_COUNTING_FIELD, check_cap
+from .ffield import FFElement, FiniteField
 
-__all__ = ["MAX_COUNTING_FIELD", "NormLog"]
+__all__ = ["NormLog"]
 
+BLOCK = 1 << 18  # uint8 class sums in one block of the sweep
 MAX_ROOTS = 12  # 12 distinct roots * 2 * 2 + 2 < 96: a class sum stays within _add_class_counts
 
 
@@ -114,8 +116,7 @@ class NormLog:
         """
         if m not in (1, 2, 3):
             raise ValueError(f"m = {m}: only F_Q, F_Q^2 and F_Q^3 are counted")
-        if self.Q**m > MAX_COUNTING_FIELD:
-            raise ValueError(f"q = {self.Q**m} exceeds the class-table budget")
+        check_cap("counting q =", self.Q**m, MAX_COUNTING_FIELD)
         if len(roots) > MAX_ROOTS:
             raise ValueError(f"at most {MAX_ROOTS} roots")
         Q1, p = self.Q - 1, self.field.p

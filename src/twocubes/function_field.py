@@ -29,9 +29,10 @@ from math import gcd
 from random import Random
 from typing import NamedTuple
 
-from .elliptic import _zw_mul, primary_prime
+from .budget import MAX_BASE_FIELD, MAX_COUNTING_FIELD, check_cap
+from .elliptic import _frobenius, _zw_mul
 from .exact import FiniteField, Polynomial, RationalFunction, factor_over_z, poly_gcd, rational_poly
-from .exact.ffield import MAX_BASE_FIELD, MAX_COUNTING_FIELD, _good_reduction, _pmonic
+from .exact.ffield import _good_reduction, _pmonic
 from .exact.poly import _cleared, _int_add, _int_deriv, _int_exact_div, _int_gcd, _int_mul
 from .exact.poly import _factor_mod_p, _int_cyclotomic, _int_divide_out
 
@@ -346,27 +347,6 @@ def _counting_roots(k: tuple[int, ...], p: int, n: int) -> tuple:
     return tuple(_roots_mod_p(k, _counting_field(p, n)))
 
 
-def _frobenius(p: int) -> tuple[tuple[int, int], int]:
-    """(alpha, w) for a good p: c_{e n} = 2 Re(alpha^n S_n) (character_sum),
-    with alpha = -pi for the primary pi of norm B.
-
-    The fiber over t has trace -2 Re(psi(4A) pi_q) (elliptic._sextic_traces),
-    with pi_q = -(-pi)^n over F_{p^n}, psi(x) = (-omega)^j for
-    x^((q-1)/6) = zeta^j, zeta = -w^2, and w in F_p the image of omega that
-    kills pi.  psi is psi_p o N, and 4A = -1728 k(t)^2 with -1728 =
-    2^6 (-3)^3 a sixth power, as -3 is a square mod p; so the trace is
-    2 Re((-pi)^n chi(k(t))) with chi = psi^2 the cubic character
-    chi(x) = omega^(2j) for x^((q-1)/3) = w^j.  At p = 2 mod 3 the counted
-    fields are F_{B^n}, B = p^2, pi_q = -(-p)^n with p itself primary, and
-    w = 0: Frobenius maps chi to its conjugate, and either gives the same
-    real S_n.
-    """
-    if p % 3 == 2:
-        return (-p, 0), 0
-    a, b = primary_prime(p)
-    return (-a, -b), -a * pow(b, -1, p) % p
-
-
 def _roots_mod_p(k: list[int], field: FiniteField) -> list:
     """The roots of k mod p in the field F_{p^n}; lc(k) must be prime to p.
 
@@ -417,11 +397,10 @@ def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
     if not good_prime(curve, p):
         raise LFunctionError(f"{p} is not a good prime for the family")
     e = 1 if p % 3 == 1 else 2
-    _check_counting_budget(p, e * m)
+    check_cap("counting q =", p ** (e * m), MAX_COUNTING_FIELD, f"{p}^{e * m}")
     j = next(j for j in (3, 2, 1) if m % j == 0)
     n = e * m // j
-    if p**n > MAX_BASE_FIELD:
-        raise LFunctionError(f"counting S_{m} over F_Q, Q = {p}^{n}, exceeds the base-field budget")
+    check_cap(f"base field of S_{m}: Q =", p**n, MAX_BASE_FIELD, f"{p}^{n}")
     k = tuple(int(c) % p for c in curve.k.coeffs)  # p is good: lc(k) stays
     roots = _counting_roots(k, p, n)
     engine = _counting_engine(p, n)
@@ -437,11 +416,6 @@ def character_sum(curve: FunctionFieldCurve, p: int, m: int) -> tuple[int, int]:
     if w and pow((engine.h ** ((field.q - 1) // (p - 1))).coeffs[0], (p - 1) // 3, p) == w:
         n1, n2 = n2, n1  # chi(x) = omega^2 for N(x) = h
     return n0 - n2, n1 - n2
-
-
-def _check_counting_budget(p: int, n: int) -> None:
-    if p**n > MAX_COUNTING_FIELD:
-        raise LFunctionError(f"counting over q = {p}^{n} exceeds the class-table budget")
 
 
 def lfunction(p: int, direct: bool = False) -> LPolynomial:
@@ -482,7 +456,7 @@ def _lfunction(curve: FunctionFieldCurve, p: int, direct: bool) -> LPolynomial:
     e = 1 if p % 3 == 1 else 2
     h, i = (d + 1) // 2, d // 2
     N = max(d, h + 1) if direct else h + 1
-    _check_counting_budget(p, e * N)
+    check_cap("counting q =", p ** (e * N), MAX_COUNTING_FIELD, f"{p}^{e * N}")
     sums = [character_sum(curve, p, m) for m in range(1, N + 1)]
     b = _exp_series(sums, N)
     if any(x.denominator != 1 for c in b[: h + 1] for x in c):

@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from enumeration import count_by_enumeration
+from twocubes import budget
+from twocubes.budget import BudgetError
 from twocubes.cli import PolynomialSyntaxError, _parse_poly, _poly_str, dispatch, main
-from twocubes.exact import FiniteField, rational_poly
+from twocubes.exact import FiniteField, Polynomial, rational_poly
 from twocubes.function_field import build_family
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -265,7 +267,7 @@ def test_ff_lfunction_cli_refuses_oversized_field_at_once(capsys):
         assert time.perf_counter() - t0 < 1.0
         assert doc["status"] == "failed"
         assert doc["results"]["error"] == (
-            f"LFunctionError: counting over q = {q} exceeds the class-table budget"
+            f"BudgetError: counting q = {q} exceeds the cap 526385152"
         )
 
 
@@ -323,7 +325,10 @@ def test_parse_poly_accepts(text, coeffs):
      "2^99999", "(T^8)^9", "1.5*T", "1e9, 2", "x, 1", "T + len('a')"],
 )
 def test_parse_poly_rejects(text):
-    with pytest.raises(PolynomialSyntaxError):
+    """Malformed text is a syntax error; an exponent or a degree above its cap
+    is a refusal."""
+    want = BudgetError if text in ("T^65", "2^99999", "(T^8)^9") else PolynomialSyntaxError
+    with pytest.raises(want):
         _parse_poly(text)
 
 
@@ -331,8 +336,9 @@ def test_parse_poly_rejects(text):
 def test_parse_poly_refuses_a_degree_before_multiplying(text):
     """A power or product of too high a degree is refused by its degree, before
     the coefficients are multiplied out."""
+    degree = {"(T^64)^32": 2048, "((1+T)^64)^64": 4096, "(T^60)*(T^5)": 65}[text]
     t0 = time.perf_counter()
-    with pytest.raises(PolynomialSyntaxError, match="^degree above 64$"):
+    with pytest.raises(BudgetError, match=f"^--k degree {degree} exceeds the cap 64$"):
         _parse_poly(text)
     assert time.perf_counter() - t0 < 1.0
 
@@ -340,18 +346,65 @@ def test_parse_poly_refuses_a_degree_before_multiplying(text):
 @pytest.mark.parametrize(
     "text,reason",
     [
-        ("(" * 2000 + "T" + ")" * 2000, "parentheses nested more than 100 deep"),
-        ("(" * 101 + "T" + ")" * 101, "parentheses nested more than 100 deep"),
-        ("9" * 5000, "integer of 5000 digits"),
-        ("T^" + "9" * 5000, "integer of 5000 digits"),
+        pytest.param(text, reason, id=f"{text}-{case}") for text, reason, case in [
+            ("(" * 2000 + "T" + ")" * 2000, "--k nesting 2000 exceeds the cap 100",
+             "parentheses nested more than 100 deep"),
+            ("(" * 101 + "T" + ")" * 101, "--k nesting 101 exceeds the cap 100",
+             "parentheses nested more than 100 deep"),
+            ("9" * 5000, "--k digits 5000 exceeds the cap 1000", "integer of 5000 digits"),
+            ("T^" + "9" * 5000, "--k digits 5000 exceeds the cap 1000", "integer of 5000 digits"),
+        ]
     ],
 )
 def test_surface_analyze_k_refuses_deep_or_long_input_by_name(capsys, text, reason):
-    """Nesting that would reach the recursion limit, and literals above
-    int_max_str_digits, fail as PolynomialSyntaxError with the reason."""
+    """Nesting that would reach the recursion limit, and literals of more
+    digits than the cap, whose int() could pass int_max_str_digits, fail as
+    BudgetError with the reason."""
     doc = run_json(capsys, "surface", "analyze", "--k=" + text)
     assert doc["status"] == "failed"
-    assert doc["results"]["error"].startswith(f"PolynomialSyntaxError: {reason}")
+    assert doc["results"]["error"].startswith(f"BudgetError: {reason}")
+
+
+def _random_expression(rng: random.Random, depth: int) -> tuple[str, Polynomial]:
+    """A random --k expression and its value by Polynomial arithmetic over Fractions."""
+    # n: a number (twice as likely), t: T, u: a unary minus, (: parentheses
+    kind = rng.choice("ntn+-*/^u(" if depth else "ntn")
+    if kind == "n":
+        n = rng.choice([0, 1, rng.randrange(2, 10**rng.randint(1, 30))])
+        return str(n), rational_poly(n)
+    if kind == "t":
+        return "T", rational_poly(0, 1)
+    text, f = _random_expression(rng, depth - 1)
+    if kind == "^":
+        e = rng.randint(0, 4)
+        return f"({text})^{e}", f**e
+    if kind == "u":
+        return f"-({text})", -f
+    if kind == "(":
+        return f"({text})", f
+    text2, g = _random_expression(rng, depth - 1)
+    if kind == "/":
+        c = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+        return f"({text}) / ({c.numerator}/{c.denominator})", f * (1 / c)
+    value = f + g if kind == "+" else f - g if kind == "-" else f * g
+    return f"({text}) {kind} ({text2})", value
+
+
+def test_parse_poly_matches_fraction_arithmetic():
+    """The parser computes on cleared integer coefficients over one
+    denominator; Polynomial arithmetic over Fractions is the oracle, and every
+    coefficient comes back a Fraction (a divisor c^0 once gave floats)."""
+    rng = random.Random(31)
+    for _ in range(2000):
+        text, want = _random_expression(rng, rng.randint(1, 5))
+        try:
+            got = _parse_poly(text)
+        except BudgetError:
+            continue  # a degree or height above its cap
+        assert got == want, text
+        assert all(type(c) is Fraction for c in got.coeffs), text
+    assert _parse_poly("T / 5^0") == rational_poly(0, 1)
+    assert all(type(c) is Fraction for c in _parse_poly("T / 5^0").coeffs)
 
 
 def test_parse_poly_long_but_flat_input():
@@ -383,7 +436,7 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_refused_lfunction_leaves_numpy_out():
-    """The class-table budget is checked without importing the sweeps."""
+    """The counting cap is checked without importing the sweeps."""
     script = (
         "import json, sys\n"
         "from twocubes.cli import dispatch\n"
@@ -395,7 +448,7 @@ def test_refused_lfunction_leaves_numpy_out():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True,
     )
     status, error, numpy_loaded = json.loads(out.stdout)
-    assert status == "failed" and "exceeds the class-table budget" in error
+    assert status == "failed" and "exceeds the cap 526385152" in error
     assert not numpy_loaded
 
 
@@ -579,20 +632,20 @@ def test_inputs_above_their_caps_fail_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "twist_table", no_work)
     monkeypatch.setattr(cli, "FiniteField", no_work)
     cases = [
-        (["identities", "taxicab", "--bound", str(cli.MAX_TAXICAB_BOUND + 1)],
-         "--bound", cli.MAX_TAXICAB_BOUND),
-        (["identities", "nearmiss", "--count", str(cli.MAX_NEARMISS_COUNT + 1)],
-         "--count", cli.MAX_NEARMISS_COUNT),
-        (["twists", "table", "--from", "-5", "--to", str(cli.MAX_TWIST_RANGE - 5)],
-         "--from/--to width", cli.MAX_TWIST_RANGE),
+        (["identities", "taxicab", "--bound", str(budget.MAX_TAXICAB_BOUND + 1)],
+         "--bound", budget.MAX_TAXICAB_BOUND),
+        (["identities", "nearmiss", "--count", str(budget.MAX_NEARMISS_COUNT + 1)],
+         "--count", budget.MAX_NEARMISS_COUNT),
+        (["twists", "table", "--from", "-5", "--to", str(budget.MAX_TWIST_RANGE - 5)],
+         "--from/--to width", budget.MAX_TWIST_RANGE),
         (["twists", "table", "--from", "3", "--to", "3", "--certify",
-          "--budget", str(cli.MAX_PRIME_BUDGET + 1)],
-         "--budget", cli.MAX_PRIME_BUDGET),
-        (["ec", "count", "--p", "5", "--n", str(cli.MAX_EC_DEGREE + 1), "--a", "3"],
-         "--n", cli.MAX_EC_DEGREE),
+          "--budget", str(budget.MAX_PRIME_BUDGET + 1)],
+         "--budget", budget.MAX_PRIME_BUDGET),
+        (["ec", "count", "--p", "5", "--n", str(budget.MAX_EC_DEGREE + 1), "--a", "3"],
+         "--n", budget.MAX_EC_DEGREE),
         # p^2 has one bit more than the cap; the cap is checked before primality
-        (["ec", "count", "--p", str(2 ** (cli.MAX_EC_FIELD_BITS // 2) + 1), "--n", "2",
-          "--a", "3"], "bits of q = p^n", cli.MAX_EC_FIELD_BITS),
+        (["ec", "count", "--p", str(2 ** (budget.MAX_EC_FIELD_BITS // 2) + 1), "--n", "2",
+          "--a", "3"], "bits of q = p^n", budget.MAX_EC_FIELD_BITS),
     ]
     for argv, flag, cap in cases:
         doc = run_json(capsys, *argv)
@@ -603,10 +656,10 @@ def test_inputs_above_their_caps_fail_before_any_work(capsys, monkeypatch):
 def test_benchmark_inputs_are_within_their_caps():
     from twocubes import cli
 
-    assert cli.MAX_TAXICAB_BOUND >= 10**8
-    assert cli.MAX_NEARMISS_COUNT >= 1000
-    assert cli.MAX_TWIST_RANGE >= 1
-    assert cli.MAX_PRIME_BUDGET >= 50
+    assert budget.MAX_TAXICAB_BOUND >= 10**8
+    assert budget.MAX_NEARMISS_COUNT >= 1000
+    assert budget.MAX_TWIST_RANGE >= 1
+    assert budget.MAX_PRIME_BUDGET >= 50
 
 
 def test_readme_cli_examples_run():

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from class_oracle import power_walk_classes
 from cube_oracle import cubefree_oracle
 from reduction import embed_fraction
+from twocubes.budget import BudgetError
 from twocubes.elliptic import primary_prime
 from twocubes.exact import (
     FiniteField,
@@ -814,7 +815,7 @@ def test_norm_log_refuses_fields_and_roots_it_cannot_count():
     with pytest.raises(ValueError, match="class of zero"):
         nl.cube_class_counts(1, F(0), [F(2)])
     F = FiniteField(811)
-    with pytest.raises(ValueError, match="q = 533411731 exceeds the class-table budget"):
+    with pytest.raises(BudgetError, match="q = 533411731 exceeds the cap 526385152"):
         NormLog(F).cube_class_counts(3, F(1), [F(2)])
 
 

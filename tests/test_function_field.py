@@ -18,14 +18,14 @@ from newton_oracle import power_sums
 from qt_oracle import T, qt
 from trace_oracle import fiber_trace_sum
 from triples import triple
-from twocubes.elliptic import _zw_mul, to_weierstrass
+from twocubes.budget import MAX_BASE_FIELD, MAX_COUNTING_FIELD, BudgetError
+from twocubes.elliptic import _frobenius, _zw_mul, to_weierstrass
 from twocubes.exact import FiniteField, Polynomial, RationalFunction, rational_poly
 from twocubes.function_field import (
     FamilyError,
     FunctionFieldCurve,
     LFunctionError,
     LPolynomial,
-    _frobenius,
     _lfunction,
     _rank,
     _roots_mod_p,
@@ -451,22 +451,19 @@ def test_fiber_trace_sum_goldens(family, p):
 def test_fiber_trace_sum_refuses_fields_above_the_table_budget(family):
     """The work bound on the counted field, and the bound on F_Q itself where
     an S_m with m prime to 6 is counted over F_{B^m} with no subfield."""
-    from twocubes.exact.ffield import MAX_BASE_FIELD
-    from twocubes.exact.zechlog import MAX_COUNTING_FIELD
-
     assert 23**6 <= MAX_COUNTING_FIELD < 29**6
     assert 787**3 <= MAX_COUNTING_FIELD < 811**3
-    with pytest.raises(LFunctionError, match="q = 29\\^6 exceeds"):
+    with pytest.raises(BudgetError, match="q = 29\\^6 exceeds"):
         character_sum(family, 29, 3)
     assert 13**5 <= MAX_BASE_FIELD < 19**5
-    with pytest.raises(LFunctionError, match="Q = 19\\^5, exceeds the base-field budget"):
+    with pytest.raises(BudgetError, match="Q = 19\\^5 exceeds the cap 524288"):
         character_sum(family, 19, 5)
 
 
 @pytest.mark.parametrize("p, direct, n", [(101, False, 6), (29, False, 6), (29, True, 8), (811, False, 3)])
 def test_lfunction_refuses_oversized_fields_before_counting(p, direct, n):
     t0 = time.perf_counter()
-    with pytest.raises(LFunctionError, match=f"q = {p}\\^{n} exceeds the class-table budget"):
+    with pytest.raises(BudgetError, match=f"q = {p}\\^{n} exceeds the cap 526385152"):
         lfunction(p, direct=direct)
     assert time.perf_counter() - t0 < 1.0
 
@@ -725,8 +722,8 @@ def test_lfunction_13_direct_counts_to_f13_4():
     (23, (1, 0, -2116, 0, 1679046, 0, -592143556, 0, 78310985281), (4, 8)),
 ])
 def test_lfunction_at_the_largest_counted_primes(p, coeffs, bounds):
-    """23 is the largest good p = 2 mod 3 whose F_{p^6} fits the class-table
-    budget, and its odd c_n are 0 without counting.  At 19 = 1 mod 3 S_1..S_3
+    """23 is the largest good p = 2 mod 3 whose F_{p^6} fits the counting
+    cap, and its odd c_n are 0 without counting.  At 19 = 1 mod 3 S_1..S_3
     come from F_19, F_{19^2} and F_{19^3}; c_1..c_3 are listed as counted."""
     L = lfunction(p)
     assert L.coeffs == coeffs

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from twocubes import identities
-from twocubes.cli import MAX_NEARMISS_COUNT, dispatch
+from twocubes.budget import MAX_NEARMISS_COUNT
+from twocubes.cli import dispatch
 from twocubes.exact.poly import _int_mul
 from twocubes.identities import (
     NEARMISS_CONTEXT,

@@ -51,7 +51,8 @@ from collections import Counter
 
 import numpy as np
 
-from twocubes.exact.ffield import MAX_COUNTING_FIELD, FFElement, FiniteField, _pmod
+from twocubes.budget import MAX_COUNTING_FIELD
+from twocubes.exact.ffield import FFElement, FiniteField, _pmod
 
 BLOCK = 1 << 18  # int64 words in one block array of the build or the sweep
 BLOCK_BYTES = 5 * 8 * BLOCK  # no more than five such arrays live at once
