@@ -37,10 +37,14 @@ MAX_PARSED_NESTING = 100  # parentheses; each level takes five Python frames
 # Bits of the cleared numerators and the common denominator of every value
 # formed while a --k is parsed.  A factor over Z of a k of degree at most 6
 # has at most 6 bits more, so `surface analyze` prints at most 2470 digits
-# per number, and classifies a k of degree 6 at the cap in about 0.3 s.  The
-# slowest --k found, 128 KiB (one argument's limit on Linux) of "*3/3" on a
-# value of degree 64 at the cap, parses in about 5 s.
+# per number, and classifies a k of degree 6 at the cap in about 0.3 s.
 MAX_PARSED_HEIGHT = 8192
+# Characters of the --k text, checked before it is parsed: each operator
+# costs work of order degree x height, so the length bounds the parse.  The
+# slowest --k found at the cap, "/3*3" repeated on a degree-64 value whose 65
+# coefficients all have about 8000 bits, parses in about 0.9 s; at 16 KiB it
+# took 1.9 s.  Seven coefficients at the digit cap take 7006 characters.
+MAX_PARSED_LENGTH = 8192
 
 # The sweep (exact.zechlog) counts F_q, q = Q^m, through the norm to F_Q and
 # gathers about q bytes per root of k, so q bounds the work.  The L-function
@@ -48,8 +52,10 @@ MAX_PARSED_HEIGHT = 8192
 # cap, 502 * 2^20, admits p = 787 (`ff lfunction --p 787`, about 0.8 s) and
 # p = 23, and refuses p = 811 and p = 29.
 MAX_COUNTING_FIELD = 502 << 20
-# The sweep walks the Q - 1 powers of F_Q's generator in Python, 5-7 us each.
-# For the L-function F_Q is F_B or F_{B^2}, below 23000 elements under
-# MAX_COUNTING_FIELD, but an S_m with m > 1 prime to 6 is counted over
-# F_{B^m} itself; this bound keeps that walk to about 4 s and admits F_{13^5}.
+# The sweep fills the Q - 1 powers of F_Q's generator by doubling, one n x n
+# matrix product mod p per block.  For the L-function F_Q is F_B or F_{B^2},
+# below 23000 elements under MAX_COUNTING_FIELD, but an S_m with m > 1 prime
+# to 6 is counted over F_{B^m} itself.  This bound admits F_{13^5}, whose walk
+# takes about 0.08 s (79 MB peak RSS), and F_524287, about 0.03 s, so the
+# walk no longer sets it; the sweep's time and memory will.
 MAX_BASE_FIELD = 1 << 19

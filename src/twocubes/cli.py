@@ -15,7 +15,6 @@ strings so consumers never overflow.  Exit code 0 iff status is "ok".
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import itertools
@@ -27,11 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import identities
 from .budget import MAX_EC_DEGREE, MAX_EC_FIELD_BITS, MAX_LITERAL_DIGITS, MAX_NEARMISS_COUNT
-from .budget import MAX_PARSED_DEGREE, MAX_PARSED_HEIGHT, MAX_PARSED_NESTING, MAX_PRIME_BUDGET
-from .budget import MAX_TAXICAB_BOUND, MAX_TWIST_RANGE, BudgetError, check_cap
+from .budget import MAX_PARSED_DEGREE, MAX_PARSED_HEIGHT, MAX_PARSED_LENGTH, MAX_PARSED_NESTING
+from .budget import MAX_PRIME_BUDGET, MAX_TAXICAB_BOUND, MAX_TWIST_RANGE, BudgetError, check_cap
 from .elliptic import count_points, to_weierstrass
 from .exact import FiniteField, Polynomial, factor_over_z, rational_poly
 from .exact.poly import _int_add, _int_mul
@@ -46,6 +47,9 @@ from .function_field import (
 )
 from .surface import analyze, classify_fibers, euler_and_k3
 from .twists import twist_table
+
+if TYPE_CHECKING:
+    import argparse
 
 
 @dataclass
@@ -84,7 +88,9 @@ def _check_digits(flag: str, text: str) -> None:
 def _parse_poly(text: str) -> Polynomial:
     """A polynomial in T over Q, from either a comma-separated low-to-high
     coefficient list (integers or a/b) or an expression over integers, T,
-    + - * / ^ ** and parentheses.  The text is parsed, never evaluated."""
+    + - * / ^ ** and parentheses.  The text is parsed, never evaluated, and
+    its length is capped before any parsing."""
+    check_cap("--k length", len(text), MAX_PARSED_LENGTH)
     if "," not in text:
         return _ExprParser(text).parse()
     coeffs = text.split(",")
@@ -443,69 +449,112 @@ def _twists_csv(results: dict) -> str:
     return buf.getvalue()
 
 
-# -- parser / dispatch ------------------------------------------------------------
+# -- command table / parse ---------------------------------------------------------
+
+
+_GROUPS = {
+    "identities": "cube identities and near misses",
+    "ec": "elliptic curve models and counting",
+    "ff": "the curve over Q(T) and its L-function",
+    "surface": "elliptic surface analysis",
+    "twists": "specializations to cubic twists",
+}
+
+# (group, command): (handler, help, [(option, its argparse keywords), ...]),
+# in the order of the help; the one declaration of every command.
+_COMMANDS = {
+    ("identities", "verify"): (
+        _run_identities_verify, "verify the classical identities symbolically", []),
+    ("identities", "taxicab"): (
+        _run_identities_taxicab, "numbers with several two-cube representations", [
+            ("--bound", dict(type=int, required=True)),
+            ("--reps", dict(type=int, default=2))]),
+    ("identities", "nearmiss"): (
+        _run_identities_nearmiss, "x^3 + y^3 = z^3 +/- 1 families", [
+            ("--family", dict(choices=("zero", "infinity"), default="zero")),
+            ("--count", dict(type=int, default=10))]),
+    ("ec", "count"): (_run_ec_count, "count points of v^2 = u^3 + A over F_{p^n}", [
+        ("--p", dict(type=int, required=True)),
+        ("--n", dict(type=int, default=1)),
+        ("--a", dict(type=str, required=True, help="integer, or comma digits low-to-high"))]),
+    ("ec", "map"): (_run_ec_map, "map a Hesse point to the Weierstrass model", [
+        ("--d", dict(type=str, required=True)),
+        ("--x", dict(type=str, required=True)),
+        ("--y", dict(type=str, required=True))]),
+    ("ff", "rank"): (_run_ff_rank, "rank bounds over Q(T) and geometrically", [
+        ("--p", dict(type=int, default=17))]),
+    ("ff", "lfunction"): (_run_ff_lfunction, "degree-8 L-polynomial mod p", [
+        ("--p", dict(type=int, required=True)),
+        ("--direct", dict(action="store_true", help="count the character sums S_1..S_4 directly"))]),
+    ("ff", "differentials"): (
+        _run_ff_differentials, "pullback differentials of the sections", []),
+    ("surface", "analyze"): (
+        _run_surface_analyze, "fibers, Euler number, K3 flag, Picard number", [
+            ("--k", dict(type=str, default=None, help="custom squarefree k(T)"))]),
+    ("twists", "table"): (_run_twists_table, "twist records for integer t in a range", [
+        ("--from", dict(dest="t_from", type=int, required=True)),
+        ("--to", dict(dest="t_to", type=int, required=True)),
+        ("--certify", dict(action="store_true")),
+        ("--budget", dict(type=int, default=50)),
+        ("--format", dict(choices=("json", "csv"), default="json"))]),
+}
+
+_NEGATIVE_INT = re.compile(r"-[0-9]+")
+
+
+def _table_parse(flags: list, words: list[str]) -> SimpleNamespace | None:
+    """The namespace a leaf parser of these flags gives words, every dest in
+    declaration order and defaults included, or None unless argparse would
+    parse words the same way: each word is an exact option string, seen once;
+    a value follows each value flag, starting with '-' only as an ASCII
+    negative integer, and converts by its type into its choices; every
+    required flag is given."""
+    table, given, rest = dict(flags), {}, iter(words)
+    for word in rest:
+        kw = table.get(word)
+        if kw is None or word in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[word] = True
+            continue
+        value = next(rest, None)
+        if value is None or value[:1] == "-" and not _NEGATIVE_INT.fullmatch(value):
+            return None
+        try:
+            given[word] = value = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    if any(kw.get("required") and option not in given for option, kw in flags):
+        return None
+    args = SimpleNamespace()
+    for option, kw in flags:
+        default = kw.get("default", False if "action" in kw else None)  # store_true: False
+        setattr(args, kw.get("dest", option[2:]), given.get(option, default))
+    return args
 
 
 @lru_cache(maxsize=1)
 def _command_tree() -> tuple[argparse.ArgumentParser, dict]:
-    """The argparse tree, built once per process (parsing does not mutate it),
-    and each leaf parser with its handler by (group, command), recorded as it
-    is added."""
+    """The argparse tree of _COMMANDS, built once per process (parsing does
+    not mutate it), and its leaf parser by (group, command)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="twocubes", description="Exact computations around sums of two cubes."
     )
     top = parser.add_subparsers(dest="group", required=True)
-    commands = {}
-
-    def group(name: str, help: str):
-        sub = top.add_parser(name, help=help).add_subparsers(dest="command", required=True)
-
-        def command(cmd: str, handler, help: str) -> argparse.ArgumentParser:
-            leaf = sub.add_parser(cmd, help=help)
-            commands[(name, cmd)] = (leaf, handler)
-            return leaf
-
-        return command
-
-    ident = group("identities", "cube identities and near misses")
-    ident("verify", _run_identities_verify, "verify the classical identities symbolically")
-    taxi = ident("taxicab", _run_identities_taxicab, "numbers with several two-cube representations")
-    taxi.add_argument("--bound", type=int, required=True)
-    taxi.add_argument("--reps", type=int, default=2)
-    near = ident("nearmiss", _run_identities_nearmiss, "x^3 + y^3 = z^3 +/- 1 families")
-    near.add_argument("--family", choices=("zero", "infinity"), default="zero")
-    near.add_argument("--count", type=int, default=10)
-
-    ec = group("ec", "elliptic curve models and counting")
-    ecc = ec("count", _run_ec_count, "count points of v^2 = u^3 + A over F_{p^n}")
-    ecc.add_argument("--p", type=int, required=True)
-    ecc.add_argument("--n", type=int, default=1)
-    ecc.add_argument("--a", type=str, required=True, help="integer, or comma digits low-to-high")
-    ecm = ec("map", _run_ec_map, "map a Hesse point to the Weierstrass model")
-    ecm.add_argument("--d", type=str, required=True)
-    ecm.add_argument("--x", type=str, required=True)
-    ecm.add_argument("--y", type=str, required=True)
-
-    ff = group("ff", "the curve over Q(T) and its L-function")
-    ffr = ff("rank", _run_ff_rank, "rank bounds over Q(T) and geometrically")
-    ffr.add_argument("--p", type=int, default=17)
-    ffl = ff("lfunction", _run_ff_lfunction, "degree-8 L-polynomial mod p")
-    ffl.add_argument("--p", type=int, required=True)
-    ffl.add_argument("--direct", action="store_true", help="count the character sums S_1..S_4 directly")
-    ff("differentials", _run_ff_differentials, "pullback differentials of the sections")
-
-    surf = group("surface", "elliptic surface analysis")
-    sana = surf("analyze", _run_surface_analyze, "fibers, Euler number, K3 flag, Picard number")
-    sana.add_argument("--k", type=str, default=None, help="custom squarefree k(T)")
-
-    tw = group("twists", "specializations to cubic twists")
-    twt = tw("table", _run_twists_table, "twist records for integer t in a range")
-    twt.add_argument("--from", dest="t_from", type=int, required=True)
-    twt.add_argument("--to", dest="t_to", type=int, required=True)
-    twt.add_argument("--certify", action="store_true")
-    twt.add_argument("--budget", type=int, default=50)
-    twt.add_argument("--format", choices=("json", "csv"), default="json")
-    return parser, commands
+    groups = {
+        name: top.add_parser(name, help=help).add_subparsers(dest="command", required=True)
+        for name, help in _GROUPS.items()
+    }
+    leaves = {}
+    for (group, command), (_, help, flags) in _COMMANDS.items():
+        leaves[(group, command)] = leaf = groups[group].add_parser(command, help=help)
+        for option, kw in flags:
+            leaf.add_argument(option, **kw)
+    return parser, leaves
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,28 +565,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]):
     """(group, command, parsed flags, handler) for argv.
 
-    The tree would hand argv[2:] to the leaf parser of (argv[0], argv[1])
-    unchanged, so that leaf parses it alone, with the same namespace, help
-    and error messages (their prefix is the leaf's prog).  Anything else goes
-    to the full tree, whose help and errors it then prints: an unknown
-    command, fewer than two words, or arguments the leaf leaves over, which
-    the tree reports as `twocubes: error: unrecognized arguments`.
+    A known (group, command) reads argv[2:] with _table_parse, in one pass
+    over its declared flags and with no argparse.  Whatever that declines
+    goes to argparse, the one source of help and errors: the leaf parser of
+    (group, command), which the tree would hand argv[2:] to unchanged, and
+    then the full tree, which prints the help or the error and exits with
+    its code: an unknown command, fewer than two words, or arguments the
+    leaf leaves over (`twocubes: error: unrecognized arguments`).
     """
-    tree, commands = _command_tree()
-    entry = commands.get(tuple(argv[:2]))
-    if entry is not None:
-        leaf, handler = entry
-        args, rest = leaf.parse_known_args(argv[2:])
+    key = tuple(argv[:2])
+    if key in _COMMANDS:
+        handler, _, flags = _COMMANDS[key]
+        args, rest = _table_parse(flags, argv[2:]), []
+        if args is None:
+            args, rest = _command_tree()[1][key].parse_known_args(argv[2:])
         if not rest:
             return argv[0], argv[1], args, handler
-    args = tree.parse_args(argv)
-    return args.group, args.command, args, commands[(args.group, args.command)][1]
+    args = build_parser().parse_args(argv)
+    return args.group, args.command, args, _COMMANDS[(args.group, args.command)][0]
 
 
 def dispatch(argv: list[str]) -> tuple[RunReport, str | None]:
     """Run one subcommand; returns the report and an optional CSV body.
 
-    A valid command costs one argparse pass, over its leaf parser (`_parse`)."""
+    A valid command is read from the command table in one pass and builds no
+    argparse parser (`_parse`); the report's parameters are its flags in
+    declaration order, those left at None omitted."""
     group, command, args, handler = _parse(argv)
     params = {
         k: v for k, v in vars(args).items() if k not in ("group", "command") and v is not None

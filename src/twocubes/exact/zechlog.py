@@ -72,11 +72,14 @@ class NormLog:
         self.field = field
         self.Q = Q = field.q
         self.h = h = field.generator()
-        powers, x = [], field.one()
-        for _ in range(Q - 1):
-            powers.append(x.coeffs)
-            x = x * h
-        digits = np.array(powers, dtype=np.int64)  # h^0..h^(Q-2) by base-p digit
+        digits = np.zeros((Q - 1, field.n), dtype=np.int64)  # h^0..h^(Q-2) by base-p digit
+        digits[0, 0] = 1
+        size, x = 1, field.x()
+        while size < Q - 1:  # block [s, 2s) is block [0, s) times h^s; row i of times is h^s x^i
+            m, hs = min(size, Q - 1 - size), h**size
+            times = np.array([(hs * x**i).coeffs for i in range(field.n)], dtype=np.int64)
+            digits[size : size + m] = digits[:m] @ times % field.p
+            size += m
         weights = field.p ** np.arange(field.n, dtype=np.int64)
         code = np.full(Q, -1, dtype=np.int64)
         code[digits @ weights] = np.arange(Q - 1)

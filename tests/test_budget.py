@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
 _X = 10**1400 + 1  # x^3 + 8 has 4201 digits, within Python's 4300 but not within the cap
+# 128 KiB, one argument's limit on Linux, of "*3/3" on a value of degree 64
+_LONG_K = "((2^50)^2*T+1)^64" + "*3/3" * 32763
 
 # (argv, the error in its report)
 REFUSALS = [
@@ -62,6 +64,10 @@ REFUSALS = [
      "BudgetError: --k nesting 101 exceeds the cap 100"),
     (["surface", "analyze", "--k", "9" * 1001 + "*T^6 + 1"],
      "BudgetError: --k digits 1001 exceeds the cap 1000"),
+    (["surface", "analyze", "--k", _LONG_K],
+     f"BudgetError: --k length {len(_LONG_K)} exceeds the cap 8192"),
+    (["surface", "analyze", "--k", ",".join(["1"] * 4097)],
+     "BudgetError: --k length 8193 exceeds the cap 8192"),
     (["surface", "analyze", "--k", "T^6 + 1.5"],
      "PolynomialSyntaxError: unexpected '.' in 'T^6 + 1.5'"),
     (["ff", "lfunction", "--p", "29"], "BudgetError: counting q = 29^6 exceeds the cap 526385152"),
@@ -151,7 +157,8 @@ def test_every_cap_constant_is_defined_in_budget():
     assert {n for f, n in defined if f == "budget.py"} == {
         "MAX_TAXICAB_BOUND", "MAX_NEARMISS_COUNT", "MAX_TWIST_RANGE", "MAX_PRIME_BUDGET",
         "MAX_EC_DEGREE", "MAX_EC_FIELD_BITS", "MAX_LITERAL_DIGITS", "MAX_PARSED_DEGREE",
-        "MAX_PARSED_NESTING", "MAX_PARSED_HEIGHT", "MAX_COUNTING_FIELD", "MAX_BASE_FIELD",
+        "MAX_PARSED_NESTING", "MAX_PARSED_HEIGHT", "MAX_PARSED_LENGTH", "MAX_COUNTING_FIELD",
+        "MAX_BASE_FIELD",
     }
 
 
@@ -168,6 +175,15 @@ def test_the_caps_admit_their_limits():
     """1000 digits are read, and a value of height 8130 bits is formed."""
     assert cli._parse_poly("9" * 1000 + "*T").coeffs == (0, 10**1000 - 1)
     assert cli._parse_poly("((2^64)^64)*((2^64)^63)*T + 1/2").coeffs == (Fraction(1, 2), 2**8128)
+
+
+def _k_at_the_length_cap() -> str:
+    """8192 characters of "/3*3" on a value of degree 64 whose 65 coefficients
+    all have about 8000 bits, the slowest --k found at the cap; k = T^6 - 1."""
+    x = "((2^62)^2*T+(3^39)^2)^64"
+    tail = f" - {x} + T^6 - 1"
+    body = x + "/3*3" * ((budget.MAX_PARSED_LENGTH - len(x) - len(tail)) // 4)
+    return body + tail.rjust(budget.MAX_PARSED_LENGTH - len(body))
 
 
 def _ec_map_at_the_cap() -> list[str]:
@@ -200,9 +216,25 @@ WORST_CASES = [
     (["surface", "analyze", "--k", "(((2^62)^2*T + 1)^64 - ((2^62)^2*T + 1)^64) + T^6 - 1"],
      "ok", 5),
     (["surface", "analyze", "--k=" + ",".join([str(10**999 + 7)] * 6 + ["9" * 1000])], "ok", 5),
+    # parses in about 0.9 s
+    (["surface", "analyze", "--k", _k_at_the_length_cap()], "ok", 10),
     (["twists", "table", "--from", "0", "--to", "9999", "--certify", "--budget", "1000"],
      "exhausted", 20),
 ]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_a_k_above_the_length_cap_is_refused_within_a_second(flags):
+    """The length is checked before the text is parsed, in a fresh process."""
+    started = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, *flags, "-m", "twocubes.cli", "surface", "analyze", "--k", _LONG_K],
+        capture_output=True, text=True, env=ENV, timeout=60,
+    )
+    assert time.perf_counter() - started < 1.0
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["results"] == {
+        "error": f"BudgetError: --k length {len(_LONG_K)} exceeds the cap 8192"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])

@@ -13,9 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumeration import count_by_enumeration
-from twocubes import budget
+from twocubes import budget, cli
 from twocubes.budget import BudgetError
 from twocubes.cli import PolynomialSyntaxError, _parse_poly, _poly_str, dispatch, main
 from twocubes.exact import FiniteField, Polynomial, rational_poly
@@ -412,7 +414,7 @@ def test_parse_poly_long_but_flat_input():
     assert _parse_poly("-" * 5000 + "T") == rational_poly(0, 1)
     assert _parse_poly("-" * 5001 + "T") == rational_poly(0, -1)
     assert _parse_poly("(" * 100 + "T" + ")" * 100) == rational_poly(0, 1)
-    assert _parse_poly("+".join(["T"] * 20000)) == rational_poly(0, 20000)
+    assert _parse_poly("+".join(["T"] * 4096)) == rational_poly(0, 4096)  # at the length cap
 
 
 def test_surface_analyze_k_never_runs_code(capsys, tmp_path):
@@ -600,19 +602,94 @@ def test_leaf_dispatch_exits_as_the_full_tree(capsys, argv):
     assert outcome(dispatch) == outcome(cli.build_parser().parse_args)
 
 
-def test_a_valid_twists_dispatch_parses_once_on_its_leaf(monkeypatch):
-    import argparse
+_FRESH_DISPATCH = """
+import json, sys
+from twocubes.cli import dispatch
 
-    parse, progs = argparse.ArgumentParser.parse_known_args, []
+out = []
+for argv in json.loads(sys.stdin.read()):
+    report, _ = dispatch(argv)
+    out.append([report.status, report.results, "argparse" in sys.modules])
+print(json.dumps(out))
+"""
 
-    def spy(self, args=None, namespace=None):
-        progs.append(self.prog)
-        return parse(self, args, namespace)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-    report, _ = dispatch(["twists", "table", "--from", "3", "--to", "3", "--certify"])
-    assert report.status == "ok" and report.results["records"][0]["cert_prime"] is not None
-    assert progs == ["twocubes twists table"]
+def test_a_valid_dispatch_leaves_argparse_unimported():
+    """A valid command given with exact option strings is read from the
+    command table alone: a fresh process runs each and never imports argparse,
+    so it builds no parser.  The abbreviated and `=` forms take argparse."""
+    exact = [a for a in LEAF_ARGV if not any(w == "--dir" or "=" in w for w in a)]
+    assert len(exact) == len(LEAF_ARGV) - 2
+    certify = ["twists", "table", "--from", "3", "--to", "3", "--certify"]
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_DISPATCH], input=json.dumps([certify, *exact, LEAF_ARGV[6]]),
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True,
+    )
+    runs = json.loads(out.stdout)
+    assert [status for status, _, _ in runs] == ["ok"] * len(runs)
+    assert runs[0][1]["records"][0]["cert_prime"] is not None
+    assert [imported for _, _, imported in runs] == [False] * (len(exact) + 1) + [True]
+
+
+# Tokens argparse reads in ways the table parser must not guess at: signs,
+# Unicode and non-ASCII digits, a lone dash, "--", help and extra words.
+_AWKWARD = ["-", "--", "-h", "--help", "extra", "", "-1.5", "-٣", "٣", "³", " 4", "4 ", "1_0",
+            "-0", "1e3", "x", "one", "-x", "- 3", "--to", "--certify"]
+_VALUES = {int: ["0", "3", "-2", "17", "-40", "٣", " 4", "1_0", "-٣", "x", ""],
+           str: ["T^3 + 1", "-1", "1,2", "x", "-x", "", "--k"]}
+
+
+@st.composite
+def _words(draw, flags):
+    """argv[2:] for a leaf of these flags: each flag absent or given with a
+    value of its own kind, and in half the draws also twice, abbreviated or
+    in the = form, or with up to two awkward tokens; all in any order."""
+    noisy = draw(st.booleans())
+    forms = ["absent", "exact", "exact"] + ["twice", "abbrev", "="] * noisy
+    chunks = []
+    for option, kw in flags:
+        form = draw(st.sampled_from(forms))
+        if form == "absent":
+            continue
+        value = [] if kw.get("action") == "store_true" else [draw(st.sampled_from(
+            [*kw["choices"], "one"] if "choices" in kw else _VALUES[kw["type"]]))]
+        words = [option[:-1] if form == "abbrev" else option, *value]
+        if form == "=":
+            words = [f"{option}={value[0] if value else 1}"]
+        chunks += [words] * (1 + (form == "twice"))
+    chunks += [[t] for t in draw(st.lists(st.sampled_from(_AWKWARD), max_size=2 * noisy))]
+    return sum(draw(st.permutations(chunks)), [])
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=" ".join)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_table_parse_agrees_with_argparse(key, data):
+    """argparse is the oracle: whenever the table parser accepts argv[2:],
+    the leaf parser and the full tree accept it too, and their namespaces
+    equal its own, key order, values and value types included."""
+    flags = cli._COMMANDS[key][2]
+    words = data.draw(_words(flags))
+    args = cli._table_parse(flags, words)
+    if args is None:
+        return
+    typed = lambda pairs: [(k, type(v), v) for k, v in pairs]  # noqa: E731
+    leaf, rest = cli._command_tree()[1][key].parse_known_args(words)
+    assert rest == [] and typed(vars(leaf).items()) == typed(vars(args).items())
+    tree = vars(cli.build_parser().parse_args([*key, *words]))
+    assert (tree.pop("group"), tree.pop("command")) == key
+    assert typed(tree.items()) == typed(vars(args).items())
+
+
+def test_table_parse_agrees_with_argparse_under_python_O():
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_table_parse_agrees_with_argparse and not python_O"],
+        capture_output=True, text=True, cwd=Path(SRC).parent, timeout=600,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
+    assert f"{len(cli._COMMANDS)} passed" in out.stdout
 
 
 def test_determinism(capsys):

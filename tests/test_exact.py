@@ -799,6 +799,20 @@ def test_norm_log_rows_from_zech_logarithms(p, n):
         assert row.tolist() == [nl._code(r - a) for a in sub]
 
 
+@pytest.mark.parametrize("p,n", [(7, 1), (31, 1), (5, 2), (13, 2), (7, 3), (5, 4)])
+def test_norm_log_doubling_walk_equals_the_product_walk(p, n):
+    """code and zm, read off the powers of h filled by doubling, against the
+    powers h^0..h^(Q-2) taken one field product at a time."""
+    nl = NormLog(FiniteField(p, n))
+    powers = [nl.field.one()]
+    while len(powers) < nl.Q - 1:
+        powers.append(powers[-1] * nl.h)
+    code = {x.to_index(): k for k, x in enumerate(powers)}
+    assert len(code) == nl.Q - 1 and powers[-1] * nl.h == nl.field.one()
+    assert nl.code.tolist() == [code.get(i, nl.Q - 1) for i in range(nl.Q)]
+    assert nl.zm.tolist() == [code.get((1 - x).to_index(), nl.Q - 1) for x in powers]
+
+
 def test_norm_log_refuses_fields_and_roots_it_cannot_count():
     with pytest.raises(ValueError, match="not 1 mod 6"):
         NormLog(FiniteField(5, 3))  # Q = 2 mod 3
