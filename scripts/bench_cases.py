@@ -3,15 +3,18 @@ fresh processes, written as one record per checkout into a BENCH_<PR>.json.
 
     python scripts/bench_cases.py --out BENCH_32.json [--runs 3] [--case NAME ...] [CHECKOUT ...]
 
-A checkout (default: this repository) runs from its own src/.  With several
-checkouts every run of a case alternates between them, so that a drift of
-the host falls on each alike.  For each case a record holds the argv, the
-median, minimum and maximum wall time of --runs fresh processes (stdout sent
-to /dev/null), the exit code, and the peak RSS of one more run: the
-ru_maxrss that RUSAGE_CHILDREN gives in a fresh parent with that one child,
-since it is a high-water mark over all of a parent's children.  Once per
-record: the git sha of the checkout, nproc, and the Python and numpy
-versions.  Standard library only.
+A checkout (default: this repository) runs from a fresh copy of its src/
+with no __pycache__, under PYTHONDONTWRITEBYTECODE=1, so every run compiles
+what it imports, as in a new checkout, whatever caches the checkout holds
+(a stale cache would load some modules from bytecode and compile others).
+With several checkouts every run of a case alternates between them, so that
+a drift of the host falls on each alike.  For each case a record holds the
+argv, the median, minimum and maximum wall time of --runs fresh processes
+(stdout sent to /dev/null), the exit code, and the peak RSS of one more
+run: the ru_maxrss that RUSAGE_CHILDREN gives in a fresh parent with that
+one child, since it is a high-water mark over all of a parent's children.
+Once per record: the git sha of the checkout, nproc, the Python and numpy
+versions, and the bytecode mode.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -56,27 +61,36 @@ def case_name(args: list[str]) -> str:
     return " ".join(args[2:]) if args[:2] == CLI else " ".join(["python", *args])
 
 
-def _env(checkout: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+BYTECODE = "none: a copy of src/ without __pycache__, PYTHONDONTWRITEBYTECODE=1"
 
 
-def _wall(checkout: Path, args: list[str]) -> float:
+def _fresh_src(checkout: Path, into: Path) -> Path:
+    """A copy of the checkout's src/ without its __pycache__ directories."""
+    return Path(shutil.copytree(checkout / "src", into / "src",
+                                ignore=shutil.ignore_patterns("__pycache__")))
+
+
+def _env(src: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _wall(src: Path, args: list[str]) -> float:
     started = time.perf_counter()
-    subprocess.run([sys.executable, *args], stdout=subprocess.DEVNULL, env=_env(checkout))
+    subprocess.run([sys.executable, *args], stdout=subprocess.DEVNULL, env=_env(src))
     return time.perf_counter() - started
 
 
-def _peak(checkout: Path, args: list[str]) -> tuple[int, float]:
+def _peak(src: Path, args: list[str]) -> tuple[int, float]:
     """(exit code, peak RSS in MB) of one run, from a fresh parent."""
     out = subprocess.run(
         [sys.executable, "-c", _PEAK, sys.executable, *args],
-        capture_output=True, text=True, env=_env(checkout), check=True,
+        capture_output=True, text=True, env=_env(src), check=True,
     )
     code, kib = map(int, out.stdout.split())
     return code, round(kib / 1024, 1)
 
 
-def _meta(checkout: Path, runs: int) -> dict:
+def _meta(checkout: Path, src: Path, runs: int) -> dict:
     def output(*cmd: str, env=None) -> str | None:
         out = subprocess.run(cmd, capture_output=True, text=True, env=env)
         return out.stdout.strip() if out.returncode == 0 else None
@@ -88,29 +102,32 @@ def _meta(checkout: Path, runs: int) -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": output(sys.executable, "-c", "import numpy; print(numpy.__version__)",
-                        env=_env(checkout)),
+                        env=_env(src)),
+        "bytecode": BYTECODE,
         "runs": runs,
         "cases": [],
     }
 
 
 def bench(checkouts: list[Path], cases: list[list[str]], runs: int) -> list[dict]:
-    records = [_meta(c, runs) for c in checkouts]
-    for args in cases:
-        walls = [[] for _ in checkouts]
-        for _ in range(runs):
-            for i, checkout in enumerate(checkouts):
-                walls[i].append(_wall(checkout, args))
-        for record, checkout, wall in zip(records, checkouts, walls):
-            code, peak = _peak(checkout, args)
-            record["cases"].append({
-                "name": case_name(args),
-                "argv": args,
-                "wall_s": {"median": round(statistics.median(wall), 4),
-                           "min": round(min(wall), 4), "max": round(max(wall), 4)},
-                "peak_rss_mb": peak,
-                "exit_code": code,
-            })
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = [_fresh_src(c, Path(tmp, str(i))) for i, c in enumerate(checkouts)]
+        records = [_meta(c, src, runs) for c, src in zip(checkouts, srcs)]
+        for args in cases:
+            walls = [[] for _ in srcs]
+            for _ in range(runs):
+                for i, src in enumerate(srcs):
+                    walls[i].append(_wall(src, args))
+            for record, src, wall in zip(records, srcs, walls):
+                code, peak = _peak(src, args)
+                record["cases"].append({
+                    "name": case_name(args),
+                    "argv": args,
+                    "wall_s": {"median": round(statistics.median(wall), 4),
+                               "min": round(min(wall), 4), "max": round(max(wall), 4)},
+                    "peak_rss_mb": peak,
+                    "exit_code": code,
+                })
     return records
 
 

@@ -15,19 +15,16 @@ strings so consumers never overflow.  Exit code 0 iff status is "ok".
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import identities
 from .budget import MAX_EC_DEGREE, MAX_EC_FIELD_BITS, MAX_LITERAL_DIGITS, MAX_NEARMISS_COUNT
@@ -52,8 +49,7 @@ if TYPE_CHECKING:
     import argparse
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     command: str
     parameters: dict
     results: dict
@@ -439,6 +435,9 @@ def _run_twists_table(args) -> dict:
 
 
 def _twists_csv(results: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "k", "d", "x1", "y1", "x2", "y2", "cert_prime"])

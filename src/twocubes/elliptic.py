@@ -176,10 +176,6 @@ def count_points(field: FiniteField, A) -> int:
     return q + 1 - a
 
 
-def trace(field: FiniteField, A) -> int:
-    return field.q + 1 - count_points(field, A)
-
-
 # -- the group law over F_p on plain ints ---------------------------------------
 # Points are int pairs (u, v) with 0 <= u, v < p, and None is O.  The steps
 # run unchecked: a chord-tangent step keeps a point on the curve.

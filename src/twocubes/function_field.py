@@ -22,7 +22,6 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -68,8 +67,7 @@ class SectionPoint(NamedTuple):
         return _on_cubic(self, *_cleared(k, Polynomial((1,))))
 
 
-@dataclass(frozen=True)
-class IntegerForms:
+class IntegerForms(NamedTuple):
     """A curve's k over Z and its factors; coefficient tuples run low to high."""
 
     k_z: tuple[int, ...]  # the coefficients of k
@@ -77,17 +75,28 @@ class IntegerForms:
     factors: tuple[tuple[int, ...], ...]  # each repeated by its multiplicity
 
 
-@dataclass(frozen=True)
 class FunctionFieldCurve:
-    """X^3 + Y^3 = k(T) with two sections; k must lie in Z[T]."""
+    """X^3 + Y^3 = k(T) with two sections; k must lie in Z[T].
 
-    k: Polynomial
-    p1: SectionPoint
-    p2: SectionPoint
+    Curves are equal, and hash alike, by (k, p1, p2), so the caches keyed on
+    a curve hit for an equal one; `over_z` is factored once per instance.
+    """
 
-    def __post_init__(self):
-        if not all(getattr(c, "denominator", None) == 1 for c in self.k.coeffs):
+    def __init__(self, k: Polynomial, p1: SectionPoint, p2: SectionPoint):
+        if not all(getattr(c, "denominator", None) == 1 for c in k.coeffs):
             raise FamilyError("the curve needs k(T) in Z[T]")
+        self.k, self.p1, self.p2 = k, p1, p2
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionFieldCurve):
+            return NotImplemented
+        return (self.k, self.p1, self.p2) == (other.k, other.p1, other.p2)
+
+    def __hash__(self):
+        return hash((self.k, self.p1, self.p2))
+
+    def __repr__(self):
+        return f"FunctionFieldCurve(k={self.k!r}, p1={self.p1!r}, p2={self.p2!r})"
 
     @cached_property
     def over_z(self) -> IntegerForms:
@@ -274,8 +283,7 @@ class LFunctionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(NamedTuple):
     """L(u) = sum coeffs[i] u^i of degree D = 2(number of geometric bad fibers) - 4,
     with the c_n actually counted."""
 
@@ -539,8 +547,7 @@ def rank_bounds(L: LPolynomial) -> tuple[int, int]:
 # -- assembled rank report -------------------------------------------------------
 
 
-@dataclass
-class RankReport:
+class RankReport(NamedTuple):
     z_rank_rational: int
     z_rank_cm: int
     arith_bound: int

@@ -19,37 +19,41 @@ import decimal
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class IdentityError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CubeQuadruple:
-    """x^3 + y^3 = z^3 + w^3, checked on construction."""
-
+class _Quadruple(NamedTuple):
     x: Fraction
     y: Fraction
     z: Fraction
     w: Fraction
 
-    def __post_init__(self):
-        if self.x**3 + self.y**3 != self.z**3 + self.w**3:
+
+class CubeQuadruple(_Quadruple):
+    """x^3 + y^3 = z^3 + w^3, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z, w):
+        self = super().__new__(cls, x, y, z, w)
+        if x**3 + y**3 != z**3 + w**3:
             raise IdentityError(f"cube relation fails for {self}")
+        return self
 
     def common_value(self) -> Fraction:
         return self.x**3 + self.y**3
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     zero_polynomial: bool
-    offending_point: tuple | None = None
-    specializations: list = field(default_factory=list)
+    offending_point: tuple | None
+    specializations: list
 
     def to_json(self) -> dict:
         out = {"name": self.name, "zero_polynomial": self.zero_polynomial}
@@ -89,16 +93,15 @@ def verify_ramanujan_1913() -> IdentityReport:
     """Prove the 1913 identity; the report carries three specializations of the
     same forms at Fractions, the last of which is 12^3 = (-1)^3 + 10^3 + 9^3."""
     point = _grid_failure(ramanujan_1913_forms, RAMANUJAN_1913_SIGNS, RAMANUJAN_1913_DEGREES)
-    report = IdentityReport("two-squares-parametrized cube identity (1913)", point is None, point)
 
     def special(a, b, scale=1):
         vals = [v / scale for v in ramanujan_1913_forms(Fraction(a), Fraction(b))]
         return {"A": str(a), "B": str(b), "scale": str(scale), "cubes": [str(v) for v in vals],
                 "holds": _cube_sum(RAMANUJAN_1913_SIGNS, vals) == 0}
 
-    if report.zero_polynomial:
-        report.specializations = [special(1, 0), special(2, -1), special(2, -1, scale=3)]
-    return report
+    specs = [special(1, 0), special(2, -1), special(2, -1, scale=3)] if point is None else []
+    name = "two-squares-parametrized cube identity (1913)"
+    return IdentityReport(name, point is None, point, specs)
 
 
 ENTRY20_SIGNS, ENTRY20_DEGREES = (1, 1, 1, -1), (21, 6)
@@ -120,16 +123,14 @@ def verify_entry20() -> IdentityReport:
     """Prove Entry 20(iii); the report carries two specializations of the
     same forms at Fractions."""
     point = _grid_failure(entry20_forms, ENTRY20_SIGNS, ENTRY20_DEGREES)
-    report = IdentityReport("second-notebook entry 20(iii) identity", point is None, point)
 
     def special(m, p):
         vals = entry20_forms(Fraction(m), Fraction(p))
         return {"M": str(m), "P": str(p), "terms": [str(v) for v in vals],
                 "holds": _cube_sum(ENTRY20_SIGNS, vals) == 0}
 
-    if report.zero_polynomial:
-        report.specializations = [special(2, 0), special(1, 0)]
-    return report
+    specs = [special(2, 0), special(1, 0)] if point is None else []
+    return IdentityReport("second-notebook entry 20(iii) identity", point is None, point, specs)
 
 
 # -- Euler-equivalent third-notebook family ----------------------------------

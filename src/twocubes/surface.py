@@ -9,8 +9,8 @@ turns the geometric Mordell-Weil rank into the Picard number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import Polynomial, factor_over_z, poly_gcd
 from .exact.poly import _cleared
@@ -40,8 +40,7 @@ class SurfaceError(Exception):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A closed point of the base line: a monic irreducible factor, or infinity."""
 
     poly: Polynomial | None  # None encodes the place at infinity
@@ -54,8 +53,7 @@ class Place:
         return INFINITE_PLACE if self.poly is None else self.poly.format()
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(NamedTuple):
     place: Place
     vA: int
     type: str
@@ -75,8 +73,7 @@ class KodairaFiber:
         }
 
 
-@dataclass
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     fibers: list[KodairaFiber]
     euler_number: int
     chi: int

@@ -12,7 +12,6 @@ computed: a classical theorem gives it from d alone (`rank2_certificate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -46,16 +45,14 @@ class Point(NamedTuple):
         return Fraction(self.Y, self.Z)
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """A good prime where the reduced points generate a non-cyclic group."""
 
     prime: int
     group_order: int
 
 
-@dataclass(frozen=True)
-class CertificateOutcome:
+class CertificateOutcome(NamedTuple):
     certificate: RankCertificate | None
     primes_tried: int
     reason: str
@@ -65,14 +62,19 @@ class CertificateOutcome:
         return self.certificate is None
 
 
-@dataclass
 class TwistRecord:
-    t: Fraction
-    k_t: Fraction
-    d: int
-    p1: Point
-    p2: Point
-    outcome: CertificateOutcome | None = None  # set by rank2_certificate
+    """A specialization at T = t: k(t), its cube-free twist d and the two
+    points on X^3 + Y^3 = dZ^3; `outcome` is set by rank2_certificate."""
+
+    __slots__ = ("t", "k_t", "d", "p1", "p2", "outcome")
+
+    def __init__(self, t: Fraction, k_t: Fraction, d: int, p1: Point, p2: Point,
+                 outcome: CertificateOutcome | None = None):
+        self.t, self.k_t, self.d, self.p1, self.p2, self.outcome = t, k_t, d, p1, p2, outcome
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"TwistRecord({fields})"
 
     @property
     def certificate(self) -> RankCertificate | None:
@@ -224,8 +226,7 @@ def rank2_certificate(record: TwistRecord, prime_budget: int = 50) -> Certificat
     return record.outcome
 
 
-@dataclass
-class TwistTable:
+class TwistTable(NamedTuple):
     records: list[TwistRecord]
     distinct_d: int
     max_abs_d: int

@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 
 from newton_oracle import power_sums
+from trace_oracle import trace
 from twocubes import identities
 from twocubes.cli import main
-from twocubes.elliptic import count_points, trace
+from twocubes.elliptic import count_points
 from twocubes.exact import FiniteField
 from twocubes.function_field import (
     build_family,

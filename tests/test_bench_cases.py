@@ -17,7 +17,9 @@ def test_bench_cases_records_one_cheap_case(tmp_path):
         check=True, timeout=120,
     )
     (record,) = json.loads(out.read_text())["records"]
-    assert set(record) == {"git_sha", "dirty", "nproc", "python", "numpy", "runs", "cases"}
+    assert set(record) == {"git_sha", "dirty", "nproc", "python", "numpy", "bytecode", "runs",
+                           "cases"}
+    assert record["bytecode"].startswith("none")
     assert record["runs"] == 1 and record["nproc"] >= 1
     (case,) = record["cases"]
     assert set(case) == {"name", "argv", "wall_s", "peak_rss_mb", "exit_code"}

@@ -22,6 +22,7 @@ from chord_oracle import (
 )
 from enumeration import count_by_enumeration
 from torsion_oracle import torsion_order_bound
+from trace_oracle import trace
 from twocubes.elliptic import (
     _add_mod_p,
     _is_cyclic,
@@ -29,7 +30,6 @@ from twocubes.elliptic import (
     count_points,
     group_n1,
     to_weierstrass,
-    trace,
 )
 from twocubes.exact import FiniteField, is_probable_prime, prime_field
 from twocubes.exact.numbers import factorize

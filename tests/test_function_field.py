@@ -391,6 +391,52 @@ def test_good_prime_screen(family):
         FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2)
 
 
+def test_an_equal_curve_is_the_same_cache_key(family):
+    """A curve compares and hashes by (k, p1, p2), so an equal but distinct
+    one hits the character-sum and L-function caches the family filled."""
+    twin = FunctionFieldCurve(Polynomial(family.k.coeffs), family.p1, family.p2)
+    assert twin is not family and twin == family and hash(twin) == hash(family)
+    assert twin != FunctionFieldCurve(2 * family.k, family.p1, family.p2)
+    assert twin != (family.k, family.p1, family.p2)
+    for cached, args in ((character_sum, (5, 1)), (_lfunction, (5, False))):
+        want = cached(family, *args)
+        before = cached.cache_info()
+        assert cached(twin, *args) is want
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+_RECORD_CHECKS_SCRIPT = """
+from fractions import Fraction
+from twocubes.function_field import FamilyError, FunctionFieldCurve, build_family
+from twocubes.identities import CubeQuadruple, IdentityError
+family = build_family()
+for make, error in ((lambda: FunctionFieldCurve(family.k * Fraction(1, 8), family.p1, family.p2),
+                     FamilyError),
+                    (lambda: CubeQuadruple(*map(Fraction, (1, 1, 1, 2))), IdentityError)):
+    try:
+        make()
+    except error as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_record_checks_raise_with_and_without_asserts(flags):
+    """A curve with k outside Z[T] and a quadruple off the cube relation are
+    refused by their constructors, with typed errors that -O does not strip."""
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _RECORD_CHECKS_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "FamilyError the curve needs k(T) in Z[T]",
+        "IdentityError cube relation fails for CubeQuadruple(x=Fraction(1, 1), y=Fraction(1, 1),"
+        " z=Fraction(1, 1), w=Fraction(2, 1))",
+    ]
+
+
 @pytest.mark.parametrize("k, p", [(None, 7), (None, 3), (rational_poly(6, -7, 1), 5)])
 def test_fiber_trace_sum_refuses_a_prime_that_is_not_good(family, monkeypatch, k, p):
     """63 divides every coefficient of the family's k, so k = 0 mod 3 and mod

@@ -152,6 +152,13 @@ def test_cube_quadruple_rejects_wrong_relation():
         CubeQuadruple(Fraction(1), Fraction(1), Fraction(1), Fraction(2))
 
 
+def test_cube_quadruple_repr_names_its_fields():
+    q = verify_euler_family(1, 2, 3)
+    assert repr(q) == ("CubeQuadruple(x=Fraction(292, 243), y=Fraction(95, 27), "
+                       "z=Fraction(88, 27), w=Fraction(535, 243))")
+    assert (q.x, q.y, q.z, q.w) == tuple(q) and q.common_value() == q.z**3 + q.w**3
+
+
 # -- taxicab ---------------------------------------------------------------------
 
 

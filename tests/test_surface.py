@@ -1,14 +1,13 @@
 """Tests for fiber classification, the K3 criterion, and Shioda-Tate."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from twocubes.exact import Polynomial, rational_poly
-from twocubes.function_field import build_family, good_prime, lfunction
+from twocubes.function_field import FunctionFieldCurve, build_family, good_prime, lfunction
 from twocubes.surface import (
     KodairaFiber,
     Place,
@@ -115,7 +114,7 @@ def test_squarefree_decisions_match_sympy_discriminant():
             refused += 1
         else:
             classify_fibers(k)
-        curve = replace(family, k=k)
+        curve = FunctionFieldCurve(k, family.p1, family.p2)
         bad = 6 * coeffs[-1] * disc
         assert [good_prime(curve, p) for p in small] == [bad % p != 0 for p in small]
     assert 10 <= refused <= 30, refused

@@ -376,6 +376,17 @@ def test_certificate_refuses_rational_torsion(d, x, y, order):
     assert (out.reason, out.primes_tried, out.certificate) == (f"torsion bound {order} != 1", 0, None)
 
 
+def test_record_reprs_name_their_fields():
+    rec = specialize(3)
+    points = "p1=Point(X=46, Y=-37, Z=3), p2=Point(X=10, Y=9, Z=1)"
+    head = f"TwistRecord(t=Fraction(3, 1), k_t=Fraction(46683, 1), d=1729, {points}"
+    assert repr(rec) == head + ", outcome=None)"
+    outcome = rank2_certificate(rec)
+    assert repr(outcome) == ("CertificateOutcome(certificate=RankCertificate(prime=37, "
+                             "group_order=27), primes_tried=7, reason='non-cyclic image')")
+    assert repr(rec) == f"{head}, outcome={outcome!r})"
+
+
 _OFF_CURVE_SCRIPT = """
 import math
 from twocubes.twists import Point, rank2_certificate, specialize

@@ -5,14 +5,20 @@ c_{e n} = 2 Re(alpha^n S_n).
 It shares the roots of k with the library, and nothing else: the classes
 come from the class table of all of F_{p^n} (`zech_oracle.ZechLog`, with the
 field's own generator, no norm and no Zech logarithm), and the traces from
-`elliptic.trace` (Gauss's formula for the fiber's own Weierstrass model), one
-per class of -432 k(t)^2 mod 6, with no cubic character and no alpha.
+`trace` (q + 1 - `elliptic.count_points`: Gauss's formula for the fiber's own
+Weierstrass model), one per class of -432 k(t)^2 mod 6, with no cubic
+character and no alpha.
 """
 
-from twocubes.elliptic import trace
+from twocubes.elliptic import count_points
 from twocubes.exact import FiniteField
 from twocubes.function_field import LFunctionError, _roots_mod_p, good_prime
 from zech_oracle import ZechLog
+
+
+def trace(field: FiniteField, A) -> int:
+    """The trace of Frobenius on v^2 = u^3 + A over the field."""
+    return field.q + 1 - count_points(field, A)
 
 
 def fiber_trace_sum(curve, p: int, n: int) -> int:
