@@ -18,7 +18,7 @@ def check_cap(what: str, value: int, cap: int, shown: object = None) -> None:
 # taxicab at the cap: about 0.2 s; it sorts the sums in windows of about 4096
 # pairs, which keep its traced peak near 0.9 MiB and add 2 MB to 17 MB peak RSS
 MAX_TAXICAB_BOUND = 10**9
-MAX_NEARMISS_COUNT = 2000  # about 0.25 s, most of it start-up; term n has O(n) digits
+MAX_NEARMISS_COUNT = 2000  # about 0.2 s, half of it start-up; term n has O(n) digits
 MAX_TWIST_RANGE = 10**4  # t values in one twists table
 MAX_PRIME_BUDGET = 1000  # primes tried per twist certificate
 # ec count: the search for the modulus of F_{p^n} dominates; the slowest of 40

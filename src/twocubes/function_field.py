@@ -79,13 +79,17 @@ class FunctionFieldCurve:
     """X^3 + Y^3 = k(T) with two sections; k must lie in Z[T].
 
     Curves are equal, and hash alike, by (k, p1, p2), so the caches keyed on
-    a curve hit for an equal one; `over_z` is factored once per instance.
+    a curve hit for an equal one; as a cache key a curve cannot be changed.
+    `over_z` is factored once per instance.
     """
 
     def __init__(self, k: Polynomial, p1: SectionPoint, p2: SectionPoint):
         if not all(getattr(c, "denominator", None) == 1 for c in k.coeffs):
             raise FamilyError("the curve needs k(T) in Z[T]")
-        self.k, self.p1, self.p2 = k, p1, p2
+        self.__dict__.update(k=k, p1=p1, p2=p2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: a FunctionFieldCurve is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, FunctionFieldCurve):

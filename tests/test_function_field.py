@@ -393,11 +393,15 @@ def test_good_prime_screen(family):
 
 def test_an_equal_curve_is_the_same_cache_key(family):
     """A curve compares and hashes by (k, p1, p2), so an equal but distinct
-    one hits the character-sum and L-function caches the family filled."""
+    one hits the character-sum and L-function caches the family filled; a
+    curve cannot be changed under those keys."""
     twin = FunctionFieldCurve(Polynomial(family.k.coeffs), family.p1, family.p2)
     assert twin is not family and twin == family and hash(twin) == hash(family)
     assert twin != FunctionFieldCurve(2 * family.k, family.p1, family.p2)
     assert twin != (family.k, family.p1, family.p2)
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.k = 2 * family.k
+    assert twin.k == family.k and twin.over_z == family.over_z
     for cached, args in ((character_sum, (5, 1)), (_lfunction, (5, False))):
         want = cached(family, *args)
         before = cached.cache_info()
